@@ -217,9 +217,9 @@ def _split_joint(joint: np.ndarray, dims: List[int]) -> List[np.ndarray]:
     return out
 
 
-def ccp_select(game, N: int, psi: str = "l1", max_iter: int = 100,
+def ccp_select(game, N: int, max_iter: int = 100,
                tol_obj: Optional[float] = None, seed: int = 0) -> Tuple[BasisSet, CcpTrace]:
-    """Diverse basis via the convex-concave procedure.
+    """Diverse basis via the convex-concave procedure, with the l1 distance.
 
     Starts from ``random_basis(game, N, seed)`` and iterates linearized
     master LPs until the true min-pairwise-distance objective improves by
@@ -229,18 +229,16 @@ def ccp_select(game, N: int, psi: str = "l1", max_iter: int = 100,
     """
     if N < 2:
         raise ValueError("CCP selection needs N >= 2")
-    if psi != "l1":
-        raise NotImplementedError("the CCP master LP is specific to psi='l1'")
     dims = [P.dim for P in game.action_sets]
     current = random_basis(game, N, seed)
-    obj = min_pairwise_distance(current, psi)
+    obj = min_pairwise_distance(current)
     iterates = [(current, obj)]
     converged = False
     for _ in range(max_iter):
         joints = [current.joint(k) for k in range(N)]
         new_joints = _ccp_master_lp(game, joints, dims)
         candidate = BasisSet([_split_joint(j, dims) for j in new_joints])
-        new_obj = min_pairwise_distance(candidate, psi)
+        new_obj = min_pairwise_distance(candidate)
         if new_obj < obj - 1e-9:
             # majorization guarantees ascent; a drop is numerical noise, stop
             converged = True

@@ -65,14 +65,13 @@ class OracleFailure(RuntimeError):
 class GpHyper:
     """Kernel and noise hyperparameters.
 
-    ``refit_lengthscale`` turns on the periodic log-marginal-likelihood
-    grid refit of the lengthscale during :func:`bo_learn`.
+    ``lengthscale`` is the starting value: :func:`bo_learn` refits it on
+    :data:`LENGTHSCALE_GRID` by log marginal likelihood every 10 queries.
     """
 
     lengthscale: float = 0.5
     signal_variance: float = 1.0
     noise_sigma: float = 1e-6
-    refit_lengthscale: bool = True
 
     def __post_init__(self):
         if self.lengthscale <= 0 or self.signal_variance <= 0:
@@ -329,7 +328,7 @@ def bo_learn(oracle: Callable[[np.ndarray], float], N: int, budget: int,
     lengthscale = hyper.lengthscale
     for n in range(n_init, budget):
         eta_std = _standardized(values)
-        if hyper.refit_lengthscale and n % 10 == 0:
+        if n % 10 == 0:
             best_l, best_lml = lengthscale, -np.inf
             for cand in LENGTHSCALE_GRID:
                 trial = replace(hyper, lengthscale=cand)

@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from cequil.polytope import Polyhedron, solve_lp
+from cequil.polytope import TOL_FEAS, Polyhedron, solve_lp
 from cequil.tntp import NetworkData, build_incidence
 
 __all__ = [
@@ -185,8 +185,12 @@ class TrafficGame:
 
 
 def link_cost(j: int, total_flow_j: float, game: TrafficGame) -> float:
-    """BPR travel time of link ``j`` at the given total flow."""
-    if total_flow_j < 0:
+    """BPR travel time of link ``j`` at the given total flow.
+
+    Flows down to ``-TOL_FEAS`` are LP rounding and are accepted, as
+    :func:`cequil.polytope.contains` accepts them.
+    """
+    if total_flow_j < -TOL_FEAS:
         raise GameError("negative link flow")
     a = game.fft[j]
     b = game.nominal_volume[j]
@@ -194,17 +198,18 @@ def link_cost(j: int, total_flow_j: float, game: TrafficGame) -> float:
 
 
 def _check_flows(i, x_i, x_minus_i, game):
+    # entries down to -TOL_FEAS are LP rounding, as in link_cost
     x_i = np.asarray(x_i, dtype=float)
     if x_i.shape != (game.num_links,):
         raise GameError(f"player {i}: flow vector must have length {game.num_links}")
-    if np.any(x_i < 0):
+    if np.any(x_i < -TOL_FEAS):
         raise GameError(f"player {i}: negative flow")
     others = []
     for x in x_minus_i:
         x = np.asarray(x, dtype=float)
         if x.shape != (game.num_links,):
             raise GameError("opponent flow vector has wrong length")
-        if np.any(x < 0):
+        if np.any(x < -TOL_FEAS):
             raise GameError("negative opponent flow")
         others.append(x)
     return x_i, others

@@ -165,224 +165,6 @@ _STALL_CAP = 50  # degenerate pivots before switching to Bland's rule
 # 3 = free at zero, 4 = fixed (lower == upper, never enters).
 _BASIC, _AT_LO, _AT_HI, _FREE, _FIXED = 0, 1, 2, 3, 4
 
-try:  # the JIT kernel is a drop-in for the numpy phase below
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dep of the wheel
-    _HAVE_NUMBA = False
-
-    def _njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-@_njit(cache=True)
-def _simplex_phase_jit(A, AT, b, c, lo, hi, x, basis, binv, state, dirmask, max_pivots):
-    """Compiled pivot loop; mirrors _simplex_phase_np exactly.
-
-    Returns 0 = optimal, 1 = unbounded, 2 = stalled, 3 = vanishing pivot,
-    4 = singular basis at refactorization.
-    """
-    m, n_total = A.shape
-    cmax = 0.0
-    for j in range(n_total):
-        v = abs(c[j])
-        if v > cmax:
-            cmax = v
-    dual_tol = _DUAL_TOL * (1.0 + cmax)
-
-    xb = np.empty(m)
-    cb = np.empty(m)
-    lo_b = np.empty(m)
-    hi_b = np.empty(m)
-    for i in range(m):
-        bi = basis[i]
-        xb[i] = x[bi]
-        cb[i] = c[bi]
-        lo_b[i] = lo[bi]
-        hi_b[i] = hi[bi]
-
-    y = np.empty(m)
-    d = np.empty(m)
-    stall = 0
-    bland = False
-    since_refresh = 0
-
-    for _pivot in range(max_pivots):
-        for i in range(m):
-            acc = 0.0
-            for k in range(m):
-                acc += binv[k, i] * cb[k]
-            y[i] = acc
-
-        best_j = -1
-        best_v = dual_tol
-        best_r = 0.0
-        for j in range(n_total):
-            dm = dirmask[j]
-            st = state[j]
-            if dm == 0.0 and st != _FREE:
-                continue
-            r = c[j]
-            for i in range(m):
-                r -= AT[j, i] * y[i]
-            if st == _FREE:
-                v = abs(r)
-            else:
-                v = dm * r
-            if v > best_v:
-                best_v = v
-                best_j = j
-                best_r = r
-                if bland:
-                    break
-        if best_j < 0:
-            for i in range(m):
-                x[basis[i]] = xb[i]
-            return 0
-        j = best_j
-        direction = 1.0 if best_r < 0.0 else -1.0
-
-        for i in range(m):
-            acc = 0.0
-            for k in range(m):
-                acc += binv[i, k] * A[k, j]
-            d[i] = acc
-
-        t_own = hi[j] - lo[j]
-        t_basic = np.inf
-        for i in range(m):
-            step = -direction * d[i]
-            if step > _RATIO_TOL:
-                ratio = (hi_b[i] - xb[i]) / step
-            elif step < -_RATIO_TOL:
-                ratio = (lo_b[i] - xb[i]) / step
-            else:
-                continue
-            if ratio < 0.0:
-                ratio = 0.0
-            if ratio < t_basic:
-                t_basic = ratio
-        t_star = t_basic if t_basic < t_own else t_own
-        if not np.isfinite(t_star):
-            for i in range(m):
-                x[basis[i]] = xb[i]
-            return 1
-
-        if t_star <= _RATIO_TOL:
-            stall += 1
-        else:
-            stall = 0
-        if stall > _STALL_CAP:
-            bland = True
-        elif t_star > _RATIO_TOL:
-            bland = False
-
-        if t_own <= t_basic:
-            for i in range(m):
-                xb[i] += (-direction * d[i]) * t_own
-            if direction > 0:
-                x[j] = hi[j]
-                state[j] = _AT_HI
-                dirmask[j] = 1.0
-            else:
-                x[j] = lo[j]
-                state[j] = _AT_LO
-                dirmask[j] = -1.0
-            continue
-
-        leave = -1
-        if bland:
-            best_idx = n_total + m
-            for i in range(m):
-                step = -direction * d[i]
-                if step > _RATIO_TOL:
-                    ratio = (hi_b[i] - xb[i]) / step
-                elif step < -_RATIO_TOL:
-                    ratio = (lo_b[i] - xb[i]) / step
-                else:
-                    continue
-                if ratio < 0.0:
-                    ratio = 0.0
-                if ratio <= t_star + _RATIO_TOL and basis[i] < best_idx:
-                    best_idx = basis[i]
-                    leave = i
-        else:
-            best_piv = -1.0
-            for i in range(m):
-                step = -direction * d[i]
-                if step > _RATIO_TOL:
-                    ratio = (hi_b[i] - xb[i]) / step
-                elif step < -_RATIO_TOL:
-                    ratio = (lo_b[i] - xb[i]) / step
-                else:
-                    continue
-                if ratio < 0.0:
-                    ratio = 0.0
-                if ratio <= t_star + _RATIO_TOL and abs(step) > best_piv:
-                    best_piv = abs(step)
-                    leave = i
-        v_leave = basis[leave]
-
-        for i in range(m):
-            xb[i] += (-direction * d[i]) * t_star
-        enter_val = x[j] + direction * t_star
-        step_leave = -direction * d[leave]
-        if lo[v_leave] == hi[v_leave]:
-            x[v_leave] = lo[v_leave]
-            state[v_leave] = _FIXED
-            dirmask[v_leave] = 0.0
-        elif step_leave > 0:
-            x[v_leave] = hi[v_leave]
-            state[v_leave] = _AT_HI
-            dirmask[v_leave] = 1.0
-        else:
-            x[v_leave] = lo[v_leave]
-            state[v_leave] = _AT_LO
-            dirmask[v_leave] = -1.0
-
-        basis[leave] = j
-        state[j] = _BASIC
-        dirmask[j] = 0.0
-        xb[leave] = enter_val
-        cb[leave] = c[j]
-        lo_b[leave] = lo[j]
-        hi_b[leave] = hi[j]
-
-        piv = d[leave]
-        if abs(piv) < 1e-12:
-            return 3
-        inv_piv = 1.0 / piv
-        for k in range(m):
-            binv[leave, k] *= inv_piv
-        for i in range(m):
-            if i == leave:
-                continue
-            di = d[i]
-            if di != 0.0:
-                for k in range(m):
-                    binv[i, k] -= di * binv[leave, k]
-
-        since_refresh += 1
-        if since_refresh >= 100:
-            since_refresh = 0
-            B = np.empty((m, m))
-            for i in range(m):
-                for k in range(m):
-                    B[k, i] = A[k, basis[i]]
-            binv[:, :] = np.linalg.inv(B)
-            for i in range(m):
-                x[basis[i]] = 0.0
-            resid = b - A @ x
-            xb[:] = binv @ resid
-
-    for i in range(m):
-        x[basis[i]] = xb[i]
-    return 2
-
 
 def _solve_bounded_lp(A, b, c, lower, upper, max_pivots):
     """min c.x  s.t.  A x = b, lower <= x <= upper.
@@ -428,7 +210,7 @@ def _solve_bounded_lp(A, b, c, lower, upper, max_pivots):
     state[n:] = _BASIC
 
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    st = _run_phase(A_ext, b, c1, lo_ext, hi_ext, x, basis, binv, state, max_pivots)
+    st = _simplex_phase_np(A_ext, b, c1, lo_ext, hi_ext, x, basis, binv, state, max_pivots)
     if st == "stalled":
         raise DegeneracyError("phase 1 made no progress after the anti-cycling cap")
     feas_tol = 1e-8 * (1.0 + np.abs(b).max())
@@ -441,32 +223,12 @@ def _solve_bounded_lp(A, b, c, lower, upper, max_pivots):
     state[n:][state[n:] != _BASIC] = _FIXED
 
     c2 = np.concatenate([c, np.zeros(m)])
-    st = _run_phase(A_ext, b, c2, lo_ext, hi_ext, x, basis, binv, state, max_pivots)
+    st = _simplex_phase_np(A_ext, b, c2, lo_ext, hi_ext, x, basis, binv, state, max_pivots)
     if st == "stalled":
         raise DegeneracyError("phase 2 made no progress after the anti-cycling cap")
     if st == "unbounded":
         return "unbounded", None
     return "optimal", x[:n]
-
-
-_JIT_STATUS = {0: "optimal", 1: "unbounded", 2: "stalled"}
-
-
-def _run_phase(A, b, c, lo, hi, x, basis, binv, state, max_pivots):
-    if _HAVE_NUMBA:
-        dirmask = np.zeros(state.size)
-        dirmask[state == _AT_LO] = -1.0
-        dirmask[state == _AT_HI] = 1.0
-        AT = np.ascontiguousarray(A.T)
-        try:
-            code = _simplex_phase_jit(A, AT, b, c, lo, hi, x, basis, binv, state,
-                                      dirmask, max_pivots)
-        except Exception as exc:  # singular refactorization inside the kernel
-            raise DegeneracyError("singular basis during refactorization") from exc
-        if code == 3:
-            raise DegeneracyError("vanishing pivot element")
-        return _JIT_STATUS[code]
-    return _simplex_phase_np(A, b, c, lo, hi, x, basis, binv, state, max_pivots)
 
 
 def _simplex_phase_np(A, b, c, lo, hi, x, basis, binv, state, max_pivots):

@@ -8,19 +8,21 @@ expected cost achievable by a single constant deviation:
     regret_i(w) = sum_k w_k f_i(xhat_i^k, xhat_-i^k)
                   - min_{y in X_i} sum_k w_k f_i(y, xhat_-i^k)
 
-The minimization is a convex program solved by Frank-Wolfe; its gap is
-reported so callers can bound the exact value (the solver under-minimizes
-the benchmark, making the reported regret an upper bound tight to the
-gap).  Regrets are signed: a mixture can beat every constant deviation,
-so negative values are meaningful and are never clamped.  A distribution
-is an (approximate) correlated equilibrium exactly when every player's
-regret is non-positive, which is what :func:`verify_ce` checks.
+:class:`RegretOracle` is the one way to compute it.  The minimization is a
+convex program solved by Frank-Wolfe, which stops at a point y with
+F(y) >= min F, so the reported regret ``E - F(y)`` is a *lower* bound on
+the true regret.  The Frank-Wolfe gap g bounds ``F(y) - min F``, so the
+reported regret plus g is an upper bound.  Regrets are signed: a mixture
+can beat every constant deviation, so negative values are meaningful and
+are never clamped.  A distribution is an (approximate) correlated
+equilibrium exactly when every player's regret is non-positive;
+:func:`verify_ce` certifies that from the upper bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -32,10 +34,6 @@ __all__ = [
     "CeVerdict",
     "RegretOracle",
     "validate_weights",
-    "expected_cost",
-    "best_response_value",
-    "correlated_regret",
-    "regret_report",
     "verify_ce",
 ]
 
@@ -94,6 +92,8 @@ class RegretReport:
 
 
 class CeVerdict(NamedTuple):
+    """Outcome of :func:`verify_ce`; ``worst_regret`` is an upper bound."""
+
     is_equilibrium: bool
     worst_player: int
     worst_regret: float
@@ -146,8 +146,9 @@ class RegretOracle:
 
     # -- single-player pieces --------------------------------------------
 
-    def expected_cost(self, i: int, w: np.ndarray) -> float:
-        return float(self.atom_costs[i] @ w)
+    def expected_cost(self, i: int, w) -> float:
+        """Player i's expected cost of following recommendations drawn with w."""
+        return float(self.atom_costs[i] @ validate_weights(w, self.basis.size))
 
     def _mixture_functions(self, i: int, w: np.ndarray):
         if self._fast:
@@ -167,12 +168,16 @@ class RegretOracle:
 
         return fun, None
 
-    def best_response(self, i: int, w: np.ndarray):
+    def best_response(self, i: int, w):
         """(value, minimizer, fw_gap) of the constant-deviation benchmark."""
         w = validate_weights(w, self.basis.size)
+        return self._best_response(i, w, float(self.atom_costs[i] @ w))
+
+    def _best_response(self, i: int, w: np.ndarray, expected: float):
+        # w is validated; expected is player i's expected cost at w
         tol = self.tol_gap
         if tol is None:
-            tol = 1e-6 * max(1.0, abs(self.expected_cost(i, w)))
+            tol = 1e-6 * max(1.0, abs(expected))
         fun, line_poly = self._mixture_functions(i, w)
         res = frank_wolfe_min(fun, self.game.action_sets[i], tol_gap=tol,
                               max_iter=self.max_iter, line_poly=line_poly)
@@ -191,8 +196,9 @@ class RegretOracle:
         gaps = np.empty(m)
         responses = []
         for i in range(m):
-            value, y_star, gap = self.best_response(i, w)
-            per[i] = self.expected_cost(i, w) - value
+            expected = float(self.atom_costs[i] @ w)
+            value, y_star, gap = self._best_response(i, w, expected)
+            per[i] = expected - value
             gaps[i] = gap
             responses.append(y_star)
         rep = RegretReport(per, float(np.mean(per)), responses, gaps)
@@ -203,42 +209,14 @@ class RegretOracle:
         return self.report(w).average
 
 
-def expected_cost(i: int, w, basis: BasisSet, game) -> float:
-    """Expected cost of following recommendations drawn with weights w."""
-    w = validate_weights(w, basis.size)
-    m = basis.num_players
-    total = 0.0
-    for wk, joint in zip(w, basis.actions):
-        if wk == 0.0:
-            continue
-        others = [joint[p] for p in range(m) if p != i]
-        total += float(wk) * game.cost(i, joint[i], others)
-    return total
+def verify_ce(oracle: RegretOracle, w, tol: float = 1e-6) -> CeVerdict:
+    """Certified equilibrium test: every player's regret is provably <= tol.
 
-
-def best_response_value(i: int, w, basis: BasisSet, game,
-                        tol_gap: Optional[float] = None):
-    """Best constant deviation against the mixture of basis scenarios."""
-    return RegretOracle(game, basis, tol_gap=tol_gap).best_response(i, validate_weights(w, basis.size))
-
-
-def correlated_regret(i: int, w, basis: BasisSet, game,
-                      tol_gap: Optional[float] = None) -> float:
-    """Signed correlated regret of player i at weights w."""
-    oracle = RegretOracle(game, basis, tol_gap=tol_gap)
-    w = validate_weights(w, basis.size)
-    value, _, _ = oracle.best_response(i, w)
-    return oracle.expected_cost(i, w) - value
-
-
-def regret_report(w, basis: BasisSet, game, tol_gap: Optional[float] = None) -> RegretReport:
-    """Per-player regrets, their average, minimizers, and gap certificates."""
-    return RegretOracle(game, basis, tol_gap=tol_gap).report(w)
-
-
-def verify_ce(basis: BasisSet, w, game, tol: float = 1e-6) -> CeVerdict:
-    """Equilibrium test: every player's regret must be <= tol."""
-    rep = regret_report(w, basis, game)
-    worst = int(np.argmax(rep.per_player))
-    return CeVerdict(bool(rep.per_player[worst] <= tol), worst,
-                     float(rep.per_player[worst]))
+    The reported regret is a lower bound, so the verdict, the worst player
+    and the worst regret all use the upper bound ``regret + fw_gap``.  A
+    negative gap is LP rounding and counts as zero.
+    """
+    rep = oracle.report(w)
+    upper = rep.per_player + np.maximum(rep.fw_gaps, 0.0)
+    worst = int(np.argmax(upper))
+    return CeVerdict(bool(upper[worst] <= tol), worst, float(upper[worst]))

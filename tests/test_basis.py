@@ -135,11 +135,6 @@ class TestCcpSelect:
             for joint in b.actions:
                 assert contains(P, joint[0], 1e-7)
 
-    def test_rejects_other_psi(self):
-        game = null_game([Polyhedron.interval(0.0, 1.0)])
-        with pytest.raises(NotImplementedError):
-            ccp_select(game, 2, psi="l2sq")
-
     def test_needs_two_actions(self):
         game = null_game([Polyhedron.interval(0.0, 1.0)])
         with pytest.raises(ValueError):

@@ -1,18 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cequil.game import ConvexGame
+from cequil.game import ConvexGame, PlayerSpec, build_traffic_game
 from cequil.polytope import Polyhedron
-from cequil.regret import (
-    BasisSet,
-    RegretOracle,
-    best_response_value,
-    correlated_regret,
-    expected_cost,
-    regret_report,
-    validate_weights,
-    verify_ce,
-)
+from cequil.regret import BasisSet, RegretOracle, validate_weights, verify_ce
+from cequil.tntp import parse_net
+
+DATA = Path(__file__).parent / "data"
 
 
 def quadratic_game():
@@ -83,49 +79,51 @@ class TestExpectedCost:
     def test_dirac(self):
         game = quadratic_game()
         basis = diag_basis()
-        assert expected_cost(0, [1.0, 0.0], basis, game) == pytest.approx(0.0)
+        assert RegretOracle(game, basis).expected_cost(0, [1.0, 0.0]) == pytest.approx(0.0)
         off = BasisSet([[np.array([1.0]), np.array([0.0])]])
-        assert expected_cost(0, [1.0], off, game) == pytest.approx(1.0)
+        assert RegretOracle(game, off).expected_cost(0, [1.0]) == pytest.approx(1.0)
 
     def test_identical_atoms(self):
         game = quadratic_game()
         two = BasisSet([[np.array([0.3]), np.array([0.8])],
                         [np.array([0.3]), np.array([0.8])]])
-        atom = expected_cost(0, [1.0, 0.0], two, game)
-        assert expected_cost(0, [0.5, 0.5], two, game) == pytest.approx(atom)
+        oracle = RegretOracle(game, two)
+        atom = oracle.expected_cost(0, [1.0, 0.0])
+        assert oracle.expected_cost(0, [0.5, 0.5]) == pytest.approx(atom)
 
     def test_toy_mixture_zero(self):
         game = quadratic_game()
-        assert expected_cost(0, [0.5, 0.5], diag_basis(), game) == pytest.approx(0.0)
+        assert RegretOracle(game, diag_basis()).expected_cost(0, [0.5, 0.5]) == pytest.approx(0.0)
 
     def test_linearity_in_w(self):
         game = quadratic_game()
         basis = BasisSet([[np.array([0.1]), np.array([0.9])],
                           [np.array([0.7]), np.array([0.2])],
                           [np.array([0.4]), np.array([0.5])]])
+        oracle = RegretOracle(game, basis)
         rng = np.random.default_rng(0)
         for _ in range(20):
             w1 = rng.dirichlet(np.ones(3))
             w2 = rng.dirichlet(np.ones(3))
             alpha = float(rng.uniform())
             mix = alpha * w1 + (1 - alpha) * w2
-            lhs = expected_cost(0, mix, basis, game)
-            rhs = alpha * expected_cost(0, w1, basis, game) \
-                + (1 - alpha) * expected_cost(0, w2, basis, game)
+            lhs = oracle.expected_cost(0, mix)
+            rhs = alpha * oracle.expected_cost(0, w1) \
+                + (1 - alpha) * oracle.expected_cost(0, w2)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 class TestBestResponse:
     def test_toy_half(self):
         game = quadratic_game()
-        value, y_star, gap = best_response_value(0, [0.5, 0.5], diag_basis(), game)
+        value, y_star, gap = RegretOracle(game, diag_basis()).best_response(0, [0.5, 0.5])
         assert value == pytest.approx(0.25, abs=1e-8)
         assert y_star[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_single_scenario(self):
         game = quadratic_game()
         basis = diag_basis()
-        value, y_star, _ = best_response_value(0, [0.0, 1.0], basis, game)
+        value, y_star, _ = RegretOracle(game, basis).best_response(0, [0.0, 1.0])
         assert value == pytest.approx(0.0, abs=1e-10)
         assert y_star[0] == pytest.approx(1.0, abs=1e-6)
 
@@ -138,7 +136,7 @@ class TestBestResponse:
 
         game = ConvexGame(1, [Polyhedron.box([0.0], [0.0])], cost, grad)
         basis = BasisSet([[np.array([0.0])]])
-        value, y_star, gap = best_response_value(0, [1.0], basis, game)
+        value, y_star, gap = RegretOracle(game, basis).best_response(0, [1.0])
         assert y_star[0] == 0.0
         assert value == pytest.approx(0.49)
         assert gap == 0.0
@@ -163,14 +161,14 @@ class TestBestResponse:
 class TestCorrelatedRegret:
     def test_toy_negative_quarter(self):
         game = quadratic_game()
-        r = correlated_regret(0, [0.5, 0.5], diag_basis(), game)
+        r = RegretOracle(game, diag_basis()).report([0.5, 0.5]).per_player[0]
         assert r == pytest.approx(-0.25, abs=1e-7)
 
     def test_dirac_at_best_response_is_zero(self):
         game = quadratic_game()
         # at (t, t) each player's recommended action already best-responds
         basis = BasisSet([[np.array([0.4]), np.array([0.4])]])
-        r = correlated_regret(0, [1.0], basis, game, tol_gap=1e-9)
+        r = RegretOracle(game, basis, tol_gap=1e-9).report([1.0]).per_player[0]
         assert abs(r) <= 2e-9
 
     def test_common_recommendation_nonnegative(self):
@@ -184,7 +182,7 @@ class TestCorrelatedRegret:
             ])
             w = rng.dirichlet(np.ones(3))
             tol = 1e-8
-            r = correlated_regret(0, w, basis, game, tol_gap=tol)
+            r = RegretOracle(game, basis, tol_gap=tol).report(w).per_player[0]
             assert r >= -tol
 
     def test_convexity_in_w(self):
@@ -225,9 +223,10 @@ class TestCorrelatedRegret:
                 for _ in range(3)
             ])
             w = rng.dirichlet(np.ones(3))
+            oracle = RegretOracle(game, basis, tol_gap=1e-9)
             for i in range(2):
-                exact = correlated_regret(i, w, basis, game, tol_gap=1e-9)
-                brute = expected_cost(i, w, basis, game) - grid_best_response(game, i, w, basis)
+                exact = oracle.report(w).per_player[i]
+                brute = oracle.expected_cost(i, w) - grid_best_response(game, i, w, basis)
                 assert exact == pytest.approx(brute, abs=1e-3)
 
 
@@ -241,12 +240,12 @@ class TestRegretReport:
 
         game = ConvexGame(1, [Polyhedron.interval(0.0, 1.0)], cost, grad)
         basis = BasisSet([[np.array([0.9])]])
-        rep = regret_report([1.0], basis, game)
+        rep = RegretOracle(game, basis).report([1.0])
         assert rep.average == rep.per_player[0]
 
     def test_toy_report(self):
         game = quadratic_game()
-        rep = regret_report([0.5, 0.5], diag_basis(), game)
+        rep = RegretOracle(game, diag_basis()).report([0.5, 0.5])
         assert rep.per_player[0] == pytest.approx(-0.25, abs=1e-7)
         assert rep.per_player[1] == pytest.approx(-0.25, abs=1e-7)
         assert rep.average == pytest.approx(np.mean(rep.per_player), abs=1e-12)
@@ -254,8 +253,9 @@ class TestRegretReport:
     def test_bitwise_determinism(self):
         game = quadratic_game()
         basis = diag_basis()
-        a = regret_report([0.3, 0.7], basis, game)
-        b = regret_report([0.3, 0.7], basis, game)
+        # two oracles, so the second report is computed, not cached
+        a = RegretOracle(game, basis).report([0.3, 0.7])
+        b = RegretOracle(game, basis).report([0.3, 0.7])
         assert (a.per_player == b.per_player).all()
         assert a.average == b.average
         assert all((x == y).all() for x, y in zip(a.best_responses, b.best_responses))
@@ -267,24 +267,25 @@ class TestVerifyCe:
         # alternating best response from 0.3 converges immediately to (t, t)
         t = 0.3
         basis = BasisSet([[np.array([t]), np.array([t])]])
-        verdict = verify_ce(basis, [1.0], game, tol=1e-6)
+        verdict = verify_ce(RegretOracle(game, basis), [1.0], tol=1e-6)
         assert verdict.is_equilibrium
 
     def test_diagonal_mixture_is_equilibrium(self):
         game = quadratic_game()
-        verdict = verify_ce(diag_basis(), [0.5, 0.5], game, tol=1e-6)
+        verdict = verify_ce(RegretOracle(game, diag_basis()), [0.5, 0.5], tol=1e-6)
         assert verdict.is_equilibrium
         assert verdict.worst_regret <= 0.0
 
     def test_non_equilibrium_dirac(self):
         game = quadratic_game()
         basis = BasisSet([[np.array([0.9]), np.array([0.1])]])
-        verdict = verify_ce(basis, [1.0], game, tol=1e-6)
+        verdict = verify_ce(RegretOracle(game, basis), [1.0], tol=1e-6)
         assert not verdict.is_equilibrium
         assert verdict.worst_regret > 0.0
         # confirm the profitable deviation with the grid oracle
         i = verdict.worst_player
-        brute = expected_cost(i, [1.0], basis, game) - grid_best_response(game, i, [1.0], basis)
+        brute = RegretOracle(game, basis).expected_cost(i, [1.0]) \
+            - grid_best_response(game, i, [1.0], basis)
         assert brute > 1e-3
         assert verdict.worst_regret == pytest.approx(brute, abs=1e-3)
 
@@ -294,8 +295,47 @@ class TestVerifyCe:
         for _ in range(20):
             x = rng.uniform(size=2)
             basis = BasisSet([[np.array([x[0]]), np.array([x[1]])]])
-            verdict = verify_ce(basis, [1.0], game, tol=1e-6)
+            verdict = verify_ce(RegretOracle(game, basis), [1.0], tol=1e-6)
             # exact pure-strategy check: deviating to the opponent's action
             # saves (x_i - x_other)^2, the only possible improvement here
             improvable = (x[0] - x[1]) ** 2 > 1e-6
             assert verdict.is_equilibrium == (not improvable)
+
+    def test_certifies_from_upper_bound(self):
+        # one iteration of FW from the box corner stops at (0.45, 0.45):
+        # reported regret -0.045 is a lower bound, and gap 0.3 says the
+        # true regret may be as large as 0.255, so nothing is certified
+        c = np.array([0.3, 0.6])
+
+        def cost(i, y, y_minus_i):
+            return float((y - c) @ (y - c))
+
+        def grad(i, y, y_minus_i):
+            return 2.0 * (y - c)
+
+        game = ConvexGame(1, [Polyhedron.box([0.0, 0.0], [1.0, 1.0])], cost, grad)
+        oracle = RegretOracle(game, BasisSet([[c.copy()]]), max_iter=1)
+        rep = oracle.report([1.0])
+        assert rep.per_player[0] == pytest.approx(-0.045, abs=1e-12)
+        assert rep.fw_gaps[0] == pytest.approx(0.3, abs=1e-12)
+        assert rep.per_player[0] <= 1e-6  # a lower-bound rule would certify
+        verdict = verify_ce(oracle, [1.0], tol=1e-6)
+        assert not verdict.is_equilibrium
+        assert verdict.worst_player == 0
+        assert verdict.worst_regret == pytest.approx(0.255, abs=1e-12)
+
+
+class TestSolverNoise:
+    def test_basis_with_rounding_negatives_is_accepted(self):
+        # LP vertices carry flows like -1e-13 on unused links; contains()
+        # accepts them, so the oracle must too
+        net = parse_net((DATA / "toy4_net.tntp").read_text())
+        game = build_traffic_game(net, [PlayerSpec(1, 4, 1.0)] * 2)
+        upper = np.array([1.0, 1.0, -1e-13, -1e-13])  # route 1->2->4
+        lower = np.array([-1e-13, -1e-13, 1.0, 1.0])  # route 1->3->4
+        noisy = BasisSet([[upper, lower], [lower, upper]])
+        clean = BasisSet([[np.maximum(x, 0.0) for x in joint] for joint in noisy.actions])
+        rep = RegretOracle(game, noisy).report([0.5, 0.5])
+        ref = RegretOracle(game, clean).report([0.5, 0.5])
+        assert np.all(np.isfinite(rep.per_player))
+        assert rep.per_player == pytest.approx(ref.per_player, abs=1e-9)

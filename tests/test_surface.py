@@ -1,0 +1,31 @@
+"""The package's public surface: exports and console scripts resolve."""
+
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import cequil
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+MODULES = ["cequil"] + [f"cequil.{m.name}" for m in pkgutil.iter_modules(cequil.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert len(set(exported)) == len(exported), f"{name}.__all__ has duplicates"
+    missing = [attr for attr in exported if not hasattr(module, attr)]
+    assert not missing, f"{name}.__all__ names undefined attributes: {missing}"
+
+
+def test_console_scripts_import():
+    tomllib = pytest.importorskip("tomllib")
+    with open(PYPROJECT, "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    for script, target in project.get("scripts", {}).items():
+        module_name, _, attr = target.partition(":")
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"script {script}: {target} is not callable"
