@@ -1,12 +1,11 @@
 """Basis joint-action selection.
 
-Diversity objective: maximize the minimum pairwise difference
-``min_{i != j} psi(xhat^i - xhat^j)`` over feasible joint actions.  With
-``psi`` the l1 norm this is a difference-of-convex program; the
-convex-concave procedure solves it by linearizing the convex sum of
-pairwise differences around the current iterate while keeping the
-epigraph-lifted constraints exact, so each iteration is one sparse LP and
-the true objective never decreases.
+Diversity objective: maximize the minimum pairwise l1 difference
+``min_{i != j} |xhat^i - xhat^j|_1`` over feasible joint actions.  This is
+a difference-of-convex program; the convex-concave procedure solves it by
+linearizing the convex sum of pairwise differences around the current
+iterate while keeping the epigraph-lifted constraints exact, so each
+iteration is one sparse LP and the true objective never decreases.
 
 The baseline ``random_basis`` assembles joint actions by minimizing a
 random linear function (coefficients uniform on [0, 1]) over each
@@ -16,7 +15,7 @@ player's action set, one LP per player per action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -46,23 +45,15 @@ class CcpTrace:
     iterations: int
 
 
-def _psi(diff: np.ndarray, kind: str) -> float:
-    if kind == "l1":
-        return float(np.abs(diff).sum())
-    if kind == "l2sq":
-        return float(diff @ diff)
-    raise ValueError(f"unknown distance kind {kind!r}")
-
-
-def min_pairwise_distance(basis: BasisSet, psi: str = "l1") -> float:
-    """Smallest psi-difference over all pairs of joint actions."""
+def min_pairwise_distance(basis: BasisSet) -> float:
+    """Smallest l1 difference over all pairs of joint actions."""
     if basis.size < 2:
         raise ValueError("need at least two joint actions")
     joints = [basis.joint(k) for k in range(basis.size)]
     best = np.inf
     for p in range(len(joints)):
         for q in range(p + 1, len(joints)):
-            best = min(best, _psi(joints[p] - joints[q], psi))
+            best = min(best, float(np.abs(joints[p] - joints[q]).sum()))
     return best
 
 
@@ -218,12 +209,12 @@ def _split_joint(joint: np.ndarray, dims: List[int]) -> List[np.ndarray]:
 
 
 def ccp_select(game, N: int, max_iter: int = 100,
-               tol_obj: Optional[float] = None, seed: int = 0) -> Tuple[BasisSet, CcpTrace]:
+               seed: int = 0) -> Tuple[BasisSet, CcpTrace]:
     """Diverse basis via the convex-concave procedure, with the l1 distance.
 
     Starts from ``random_basis(game, N, seed)`` and iterates linearized
     master LPs until the true min-pairwise-distance objective improves by
-    less than ``tol_obj`` (default relative 1e-6) or ``max_iter`` is hit.
+    less than 1e-6 * (1 + objective) or ``max_iter`` is hit.
     The trace records every accepted iterate; its objective sequence is
     non-decreasing, and the result weakly dominates the initialization.
     """
@@ -243,11 +234,10 @@ def ccp_select(game, N: int, max_iter: int = 100,
             # majorization guarantees ascent; a drop is numerical noise, stop
             converged = True
             break
-        tol = tol_obj if tol_obj is not None else 1e-6 * (1.0 + abs(new_obj))
         improved = new_obj - obj
         current, obj = candidate, new_obj
         iterates.append((current, obj))
-        if improved < tol:
+        if improved < 1e-6 * (1.0 + abs(new_obj)):
             converged = True
             break
     return current, CcpTrace(iterates, converged, len(iterates) - 1)
@@ -299,6 +289,9 @@ def basis_from_text(text: str) -> BasisSet:
                 actions.append(joint)
             joint = []
         elif t[0] == "player":
+            if len(joint) == m:
+                raise ValueError(
+                    f"action {len(actions) + 1}: more than the {m} players the header declares")
             vals = np.array([float(v) for v in t[2:]])
             expect = dims[len(joint)]
             if vals.size != expect:
@@ -309,6 +302,9 @@ def basis_from_text(text: str) -> BasisSet:
             raise ValueError(f"unexpected basis file line starting with {t[0]!r}")
     if joint:
         actions.append(joint)
+    short = [k for k, j in enumerate(actions, start=1) if len(j) < m]
+    if short:
+        raise ValueError(f"action {short[0]}: fewer than the {m} players the header declares")
     if len(actions) != N:
         raise ValueError(f"basis file declares {N} actions but contains {len(actions)}")
     return BasisSet(actions)

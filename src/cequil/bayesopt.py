@@ -1,11 +1,11 @@
 """Gaussian-process Bayesian optimization over the probability simplex.
 
 The learner treats the average-regret oracle as an expensive black box on
-the weight simplex.  A zero-mean GP with a Matern-5/2 kernel models the
-observations; the posterior at a candidate w is
+the weight simplex.  A zero-mean GP with a unit-variance Matern-5/2 kernel
+models the standardized observations; the posterior at a candidate w is
 
     mean(w) = c(w)' (K + sigma^2 I)^-1 eta
-    var(w)  = kappa(w, w) - c(w)' (K + sigma^2 I)^-1 c(w)
+    var(w)  = 1 - c(w)' (K + sigma^2 I)^-1 c(w)
 
 with K the kernel matrix of past queries, c(w) the cross-covariances and
 eta the observed values.  Expected Improvement (minimization form) scores
@@ -33,7 +33,6 @@ __all__ = [
     "LearnTrace",
     "GpError",
     "OracleFailure",
-    "matern52",
     "gp_posterior",
     "expected_improvement",
     "log_marginal_likelihood",
@@ -67,15 +66,15 @@ class GpHyper:
 
     ``lengthscale`` is the starting value: :func:`bo_learn` refits it on
     :data:`LENGTHSCALE_GRID` by log marginal likelihood every 10 queries.
+    The signal variance is 1: :func:`bo_learn` standardizes its outputs.
     """
 
     lengthscale: float = 0.5
-    signal_variance: float = 1.0
     noise_sigma: float = 1e-6
 
     def __post_init__(self):
-        if self.lengthscale <= 0 or self.signal_variance <= 0:
-            raise ValueError("lengthscale and signal_variance must be positive")
+        if self.lengthscale <= 0:
+            raise ValueError("lengthscale must be positive")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
 
@@ -112,21 +111,10 @@ class GpPosterior(NamedTuple):
     variance: float
 
 
-def matern52(w, w_prime, hyper: GpHyper) -> float:
-    """Matern-5/2 covariance between two weight vectors."""
-    w = np.asarray(w, dtype=float)
-    w_prime = np.asarray(w_prime, dtype=float)
-    if w.shape != w_prime.shape:
-        raise ValueError("kernel inputs must have equal dimension")
-    r = float(np.linalg.norm(w - w_prime))
-    q = _SQRT5 * r / hyper.lengthscale
-    return hyper.signal_variance * (1.0 + q + q * q / 3.0) * np.exp(-q)
-
-
 def _kernel_matrix(W1: np.ndarray, W2: np.ndarray, hyper: GpHyper) -> np.ndarray:
     d2 = np.sum((W1[:, None, :] - W2[None, :, :]) ** 2, axis=-1)
     q = _SQRT5 * np.sqrt(np.maximum(d2, 0.0)) / hyper.lengthscale
-    return hyper.signal_variance * (1.0 + q + q * q / 3.0) * np.exp(-q)
+    return (1.0 + q + q * q / 3.0) * np.exp(-q)
 
 
 def _factorize(D: QueryHistory, hyper: GpHyper):
@@ -151,7 +139,7 @@ def gp_posterior(D: QueryHistory, hyper: GpHyper, w) -> GpPosterior:
     W, factor, alpha = _factorize(D, hyper)
     c = _kernel_matrix(W, w[None, :], hyper)[:, 0]
     mean = float(c @ alpha)
-    var = float(hyper.signal_variance - c @ cho_solve(factor, c))
+    var = float(1.0 - c @ cho_solve(factor, c))
     return GpPosterior(mean, max(var, 0.0))
 
 
@@ -183,43 +171,31 @@ def log_marginal_likelihood(D: QueryHistory, hyper: GpHyper) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _ei_batch(W_cand, W, factor, alpha, hyper, best):
-    C = _kernel_matrix(W, W_cand, hyper)  # n x B
-    means = C.T @ alpha
-    V = cho_solve(factor, C)
-    variances = np.maximum(hyper.signal_variance - np.sum(C * V, axis=0), 0.0)
-    rho = np.sqrt(variances)
-    improve = best - means
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(rho > 0.0, improve / np.where(rho > 0.0, rho, 1.0), 0.0)
-    ei = improve * ndtr(z) + rho * np.exp(-0.5 * z * z) * _INV_SQRT_2PI
-    return np.where(rho > 0.0, ei, 0.0)
+def _ei_and_grad(W_cand, W, factor, alpha, hyper, best):
+    """EI and its ambient-space gradient at each row of the B x N batch W_cand.
 
-
-def _ei_and_grad(w, W, factor, alpha, hyper, best):
-    """EI value and its ambient-space gradient at w (used by the polish)."""
-    diff = w[None, :] - W  # n x N
-    r = np.sqrt(np.sum(diff * diff, axis=1))
-    q = _SQRT5 * r / hyper.lengthscale
+    Returns ``(ei[B], grad[B, N])``.  Where the posterior deviation is at
+    most 1e-15 (an observed point) both are zero.
+    """
+    diff = W_cand[:, None, :] - W[None, :, :]  # B x n x N
+    q = _SQRT5 * np.sqrt(np.sum(diff * diff, axis=-1)) / hyper.lengthscale  # B x n
     e = np.exp(-q)
-    c = hyper.signal_variance * (1.0 + q + q * q / 3.0) * e
-    # d kappa / d w = -(5 s^2 / (3 l^2)) (1 + q) e^{-q} (w - w_i)
-    scale = -(5.0 * hyper.signal_variance / (3.0 * hyper.lengthscale ** 2))
-    dc = scale * ((1.0 + q) * e)[:, None] * diff  # n x N
-    beta = cho_solve(factor, c)
-    mean = float(c @ alpha)
-    var = float(hyper.signal_variance - c @ beta)
-    var = max(var, 0.0)
-    rho = np.sqrt(var)
-    dmean = dc.T @ alpha
-    dvar = -2.0 * (dc.T @ beta)
-    if rho <= 1e-15:
-        return 0.0, np.zeros_like(w)
+    C = (1.0 + q + q * q / 3.0) * e
+    # d kappa / d w = -(5 / (3 l^2)) (1 + q) e^{-q} (w - w_i)
+    dC = (-5.0 / (3.0 * hyper.lengthscale ** 2)) * ((1.0 + q) * e)[:, :, None] * diff
+    beta = cho_solve(factor, C.T).T  # B x n
+    mean = C @ alpha
+    rho = np.sqrt(np.maximum(1.0 - np.sum(C * beta, axis=1), 0.0))
+    seen = rho <= 1e-15
+    rho = np.where(seen, 1.0, rho)
     z = (best - mean) / rho
+    cdf = ndtr(z)
     pdf = np.exp(-0.5 * z * z) * _INV_SQRT_2PI
-    ei = (best - mean) * ndtr(z) + rho * pdf
-    grad = -ndtr(z) * dmean + pdf * (dvar / (2.0 * rho))
-    return float(ei), grad
+    ei = np.where(seen, 0.0, (best - mean) * cdf + rho * pdf)
+    dmean = np.einsum("bnk,n->bk", dC, alpha)
+    dvar = -2.0 * np.einsum("bnk,bn->bk", dC, beta)
+    grad = -cdf[:, None] * dmean + (pdf / (2.0 * rho))[:, None] * dvar
+    return ei, np.where(seen[:, None], 0.0, grad)
 
 
 def maximize_acquisition(D: QueryHistory, hyper: GpHyper,
@@ -228,8 +204,11 @@ def maximize_acquisition(D: QueryHistory, hyper: GpHyper,
     """Approximate argmax of EI over the simplex.
 
     Seeded flat-Dirichlet sampling scores ``num_candidates`` points; the
-    ``num_polish`` best are refined by projected-gradient ascent with step
-    0.1/sqrt(t).  Deterministic: ties break on the lowest candidate index.
+    ``num_polish`` best start a projected-gradient ascent with step
+    0.1/sqrt(t), all starts advancing together as one batch.  The result is
+    the best candidate unless a polish iterate beats it strictly; ties go to
+    the lowest candidate index, then to the first iterate in start-major
+    order, exactly as polishing the starts one after another would choose.
     The returned point satisfies the simplex invariants exactly.
     """
     if len(D) < 1:
@@ -240,21 +219,23 @@ def maximize_acquisition(D: QueryHistory, hyper: GpHyper,
     best = float(np.min(D.output_vector()))
 
     cands = rng.dirichlet(np.ones(N), size=num_candidates)
-    ei = _ei_batch(cands, W, factor, alpha, hyper, best)
-    order = np.argsort(-ei, kind="stable")[:num_polish]
-
+    ei, _ = _ei_and_grad(cands, W, factor, alpha, hyper, best)
     best_w = cands[int(np.argmax(ei))]
-    best_ei = float(np.max(ei))
-    for idx in order:
-        w = cands[int(idx)].copy()
-        for t in range(1, polish_steps + 1):
-            val, grad = _ei_and_grad(w, W, factor, alpha, hyper, best)
-            if val > best_ei:
-                best_ei, best_w = val, w.copy()
-            w = project_simplex(w + (0.1 / np.sqrt(t)) * grad)
-        val, _ = _ei_and_grad(w, W, factor, alpha, hyper, best)
-        if val > best_ei:
-            best_ei, best_w = val, w.copy()
+    w = cands[np.argsort(-ei, kind="stable")[:num_polish]]
+
+    # iterates[s, t] is start s after t polish steps; row-major is the
+    # order in which polishing the starts one by one would visit them
+    iterates = np.empty((len(w), polish_steps + 1, N))
+    values = np.empty((len(w), polish_steps + 1))
+    for t in range(polish_steps + 1):
+        iterates[:, t] = w
+        values[:, t], grad = _ei_and_grad(w, W, factor, alpha, hyper, best)
+        if t < polish_steps:
+            w = project_simplex(w + (0.1 / np.sqrt(t + 1)) * grad)
+    if values.size:
+        k = np.unravel_index(np.argmax(values), values.shape)
+        if values[k] > np.max(ei):
+            best_w = iterates[k]
     return project_simplex(best_w)
 
 
@@ -327,18 +308,15 @@ def bo_learn(oracle: Callable[[np.ndarray], float], N: int, budget: int,
 
     lengthscale = hyper.lengthscale
     for n in range(n_init, budget):
-        eta_std = _standardized(values)
+        D_std = QueryHistory(list(inputs), list(_standardized(values)))
         if n % 10 == 0:
             best_l, best_lml = lengthscale, -np.inf
             for cand in LENGTHSCALE_GRID:
-                trial = replace(hyper, lengthscale=cand)
-                lml = log_marginal_likelihood(
-                    QueryHistory(list(inputs), list(eta_std)), trial)
+                lml = log_marginal_likelihood(D_std, replace(hyper, lengthscale=cand))
                 if lml > best_lml:
                     best_l, best_lml = cand, lml
             lengthscale = best_l
         hyper_n = replace(hyper, lengthscale=lengthscale)
-        D_std = QueryHistory(list(inputs), list(eta_std))
         w_next = maximize_acquisition(D_std, hyper_n, num_candidates, num_polish,
                                       seed=int(rng.integers(2 ** 63)))
         query(w_next)

@@ -159,6 +159,7 @@ class LpSolution:
 _DUAL_TOL = 1e-9
 _RATIO_TOL = 1e-10
 _STALL_CAP = 50  # degenerate pivots before switching to Bland's rule
+_MAX_PIVOTS = 50000  # pivots per phase before it gives up as 'stalled'
 
 
 # Nonbasic variable states: 0 = basic, 1 = at lower, 2 = at upper,
@@ -166,7 +167,7 @@ _STALL_CAP = 50  # degenerate pivots before switching to Bland's rule
 _BASIC, _AT_LO, _AT_HI, _FREE, _FIXED = 0, 1, 2, 3, 4
 
 
-def _solve_bounded_lp(A, b, c, lower, upper, max_pivots):
+def _solve_bounded_lp(A, b, c, lower, upper):
     """min c.x  s.t.  A x = b, lower <= x <= upper.
 
     Two-phase revised simplex with an explicit basis inverse.  Pricing is
@@ -210,7 +211,7 @@ def _solve_bounded_lp(A, b, c, lower, upper, max_pivots):
     state[n:] = _BASIC
 
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    st = _simplex_phase_np(A_ext, b, c1, lo_ext, hi_ext, x, basis, binv, state, max_pivots)
+    st = _simplex_phase_np(A_ext, b, c1, lo_ext, hi_ext, x, basis, binv, state)
     if st == "stalled":
         raise DegeneracyError("phase 1 made no progress after the anti-cycling cap")
     feas_tol = 1e-8 * (1.0 + np.abs(b).max())
@@ -223,7 +224,7 @@ def _solve_bounded_lp(A, b, c, lower, upper, max_pivots):
     state[n:][state[n:] != _BASIC] = _FIXED
 
     c2 = np.concatenate([c, np.zeros(m)])
-    st = _simplex_phase_np(A_ext, b, c2, lo_ext, hi_ext, x, basis, binv, state, max_pivots)
+    st = _simplex_phase_np(A_ext, b, c2, lo_ext, hi_ext, x, basis, binv, state)
     if st == "stalled":
         raise DegeneracyError("phase 2 made no progress after the anti-cycling cap")
     if st == "unbounded":
@@ -231,7 +232,7 @@ def _solve_bounded_lp(A, b, c, lower, upper, max_pivots):
     return "optimal", x[:n]
 
 
-def _simplex_phase_np(A, b, c, lo, hi, x, basis, binv, state, max_pivots):
+def _simplex_phase_np(A, b, c, lo, hi, x, basis, binv, state):
     """Primal iterations in place; returns 'optimal'|'unbounded'|'stalled'."""
     m, n_total = A.shape
     AT = np.ascontiguousarray(A.T)
@@ -258,7 +259,7 @@ def _simplex_phase_np(A, b, c, lo, hi, x, basis, binv, state, max_pivots):
     bland = False
     since_refresh = 0
 
-    for _ in range(max_pivots):
+    for _ in range(_MAX_PIVOTS):
         y = binv.T @ cb
         r = c - AT @ y
         viol = dirmask * r
@@ -379,7 +380,7 @@ def _standard_form(c, poly: Polyhedron):
     return A, b, cc, lo, hi
 
 
-def solve_lp(c, poly: Polyhedron, max_pivots: int = 50000) -> LpSolution:
+def solve_lp(c, poly: Polyhedron) -> LpSolution:
     """Minimize ``c . x`` over a :class:`Polyhedron`.
 
     Returns a vertex on success (nonbasic coordinates sit exactly on their
@@ -397,7 +398,7 @@ def solve_lp(c, poly: Polyhedron, max_pivots: int = 50000) -> LpSolution:
     if c.size != poly.dim:
         raise DimensionMismatch(f"cost has {c.size} entries, polyhedron has dim {poly.dim}")
     A, b, cc, lo, hi = _standard_form(c, poly)
-    status, x = _solve_bounded_lp(A, b, cc, lo, hi, max_pivots)
+    status, x = _solve_bounded_lp(A, b, cc, lo, hi)
     if status != "optimal":
         return LpSolution(None, None, status)
     point = x[: poly.dim].copy()
@@ -476,7 +477,6 @@ def frank_wolfe_min(
     tol_gap: Optional[float] = None,
     max_iter: int = 2000,
     line_poly: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-    start: Optional[np.ndarray] = None,
 ) -> FwResult:
     """Minimize a smooth convex function over a bounded polyhedron.
 
@@ -493,15 +493,11 @@ def frank_wolfe_min(
     gap, never as an exception; an empty polyhedron raises
     :class:`InfeasibleError`.
     """
-    if start is not None:
-        x = np.asarray(start, dtype=float).copy()
-        verts = [x.copy()]
-    else:
-        seed_sol = solve_lp(np.zeros(poly.dim), poly)
-        if seed_sol.status != "optimal":
-            raise InfeasibleError(f"polyhedron is {seed_sol.status}")
-        x = seed_sol.point
-        verts = [x.copy()]
+    seed_sol = solve_lp(np.zeros(poly.dim), poly)
+    if seed_sol.status != "optimal":
+        raise InfeasibleError(f"polyhedron is {seed_sol.status}")
+    x = seed_sol.point
+    verts = [x.copy()]
     alphas = [1.0]
 
     gap = np.inf
@@ -577,20 +573,22 @@ def frank_wolfe_min(
 
 
 def project_simplex(v) -> np.ndarray:
-    """Euclidean projection of ``v`` onto the probability simplex.
+    """Euclidean projection of ``v`` onto the probability simplex; a matrix
+    is projected row by row.
 
-    Sort-based active-set solve: the output is nonnegative, sums to one to
-    machine precision, and projecting it again returns it unchanged.
+    Sort-based active-set solve along the last axis: the output is
+    nonnegative, sums to one to machine precision, and projecting it again
+    returns it unchanged.  Each row of a matrix's projection is bitwise
+    equal to the projection of that row on its own.
     """
-    v = _as_float_vector(v, "v")
+    v = np.atleast_1d(np.asarray(v, dtype=float))
     if not np.all(np.isfinite(v)):
         raise ValueError("project_simplex requires finite input")
-    n = v.size
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, n + 1)
-    rho = int(np.count_nonzero(u - css / idx > 0.0))
-    theta = css[rho - 1] / rho
+    u = np.flip(np.sort(v, axis=-1), axis=-1)
+    css = np.cumsum(u, axis=-1) - 1.0
+    idx = np.arange(1, v.shape[-1] + 1)
+    rho = np.count_nonzero(u - css / idx > 0.0, axis=-1, keepdims=True)
+    theta = np.take_along_axis(css, rho - 1, axis=-1) / rho
     return np.maximum(v - theta, 0.0)
 
 

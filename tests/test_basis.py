@@ -50,10 +50,6 @@ class TestMinPairwiseDistance:
         b = BasisSet([[np.array([0.3])], [np.array([0.3])], [np.array([0.9])]])
         assert min_pairwise_distance(b) == 0.0
 
-    def test_l2sq(self):
-        b = BasisSet([[np.array([0.0, 0.0])], [np.array([1.0, 1.0])]])
-        assert min_pairwise_distance(b, psi="l2sq") == pytest.approx(2.0)
-
     def test_needs_two(self):
         with pytest.raises(ValueError):
             min_pairwise_distance(BasisSet([[np.array([0.0])]]))
@@ -170,6 +166,20 @@ class TestSerialization:
         text = "actions 1\nplayers 1\ndims 2\naction 1\nplayer 1 0.5\n"
         with pytest.raises(ValueError):
             basis_from_text(text)
+
+    def test_too_many_players(self):
+        text = ("actions 1\nplayers 2\ndims 1 1\naction 1\n"
+                "player 1 0.5\nplayer 2 0.5\nplayer 3 0.5\n")
+        with pytest.raises(ValueError, match="action 1"):
+            basis_from_text(text)
+
+    def test_too_few_players(self):
+        text = ("actions 2\nplayers 2\ndims 1 1\naction 1\nplayer 1 0.5\n"
+                "action 2\nplayer 1 0.5\nplayer 2 0.5\n")
+        with pytest.raises(ValueError, match="action 1"):
+            basis_from_text(text)
+        with pytest.raises(ValueError, match="action 1"):
+            basis_from_text("actions 1\nplayers 2\ndims 1 1\naction 1\nplayer 1 0.5\n")
 
     def test_wrong_count(self):
         text = "actions 2\nplayers 1\ndims 1\naction 1\nplayer 1 0.5\n"

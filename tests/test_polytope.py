@@ -237,6 +237,20 @@ class TestProjectSimplex:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             project_simplex([np.nan, 0.0])
+        with pytest.raises(ValueError):
+            project_simplex([[0.5, 0.5], [np.inf, 0.0]])
+
+    def test_matrix_rows_match_vector_bitwise(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 5, 11):
+            V = rng.normal(scale=3.0, size=(30, n))
+            V[0] = 0.25  # all coordinates tied
+            V[1, : (n + 1) // 2] = -7.0  # partial ties
+            V[2] *= 1e6
+            out = project_simplex(V)
+            assert out.shape == V.shape
+            for row, v in zip(out, V):
+                assert row.tobytes() == project_simplex(v).tobytes()
 
 
 class TestContains:

@@ -8,7 +8,8 @@ import pytest
 
 import cequil
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 MODULES = ["cequil"] + [f"cequil.{m.name}" for m in pkgutil.iter_modules(cequil.__path__)]
 
 
@@ -29,3 +30,13 @@ def test_console_scripts_import():
         module_name, _, attr = target.partition(":")
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"script {script}: {target} is not callable"
+
+
+def test_tracer_bindings_resolve(monkeypatch):
+    # the benchmark's tracer patches these attributes by name; a renamed one
+    # would only surface in a traced benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracer = importlib.import_module("tracer")
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, *_ in tracer.BINDINGS if not callable(getattr(owner, attr, None))]
+    assert not missing, f"tracer bindings do not resolve: {missing}"
