@@ -19,6 +19,7 @@ from typing import List, Tuple
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
 from cequil.polytope import InfeasibleError, solve_lp
@@ -88,124 +89,63 @@ def random_basis(game, N: int, seed: int) -> BasisSet:
 # ---------------------------------------------------------------------------
 
 
-def _l1_subgradient_sign(diff: np.ndarray) -> np.ndarray:
-    # fixed subgradient choice: zeros break to +1 to keep runs reproducible
-    return np.where(diff >= 0.0, 1.0, -1.0)
+def _ccp_master_lp(action_sets, Q: np.ndarray):
+    """Constraint arrays of the linearized master LP; only its cost changes.
 
+    ``Q`` is the P x N pair-incidence matrix: row r has +1 at p and -1 at q
+    for the r-th pair p < q.  The columns are the N copies x of a joint
+    action (N*D, D the summed player dims), the splits d+ and d- (P*D each,
+    pair-major), the pair distances u (P) and s.  The rows, in order:
 
-def _ccp_master_lp(game, joints: List[np.ndarray], dims: List[int]):
-    """One linearized master LP.
+    * ``A_eq``: each copy's action-set equalities (copy-major, then
+      player); then, pair by pair, its D split rows x^p - x^q - d+ + d- = 0
+      followed by its distance row u - sum(d+) - sum(d-) = 0;
+    * ``A_ub``: each copy's budget rows, then one dense max row per pair r,
+      2 sum(u) - u_r - s <= 0, so s >= 2 sum(u) - min(u);
+    * ``bounds``: each copy's action-set box; d+, d-, u >= 0; s free.
 
-    Maximizes grad_T . x - s subject to the original action-set rows for
-    every copy and the exact epigraph of the pairwise-difference sums
-    (split variables d+ / d- per pair and coordinate, per-pair totals u,
-    45-style max rows coupling them to s).  Returns the new joint actions.
+    With d+, d- >= 0, u is at least the pair's l1 distance, and minimizing
+    s pushes it down to it.  Minimizing the cost -grad . x + s, with grad a
+    subgradient of 2 sum(u) at the current copies, maximizes a minorant of
+    min(u) that is tight there.  HiGHS's pivots, and with them the
+    iterates, depend on the row order.
     """
-    N = len(joints)
-    D = sum(dims)
-    pairs = [(p, q) for p in range(N) for q in range(p + 1, N)]
-    P_u = len(pairs)
-    n_x = N * D
-    n_d = P_u * D  # per split sign
-    col_d_plus = n_x
-    col_d_minus = n_x + n_d
-    col_u = n_x + 2 * n_d
-    col_s = col_u + P_u
-    n_cols = col_s + 1
+    P_u, N = Q.shape
+    D = sum(P.dim for P in action_sets)
+    eq = block_diag(*[P.eq_matrix for P in action_sets])
+    budget = block_diag(*[P.budget_coeffs[None] if P.budget_coeffs is not None
+                          else np.zeros((0, P.dim)) for P in action_sets])
 
-    offsets = np.concatenate([[0], np.cumsum(dims)])  # player offsets within a copy
+    def per_copy(M):
+        return sparse.kron(sparse.identity(N), M)
 
-    # objective: minimize -grad . x + s  (ordered-pair convention doubles
-    # each unordered term)
-    grad = np.zeros(n_x)
-    for (p, q) in pairs:
-        sg = _l1_subgradient_sign(joints[p] - joints[q])
-        grad[p * D:(p + 1) * D] += 2.0 * sg
-        grad[q * D:(q + 1) * D] -= 2.0 * sg
-    cost = np.zeros(n_cols)
-    cost[:n_x] = -grad
-    cost[col_s] = 1.0
+    def per_pair(M):  # M has D + 1 rows: D split rows, then the distance row
+        return sparse.kron(sparse.identity(P_u), M)
 
-    rows_eq, cols_eq, vals_eq, rhs_eq = [], [], [], []
-    rows_ub, cols_ub, vals_ub, rhs_ub = [], [], [], []
-
-    def add_eq(cols, vals, rhs):
-        r = len(rhs_eq)
-        rows_eq.extend([r] * len(cols))
-        cols_eq.extend(cols)
-        vals_eq.extend(vals)
-        rhs_eq.append(rhs)
-
-    def add_ub(cols, vals, rhs):
-        r = len(rhs_ub)
-        rows_ub.extend([r] * len(cols))
-        cols_ub.extend(cols)
-        vals_ub.extend(vals)
-        rhs_ub.append(rhs)
-
-    # action-set rows for each copy and player
-    lo = np.empty(n_cols)
-    hi = np.empty(n_cols)
-    lo[col_d_plus:col_u + P_u] = 0.0
-    hi[col_d_plus:col_u + P_u] = np.inf
-    lo[col_s] = -np.inf
-    hi[col_s] = np.inf
-    for k in range(N):
-        base = k * D
-        for i, P in enumerate(game.action_sets):
-            off = base + offsets[i]
-            lo[off:off + dims[i]] = P.lower
-            hi[off:off + dims[i]] = P.upper
-            eqm = P.eq_matrix
-            for r in range(eqm.shape[0]):
-                nz = np.nonzero(eqm[r])[0]
-                add_eq((off + nz).tolist(), eqm[r, nz].tolist(), float(P.eq_rhs[r]))
-            if P.budget_coeffs is not None:
-                nz = np.nonzero(P.budget_coeffs)[0]
-                add_ub((off + nz).tolist(), P.budget_coeffs[nz].tolist(),
-                       float(P.budget_limit))
-
-    # difference splits: x^p_l - x^q_l - d+ + d- = 0
-    for pi, (p, q) in enumerate(pairs):
-        dbase = pi * D
-        for ell in range(D):
-            add_eq([p * D + ell, q * D + ell,
-                    col_d_plus + dbase + ell, col_d_minus + dbase + ell],
-                   [1.0, -1.0, -1.0, 1.0], 0.0)
-        # u_pq = sum_l (d+ + d-)
-        cols = [col_u + pi]
-        vals = [1.0]
-        cols.extend(range(col_d_plus + dbase, col_d_plus + dbase + D))
-        vals.extend([-1.0] * D)
-        cols.extend(range(col_d_minus + dbase, col_d_minus + dbase + D))
-        vals.extend([-1.0] * D)
-        add_eq(cols, vals, 0.0)
-
-    # max rows: 2 * sum_u - u_ij - s <= 0 for every pair (i, j)
-    for pi in range(P_u):
-        cols = list(range(col_u, col_u + P_u)) + [col_s]
-        vals = [2.0] * P_u + [-1.0]
-        vals[pi] = 1.0
-        add_ub(cols, vals, 0.0)
-
-    A_eq = sparse.csr_matrix((vals_eq, (rows_eq, cols_eq)), shape=(len(rhs_eq), n_cols))
-    A_ub = sparse.csr_matrix((vals_ub, (rows_ub, cols_ub)), shape=(len(rhs_ub), n_cols))
-    res = linprog(cost, A_ub=A_ub, b_ub=np.array(rhs_ub), A_eq=A_eq,
-                  b_eq=np.array(rhs_eq), bounds=np.stack([lo, hi], axis=1),
-                  method="highs-ds")
-    if not res.success:
-        raise InfeasibleError(f"CCP master LP failed: {res.message}")
-    x = res.x[:n_x]
-    return [x[k * D:(k + 1) * D].copy() for k in range(N)]
-
-
-def _split_joint(joint: np.ndarray, dims: List[int]) -> List[np.ndarray]:
-    out = []
-    off = 0
-    for d in dims:
-        out.append(joint[off:off + d].copy())
-        off += d
-    return out
+    eye, ones = np.eye(D), np.ones((1, D))
+    A_eq = sparse.bmat([
+        [per_copy(eq), None, None, None, None],
+        [sparse.kron(Q, np.vstack([eye, np.zeros((1, D))])), per_pair(np.vstack([-eye, -ones])),
+         per_pair(np.vstack([eye, -ones])), per_pair(np.eye(D + 1)[:, -1:]),
+         sparse.csr_matrix((P_u * (D + 1), 1))],
+    ], format="csr")
+    A_ub = sparse.bmat([
+        [per_copy(budget), None, None],
+        [None, sparse.csr_matrix((P_u, 2 * P_u * D)),
+         np.hstack([2.0 - np.eye(P_u), -np.ones((P_u, 1))])],
+    ], format="csr")
+    for A in (A_eq, A_ub):
+        A.eliminate_zeros()
+    b_eq = np.concatenate([np.tile(np.concatenate([P.eq_rhs for P in action_sets]), N),
+                           np.zeros(P_u * (D + 1))])
+    limits = [P.budget_limit for P in action_sets if P.budget_coeffs is not None]
+    b_ub = np.concatenate([np.tile(limits, N), np.zeros(P_u)])
+    n_aux = 2 * P_u * D + P_u  # d+, d-, u
+    lo = np.concatenate([np.tile(np.concatenate([P.lower for P in action_sets]), N),
+                         np.zeros(n_aux), [-np.inf]])
+    hi = np.concatenate([np.tile(np.concatenate([P.upper for P in action_sets]), N),
+                         np.full(n_aux + 1, np.inf)])
+    return A_eq, b_eq, A_ub, b_ub, np.stack([lo, hi], axis=1)
 
 
 def ccp_select(game, N: int, max_iter: int = 100,
@@ -220,15 +160,29 @@ def ccp_select(game, N: int, max_iter: int = 100,
     """
     if N < 2:
         raise ValueError("CCP selection needs N >= 2")
-    dims = [P.dim for P in game.action_sets]
+    p, q = np.triu_indices(N, 1)
+    Q = np.zeros((p.size, N))
+    Q[np.arange(p.size), p] = 1.0
+    Q[np.arange(p.size), q] = -1.0
+    A_eq, b_eq, A_ub, b_ub, bounds = _ccp_master_lp(game.action_sets, Q)
+    splits = np.cumsum([P.dim for P in game.action_sets])[:-1]
     current = random_basis(game, N, seed)
+    X = np.stack([current.joint(k) for k in range(N)])
+    cost_rest = np.zeros(len(bounds) - X.size)  # d+, d-, u, s
+    cost_rest[-1] = 1.0
     obj = min_pairwise_distance(current)
     iterates = [(current, obj)]
     converged = False
     for _ in range(max_iter):
-        joints = [current.joint(k) for k in range(N)]
-        new_joints = _ccp_master_lp(game, joints, dims)
-        candidate = BasisSet([_split_joint(j, dims) for j in new_joints])
+        # grad = 2 Q^T sign(Q X); zeros break to +1 to keep runs reproducible
+        sign = np.where(X[p] - X[q] >= 0.0, 1.0, -1.0)
+        cost = np.concatenate([-2.0 * (Q.T @ sign).ravel(), cost_rest])
+        res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                      bounds=bounds, method="highs-ds")
+        if not res.success:
+            raise InfeasibleError(f"CCP master LP failed: {res.message}")
+        X = res.x[:X.size].reshape(N, -1)
+        candidate = BasisSet([np.split(x, splits) for x in X])
         new_obj = min_pairwise_distance(candidate)
         if new_obj < obj - 1e-9:
             # majorization guarantees ascent; a drop is numerical noise, stop
@@ -282,26 +236,26 @@ def basis_from_text(text: str) -> BasisSet:
     if len(dims) != m:
         raise ValueError("dims line does not match player count")
     actions: List[List[np.ndarray]] = []
-    joint: List[np.ndarray] = []
     for t in tokens[3:]:
         if t[0] == "action":
-            if joint:
-                actions.append(joint)
-            joint = []
-        elif t[0] == "player":
+            if t[1:2] != [str(len(actions) + 1)]:
+                raise ValueError(f"expected 'action {len(actions) + 1}', got {' '.join(t[:2])!r}")
+            actions.append([])
+        elif t[0] == "player" and actions:
+            joint, k = actions[-1], len(actions)
             if len(joint) == m:
+                raise ValueError(f"action {k}: more than the {m} players the header declares")
+            if t[1:2] != [str(len(joint) + 1)]:
                 raise ValueError(
-                    f"action {len(actions) + 1}: more than the {m} players the header declares")
+                    f"action {k}: expected 'player {len(joint) + 1}', got {' '.join(t[:2])!r}")
             vals = np.array([float(v) for v in t[2:]])
             expect = dims[len(joint)]
             if vals.size != expect:
                 raise ValueError(
-                    f"action {len(actions) + 1}: player {t[1]} has {vals.size} values, expected {expect}")
+                    f"action {k}: player {t[1]} has {vals.size} values, expected {expect}")
             joint.append(vals)
         else:
             raise ValueError(f"unexpected basis file line starting with {t[0]!r}")
-    if joint:
-        actions.append(joint)
     short = [k for k, j in enumerate(actions, start=1) if len(j) < m]
     if short:
         raise ValueError(f"action {short[0]}: fewer than the {m} players the header declares")

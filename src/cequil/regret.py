@@ -73,11 +73,11 @@ class BasisSet:
     def joint(self, k: int) -> np.ndarray:
         return np.concatenate(self.actions[k])
 
-    def validate_feasible(self, game, tol: float = 1e-7) -> None:
+    def validate_feasible(self, game) -> None:
         """Raise unless every per-player component lies in its action set."""
         for k, joint in enumerate(self.actions):
             for i, x in enumerate(joint):
-                if not contains(game.action_sets[i], x, tol):
+                if not contains(game.action_sets[i], x):
                     raise ValueError(f"basis action {k}, player {i} is infeasible")
 
 
@@ -103,6 +103,8 @@ def validate_weights(w, n: Optional[int] = None) -> np.ndarray:
     w = np.asarray(w, dtype=float).ravel()
     if n is not None and w.size != n:
         raise ValueError(f"weight vector has length {w.size}, expected {n}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
     if np.any(w < -1e-9):
         raise ValueError("weights must be nonnegative")
     if abs(w.sum() - 1.0) > 1e-9:

@@ -146,9 +146,12 @@ def parse_net(text: str) -> NetworkData:
         values = []
         for col, tok in enumerate(tokens, start=1):
             try:
-                values.append(float(tok))
+                value = float(tok)
             except ValueError:
                 raise NonNumericField(lineno, col, tok) from None
+            if not np.isfinite(value):
+                raise TntpError(f"line {lineno}, column {col}: non-finite field {tok!r}")
+            values.append(value)
         rows.append(LinkRecord(int(values[0]), int(values[1]), *values[2:]))
 
     def _require_int(tag: str) -> int:

@@ -1,8 +1,11 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+import cequil.basis
 from cequil.basis import (
     basis_from_text,
     basis_to_text,
@@ -10,9 +13,12 @@ from cequil.basis import (
     min_pairwise_distance,
     random_basis,
 )
-from cequil.game import ConvexGame
-from cequil.polytope import Polyhedron, contains
+from cequil.game import ConvexGame, PlayerSpec, build_traffic_game
+from cequil.polytope import TOL_FEAS, Polyhedron, contains
 from cequil.regret import BasisSet
+from cequil.tntp import parse_net
+
+DATA = Path(__file__).parent / "data"
 
 
 def null_game(action_sets):
@@ -144,6 +150,63 @@ class TestCcpSelect:
             assert (j1[0] == j2[0]).all()
 
 
+@pytest.fixture(scope="module")
+def siouxfalls_ccp():
+    """ccp_select on Sioux Falls (3 players, N=3, seed 0) and every master LP it solved."""
+    net = parse_net((DATA / "siouxfalls_net.tntp").read_text())
+    game = build_traffic_game(net, [PlayerSpec(1, 20, 3000.0), PlayerSpec(13, 8, 3000.0),
+                                    PlayerSpec(7, 24, 3000.0)])
+    calls = []
+
+    def recording_linprog(c, **kwargs):
+        calls.append(dict(kwargs, c=np.array(c)))
+        return linprog(c, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cequil.basis, "linprog", recording_linprog)
+        _, trace = ccp_select(game, 3, seed=0)
+    return game, trace, calls
+
+
+class TestCcpMasterLp:
+    def test_siouxfalls_objectives_pinned(self, siouxfalls_ccp):
+        # bitwise: any change to the LP handed to HiGHS, row order included,
+        # may move the trajectory
+        _, trace, calls = siouxfalls_ccp
+        assert [obj for _, obj in trace.iterates] == [
+            60000.00000000002, 97401.50078988941, 97759.79381443298, 97759.79381443298]
+        assert len(calls) == 3
+        # built once: only the cost changes between iterations
+        for key in ("A_eq", "b_eq", "A_ub", "b_ub", "bounds"):
+            assert all(call[key] is calls[0][key] for call in calls)
+
+    def test_lifted_start_is_feasible_with_matching_cost(self, siouxfalls_ccp):
+        # the random start lifted to the LP's columns (x, d+, d-, u, s)
+        # meets every row and bound, and the first cost is linearized there
+        game, _, calls = siouxfalls_ccp
+        lp = calls[0]
+        start = random_basis(game, 3, seed=0)
+        X = np.stack([start.joint(k) for k in range(start.size)])
+        pairs = list(itertools.combinations(range(start.size), 2))
+        diff = np.array([X[a] - X[b] for a, b in pairs])
+        u = np.abs(diff).sum(axis=1)
+        s = np.max(2.0 * u.sum() - u)
+        z = np.concatenate([X.ravel(), np.maximum(diff, 0.0).ravel(),
+                            np.maximum(-diff, 0.0).ravel(), u, [s]])
+        tol = 1e-12 * np.abs(z).max()
+        assert np.abs(lp["A_eq"] @ z - lp["b_eq"]).max() <= tol
+        assert np.all(lp["A_ub"] @ z <= lp["b_ub"] + tol)
+        lo, hi = lp["bounds"].T
+        assert np.all(lo - TOL_FEAS <= z) and np.all(z <= hi + TOL_FEAS)
+        grad = np.zeros_like(X)
+        for (a, b), d in zip(pairs, diff):
+            sign = np.where(d >= 0.0, 1.0, -1.0)
+            grad[a] += 2.0 * sign
+            grad[b] -= 2.0 * sign
+        assert lp["c"] @ z == pytest.approx(-grad.ravel() @ X.ravel() + s, rel=1e-12)
+        assert lp["c"] @ z == pytest.approx(-min_pairwise_distance(start), rel=1e-9)
+
+
 class TestSerialization:
     def test_roundtrip(self):
         rng = np.random.default_rng(0)
@@ -180,6 +243,24 @@ class TestSerialization:
             basis_from_text(text)
         with pytest.raises(ValueError, match="action 1"):
             basis_from_text("actions 1\nplayers 2\ndims 1 1\naction 1\nplayer 1 0.5\n")
+
+    def test_players_out_of_order(self):
+        text = ("actions 1\nplayers 2\ndims 1 1\naction 1\n"
+                "player 2 0.5\nplayer 1 0.25\n")
+        with pytest.raises(ValueError, match="action 1: expected 'player 1'"):
+            basis_from_text(text)
+
+    def test_actions_out_of_order(self):
+        block = "player 1 0.5\n"
+        text = "actions 2\nplayers 1\ndims 1\naction 2\n" + block + "action 1\n" + block
+        with pytest.raises(ValueError, match="expected 'action 1'"):
+            basis_from_text(text)
+        with pytest.raises(ValueError, match="expected 'action 2'"):
+            basis_from_text("actions 2\nplayers 1\ndims 1\n" + ("action 1\n" + block) * 2)
+
+    def test_player_before_first_action(self):
+        with pytest.raises(ValueError, match="player"):
+            basis_from_text("actions 1\nplayers 1\ndims 1\nplayer 1 0.5\naction 1\n")
 
     def test_wrong_count(self):
         text = "actions 2\nplayers 1\ndims 1\naction 1\nplayer 1 0.5\n"

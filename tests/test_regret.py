@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cequil.basis import random_basis
 from cequil.game import ConvexGame, PlayerSpec, build_traffic_game
 from cequil.polytope import Polyhedron
 from cequil.regret import BasisSet, RegretOracle, validate_weights, verify_ce
@@ -55,6 +56,9 @@ class TestWeights:
             validate_weights([1.5, -0.5])
         with pytest.raises(ValueError):
             validate_weights([1.0], n=2)
+        for bad in ([np.nan, 1.0], [np.inf, 1.0], [0.5, np.nan]):
+            with pytest.raises(ValueError, match="finite"):
+                validate_weights(bad)
 
 
 class TestBasisSet:
@@ -339,3 +343,22 @@ class TestSolverNoise:
         ref = RegretOracle(game, clean).report([0.5, 0.5])
         assert np.all(np.isfinite(rep.per_player))
         assert rep.per_player == pytest.approx(ref.per_player, abs=1e-9)
+
+
+class TestOracleBranches:
+    @pytest.mark.parametrize("tol_gap", [None, 1e-3])
+    def test_traffic_branch_matches_generic_branch(self, tol_gap):
+        # the same traffic costs behind a ConvexGame take the generic branch;
+        # both reports lower-bound the true regret by at most their FW gap
+        net = parse_net((DATA / "toy4_net.tntp").read_text())
+        traffic = build_traffic_game(net, [PlayerSpec(1, 4, 2.0), PlayerSpec(1, 4, 1.0)])
+        generic = ConvexGame(2, traffic.action_sets, traffic.cost, traffic.cost_gradient)
+        assert not hasattr(generic, "mixture_best_response")
+        basis = random_basis(traffic, 4, seed=0)
+        fast = RegretOracle(traffic, basis, tol_gap=tol_gap)
+        slow = RegretOracle(generic, basis, tol_gap=tol_gap)
+        rng = np.random.default_rng(0)
+        for w in [np.full(4, 0.25), [1.0, 0.0, 0.0, 0.0], *rng.dirichlet(np.ones(4), size=3)]:
+            a, b = fast.report(w), slow.report(w)
+            slack = np.maximum(a.fw_gaps, 0.0) + np.maximum(b.fw_gaps, 0.0) + 1e-12
+            assert np.all(np.abs(a.per_player - b.per_player) <= slack)

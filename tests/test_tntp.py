@@ -8,6 +8,7 @@ from cequil.tntp import (
     MissingMetadata,
     NonNumericField,
     RowArity,
+    TntpError,
     build_incidence,
     parse_net,
     serialize_net,
@@ -70,6 +71,16 @@ def test_non_numeric_field():
     with pytest.raises(NonNumericField) as exc:
         parse_net(text)
     assert exc.value.column == 3
+
+
+@pytest.mark.parametrize("token", ["nan", "inf"])
+@pytest.mark.parametrize("column", range(1, 11))
+def test_non_finite_field(column, token):
+    fields = "1 2 1 1 1 0.15 4 0 0 1".split()
+    fields[column - 1] = token
+    text = "<NUMBER OF NODES> 2\n<NUMBER OF LINKS> 1\n<END OF METADATA>\n" + " ".join(fields) + " ;\n"
+    with pytest.raises(TntpError, match=f"column {column}: non-finite"):
+        parse_net(text)
 
 
 def test_whitespace_and_comments_tolerated():
