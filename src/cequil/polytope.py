@@ -5,8 +5,10 @@ This module provides the geometry every other part of the package sits on:
 * :class:`Polyhedron` -- a feasible set ``{x : Ex = s, lo <= x <= hi,
   a.x <= gamma}`` (equalities, box bounds, one optional budget row).
 * :func:`solve_lp` -- a bounded-variable revised simplex (two phases,
-  Dantzig pricing with a Bland anti-cycling fallback).  Deterministic:
-  identical inputs give bitwise-identical vertices.
+  Dantzig pricing with a Bland anti-cycling fallback).  Phase 1 does not
+  read the cost, so it runs once per polyhedron and every later call runs
+  phase 2 only.  Deterministic: identical inputs give bitwise-identical
+  vertices, on the first call and on every later one.
 * :func:`frank_wolfe_min` -- conditional-gradient minimization of a smooth
   convex function over a :class:`Polyhedron`, with away steps over the
   active vertex set and exact line search when the objective is polynomial
@@ -17,12 +19,14 @@ This module provides the geometry every other part of the package sits on:
 * :func:`contains` -- feasibility check at a tolerance.
 
 Everything here is a pure function of its inputs; the types are immutable
-after construction and safe to share across threads.
+after construction (their arrays are read-only) and safe to share across
+threads.  The phase-1 start a :class:`Polyhedron` stores is read-only too:
+concurrent first calls at worst compute it twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -88,6 +92,8 @@ class Polyhedron:
     upper: np.ndarray
     budget_coeffs: Optional[np.ndarray] = None
     budget_limit: Optional[float] = None
+    # solve_lp's cost-independent phase-1 start, stored by its first call.
+    _lp_start: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lower = _as_float_vector(self.lower, "lower")
@@ -113,6 +119,9 @@ class Polyhedron:
                 raise ValueError("budget_coeffs given without budget_limit")
         for name, val in (("eq_matrix", eq), ("eq_rhs", rhs), ("lower", lower),
                           ("upper", upper), ("budget_coeffs", bc)):
+            if val is not None:
+                val = val.copy()
+                val.flags.writeable = False
             object.__setattr__(self, name, val)
         if self.budget_limit is not None:
             object.__setattr__(self, "budget_limit", float(self.budget_limit))
@@ -167,27 +176,27 @@ _MAX_PIVOTS = 50000  # pivots per phase before it gives up as 'stalled'
 _BASIC, _AT_LO, _AT_HI, _FREE, _FIXED = 0, 1, 2, 3, 4
 
 
-def _solve_bounded_lp(A, b, c, lower, upper):
-    """min c.x  s.t.  A x = b, lower <= x <= upper.
+def _box_lp(c, lo, hi):
+    """min c.x  s.t.  lo <= x <= hi: every variable moves straight to its
+    better bound.  Returns (status, x)."""
+    if np.any((c > _DUAL_TOL) & ~np.isfinite(lo)) or np.any((c < -_DUAL_TOL) & ~np.isfinite(hi)):
+        return "unbounded", None
+    x = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+    up = (c < 0) & np.isfinite(hi)
+    x[up] = hi[up]
+    return "optimal", x
 
-    Two-phase revised simplex with an explicit basis inverse.  Pricing is
-    Dantzig (most negative reduced cost) with deterministic lowest-index
-    tie-breaking; after _STALL_CAP consecutive degenerate pivots it falls
-    back to Bland's rule until the objective moves again.  Returns
-    (status, x).
+
+def _phase1(A, b, lo, hi):
+    """Feasible start for  min c.x  s.t.  A x = b, lo <= x <= hi.
+
+    Phase 1 of the two-phase revised simplex: one artificial variable per
+    row, driven to zero.  It never reads the cost, so one start serves every
+    ``c``.  Returns ``"infeasible"`` or the read-only tuple
+    ``(A_ext, b, lo_ext, hi_ext, x, basis, binv, state)`` with the
+    artificials pinned to zero, which :func:`_phase2` starts from.
     """
     m, n = A.shape
-    lo = lower.copy()
-    hi = upper.copy()
-
-    if m == 0:
-        # No equalities: every variable moves straight to its better bound.
-        if np.any((c > _DUAL_TOL) & ~np.isfinite(lo)) or np.any((c < -_DUAL_TOL) & ~np.isfinite(hi)):
-            return "unbounded", None
-        x = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
-        up = (c < 0) & np.isfinite(hi)
-        x[up] = hi[up]
-        return "optimal", x
 
     # Nonbasic start: finite bound of least magnitude; free variables at 0.
     x0 = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
@@ -216,24 +225,41 @@ def _solve_bounded_lp(A, b, c, lower, upper):
         raise DegeneracyError("phase 1 made no progress after the anti-cycling cap")
     feas_tol = 1e-8 * (1.0 + np.abs(b).max())
     if float(c1 @ x) > feas_tol:
-        return "infeasible", None
+        return "infeasible"
     # Artificial variables are pinned to zero for phase 2.
     lo_ext[n:] = 0.0
     hi_ext[n:] = 0.0
     x[n:][state[n:] != _BASIC] = 0.0
     state[n:][state[n:] != _BASIC] = _FIXED
 
-    c2 = np.concatenate([c, np.zeros(m)])
+    start = (A_ext, b, lo_ext, hi_ext, x, basis, binv, state)
+    for arr in start:
+        arr.flags.writeable = False
+    return start
+
+
+def _phase2(start, c):
+    """min c.x from a copy of a :func:`_phase1` start; returns (status, x)
+    with x over the first ``c.size`` variables."""
+    A_ext, b, lo_ext, hi_ext, x, basis, binv, state = start
+    x, basis, binv, state = x.copy(), basis.copy(), binv.copy(), state.copy()
+    c2 = np.zeros(x.size)
+    c2[:c.size] = c
     st = _simplex_phase_np(A_ext, b, c2, lo_ext, hi_ext, x, basis, binv, state)
     if st == "stalled":
         raise DegeneracyError("phase 2 made no progress after the anti-cycling cap")
     if st == "unbounded":
         return "unbounded", None
-    return "optimal", x[:n]
+    return "optimal", x[:c.size]
 
 
 def _simplex_phase_np(A, b, c, lo, hi, x, basis, binv, state):
-    """Primal iterations in place; returns 'optimal'|'unbounded'|'stalled'."""
+    """Primal iterations in place; returns 'optimal'|'unbounded'|'stalled'.
+
+    Pricing is Dantzig (most negative reduced cost) with deterministic
+    lowest-index tie-breaking; after _STALL_CAP consecutive degenerate
+    pivots it falls back to Bland's rule until the objective moves again.
+    """
     m, n_total = A.shape
     AT = np.ascontiguousarray(A.T)
     dual_tol = _DUAL_TOL * (1.0 + np.abs(c).max())
@@ -363,45 +389,54 @@ def _simplex_phase_np(A, b, c, lo, hi, x, basis, binv, state):
     return "stalled"
 
 
-def _standard_form(c, poly: Polyhedron):
+def _standard_form(poly: Polyhedron):
+    """(A, b, lo, hi) of ``poly`` with the budget row as an equality over a
+    nonnegative slack column."""
+    if poly.budget_coeffs is None:
+        return poly.eq_matrix, poly.eq_rhs, poly.lower, poly.upper
     n = poly.dim
-    if poly.budget_coeffs is not None:
-        A = np.zeros((poly.eq_matrix.shape[0] + 1, n + 1))
-        A[:-1, :n] = poly.eq_matrix
-        A[-1, :n] = poly.budget_coeffs
-        A[-1, n] = 1.0  # slack for the budget row
-        b = np.concatenate([poly.eq_rhs, [poly.budget_limit]])
-        lo = np.concatenate([poly.lower, [0.0]])
-        hi = np.concatenate([poly.upper, [np.inf]])
-        cc = np.concatenate([c, [0.0]])
-    else:
-        A, b = poly.eq_matrix, poly.eq_rhs
-        lo, hi, cc = poly.lower, poly.upper, c
-    return A, b, cc, lo, hi
+    A = np.zeros((poly.eq_matrix.shape[0] + 1, n + 1))
+    A[:-1, :n] = poly.eq_matrix
+    A[-1, :n] = poly.budget_coeffs
+    A[-1, n] = 1.0  # slack for the budget row
+    b = np.concatenate([poly.eq_rhs, [poly.budget_limit]])
+    lo = np.concatenate([poly.lower, [0.0]])
+    hi = np.concatenate([poly.upper, [np.inf]])
+    return A, b, lo, hi
 
 
 def solve_lp(c, poly: Polyhedron) -> LpSolution:
     """Minimize ``c . x`` over a :class:`Polyhedron`.
 
     Returns a vertex on success (nonbasic coordinates sit exactly on their
-    bounds).  The pivot rule is fixed, so identical inputs produce
-    bitwise-identical solutions.
+    bounds).  Phase 1 does not depend on ``c``, so it runs once per
+    polyhedron: the first call stores its feasible start (or the verdict
+    "infeasible") on ``poly``, and every call runs phase 2 from a copy of
+    that start.  The pivot rule is fixed, so identical inputs produce
+    bitwise-identical solutions, whether or not the start was stored.
 
     Raises
     ------
     DimensionMismatch
         if ``c`` does not match the polyhedron dimension.
     DegeneracyError
-        if no progress is made after the anti-cycling cap.
+        if no progress is made after the anti-cycling cap (a phase-1
+        failure is not stored, so it raises on every call).
     """
     c = _as_float_vector(c, "c")
     if c.size != poly.dim:
         raise DimensionMismatch(f"cost has {c.size} entries, polyhedron has dim {poly.dim}")
-    A, b, cc, lo, hi = _standard_form(c, poly)
-    status, x = _solve_bounded_lp(A, b, cc, lo, hi)
+    if poly.eq_matrix.shape[0] == 0 and poly.budget_coeffs is None:
+        status, x = _box_lp(c, poly.lower, poly.upper)
+    else:
+        start = poly._lp_start
+        if start is None:
+            start = _phase1(*_standard_form(poly))
+            object.__setattr__(poly, "_lp_start", start)
+        status, x = ("infeasible", None) if start == "infeasible" else _phase2(start, c)
     if status != "optimal":
         return LpSolution(None, None, status)
-    point = x[: poly.dim].copy()
+    point = x.copy()
     return LpSolution(point, float(c @ point), "optimal")
 
 

@@ -151,6 +151,8 @@ def parse_net(text: str) -> NetworkData:
                 raise NonNumericField(lineno, col, tok) from None
             if not np.isfinite(value):
                 raise TntpError(f"line {lineno}, column {col}: non-finite field {tok!r}")
+            if col <= 2 and not value.is_integer():
+                raise TntpError(f"line {lineno}, column {col}: non-integer node id {tok!r}")
             values.append(value)
         rows.append(LinkRecord(int(values[0]), int(values[1]), *values[2:]))
 

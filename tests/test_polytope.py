@@ -1,8 +1,14 @@
 import itertools
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from cequil import polytope
+from cequil.game import PlayerSpec, build_traffic_game
 from cequil.polytope import (
     DegeneracyError,
     DimensionMismatch,
@@ -12,6 +18,9 @@ from cequil.polytope import (
     project_simplex,
     solve_lp,
 )
+from cequil.tntp import parse_net
+
+DATA = Path(__file__).parent / "data"
 
 
 def enumerate_vertices(poly, tol=1e-9):
@@ -139,6 +148,116 @@ class TestSolveLp:
             b = solve_lp(c, P)
             assert (a.point == b.point).all()
             assert a.objective == b.objective
+
+
+def fresh(P):
+    """An equal polyhedron with no stored phase-1 start."""
+    return Polyhedron(P.eq_matrix, P.eq_rhs, P.lower, P.upper, P.budget_coeffs, P.budget_limit)
+
+
+@pytest.fixture(scope="module")
+def siouxfalls_sets():
+    net = parse_net((DATA / "siouxfalls_net.tntp").read_text())
+    players = [PlayerSpec(o, d, 3000.0) for o, d in ((1, 20), (13, 8), (7, 24))]
+    return build_traffic_game(net, players).action_sets
+
+
+class TestStoredStart:
+    def test_warm_equals_cold_and_highs(self, siouxfalls_sets):
+        rng = np.random.default_rng(0)
+        for P in siouxfalls_sets:
+            P = fresh(P)
+            for _ in range(200):
+                c = rng.normal(size=P.dim)
+                warm = solve_lp(c, P)
+                cold = solve_lp(c, fresh(P))
+                assert warm.status == cold.status == "optimal"
+                assert warm.point.tobytes() == cold.point.tobytes()
+                assert warm.objective == cold.objective
+                ref = linprog(c, A_ub=P.budget_coeffs[None, :], b_ub=[P.budget_limit],
+                              A_eq=P.eq_matrix, b_eq=P.eq_rhs,
+                              bounds=np.column_stack([P.lower, P.upper]), method="highs")
+                assert ref.status == 0
+                scale = 1.0 + np.abs(c).sum() * np.abs(warm.point).max()
+                assert abs(warm.objective - ref.fun) <= 1e-9 * scale
+
+    def test_infeasible_stays_infeasible(self):
+        P = Polyhedron(np.array([[1.0], [-1.0]]), np.array([2.0, -2.0]), np.zeros(1), np.ones(1))
+        for c in ([1.0], [-1.0], [0.0], [1.0]):
+            sol = solve_lp(np.array(c), P)
+            assert sol.status == "infeasible"
+            assert sol.point is None
+
+    def test_unbounded_calls_leave_start_intact(self):
+        # x0 = x1 may grow without bound; x2 is boxed by the budget row
+        P = Polyhedron(np.array([[1.0, -1.0, 0.0]]), np.zeros(1), np.zeros(3),
+                       np.array([np.inf, np.inf, 2.0]), np.array([0.0, 0.0, 1.0]), 1.5)
+        costs = [[-1.0, 0.0, 0.0], [1.0, 0.0, -1.0], [0.0, -1.0, 1.0], [1.0, 1.0, 1.0],
+                 [-1.0, 0.5, -2.0], [0.0, 0.0, -1.0]]
+        for c in costs:
+            warm, cold = solve_lp(np.array(c), P), solve_lp(np.array(c), fresh(P))
+            assert warm.status == cold.status
+            if cold.status == "optimal":
+                assert warm.point.tobytes() == cold.point.tobytes()
+        assert [solve_lp(np.array(c), P).status for c in costs[:2]] == ["unbounded", "optimal"]
+
+    def test_phase1_runs_once(self, siouxfalls_sets, monkeypatch):
+        calls = []
+        phase1 = polytope._phase1
+
+        def counting(*args):
+            calls.append(1)
+            return phase1(*args)
+
+        monkeypatch.setattr(polytope, "_phase1", counting)
+        P = fresh(siouxfalls_sets[0])
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            solve_lp(rng.normal(size=P.dim), P)
+        frank_wolfe_min(lambda y: (0.5 * float(y @ y), y), P, max_iter=5)
+        assert len(calls) == 1
+
+    def test_phase1_failure_is_not_stored(self, monkeypatch):
+        failures = []
+        phase1 = polytope._phase1
+
+        def failing_twice(*args):
+            if len(failures) < 2:
+                failures.append(1)
+                raise DegeneracyError("phase 1 made no progress")
+            return phase1(*args)
+
+        monkeypatch.setattr(polytope, "_phase1", failing_twice)
+        P = Polyhedron.simplex(3)
+        c = np.array([2.0, 1.0, 3.0])
+        for _ in range(2):
+            with pytest.raises(DegeneracyError):
+                solve_lp(c, P)
+        assert solve_lp(c, P).point.tobytes() == solve_lp(c, fresh(P)).point.tobytes()
+
+    def test_shared_across_threads(self, siouxfalls_sets):
+        P = siouxfalls_sets[1]
+        costs = np.random.default_rng(2).normal(size=(4, 50, P.dim))
+        serial = [[solve_lp(c, fresh(P)).point for c in block] for block in costs]
+        shared = fresh(P)
+        results = [None] * 4
+
+        def work(k):
+            results[k] = [solve_lp(c, shared).point for c in costs[k]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, serial):
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 
 class TestFrankWolfe:
@@ -275,6 +394,16 @@ class TestPolyhedron:
     def test_budget_needs_limit(self):
         with pytest.raises(ValueError):
             Polyhedron(np.zeros((0, 1)), np.zeros(0), [0.0], [1.0], [1.0], None)
+
+    def test_arrays_are_read_only_copies(self):
+        rhs = np.array([1.0])
+        P = Polyhedron(np.ones((1, 2)), rhs, np.zeros(2), np.ones(2), np.ones(2), 1.0)
+        for arr in (P.eq_matrix, P.eq_rhs, P.lower, P.upper, P.budget_coeffs):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            P.eq_rhs[0] = 2.0
+        rhs[0] = 2.0  # the caller's array stays writable and unshared
+        assert P.eq_rhs[0] == 1.0
 
     def test_shape_checks(self):
         with pytest.raises(DimensionMismatch):

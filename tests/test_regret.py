@@ -362,3 +362,29 @@ class TestOracleBranches:
             a, b = fast.report(w), slow.report(w)
             slack = np.maximum(a.fw_gaps, 0.0) + np.maximum(b.fw_gaps, 0.0) + 1e-12
             assert np.all(np.abs(a.per_player - b.per_player) <= slack)
+
+
+class TestPinnedSiouxFalls:
+    # Captured from the LP kernel that ran phase 1 on every call.  Any change
+    # to the simplex that is not bitwise equal moves these hex floats.
+    PINNED = [
+        ([0.2, 0.2, 0.2, 0.2, 0.2],
+         ["0x1.3d6b4682bc6a8p-2", "0x1.d88c9c22ce83cp-2", "0x1.00418eb0dc518p-3"],
+         ["-0x1.5ea38515aa0edp-55", "0x0.0p+0", "0x1.b6020762c4b58p-56"]),
+        ([0.7, 0.1, 0.1, 0.05, 0.05],
+         ["0x1.ac7ecbedb7230p-3", "0x1.8f256cfbc3c48p-2", "0x1.e88c9853847d0p-4"],
+         ["-0x1.3e57c0dcd434fp-55", "-0x1.85f4450560468p-56", "0x0.0p+0"]),
+        ([0.0, 0.0, 1.0, 0.0, 0.0],
+         ["0x1.17fb944d0ed72p-1", "0x1.120a97497f668p-1", "0x0.0p+0"],
+         ["-0x1.fc66862ccec93p-56", "-0x1.b6067c233783ep-54", "0x0.0p+0"]),
+    ]
+
+    def test_reports_bitwise(self):
+        net = parse_net((DATA / "siouxfalls_net.tntp").read_text())
+        players = [PlayerSpec(o, d, 3000.0) for o, d in ((1, 20), (13, 8), (7, 24))]
+        game = build_traffic_game(net, players)
+        oracle = RegretOracle(game, random_basis(game, 5, seed=0))
+        for w, per_player, fw_gaps in self.PINNED:
+            rep = oracle.report(np.array(w))
+            assert [float(v).hex() for v in rep.per_player] == per_player
+            assert [float(v).hex() for v in rep.fw_gaps] == fw_gaps

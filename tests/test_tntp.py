@@ -83,6 +83,15 @@ def test_non_finite_field(column, token):
         parse_net(text)
 
 
+@pytest.mark.parametrize("column", [1, 2])
+def test_non_integer_node_id(column):
+    fields = "1 2 1 1 1 0.15 4 0 0 1".split()
+    fields[column - 1] = "1.7"
+    text = "<NUMBER OF NODES> 2\n<NUMBER OF LINKS> 1\n<END OF METADATA>\n" + " ".join(fields) + " ;\n"
+    with pytest.raises(TntpError, match=f"line 4, column {column}: non-integer node id '1.7'"):
+        parse_net(text)
+
+
 def test_whitespace_and_comments_tolerated():
     text = (
         "\n~ a leading comment\n"
