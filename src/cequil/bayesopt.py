@@ -92,10 +92,6 @@ class QueryHistory:
         if len(self.inputs) != len(self.outputs):
             raise ValueError("inputs and outputs must have equal length")
 
-    def append(self, w, value: float) -> None:
-        self.inputs.append(validate_weights(w))
-        self.outputs.append(float(value))
-
     def __len__(self) -> int:
         return len(self.inputs)
 
@@ -251,18 +247,6 @@ class LearnTrace:
     inputs: List[np.ndarray]
     values: np.ndarray
     incumbent_values: np.ndarray
-
-    def to_csv(self) -> str:
-        n_weights = self.inputs[0].size if self.inputs else 0
-        header = ["iteration"] + [f"w{j + 1}" for j in range(n_weights)] + [
-            "value", "incumbent"]
-        lines = [",".join(header)]
-        for it, (w, v, inc) in enumerate(
-                zip(self.inputs, self.values, self.incumbent_values), start=1):
-            cells = [str(it)] + [repr(float(x)) for x in w] + [repr(float(v)),
-                                                               repr(float(inc))]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
 
 
 def _standardized(outputs: Sequence[float]):

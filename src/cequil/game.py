@@ -28,7 +28,6 @@ __all__ = [
     "GameError",
     "InfeasibleDemand",
     "demand_vector",
-    "link_cost",
     "player_cost",
     "player_cost_gradient",
     "build_traffic_game",
@@ -184,21 +183,8 @@ class TrafficGame:
         return fun, line_poly
 
 
-def link_cost(j: int, total_flow_j: float, game: TrafficGame) -> float:
-    """BPR travel time of link ``j`` at the given total flow.
-
-    Flows down to ``-TOL_FEAS`` are LP rounding and are accepted, as
-    :func:`cequil.polytope.contains` accepts them.
-    """
-    if total_flow_j < -TOL_FEAS:
-        raise GameError("negative link flow")
-    a = game.fft[j]
-    b = game.nominal_volume[j]
-    return float(a * (1.0 + game.lam * (total_flow_j / b) ** game.nu))
-
-
 def _check_flows(i, x_i, x_minus_i, game):
-    # entries down to -TOL_FEAS are LP rounding, as in link_cost
+    # entries down to -TOL_FEAS are LP rounding, as contains() accepts them
     x_i = np.asarray(x_i, dtype=float)
     if x_i.shape != (game.num_links,):
         raise GameError(f"player {i}: flow vector must have length {game.num_links}")

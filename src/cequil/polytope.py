@@ -446,7 +446,11 @@ def solve_lp(c, poly: Polyhedron) -> LpSolution:
 
 
 class FwResult(NamedTuple):
+    """Outcome of :func:`frank_wolfe_min`: the returned point, the objective
+    there, the FW gap there, the iterations run and ``gap <= tol_gap``."""
+
     point: np.ndarray
+    value: float
     gap: float
     iterations: int
     converged: bool
@@ -509,7 +513,7 @@ def _line_search(fun, x, d, s_max, f0, g0, line_poly):
 def frank_wolfe_min(
     fun: Callable[[np.ndarray], tuple],
     poly: Polyhedron,
-    tol_gap: Optional[float] = None,
+    tol_gap: float,
     max_iter: int = 2000,
     line_poly: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
 ) -> FwResult:
@@ -523,11 +527,15 @@ def frank_wolfe_min(
     found by exact polynomial minimization, otherwise by a quadratic probe
     with Armijo backtracking.
 
-    ``tol_gap=None`` targets a 1e-6 reduction of the initial gap.
+    Iteration stops once the gap ``g(x) = grad f(x).(x - v)`` is at most
+    ``tol_gap``.  The result carries ``value = f(x)`` at the returned point;
+    the gap there bounds ``value - min f`` whether or not the run converged.
     Non-convergence is reported through ``converged=False`` and the final
     gap, never as an exception; an empty polyhedron raises
     :class:`InfeasibleError`.
     """
+    if max_iter < 0:
+        raise ValueError("max_iter must be nonnegative")
     seed_sol = solve_lp(np.zeros(poly.dim), poly)
     if seed_sol.status != "optimal":
         raise InfeasibleError(f"polyhedron is {seed_sol.status}")
@@ -535,20 +543,16 @@ def frank_wolfe_min(
     verts = [x.copy()]
     alphas = [1.0]
 
-    gap = np.inf
-    tol = tol_gap
-    it = 0
-    for it in range(1, max_iter + 1):
+    # pass max_iter + 1 only measures the gap at the last iterate
+    for it in range(1, max_iter + 2):
         f0, g = fun(x)
         sol = solve_lp(g, poly)
         if sol.status != "optimal":
             raise InfeasibleError(f"linear oracle returned {sol.status}")
         v = sol.point
         gap = float(g @ (x - v))
-        if tol is None:
-            tol = 1e-6 * gap if gap > 0 else 0.0
-        if gap <= tol:
-            return FwResult(x, gap, it, True)
+        if gap <= tol_gap or it > max_iter:
+            return FwResult(x, f0, gap, min(it, max_iter), gap <= tol_gap)
 
         scores = [float(g @ u) for u in verts]
         a_idx = int(np.argmax(scores))
@@ -559,7 +563,7 @@ def frank_wolfe_min(
             s_max = 1.0
             s = _line_search(fun, x, d, s_max, f0, g, line_poly)
             if s <= 0.0:
-                return FwResult(x, gap, it, gap <= tol)
+                return FwResult(x, f0, gap, it, gap <= tol_gap)
             if s >= 1.0 - 1e-14:
                 verts = [v.copy()]
                 alphas = [1.0]
@@ -581,7 +585,7 @@ def frank_wolfe_min(
             s_max = alpha_a / (1.0 - alpha_a) if alpha_a < 1.0 else 0.0
             s = _line_search(fun, x, d, s_max, f0, g, line_poly)
             if s <= 0.0:
-                return FwResult(x, gap, it, gap <= tol)
+                return FwResult(x, f0, gap, it, gap <= tol_gap)
             for i in range(len(alphas)):
                 alphas[i] *= 1.0 + s
             alphas[a_idx] -= s
@@ -594,12 +598,6 @@ def frank_wolfe_min(
         x = np.zeros(poly.dim)
         for a_w, u in zip(alphas, verts):
             x += a_w * u
-
-    f0, g = fun(x)
-    sol = solve_lp(g, poly)
-    if sol.status == "optimal":
-        gap = float(g @ (x - sol.point))
-    return FwResult(x, gap, it, gap <= (tol if tol is not None else 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,14 @@ expected cost achievable by a single constant deviation:
     regret_i(w) = sum_k w_k f_i(xhat_i^k, xhat_-i^k)
                   - min_{y in X_i} sum_k w_k f_i(y, xhat_-i^k)
 
-:class:`RegretOracle` is the one way to compute it.  The minimization is a
-convex program solved by Frank-Wolfe, which stops at a point y with
-F(y) >= min F, so the reported regret ``E - F(y)`` is a *lower* bound on
-the true regret.  The Frank-Wolfe gap g bounds ``F(y) - min F``, so the
-reported regret plus g is an upper bound.  Regrets are signed: a mixture
-can beat every constant deviation, so negative values are meaningful and
-are never clamped.  A distribution is an (approximate) correlated
+:meth:`RegretOracle.report` is the one way to compute it: each call
+solves every player's deviation problem afresh, and nothing is cached per
+``w``.  The minimization is a convex program solved by Frank-Wolfe, which
+stops at a point y with F(y) >= min F, so the reported regret ``E - F(y)``
+is a *lower* bound on the true regret.  The Frank-Wolfe gap g bounds
+``F(y) - min F``, so the reported regret plus g is an upper bound.  Regrets
+are signed: a mixture can beat every constant deviation, so negative values
+are meaningful and are never clamped.  A distribution is an (approximate) correlated
 equilibrium exactly when every player's regret is non-positive;
 :func:`verify_ce` certifies that from the upper bound.
 """
@@ -22,7 +23,7 @@ equilibrium exactly when every player's regret is non-positive;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -40,9 +41,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BasisSet:
-    """N joint actions, each a list of per-player action vectors."""
+    """N joint actions, each a list of per-player action vectors.
 
-    actions: List[List[np.ndarray]]
+    The vectors are stored as read-only copies in tuples, so the atom costs
+    an oracle computes from a basis cannot go stale; the caller's arrays
+    stay writable.
+    """
+
+    actions: Sequence[Sequence[np.ndarray]]
 
     def __post_init__(self):
         if len(self.actions) < 1:
@@ -55,12 +61,13 @@ class BasisSet:
                 raise ValueError("inconsistent player count across joint actions")
             row = []
             for i, x in enumerate(joint):
-                x = np.asarray(x, dtype=float)
+                x = np.array(x, dtype=float)
                 if x.size != dims[i]:
                     raise ValueError(f"inconsistent dimension for player {i}")
+                x.flags.writeable = False
                 row.append(x)
-            clean.append(row)
-        object.__setattr__(self, "actions", clean)
+            clean.append(tuple(row))
+        object.__setattr__(self, "actions", tuple(clean))
 
     @property
     def size(self) -> int:
@@ -113,12 +120,20 @@ def validate_weights(w, n: Optional[int] = None) -> np.ndarray:
 
 
 class RegretOracle:
-    """Caches the per-basis quantities that every regret query reuses.
+    """Holds the per-basis quantities that every regret query reuses.
 
     On construction it evaluates each player's cost at every basis action
-    and, for traffic-style games exposing ``mixture_best_response``, the
-    per-player opponent flow totals.  ``report(w)`` is then the oracle the
-    learner queries; identical inputs give bitwise-identical reports.
+    (``atom_costs``) and, for traffic-style games exposing
+    ``mixture_best_response``, the per-player opponent flow totals.
+    ``report(w)`` is then the only query: it runs one Frank-Wolfe
+    minimization per player on every call and keeps nothing per ``w``, so
+    each report is a fresh object.  ``average(w)`` is its mean regret, the
+    scalar a learner queries.  Identical inputs give bitwise-identical
+    reports.
+
+    ``tol_gap=None`` stops each player's Frank-Wolfe run at a gap of
+    ``1e-6 * max(1, |expected cost|)``; a given ``tol_gap`` is every
+    player's gap target instead.
     """
 
     def __init__(self, game, basis: BasisSet, tol_gap: Optional[float] = None,
@@ -144,13 +159,6 @@ class RegretOracle:
                     for joint in basis.actions
                 ])
                 self.opp_totals.append(T)
-        self._cache: dict = {}
-
-    # -- single-player pieces --------------------------------------------
-
-    def expected_cost(self, i: int, w) -> float:
-        """Player i's expected cost of following recommendations drawn with w."""
-        return float(self.atom_costs[i] @ validate_weights(w, self.basis.size))
 
     def _mixture_functions(self, i: int, w: np.ndarray):
         if self._fast:
@@ -170,42 +178,25 @@ class RegretOracle:
 
         return fun, None
 
-    def best_response(self, i: int, w):
-        """(value, minimizer, fw_gap) of the constant-deviation benchmark."""
-        w = validate_weights(w, self.basis.size)
-        return self._best_response(i, w, float(self.atom_costs[i] @ w))
-
-    def _best_response(self, i: int, w: np.ndarray, expected: float):
-        # w is validated; expected is player i's expected cost at w
-        tol = self.tol_gap
-        if tol is None:
-            tol = 1e-6 * max(1.0, abs(expected))
-        fun, line_poly = self._mixture_functions(i, w)
-        res = frank_wolfe_min(fun, self.game.action_sets[i], tol_gap=tol,
-                              max_iter=self.max_iter, line_poly=line_poly)
-        return fun(res.point)[0], res.point, res.gap
-
-    # -- the oracle surface ------------------------------------------------
-
     def report(self, w) -> RegretReport:
+        """Every player's regret, FW gap and best response at ``w``."""
         w = validate_weights(w, self.basis.size)
-        key = w.tobytes()
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         m = self.basis.num_players
         per = np.empty(m)
         gaps = np.empty(m)
         responses = []
         for i in range(m):
             expected = float(self.atom_costs[i] @ w)
-            value, y_star, gap = self._best_response(i, w, expected)
-            per[i] = expected - value
-            gaps[i] = gap
-            responses.append(y_star)
-        rep = RegretReport(per, float(np.mean(per)), responses, gaps)
-        self._cache[key] = rep
-        return rep
+            tol = self.tol_gap
+            if tol is None:
+                tol = 1e-6 * max(1.0, abs(expected))
+            fun, line_poly = self._mixture_functions(i, w)
+            res = frank_wolfe_min(fun, self.game.action_sets[i], tol_gap=tol,
+                                  max_iter=self.max_iter, line_poly=line_poly)
+            per[i] = expected - res.value
+            gaps[i] = res.gap
+            responses.append(res.point)
+        return RegretReport(per, float(np.mean(per)), responses, gaps)
 
     def average(self, w) -> float:
         return self.report(w).average

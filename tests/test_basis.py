@@ -10,8 +10,10 @@ from cequil.basis import (
     basis_from_text,
     basis_to_text,
     ccp_select,
+    load_basis,
     min_pairwise_distance,
     random_basis,
+    save_basis,
 )
 from cequil.game import ConvexGame, PlayerSpec, build_traffic_game
 from cequil.polytope import TOL_FEAS, Polyhedron, contains
@@ -220,6 +222,19 @@ class TestSerialization:
         for j1, j2 in zip(basis.actions, again.actions):
             for x, y in zip(j1, j2):
                 assert (x == y).all()
+
+    def test_file_roundtrip_siouxfalls(self, siouxfalls_ccp, tmp_path):
+        # LP vertices carry rounding noise such as -1e-13; every value must
+        # come back with the same bits
+        game, trace, _ = siouxfalls_ccp
+        bases = {"ccp": trace.iterates[-1][0], "random": random_basis(game, 5, seed=1)}
+        for name, basis in bases.items():
+            path = tmp_path / f"{name}.basis"
+            save_basis(basis, path)
+            again = load_basis(path)
+            assert (again.size, again.num_players) == (basis.size, basis.num_players)
+            for j1, j2 in zip(basis.actions, again.actions):
+                assert [x.tobytes() for x in j1] == [y.tobytes() for y in j2]
 
     def test_malformed_header(self):
         with pytest.raises(ValueError):

@@ -160,7 +160,7 @@ class TestBoLearn:
         assert np.array_equal(w1, w2)
         assert t1.values.tobytes() == t2.values.tobytes()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(t1.inputs, t2.inputs))
-        assert t1.to_csv() == t2.to_csv()
+        assert t1.incumbent_values.tobytes() == t2.incumbent_values.tobytes()
         _, t3 = learn(seed=6)
         assert not np.array_equal(t1.values, t3.values)
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from cequil.game import (
+    GameError,
     InfeasibleDemand,
     PlayerSpec,
     build_traffic_game,
     demand_vector,
-    link_cost,
     player_cost,
     player_cost_gradient,
 )
@@ -80,24 +80,34 @@ class TestDemandVector:
 
 
 class TestLinkCost:
+    # the BPR law through player_cost: a player's cost times its nominal
+    # cost delta, divided by its own flow, is the travel time of its link
+
     def test_zero_flow_is_free_flow(self):
         game = make_single_link_game(cap=2.0)
-        assert link_cost(0, 0.0, game) == 1.0
+        # at zero flow the marginal cost of own flow is the link's travel time
+        g = player_cost_gradient(0, np.array([0.0]), [], game)
+        assert g[0] * game.deltas[0] == 1.0
 
     def test_bpr_value(self):
-        game = make_single_link_game(cap=2.0)
-        # a=1, b=2, lam=.15, nu=4, total=2 -> 1.15
-        assert link_cost(0, 2.0, game) == pytest.approx(1.15, abs=1e-12)
+        game = make_single_link_game(cap=2.0, players=2)
+        # a=1, b=2, lam=.15, nu=4, total=1+1 -> 1.15 per unit of own flow
+        c = player_cost(0, np.array([1.0]), [np.array([1.0])], game)
+        assert c * game.deltas[0] == pytest.approx(1.15, abs=1e-12)
 
     def test_dataset_first_link_scale(self, siouxfalls_game):
-        # a=6, b=25900.20064, total=b -> 6 * 1.15
-        b = siouxfalls_game.nominal_volume[0]
-        assert link_cost(0, float(b), siouxfalls_game) == pytest.approx(6.9, abs=1e-9)
+        # a=6, b=25900.20064, total=b on link 0 alone -> 6 * 1.15
+        game = siouxfalls_game
+        b = float(game.nominal_volume[0])
+        x = np.zeros(game.num_links)
+        x[0] = b
+        c = player_cost(0, x, [np.zeros(game.num_links)], game)
+        assert c * game.deltas[0] / b == pytest.approx(6.9, abs=1e-9)
 
     def test_negative_flow_rejected(self):
         game = make_single_link_game()
-        with pytest.raises(Exception):
-            link_cost(0, -0.5, game)
+        with pytest.raises(GameError, match="negative flow"):
+            player_cost(0, np.array([-0.5]), [], game)
 
 
 class TestPlayerCost:
@@ -138,7 +148,8 @@ class TestGradient:
         game = make_single_link_game(cap=1.0, fft=1.0, demand=1.0, players=2)
         t = np.array([0.7])
         g = player_cost_gradient(0, np.array([0.0]), [t], game)
-        assert g[0] == pytest.approx(link_cost(0, 0.7, game) / game.deltas[0])
+        # a=1, b=1: the BPR travel time at the opponent's flow alone
+        assert g[0] == pytest.approx(1.0 * (1.0 + 0.15 * 0.7 ** 4) / game.deltas[0])
 
     def test_single_link_hand_value(self):
         game = make_single_link_game(cap=1.0, fft=1.0, demand=1.0)

@@ -214,7 +214,7 @@ class TestStoredStart:
         rng = np.random.default_rng(1)
         for _ in range(20):
             solve_lp(rng.normal(size=P.dim), P)
-        frank_wolfe_min(lambda y: (0.5 * float(y @ y), y), P, max_iter=5)
+        frank_wolfe_min(lambda y: (0.5 * float(y @ y), y), P, tol_gap=1e-9, max_iter=5)
         assert len(calls) == 1
 
     def test_phase1_failure_is_not_stored(self, monkeypatch):
@@ -258,6 +258,97 @@ class TestStoredStart:
         assert not any(t.is_alive() for t in threads)
         for got, want in zip(results, serial):
             assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def assert_matches_highs(c, P):
+    """solve_lp agrees with HiGHS on the status and, when optimal, on the
+    objective within 1e-7 (1 + |f|); returns the status."""
+    got = solve_lp(c, P)
+    ref = linprog(c, A_eq=P.eq_matrix, b_eq=P.eq_rhs,
+                  bounds=np.column_stack([P.lower, P.upper]), method="highs")
+    assert got.status == HIGHS_STATUS[ref.status], ref.message
+    if got.status == "optimal":
+        assert contains(P, got.point, 1e-7)
+        assert abs(got.objective - ref.fun) <= 1e-7 * (1.0 + abs(ref.fun))
+    return got.status
+
+
+class TestSimplexPaths:
+    # pricing of free columns, Bland's rule, the periodic refactorization
+    # and the pivot cap, none of which the Sioux Falls polytopes reach
+
+    def test_free_columns_match_highs(self):
+        rng = np.random.default_rng(0)
+        statuses = set()
+        for _ in range(300):
+            m, n = int(rng.integers(1, 5)), int(rng.integers(2, 8))
+            A = rng.normal(size=(m, n))
+            kind = rng.integers(0, 4, size=n)  # box, lower only, upper only, free
+            lo = np.where(kind <= 1, -1.0, -np.inf)
+            hi = np.where(kind % 2 == 0, 1.0, np.inf)
+            x0 = rng.uniform(-1.0, 1.0, n)
+            statuses.add(assert_matches_highs(rng.normal(size=n), Polyhedron(A, A @ x0, lo, hi)))
+        assert statuses == {"optimal", "unbounded"}
+
+    def test_bland_rule_on_degenerate_lps(self, monkeypatch):
+        # a negative cap puts the simplex on Bland's rule from the first pivot
+        monkeypatch.setattr(polytope, "_STALL_CAP", -1)
+        rng = np.random.default_rng(1)
+        statuses = set()
+        for _ in range(200):
+            m, n = int(rng.integers(2, 6)), int(rng.integers(4, 10))
+            A = rng.integers(-3, 4, size=(m, n)).astype(float)
+            x0 = np.where(rng.uniform(size=n) < 0.6, 0.0, rng.integers(1, 3, size=n))
+            hi = np.where(rng.uniform(size=n) < 0.5, np.inf, 3.0)
+            c = rng.integers(-3, 4, size=n).astype(float)
+            statuses.add(assert_matches_highs(c, Polyhedron(A, A @ x0, np.zeros(n), hi)))
+        assert statuses == {"optimal", "unbounded"}
+
+    @pytest.mark.parametrize("stall_cap", [-1, polytope._STALL_CAP])
+    def test_beale_cycling_example(self, monkeypatch, stall_cap):
+        # Beale (1955): Dantzig pricing with a naive leaving rule cycles here
+        monkeypatch.setattr(polytope, "_STALL_CAP", stall_cap)
+        A = np.array([[0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
+                      [0.5, -90.0, -1.0 / 50.0, 3.0, 0.0, 1.0, 0.0],
+                      [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]])
+        c = np.array([-0.75, 150.0, -1.0 / 50.0, 6.0, 0.0, 0.0, 0.0])
+        P = Polyhedron(A, np.array([0.0, 0.0, 1.0]), np.zeros(7), np.full(7, np.inf))
+        assert assert_matches_highs(c, P) == "optimal"
+        assert solve_lp(c, P).objective == pytest.approx(-0.05, abs=1e-12)
+
+    def test_refactorization_on_a_long_solve(self, monkeypatch):
+        # each phase needs more than 100 pivots on these 60 rows
+        inverses = []
+        inv = np.linalg.inv
+
+        def counting(M):
+            inverses.append(M.shape)
+            return inv(M)
+
+        rng = np.random.default_rng(2)
+        m, n = 60, 200
+        A = rng.normal(size=(m, n))
+        P = Polyhedron(A, A @ rng.uniform(0.0, 1.0, n), np.zeros(n), rng.uniform(1.0, 2.0, n))
+        monkeypatch.setattr(np.linalg, "inv", counting)
+        solve_lp(rng.normal(size=n), P)
+        monkeypatch.undo()
+        assert (m, m) in inverses
+        assert assert_matches_highs(rng.normal(size=n), P) == "optimal"
+
+    def test_pivot_cap_raises(self, monkeypatch):
+        P = Polyhedron.simplex(3)
+        c = np.array([2.0, 1.0, 3.0])
+        solve_lp(c, P)  # stores the phase-1 start
+        monkeypatch.setattr(polytope, "_MAX_PIVOTS", 0)
+        with pytest.raises(DegeneracyError, match="phase 2"):
+            solve_lp(c, P)
+        Q = fresh(P)
+        with pytest.raises(DegeneracyError, match="phase 1"):
+            solve_lp(c, Q)
+        assert Q._lp_start is None
 
 
 class TestFrankWolfe:
@@ -323,6 +414,31 @@ class TestFrankWolfe:
         b = frank_wolfe_min(fun, P, tol_gap=1e-9)
         assert (a.point == b.point).all()
         assert a.gap == b.gap
+
+    @pytest.mark.parametrize("tol_gap, max_iter, flat", [
+        (1e-9, 500, False),  # converged
+        (1e-30, 2, False),  # stopped at max_iter
+        (1e-30, 0, False),  # no step: the gap at the start
+        (1e-30, 500, True),  # stopped by a zero step
+    ])
+    def test_value_is_objective_at_point(self, tol_gap, max_iter, flat):
+        target = np.array([0.3, 0.8, -0.2])
+
+        def fun(y):
+            return 0.25 * float(np.sum((y - target) ** 4)), (y - target) ** 3
+
+        # a line polynomial of zeros claims f is flat along every step
+        line_poly = (lambda x, d: np.zeros(5)) if flat else None
+        res = frank_wolfe_min(fun, Polyhedron.simplex(3), tol_gap=tol_gap,
+                              max_iter=max_iter, line_poly=line_poly)
+        assert res.value == fun(res.point)[0]
+        assert res.iterations <= max_iter
+        assert res.converged == (res.gap <= tol_gap)
+
+    def test_negative_max_iter_rejected(self):
+        with pytest.raises(ValueError):
+            frank_wolfe_min(lambda y: (0.0, np.zeros(1)), Polyhedron.interval(0.0, 1.0),
+                            tol_gap=1e-9, max_iter=-1)
 
 
 class TestProjectSimplex:

@@ -46,6 +46,19 @@ def grid_best_response(game, i, w, basis, resolution=1e-3):
     return best
 
 
+def expected_cost(oracle, i, w):
+    """Player i's expected cost of following recommendations drawn with w."""
+    return float(oracle.atom_costs[i] @ validate_weights(w, oracle.basis.size))
+
+
+def deviation(oracle, i, w):
+    """(value, minimizer, gap) of player i's best constant deviation at w,
+    read off one report: the value is the expected cost minus the regret."""
+    rep = oracle.report(w)
+    value = expected_cost(oracle, i, w) - rep.per_player[i]
+    return value, rep.best_responses[i], rep.fw_gaps[i]
+
+
 class TestWeights:
     def test_validate(self):
         w = validate_weights([0.25, 0.75])
@@ -78,26 +91,40 @@ class TestBasisSet:
         with pytest.raises(ValueError):
             bad.validate_feasible(game)
 
+    def test_actions_are_read_only_copies(self):
+        game = quadratic_game()
+        a0, a1 = np.array([0.0]), np.array([0.0])
+        basis = BasisSet([[a0, a1]])
+        oracle = RegretOracle(game, basis)
+        a0[0] = 0.9  # the caller's array stays writable
+        assert basis.actions[0][0][0] == 0.0
+        assert oracle.atom_costs.tolist() == RegretOracle(game, basis).atom_costs.tolist()
+        with pytest.raises(ValueError):
+            basis.actions[0][1][0] = 0.5
+        with pytest.raises(TypeError):
+            basis.actions[0][0] = np.array([0.9])
+
 
 class TestExpectedCost:
     def test_dirac(self):
         game = quadratic_game()
         basis = diag_basis()
-        assert RegretOracle(game, basis).expected_cost(0, [1.0, 0.0]) == pytest.approx(0.0)
+        assert expected_cost(RegretOracle(game, basis), 0, [1.0, 0.0]) == pytest.approx(0.0)
         off = BasisSet([[np.array([1.0]), np.array([0.0])]])
-        assert RegretOracle(game, off).expected_cost(0, [1.0]) == pytest.approx(1.0)
+        assert expected_cost(RegretOracle(game, off), 0, [1.0]) == pytest.approx(1.0)
 
     def test_identical_atoms(self):
         game = quadratic_game()
         two = BasisSet([[np.array([0.3]), np.array([0.8])],
                         [np.array([0.3]), np.array([0.8])]])
         oracle = RegretOracle(game, two)
-        atom = oracle.expected_cost(0, [1.0, 0.0])
-        assert oracle.expected_cost(0, [0.5, 0.5]) == pytest.approx(atom)
+        atom = expected_cost(oracle, 0, [1.0, 0.0])
+        assert expected_cost(oracle, 0, [0.5, 0.5]) == pytest.approx(atom)
 
     def test_toy_mixture_zero(self):
         game = quadratic_game()
-        assert RegretOracle(game, diag_basis()).expected_cost(0, [0.5, 0.5]) == pytest.approx(0.0)
+        assert expected_cost(RegretOracle(game, diag_basis()), 0, [0.5, 0.5]) \
+            == pytest.approx(0.0)
 
     def test_linearity_in_w(self):
         game = quadratic_game()
@@ -111,23 +138,23 @@ class TestExpectedCost:
             w2 = rng.dirichlet(np.ones(3))
             alpha = float(rng.uniform())
             mix = alpha * w1 + (1 - alpha) * w2
-            lhs = oracle.expected_cost(0, mix)
-            rhs = alpha * oracle.expected_cost(0, w1) \
-                + (1 - alpha) * oracle.expected_cost(0, w2)
+            lhs = expected_cost(oracle, 0, mix)
+            rhs = alpha * expected_cost(oracle, 0, w1) \
+                + (1 - alpha) * expected_cost(oracle, 0, w2)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 class TestBestResponse:
     def test_toy_half(self):
         game = quadratic_game()
-        value, y_star, gap = RegretOracle(game, diag_basis()).best_response(0, [0.5, 0.5])
+        value, y_star, gap = deviation(RegretOracle(game, diag_basis()), 0, [0.5, 0.5])
         assert value == pytest.approx(0.25, abs=1e-8)
         assert y_star[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_single_scenario(self):
         game = quadratic_game()
         basis = diag_basis()
-        value, y_star, _ = RegretOracle(game, basis).best_response(0, [0.0, 1.0])
+        value, y_star, _ = deviation(RegretOracle(game, basis), 0, [0.0, 1.0])
         assert value == pytest.approx(0.0, abs=1e-10)
         assert y_star[0] == pytest.approx(1.0, abs=1e-6)
 
@@ -140,7 +167,7 @@ class TestBestResponse:
 
         game = ConvexGame(1, [Polyhedron.box([0.0], [0.0])], cost, grad)
         basis = BasisSet([[np.array([0.0])]])
-        value, y_star, gap = RegretOracle(game, basis).best_response(0, [1.0])
+        value, y_star, gap = deviation(RegretOracle(game, basis), 0, [1.0])
         assert y_star[0] == 0.0
         assert value == pytest.approx(0.49)
         assert gap == 0.0
@@ -156,9 +183,9 @@ class TestBestResponse:
             w1 = rng.dirichlet(np.ones(3))
             w2 = rng.dirichlet(np.ones(3))
             mid = 0.5 * w1 + 0.5 * w2
-            v1 = oracle.best_response(0, w1)[0]
-            v2 = oracle.best_response(0, w2)[0]
-            vm = oracle.best_response(0, mid)[0]
+            v1 = deviation(oracle, 0, w1)[0]
+            v2 = deviation(oracle, 0, w2)[0]
+            vm = deviation(oracle, 0, mid)[0]
             assert vm >= 0.5 * v1 + 0.5 * v2 - 1e-7
 
 
@@ -230,7 +257,7 @@ class TestCorrelatedRegret:
             oracle = RegretOracle(game, basis, tol_gap=1e-9)
             for i in range(2):
                 exact = oracle.report(w).per_player[i]
-                brute = oracle.expected_cost(i, w) - grid_best_response(game, i, w, basis)
+                brute = expected_cost(oracle, i, w) - grid_best_response(game, i, w, basis)
                 assert exact == pytest.approx(brute, abs=1e-3)
 
 
@@ -257,12 +284,26 @@ class TestRegretReport:
     def test_bitwise_determinism(self):
         game = quadratic_game()
         basis = diag_basis()
-        # two oracles, so the second report is computed, not cached
-        a = RegretOracle(game, basis).report([0.3, 0.7])
-        b = RegretOracle(game, basis).report([0.3, 0.7])
-        assert (a.per_player == b.per_player).all()
-        assert a.average == b.average
-        assert all((x == y).all() for x, y in zip(a.best_responses, b.best_responses))
+        oracle = RegretOracle(game, basis)
+        a = oracle.report([0.3, 0.7])
+        for b in (oracle.report([0.3, 0.7]), RegretOracle(game, basis).report([0.3, 0.7])):
+            assert (a.per_player == b.per_player).all()
+            assert a.average == b.average
+            assert all((x == y).all() for x, y in zip(a.best_responses, b.best_responses))
+
+    def test_mutating_a_report_leaves_the_next_intact(self):
+        game = quadratic_game()
+        oracle = RegretOracle(game, diag_basis())
+        first = oracle.report([0.5, 0.5])
+        first.per_player[:] = 123.0
+        first.fw_gaps[:] = 123.0
+        first.best_responses[0][:] = 123.0
+        again = oracle.report([0.5, 0.5])
+        fresh = RegretOracle(game, diag_basis()).report([0.5, 0.5])
+        assert again.per_player.tobytes() == fresh.per_player.tobytes()
+        assert again.fw_gaps.tobytes() == fresh.fw_gaps.tobytes()
+        assert [y.tobytes() for y in again.best_responses] \
+            == [y.tobytes() for y in fresh.best_responses]
 
 
 class TestVerifyCe:
@@ -288,7 +329,7 @@ class TestVerifyCe:
         assert verdict.worst_regret > 0.0
         # confirm the profitable deviation with the grid oracle
         i = verdict.worst_player
-        brute = RegretOracle(game, basis).expected_cost(i, [1.0]) \
+        brute = expected_cost(RegretOracle(game, basis), i, [1.0]) \
             - grid_best_response(game, i, [1.0], basis)
         assert brute > 1e-3
         assert verdict.worst_regret == pytest.approx(brute, abs=1e-3)
