@@ -268,6 +268,8 @@ def bo_learn(oracle: Callable[[np.ndarray], float], N: int, budget: int,
     simplex, and queries the oracle there.  Returns the incumbent (the
     lowest observed value's weight vector) and the full trace; the
     incumbent-value sequence is the running minimum, hence non-increasing.
+    An oracle that raises or returns NaN or inf stops the run with
+    :class:`OracleFailure`, which carries the trace of the queries before.
     """
     if n_init < 1 or budget < n_init:
         raise ValueError("need budget >= n_init >= 1")
@@ -276,14 +278,18 @@ def bo_learn(oracle: Callable[[np.ndarray], float], N: int, budget: int,
     inputs: List[np.ndarray] = []
     values: List[float] = []
 
+    def failure(reason):
+        partial = LearnTrace(inputs, np.asarray(values),
+                             np.minimum.accumulate(values) if values else np.zeros(0))
+        return OracleFailure(f"oracle failed at query {len(values) + 1}: {reason}", partial)
+
     def query(w):
         try:
             val = float(oracle(w))
         except Exception as exc:
-            partial = LearnTrace(inputs, np.asarray(values),
-                                 np.minimum.accumulate(values) if values else np.zeros(0))
-            raise OracleFailure(f"oracle failed at query {len(values) + 1}: {exc}",
-                                partial) from exc
+            raise failure(exc) from exc
+        if not np.isfinite(val):
+            raise failure(f"non-finite value {val}")
         inputs.append(w)
         values.append(val)
 

@@ -7,13 +7,17 @@ This module provides the geometry every other part of the package sits on:
 * :func:`solve_lp` -- a bounded-variable revised simplex (two phases,
   Dantzig pricing with a Bland anti-cycling fallback).  Phase 1 does not
   read the cost, so it runs once per polyhedron and every later call runs
-  phase 2 only.  Deterministic: identical inputs give bitwise-identical
-  vertices, on the first call and on every later one.
+  phase 2 only.  Phase 2 starts from the stored phase-1 basis, or, given
+  ``warm=`` a previous optimal solution on the same polyhedron, from that
+  solution's basis.  Deterministic: identical inputs (``warm`` included)
+  give bitwise-identical vertices, on the first call and on every later one.
 * :func:`frank_wolfe_min` -- conditional-gradient minimization of a smooth
   convex function over a :class:`Polyhedron`, with away steps over the
   active vertex set and exact line search when the objective is polynomial
-  along segments.  The returned gap ``g(x) = grad f(x).(x - v)`` is a valid
-  suboptimality certificate.
+  along segments.  Each linear subproblem is warm-started from the previous
+  iteration's; the chain lives inside one call, so the result is a pure
+  function of the inputs.  The returned gap ``g(x) = grad f(x).(x - v)`` is
+  a valid suboptimality certificate.
 * :func:`project_simplex` -- Euclidean projection onto the probability
   simplex.
 * :func:`contains` -- feasibility check at a tolerance.
@@ -21,11 +25,13 @@ This module provides the geometry every other part of the package sits on:
 Everything here is a pure function of its inputs; the types are immutable
 after construction (their arrays are read-only) and safe to share across
 threads.  The phase-1 start a :class:`Polyhedron` stores is read-only too:
-concurrent first calls at worst compute it twice.
+concurrent first calls at worst compute it twice, and only the first one
+stored is kept, so a warm start from any thread finds its start there.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -153,12 +159,16 @@ class LpSolution:
 
     ``status`` is one of ``"optimal"``, ``"infeasible"``, ``"unbounded"``.
     On ``"optimal"`` the point is a vertex satisfying every constraint
-    within :data:`TOL_FEAS`.
+    within :data:`TOL_FEAS`.  An optimal simplex solution can warm-start
+    the next :func:`solve_lp` on the same polyhedron.
     """
 
     point: Optional[np.ndarray]
     objective: Optional[float]
     status: str
+    # (phase-1 start, basis, state): the start phase 2 ran from and the
+    # read-only extended basis it ended with; None off the simplex path.
+    _final_basis: object = field(default=None, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +176,7 @@ class LpSolution:
 # ---------------------------------------------------------------------------
 
 _DUAL_TOL = 1e-9
+_START_LOCK = threading.Lock()  # guards the first store of a phase-1 start
 _RATIO_TOL = 1e-10
 _STALL_CAP = 50  # degenerate pivots before switching to Bland's rule
 _MAX_PIVOTS = 50000  # pivots per phase before it gives up as 'stalled'
@@ -238,19 +249,37 @@ def _phase1(A, b, lo, hi):
     return start
 
 
-def _phase2(start, c):
-    """min c.x from a copy of a :func:`_phase1` start; returns (status, x)
-    with x over the first ``c.size`` variables."""
+def _phase2(start, c, warm=None):
+    """min c.x from a copy of a :func:`_phase1` start, or from the final
+    basis ``warm = (start, basis, state)`` of an earlier phase 2 on it.
+
+    Returns (status, x, final) with x over the first ``c.size`` variables
+    and, on "optimal", ``final = (start, basis, state)`` read-only.
+    """
     A_ext, b, lo_ext, hi_ext, x, basis, binv, state = start
-    x, basis, binv, state = x.copy(), basis.copy(), binv.copy(), state.copy()
+    if warm is None:
+        x, basis, binv, state = x.copy(), basis.copy(), binv.copy(), state.copy()
+    else:
+        # Nonbasic variables back on their bounds, basic ones solved for:
+        # the refactorization the simplex runs every 100 pivots.
+        basis, state = warm[1].copy(), warm[2].copy()
+        x = np.where(state == _AT_HI, hi_ext, np.where(state == _FREE, 0.0, lo_ext))
+        try:
+            binv = np.linalg.inv(A_ext[:, basis])
+        except np.linalg.LinAlgError as exc:
+            raise DegeneracyError("singular warm-start basis") from exc
+        x[basis] = 0.0
+        x[basis] = binv @ (b - A_ext @ x)
     c2 = np.zeros(x.size)
     c2[:c.size] = c
     st = _simplex_phase_np(A_ext, b, c2, lo_ext, hi_ext, x, basis, binv, state)
     if st == "stalled":
         raise DegeneracyError("phase 2 made no progress after the anti-cycling cap")
     if st == "unbounded":
-        return "unbounded", None
-    return "optimal", x[:c.size]
+        return "unbounded", None, None
+    basis.flags.writeable = False
+    state.flags.writeable = False
+    return "optimal", x[:c.size], (start, basis, state)
 
 
 def _simplex_phase_np(A, b, c, lo, hi, x, basis, binv, state):
@@ -405,7 +434,7 @@ def _standard_form(poly: Polyhedron):
     return A, b, lo, hi
 
 
-def solve_lp(c, poly: Polyhedron) -> LpSolution:
+def solve_lp(c, poly: Polyhedron, warm: Optional[LpSolution] = None) -> LpSolution:
     """Minimize ``c . x`` over a :class:`Polyhedron`.
 
     Returns a vertex on success (nonbasic coordinates sit exactly on their
@@ -415,6 +444,15 @@ def solve_lp(c, poly: Polyhedron) -> LpSolution:
     that start.  The pivot rule is fixed, so identical inputs produce
     bitwise-identical solutions, whether or not the start was stored.
 
+    ``warm``, an earlier optimal solution on this polyhedron, starts phase
+    2 from the basis that solution ended with instead; when consecutive
+    costs are close (Frank-Wolfe gradients) few pivots remain.  The optimum
+    is the same up to the pricing tolerance, but among tied optima a warm
+    call may return another vertex than a cold one.  A box (no equality or
+    budget rows) is solved without the simplex and ignores a warm start
+    from a box.  Nothing is stored on ``poly`` beyond the phase-1 start: a
+    call without ``warm`` is the same whatever was solved before.
+
     Raises
     ------
     DimensionMismatch
@@ -422,22 +460,39 @@ def solve_lp(c, poly: Polyhedron) -> LpSolution:
     DegeneracyError
         if no progress is made after the anti-cycling cap (a phase-1
         failure is not stored, so it raises on every call).
+    ValueError
+        if ``warm`` is not an optimal solution on this polyhedron (its
+        phase-1 start is not the one ``poly`` stores).
     """
     c = _as_float_vector(c, "c")
     if c.size != poly.dim:
         raise DimensionMismatch(f"cost has {c.size} entries, polyhedron has dim {poly.dim}")
+    if warm is not None and warm.status != "optimal":
+        raise ValueError(f"warm start must be an optimal solution, got {warm.status!r}")
     if poly.eq_matrix.shape[0] == 0 and poly.budget_coeffs is None:
+        if warm is not None and warm._final_basis is not None:
+            raise ValueError("warm start comes from another polyhedron")
         status, x = _box_lp(c, poly.lower, poly.upper)
+        final = None
     else:
         start = poly._lp_start
         if start is None:
             start = _phase1(*_standard_form(poly))
-            object.__setattr__(poly, "_lp_start", start)
-        status, x = ("infeasible", None) if start == "infeasible" else _phase2(start, c)
+            # the first start stored stays: warm starts match it by identity
+            with _START_LOCK:
+                if poly._lp_start is None:
+                    object.__setattr__(poly, "_lp_start", start)
+                start = poly._lp_start
+        if warm is not None and (warm._final_basis is None or warm._final_basis[0] is not start):
+            raise ValueError("warm start comes from another polyhedron")
+        if start == "infeasible":
+            status, x, final = "infeasible", None, None
+        else:
+            status, x, final = _phase2(start, c, None if warm is None else warm._final_basis)
     if status != "optimal":
         return LpSolution(None, None, status)
     point = x.copy()
-    return LpSolution(point, float(c @ point), "optimal")
+    return LpSolution(point, float(c @ point), "optimal", final)
 
 
 # ---------------------------------------------------------------------------
@@ -457,27 +512,56 @@ class FwResult(NamedTuple):
 
 
 def _poly_min_on_interval(coeffs: np.ndarray, s_max: float) -> float:
-    """Minimizer of a polynomial (coefficients low->high) on [0, s_max]."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    scale = np.abs(coeffs).max()
-    if scale == 0.0 or coeffs.size < 2:
+    """Minimizer on [0, s_max] of a polynomial (coefficients low->high) that
+    is convex there, as every Frank-Wolfe line polynomial is.
+
+    Convexity makes p' nondecreasing, so the step is 0 when p'(0) >= 0,
+    s_max when p'(s_max) <= 0, and otherwise the root of p', found by
+    Newton's method from the secant root with bisection whenever a Newton
+    step leaves the bracket.  Horner's rule on Python floats evaluates p,
+    p' and p'' together.  The root is returned only if its p is below both
+    endpoints' (else the better endpoint), so rounding in the root search
+    never makes a step worse than both ends of the segment.
+    """
+    c = [float(v) for v in coeffs]
+
+    def horner(s):
+        p = dp = ddp = 0.0
+        for a in reversed(c):
+            ddp = ddp * s + 2.0 * dp
+            dp = dp * s + p
+            p = p * s + a
+        return p, dp, ddp
+
+    if s_max <= 0.0:
         return 0.0
-    trimmed = np.trim_zeros(np.where(np.abs(coeffs) < 1e-15 * scale, 0.0, coeffs), "b")
-    if trimmed.size < 2:
+    p0, dp0, _ = horner(0.0)
+    if dp0 >= 0.0:
         return 0.0
-    der = np.polynomial.polynomial.polyder(trimmed)
-    candidates = [0.0, s_max]
-    if der.size == 1:
-        pass  # linear objective: endpoints only
-    else:
-        roots = np.polynomial.polynomial.polyroots(der)
-        for root in roots:
-            if abs(root.imag) < 1e-9:
-                s = float(root.real)
-                if 0.0 < s < s_max:
-                    candidates.append(s)
-    vals = [float(np.polynomial.polynomial.polyval(s, trimmed)) for s in candidates]
-    return candidates[int(np.argmin(vals))]
+    p1, dp1, _ = horner(s_max)
+    if dp1 <= 0.0:
+        return s_max
+    lo, hi = 0.0, s_max  # p'(lo) < 0 < p'(hi)
+    s = s_max * dp0 / (dp0 - dp1)
+    for _ in range(100):
+        _, dp, ddp = horner(s)
+        if dp < 0.0:
+            lo = s
+        elif dp > 0.0:
+            hi = s
+        else:
+            break
+        t = s - dp / ddp if ddp > 0.0 else -1.0
+        if abs(t - s) <= 1e-15 * s_max:
+            break  # Newton has converged
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        if t == s:
+            break  # the bracket is down to adjacent floats
+        s = t
+    candidates = (0.0, s_max, s)
+    vals = (p0, p1, horner(s)[0])
+    return candidates[vals.index(min(vals))]
 
 
 def _backtracking_step(fun, x, d, s_max, f0, slope):
@@ -520,12 +604,17 @@ def frank_wolfe_min(
     """Minimize a smooth convex function over a bounded polyhedron.
 
     ``fun(x)`` must return ``(value, gradient)``.  The linear subproblems go
-    through :func:`solve_lp`; away steps over the running vertex set remove
-    the zigzagging that keeps plain conditional gradient from certifying
-    small gaps.  ``line_poly(x, d)``, when given, must return the exact
-    coefficients (low order first) of ``s -> f(x + s d)``; the step is then
-    found by exact polynomial minimization, otherwise by a quadratic probe
-    with Armijo backtracking.
+    through :func:`solve_lp`, each warm-started from the previous
+    iteration's solution (the first starts cold); the chain lives only
+    inside this call, so the result is a pure function of the arguments.
+    Away steps over the running vertex set remove the zigzagging that keeps
+    plain conditional gradient from certifying small gaps.
+    ``line_poly(x, d)``, when given, must return the exact coefficients
+    (low order first) of ``s -> f(x + s d)``; the step is then the exact
+    minimizer of that polynomial, found from the root of its derivative
+    (this assumes ``f`` is convex; a root inside the segment is still kept
+    only if it beats both ends).  Without it the step comes from a
+    quadratic probe with Armijo backtracking.
 
     Iteration stops once the gap ``g(x) = grad f(x).(x - v)`` is at most
     ``tol_gap``.  The result carries ``value = f(x)`` at the returned point;
@@ -544,9 +633,10 @@ def frank_wolfe_min(
     alphas = [1.0]
 
     # pass max_iter + 1 only measures the gap at the last iterate
+    sol = None
     for it in range(1, max_iter + 2):
         f0, g = fun(x)
-        sol = solve_lp(g, poly)
+        sol = solve_lp(g, poly, warm=sol)
         if sol.status != "optimal":
             raise InfeasibleError(f"linear oracle returned {sol.status}")
         v = sol.point

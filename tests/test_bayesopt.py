@@ -180,3 +180,24 @@ class TestBoLearn:
         assert len(trace.inputs) == len(trace.values) == 4
         assert all(np.array_equal(a, b) for a, b in zip(trace.inputs, calls))
         assert np.array_equal(trace.incumbent_values, np.minimum.accumulate(trace.values))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at, budget", [(3, 8), (6, 6)])
+    def test_non_finite_value_is_a_failure(self, bad, at, budget):
+        # mid-run a NaN used to reach the Cholesky solve as a bare scipy
+        # ValueError; at the last query np.argmin made it the incumbent
+        calls = []
+
+        def spoiled(w):
+            calls.append(np.array(w))
+            return bad if len(calls) == at else bowl(w)
+
+        with pytest.raises(OracleFailure, match=f"query {at}: non-finite value") as info:
+            bo_learn(spoiled, 3, budget=budget, n_init=3, seed=0,
+                     num_candidates=64, num_polish=2)
+        trace = info.value.trace
+        assert len(calls) == at
+        assert len(trace.inputs) == len(trace.values) == at - 1
+        assert all(np.array_equal(a, b) for a, b in zip(trace.inputs, calls))
+        assert np.all(np.isfinite(trace.values))
+        assert np.array_equal(trace.incumbent_values, np.minimum.accumulate(trace.values))

@@ -1,6 +1,7 @@
 import itertools
 import sys
 import threading
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -156,10 +157,15 @@ def fresh(P):
 
 
 @pytest.fixture(scope="module")
-def siouxfalls_sets():
+def siouxfalls_game():
     net = parse_net((DATA / "siouxfalls_net.tntp").read_text())
     players = [PlayerSpec(o, d, 3000.0) for o, d in ((1, 20), (13, 8), (7, 24))]
-    return build_traffic_game(net, players).action_sets
+    return build_traffic_game(net, players)
+
+
+@pytest.fixture(scope="module")
+def siouxfalls_sets(siouxfalls_game):
+    return siouxfalls_game.action_sets
 
 
 class TestStoredStart:
@@ -258,6 +264,145 @@ class TestStoredStart:
         assert not any(t.is_alive() for t in threads)
         for got, want in zip(results, serial):
             assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+def highs_objective(c, P):
+    budget = {}
+    if P.budget_coeffs is not None:
+        budget = {"A_ub": P.budget_coeffs[None, :], "b_ub": [P.budget_limit]}
+    ref = linprog(c, A_eq=P.eq_matrix, b_eq=P.eq_rhs,
+                  bounds=np.column_stack([P.lower, P.upper]), method="highs", **budget)
+    assert ref.status == 0
+    return ref.fun
+
+
+class TestWarmStart:
+    def test_warm_chain_matches_cold_and_highs(self, siouxfalls_sets):
+        rng = np.random.default_rng(3)
+        for P in siouxfalls_sets:
+            P = fresh(P)
+            prev = None
+            for _ in range(200):
+                c = rng.normal(size=P.dim)
+                sol = solve_lp(c, P, warm=prev)
+                cold = solve_lp(c, P)
+                assert sol.status == "optimal"
+                assert contains(P, sol.point)
+                scale = 1.0 + np.abs(c).sum() * np.abs(sol.point).max()
+                assert abs(sol.objective - cold.objective) <= 1e-9 * scale
+                assert abs(sol.objective - highs_objective(c, P)) <= 1e-9 * scale
+                prev = sol
+            # the chain leaves nothing behind: a cold call is as on a fresh copy
+            c = rng.normal(size=P.dim)
+            assert solve_lp(c, P).point.tobytes() == solve_lp(c, fresh(P)).point.tobytes()
+            with pytest.raises(ValueError, match="another polyhedron"):
+                solve_lp(c, fresh(P), warm=prev)
+
+    def test_close_costs_need_few_pivots(self, siouxfalls_sets, monkeypatch):
+        # from the optimum of a nearby cost a warm start skips most pivots
+        pivots = []
+        outer = np.outer
+
+        def counting(*args):
+            pivots.append(1)
+            return outer(*args)
+
+        rng = np.random.default_rng(4)
+        for P in siouxfalls_sets:
+            c = rng.uniform(1.0, 2.0, size=P.dim)
+            first = solve_lp(c, P)
+            c = c * (1.0 + 0.05 * rng.normal(size=P.dim))
+            monkeypatch.setattr(np, "outer", counting)
+            cold = solve_lp(c, P)
+            n_cold = len(pivots)
+            warm = solve_lp(c, P, warm=first)
+            monkeypatch.undo()
+            assert len(pivots) - n_cold <= 1 < n_cold
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
+            pivots.clear()
+
+    def test_free_columns_warm_chain_match_highs(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            m, n = int(rng.integers(1, 5)), int(rng.integers(2, 8))
+            A = rng.normal(size=(m, n))
+            kind = rng.integers(0, 4, size=n)  # box, lower only, upper only, free
+            lo = np.where(kind <= 1, -1.0, -np.inf)
+            hi = np.where(kind % 2 == 0, 1.0, np.inf)
+            P = Polyhedron(A, A @ rng.uniform(-1.0, 1.0, n), lo, hi)
+            prev = None
+            for _ in range(10):
+                c = rng.normal(size=n)
+                got = solve_lp(c, P, warm=prev)
+                ref = linprog(c, A_eq=A, b_eq=P.eq_rhs, bounds=np.column_stack([lo, hi]),
+                              method="highs")
+                assert got.status == HIGHS_STATUS[ref.status], ref.message
+                if got.status == "optimal":
+                    assert contains(P, got.point, 1e-7)
+                    assert abs(got.objective - ref.fun) <= 1e-7 * (1.0 + abs(ref.fun))
+                    prev = got
+
+    def test_nonbasic_free_column_restarts_at_zero(self):
+        # phase 1 never prices x2 in (its reduced cost is zero), so the
+        # zero-cost optimum leaves it nonbasic and free for the warm start
+        P = Polyhedron(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]]), np.array([0.5, 0.5]),
+                       np.array([0.0, 0.0, -np.inf]), np.array([1.0, 1.0, np.inf]))
+        seed = solve_lp(np.zeros(3), P)
+        assert seed.point.tolist() == [0.5, 0.5, 0.0]
+        for c, want in (([0.0, 0.0, 1.0], [1.0, 0.0, -0.5]), ([0.0, 0.0, -1.0], [0.0, 1.0, 0.5])):
+            assert solve_lp(np.array(c), P, warm=seed).point.tolist() == want
+
+    def test_warm_chains_share_a_fresh_polyhedron_across_threads(self, siouxfalls_sets):
+        # concurrent first calls both run phase 1; every chain must still
+        # find its warm start's phase-1 start on the polyhedron
+        P = siouxfalls_sets[2]
+        costs = np.random.default_rng(6).normal(size=(4, 2, 20, P.dim))
+
+        def chains(poly, block):
+            out = []
+            for chain in block:
+                prev = None
+                for c in chain:
+                    prev = solve_lp(c, poly, warm=prev)
+                    out.append(prev.point)
+            return out
+
+        serial = [chains(fresh(P), block) for block in costs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                shared = fresh(P)
+                results = [None] * len(costs)
+
+                def work(k):
+                    results[k] = chains(shared, costs[k])
+
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(len(costs))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+                assert not any(t.is_alive() for t in threads)
+                for got, want in zip(results, serial):
+                    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_warm_must_be_optimal_on_the_same_polyhedron(self):
+        simplex, box = Polyhedron.simplex(2), Polyhedron.box([0.0, 0.0], [1.0, 1.0])
+        c = np.array([1.0, 2.0])
+        on_simplex, on_box = solve_lp(c, simplex), solve_lp(c, box)
+        assert solve_lp(-c, simplex, warm=on_simplex).point.tolist() == [0.0, 1.0]
+        assert solve_lp(-c, box, warm=on_box).point.tolist() == [1.0, 1.0]
+        for poly, warm in ((Polyhedron.simplex(2), on_simplex), (box, on_simplex),
+                           (simplex, on_box)):
+            with pytest.raises(ValueError, match="another polyhedron"):
+                solve_lp(c, poly, warm=warm)
+        empty = Polyhedron(np.array([[1.0], [-1.0]]), np.array([2.0, -2.0]),
+                           np.zeros(1), np.ones(1))
+        with pytest.raises(ValueError, match="optimal"):
+            solve_lp([1.0], empty, warm=solve_lp([1.0], empty))
 
 
 HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
@@ -439,6 +584,84 @@ class TestFrankWolfe:
         with pytest.raises(ValueError):
             frank_wolfe_min(lambda y: (0.0, np.zeros(1)), Polyhedron.interval(0.0, 1.0),
                             tol_gap=1e-9, max_iter=-1)
+
+
+def eigen_candidates(coeffs, s_max):
+    """0, s_max and every real root of p' inside, from companion-matrix
+    eigenvalues (test oracle)."""
+    roots = np.polynomial.polynomial.polyroots(np.polynomial.polynomial.polyder(coeffs))
+    inside = [float(r.real) for r in roots if abs(r.imag) < 1e-9 and 0.0 < r.real < s_max]
+    return np.array([0.0, s_max, *inside])
+
+
+def power_sum_line(rng):
+    """Coefficients of s -> b s + sum_j a_j (u_j + s d_j)^k, convex on [0, s_max]
+    because every u_j + s d_j stays positive there, with s_max; the minimizer
+    is interior about 60% of the time."""
+    k, n = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+    s_max = float(rng.choice([1.0, rng.uniform(0.01, 20.0)]))
+    a = rng.uniform(0.0, 2.0, n)
+    u = rng.uniform(0.1, 3.0, n)
+    d = rng.uniform(-u / s_max, 3.0)
+    coeffs = np.zeros(k + 1)
+    for r in range(k + 1):
+        coeffs[r] = comb(k, r) * float(a @ (u ** (k - r) * d ** r))
+    # a linear term that puts the minimizer near a random point of the interval
+    t = rng.uniform(-0.25, 1.25) * s_max
+    coeffs[1] -= np.polynomial.polynomial.polyval(t, np.polynomial.polynomial.polyder(coeffs))
+    return coeffs, s_max
+
+
+class TestLineStep:
+    def assert_exact(self, coeffs, s_max):
+        s = polytope._poly_min_on_interval(coeffs, s_max)
+        assert 0.0 <= s <= s_max
+        cands = np.concatenate([eigen_candidates(coeffs, s_max), np.linspace(0.0, s_max, 100001)])
+        best = float(np.polynomial.polynomial.polyval(cands, coeffs).min())
+        got = float(np.polynomial.polynomial.polyval(s, coeffs))
+        assert got <= best + 1e-12 * (1.0 + abs(best))
+
+    def test_siouxfalls_line_polynomials(self, siouxfalls_game):
+        game = siouxfalls_game
+        rng = np.random.default_rng(8)
+        T = np.stack([sum(x) for x in (
+            [solve_lp(rng.uniform(1.0, 5.0, game.num_links), P).point for P in game.action_sets[1:]]
+            for _ in range(4))])
+        P = game.action_sets[0]
+        verts = [solve_lp(rng.normal(size=P.dim), P).point for _ in range(12)]
+        for _ in range(60):
+            _, line_poly = game.mixture_best_response(0, rng.dirichlet(np.ones(4)), T)
+            lam = rng.dirichlet(np.full(len(verts), 0.3))
+            x = lam @ np.array(verts)
+            k = int(rng.integers(len(verts)))
+            if rng.uniform() < 0.5:  # toward a vertex
+                d, s_max = verts[k] - x, 1.0
+            else:  # away from a vertex with weight lam[k]
+                d, s_max = x - verts[k], lam[k] / (1.0 - lam[k])
+            self.assert_exact(line_poly(x, d), s_max)
+
+    def test_power_sums(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            self.assert_exact(*power_sum_line(rng))
+
+    def test_edge_cases(self):
+        step = polytope._poly_min_on_interval
+        assert step(np.zeros(6), 1.0) == 0.0
+        assert step(np.array([3.0, 2.0]), 1.0) == 0.0
+        assert step(np.array([3.0, -2.0]), 0.7) == 0.7
+        assert step(np.array([0.0, -2.0, 1.0]), 0.0) == 0.0
+        assert step(np.array([0.0, -2.0, 1.0]), 5.0) == 1.0
+
+    def test_endpoint_guard(self):
+        # p' = (s - a)(s - b)(s - c) is not monotone: a root search that
+        # stops at the local minimum a must not return it, as p(1) < p(a)
+        a, b, c = 0.01, 0.02, 0.9
+        coeffs = np.array([0.0, -a * b * c, (a * b + b * c + c * a) / 2, -(a + b + c) / 3, 0.25])
+        p = np.polynomial.polynomial.polyval([0.0, a, 1.0], coeffs)
+        assert p[2] < p[1] < p[0]
+        step = polytope._poly_min_on_interval(coeffs, 1.0)
+        assert np.polynomial.polynomial.polyval(step, coeffs) <= p[2]
 
 
 class TestProjectSimplex:

@@ -405,27 +405,72 @@ class TestOracleBranches:
             assert np.all(np.abs(a.per_player - b.per_player) <= slack)
 
 
+def siouxfalls_oracle():
+    net = parse_net((DATA / "siouxfalls_net.tntp").read_text())
+    players = [PlayerSpec(o, d, 3000.0) for o, d in ((1, 20), (13, 8), (7, 24))]
+    game = build_traffic_game(net, players)
+    return RegretOracle(game, random_basis(game, 5, seed=0))
+
+
+class TestHistoryIndependence:
+    def test_report_ignores_earlier_queries(self):
+        # the LP warm starts live inside one Frank-Wolfe run, so a report
+        # depends on w alone, not on what the oracle answered before
+        oracle = siouxfalls_oracle()
+        w_a = np.array([0.4, 0.3, 0.1, 0.1, 0.1])
+        first = oracle.report(w_a)
+        for w in np.random.default_rng(6).dirichlet(np.full(5, 0.3), size=5):
+            oracle.report(w)
+        again = oracle.report(w_a)
+        fresh = siouxfalls_oracle().report(w_a)
+        for rep in (again, fresh):
+            assert rep.per_player.tobytes() == first.per_player.tobytes()
+            assert rep.fw_gaps.tobytes() == first.fw_gaps.tobytes()
+            assert [y.tobytes() for y in rep.best_responses] \
+                == [y.tobytes() for y in first.best_responses]
+
+
 class TestPinnedSiouxFalls:
-    # Captured from the LP kernel that ran phase 1 on every call.  Any change
-    # to the simplex that is not bitwise equal moves these hex floats.
+    # Captured from the kernel that warm-starts each Frank-Wolfe iteration's
+    # LP from the previous basis and takes the line step by Newton on p'.
+    # Any change to the simplex or the line step that is not bitwise equal
+    # moves these hex floats.  The warm start may pick another vertex among
+    # tied optima, so the earlier cold-start kernel's values are kept in
+    # COLD: both kernels lower-bound the same regret, so they may differ by
+    # at most the sum of their FW gaps.
     PINNED = [
         ([0.2, 0.2, 0.2, 0.2, 0.2],
          ["0x1.3d6b4682bc6a8p-2", "0x1.d88c9c22ce83cp-2", "0x1.00418eb0dc518p-3"],
-         ["-0x1.5ea38515aa0edp-55", "0x0.0p+0", "0x1.b6020762c4b58p-56"]),
+         ["-0x1.33d7116eb05fcp-52", "0x0.0p+0", "0x1.a79f020a1df89p-54"]),
         ([0.7, 0.1, 0.1, 0.05, 0.05],
          ["0x1.ac7ecbedb7230p-3", "0x1.8f256cfbc3c48p-2", "0x1.e88c9853847d0p-4"],
-         ["-0x1.3e57c0dcd434fp-55", "-0x1.85f4450560468p-56", "0x0.0p+0"]),
+         ["-0x1.2f7614fae492ap-52", "0x1.0e6ecfd85886bp-54", "-0x1.5d757529fde3ap-54"]),
         ([0.0, 0.0, 1.0, 0.0, 0.0],
          ["0x1.17fb944d0ed72p-1", "0x1.120a97497f668p-1", "0x0.0p+0"],
+         ["-0x1.27eef4e401f93p-52", "-0x1.186a6c261bae5p-56", "-0x1.6599ead798e3fp-54"]),
+    ]
+    # Captured from the kernel that ran every LP from the phase-1 start.
+    COLD = [
+        (["0x1.3d6b4682bc6a8p-2", "0x1.d88c9c22ce83cp-2", "0x1.00418eb0dc518p-3"],
+         ["-0x1.5ea38515aa0edp-55", "0x0.0p+0", "0x1.b6020762c4b58p-56"]),
+        (["0x1.ac7ecbedb7230p-3", "0x1.8f256cfbc3c48p-2", "0x1.e88c9853847d0p-4"],
+         ["-0x1.3e57c0dcd434fp-55", "-0x1.85f4450560468p-56", "0x0.0p+0"]),
+        (["0x1.17fb944d0ed72p-1", "0x1.120a97497f668p-1", "0x0.0p+0"],
          ["-0x1.fc66862ccec93p-56", "-0x1.b6067c233783ep-54", "0x0.0p+0"]),
     ]
 
     def test_reports_bitwise(self):
-        net = parse_net((DATA / "siouxfalls_net.tntp").read_text())
-        players = [PlayerSpec(o, d, 3000.0) for o, d in ((1, 20), (13, 8), (7, 24))]
-        game = build_traffic_game(net, players)
-        oracle = RegretOracle(game, random_basis(game, 5, seed=0))
+        oracle = siouxfalls_oracle()
         for w, per_player, fw_gaps in self.PINNED:
             rep = oracle.report(np.array(w))
             assert [float(v).hex() for v in rep.per_player] == per_player
             assert [float(v).hex() for v in rep.fw_gaps] == fw_gaps
+
+    def test_cold_start_values_within_gaps(self):
+        oracle = siouxfalls_oracle()
+        for (w, _, _), (cold_per, cold_gaps) in zip(self.PINNED, self.COLD):
+            rep = oracle.report(np.array(w))
+            cold_per = np.array([float.fromhex(v) for v in cold_per])
+            cold_gaps = np.array([float.fromhex(v) for v in cold_gaps])
+            slack = np.maximum(cold_gaps, 0.0) + np.maximum(rep.fw_gaps, 0.0) + 1e-12
+            assert np.all(np.abs(rep.per_player - cold_per) <= slack)
