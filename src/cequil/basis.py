@@ -253,6 +253,10 @@ def basis_from_text(text: str) -> BasisSet:
             if vals.size != expect:
                 raise ValueError(
                     f"action {k}: player {t[1]} has {vals.size} values, expected {expect}")
+            bad = np.flatnonzero(~np.isfinite(vals))
+            if bad.size:
+                raise ValueError(
+                    f"action {k}: player {t[1]} has non-finite value {t[2 + bad[0]]!r}")
             joint.append(vals)
         else:
             raise ValueError(f"unexpected basis file line starting with {t[0]!r}")

@@ -17,7 +17,7 @@ construction: every query conditions on the full history.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, List, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -259,7 +259,7 @@ def _standardized(outputs: Sequence[float]):
 
 
 def bo_learn(oracle: Callable[[np.ndarray], float], N: int, budget: int,
-             n_init: int = 5, hyper: Optional[GpHyper] = None, seed: int = 0,
+             n_init: int = 5, seed: int = 0,
              num_candidates: int = 512, num_polish: int = 8):
     """Sequentially query the average-regret oracle to minimize it.
 
@@ -273,7 +273,7 @@ def bo_learn(oracle: Callable[[np.ndarray], float], N: int, budget: int,
     """
     if n_init < 1 or budget < n_init:
         raise ValueError("need budget >= n_init >= 1")
-    hyper = hyper or GpHyper()
+    hyper = GpHyper()
     rng = np.random.default_rng(seed)
     inputs: List[np.ndarray] = []
     values: List[float] = []

@@ -81,10 +81,10 @@ class PlayerSpec:
     def __post_init__(self):
         if self.origin == self.destination:
             raise GameError("origin and destination must differ")
-        if self.demand <= 0:
-            raise GameError("demand must be positive")
-        if self.budget_factor < 1.0:
-            raise GameError("budget_factor must be >= 1")
+        if not (np.isfinite(self.demand) and self.demand > 0):
+            raise GameError(f"demand must be positive and finite, got {self.demand}")
+        if not (np.isfinite(self.budget_factor) and self.budget_factor >= 1.0):
+            raise GameError(f"budget_factor must be finite and >= 1, got {self.budget_factor}")
 
 
 def demand_vector(spec: PlayerSpec, num_nodes: int) -> np.ndarray:

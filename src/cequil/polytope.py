@@ -5,12 +5,13 @@ This module provides the geometry every other part of the package sits on:
 * :class:`Polyhedron` -- a feasible set ``{x : Ex = s, lo <= x <= hi,
   a.x <= gamma}`` (equalities, box bounds, one optional budget row).
 * :func:`solve_lp` -- a bounded-variable revised simplex (two phases,
-  Dantzig pricing with a Bland anti-cycling fallback).  Phase 1 does not
-  read the cost, so it runs once per polyhedron and every later call runs
-  phase 2 only.  Phase 2 starts from the stored phase-1 basis, or, given
+  Dantzig pricing with a Bland anti-cycling fallback), the one LP path for
+  every polyhedron, boxes included.  Phase 1 does not read the cost, so it
+  runs once, when the polyhedron is constructed, and every call runs phase
+  2 only.  Phase 2 starts from the polyhedron's phase-1 basis, or, given
   ``warm=`` a previous optimal solution on the same polyhedron, from that
   solution's basis.  Deterministic: identical inputs (``warm`` included)
-  give bitwise-identical vertices, on the first call and on every later one.
+  give bitwise-identical vertices.
 * :func:`frank_wolfe_min` -- conditional-gradient minimization of a smooth
   convex function over a :class:`Polyhedron`, with away steps over the
   active vertex set and exact line search when the objective is polynomial
@@ -23,15 +24,12 @@ This module provides the geometry every other part of the package sits on:
 * :func:`contains` -- feasibility check at a tolerance.
 
 Everything here is a pure function of its inputs; the types are immutable
-after construction (their arrays are read-only) and safe to share across
-threads.  The phase-1 start a :class:`Polyhedron` stores is read-only too:
-concurrent first calls at worst compute it twice, and only the first one
-stored is kept, so a warm start from any thread finds its start there.
+after construction (their arrays, the phase-1 start included, are
+read-only) and safe to share across threads.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -88,8 +86,10 @@ class Polyhedron:
 
     ``eq_matrix`` is dense with one row per linear equality (for flow
     polytopes: one row per node, entries in {-1, 0, +1}); the budget row is
-    optional.  Bounds may be infinite.  Degenerate sets (empty, single
-    point) are legal; emptiness surfaces as an infeasible LP status.
+    optional.  Bounds may be infinite but not NaN; every other entry must be
+    finite.  Degenerate sets (empty, single point) are legal; emptiness
+    surfaces as an infeasible LP status.  Construction runs simplex phase 1,
+    so it raises :class:`DegeneracyError` if phase 1 stalls.
     """
 
     eq_matrix: np.ndarray
@@ -98,7 +98,8 @@ class Polyhedron:
     upper: np.ndarray
     budget_coeffs: Optional[np.ndarray] = None
     budget_limit: Optional[float] = None
-    # solve_lp's cost-independent phase-1 start, stored by its first call.
+    # solve_lp's cost-independent phase-1 start (or "infeasible"), set once
+    # by __post_init__.
     _lp_start: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -107,13 +108,17 @@ class Polyhedron:
         eq = np.asarray(self.eq_matrix, dtype=float)
         if eq.ndim != 2:
             eq = eq.reshape(-1, lower.size)
-        rhs = _as_float_vector(self.eq_rhs, "eq_rhs") if np.size(self.eq_rhs) else np.zeros(eq.shape[0])
+        rhs = _as_float_vector(self.eq_rhs, "eq_rhs")
         if eq.shape[0] != rhs.size:
             raise DimensionMismatch(
                 f"eq_matrix has {eq.shape[0]} rows but eq_rhs has {rhs.size} entries"
             )
         if eq.shape[1] != lower.size or upper.size != lower.size:
             raise DimensionMismatch("eq_matrix columns and bound lengths disagree")
+        if lower.size == 0:
+            raise DimensionMismatch("a polyhedron needs at least one coordinate")
+        if np.isnan(lower).any() or np.isnan(upper).any():
+            raise ValueError("bounds must not be NaN")
         if np.any(lower > upper):
             raise ValueError("lower bound exceeds upper bound")
         bc = self.budget_coeffs
@@ -123,14 +128,19 @@ class Polyhedron:
                 raise DimensionMismatch("budget_coeffs length does not match bounds")
             if self.budget_limit is None:
                 raise ValueError("budget_coeffs given without budget_limit")
+        limit = None if self.budget_limit is None else float(self.budget_limit)
+        for name, val in (("eq_matrix", eq), ("eq_rhs", rhs), ("budget_coeffs", bc),
+                          ("budget_limit", limit)):
+            if val is not None and not np.isfinite(val).all():
+                raise ValueError(f"{name} must be finite")
         for name, val in (("eq_matrix", eq), ("eq_rhs", rhs), ("lower", lower),
                           ("upper", upper), ("budget_coeffs", bc)):
             if val is not None:
                 val = val.copy()
                 val.flags.writeable = False
             object.__setattr__(self, name, val)
-        if self.budget_limit is not None:
-            object.__setattr__(self, "budget_limit", float(self.budget_limit))
+        object.__setattr__(self, "budget_limit", limit)
+        object.__setattr__(self, "_lp_start", _phase1(*_standard_form(self)))
 
     @property
     def dim(self) -> int:
@@ -159,15 +169,15 @@ class LpSolution:
 
     ``status`` is one of ``"optimal"``, ``"infeasible"``, ``"unbounded"``.
     On ``"optimal"`` the point is a vertex satisfying every constraint
-    within :data:`TOL_FEAS`.  An optimal simplex solution can warm-start
-    the next :func:`solve_lp` on the same polyhedron.
+    within :data:`TOL_FEAS`, and it can warm-start the next
+    :func:`solve_lp` on the same polyhedron.
     """
 
     point: Optional[np.ndarray]
     objective: Optional[float]
     status: str
     # (phase-1 start, basis, state): the start phase 2 ran from and the
-    # read-only extended basis it ended with; None off the simplex path.
+    # read-only extended basis it ended with; None unless optimal.
     _final_basis: object = field(default=None, repr=False, compare=False)
 
 
@@ -176,7 +186,6 @@ class LpSolution:
 # ---------------------------------------------------------------------------
 
 _DUAL_TOL = 1e-9
-_START_LOCK = threading.Lock()  # guards the first store of a phase-1 start
 _RATIO_TOL = 1e-10
 _STALL_CAP = 50  # degenerate pivots before switching to Bland's rule
 _MAX_PIVOTS = 50000  # pivots per phase before it gives up as 'stalled'
@@ -185,17 +194,6 @@ _MAX_PIVOTS = 50000  # pivots per phase before it gives up as 'stalled'
 # Nonbasic variable states: 0 = basic, 1 = at lower, 2 = at upper,
 # 3 = free at zero, 4 = fixed (lower == upper, never enters).
 _BASIC, _AT_LO, _AT_HI, _FREE, _FIXED = 0, 1, 2, 3, 4
-
-
-def _box_lp(c, lo, hi):
-    """min c.x  s.t.  lo <= x <= hi: every variable moves straight to its
-    better bound.  Returns (status, x)."""
-    if np.any((c > _DUAL_TOL) & ~np.isfinite(lo)) or np.any((c < -_DUAL_TOL) & ~np.isfinite(hi)):
-        return "unbounded", None
-    x = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
-    up = (c < 0) & np.isfinite(hi)
-    x[up] = hi[up]
-    return "optimal", x
 
 
 def _phase1(A, b, lo, hi):
@@ -234,7 +232,7 @@ def _phase1(A, b, lo, hi):
     st = _simplex_phase_np(A_ext, b, c1, lo_ext, hi_ext, x, basis, binv, state)
     if st == "stalled":
         raise DegeneracyError("phase 1 made no progress after the anti-cycling cap")
-    feas_tol = 1e-8 * (1.0 + np.abs(b).max())
+    feas_tol = 1e-8 * (1.0 + np.abs(b).max(initial=0.0))
     if float(c1 @ x) > feas_tol:
         return "infeasible"
     # Artificial variables are pinned to zero for phase 2.
@@ -345,7 +343,7 @@ def _simplex_phase_np(A, b, c, lo, hi, x, basis, binv, state):
         np.maximum(ratios, 0.0, out=ratios)
 
         t_own = hi[j] - lo[j]  # own-bound flip distance (inf for free vars)
-        t_basic = float(ratios.min())
+        t_basic = float(ratios.min(initial=np.inf))
         t_star = min(t_basic, t_own)
         if not np.isfinite(t_star):
             flush()
@@ -438,57 +436,40 @@ def solve_lp(c, poly: Polyhedron, warm: Optional[LpSolution] = None) -> LpSoluti
     """Minimize ``c . x`` over a :class:`Polyhedron`.
 
     Returns a vertex on success (nonbasic coordinates sit exactly on their
-    bounds).  Phase 1 does not depend on ``c``, so it runs once per
-    polyhedron: the first call stores its feasible start (or the verdict
-    "infeasible") on ``poly``, and every call runs phase 2 from a copy of
-    that start.  The pivot rule is fixed, so identical inputs produce
-    bitwise-identical solutions, whether or not the start was stored.
+    bounds).  Every polyhedron, a box included, takes the same path: phase
+    2 from a copy of the feasible start (or the verdict "infeasible") that
+    ``poly`` computed when it was constructed.  ``poly`` is only read, so a
+    call without ``warm`` is the same whatever was solved before and from
+    whichever thread.  The pivot rule is fixed, so identical inputs produce
+    bitwise-identical solutions.
 
     ``warm``, an earlier optimal solution on this polyhedron, starts phase
     2 from the basis that solution ended with instead; when consecutive
     costs are close (Frank-Wolfe gradients) few pivots remain.  The optimum
     is the same up to the pricing tolerance, but among tied optima a warm
-    call may return another vertex than a cold one.  A box (no equality or
-    budget rows) is solved without the simplex and ignores a warm start
-    from a box.  Nothing is stored on ``poly`` beyond the phase-1 start: a
-    call without ``warm`` is the same whatever was solved before.
+    call may return another vertex than a cold one.
 
     Raises
     ------
     DimensionMismatch
         if ``c`` does not match the polyhedron dimension.
     DegeneracyError
-        if no progress is made after the anti-cycling cap (a phase-1
-        failure is not stored, so it raises on every call).
+        if phase 2 makes no progress after the anti-cycling cap.
     ValueError
         if ``warm`` is not an optimal solution on this polyhedron (its
-        phase-1 start is not the one ``poly`` stores).
+        phase-1 start is not the one ``poly`` holds).
     """
     c = _as_float_vector(c, "c")
     if c.size != poly.dim:
         raise DimensionMismatch(f"cost has {c.size} entries, polyhedron has dim {poly.dim}")
     if warm is not None and warm.status != "optimal":
         raise ValueError(f"warm start must be an optimal solution, got {warm.status!r}")
-    if poly.eq_matrix.shape[0] == 0 and poly.budget_coeffs is None:
-        if warm is not None and warm._final_basis is not None:
-            raise ValueError("warm start comes from another polyhedron")
-        status, x = _box_lp(c, poly.lower, poly.upper)
-        final = None
-    else:
-        start = poly._lp_start
-        if start is None:
-            start = _phase1(*_standard_form(poly))
-            # the first start stored stays: warm starts match it by identity
-            with _START_LOCK:
-                if poly._lp_start is None:
-                    object.__setattr__(poly, "_lp_start", start)
-                start = poly._lp_start
-        if warm is not None and (warm._final_basis is None or warm._final_basis[0] is not start):
-            raise ValueError("warm start comes from another polyhedron")
-        if start == "infeasible":
-            status, x, final = "infeasible", None, None
-        else:
-            status, x, final = _phase2(start, c, None if warm is None else warm._final_basis)
+    start = poly._lp_start
+    if warm is not None and warm._final_basis[0] is not start:
+        raise ValueError("warm start comes from another polyhedron")
+    if start == "infeasible":
+        return LpSolution(None, None, "infeasible")
+    status, x, final = _phase2(start, c, None if warm is None else warm._final_basis)
     if status != "optimal":
         return LpSolution(None, None, status)
     point = x.copy()
@@ -716,10 +697,13 @@ def project_simplex(v) -> np.ndarray:
 
 
 def contains(poly: Polyhedron, x, tol: float = TOL_FEAS) -> bool:
-    """True iff ``x`` satisfies every constraint of ``poly`` within ``tol``."""
+    """True iff ``x`` is finite and satisfies every constraint of ``poly``
+    within ``tol``."""
     x = _as_float_vector(x, "x")
     if x.size != poly.dim:
         raise DimensionMismatch(f"point has {x.size} entries, polyhedron has dim {poly.dim}")
+    if not np.isfinite(x).all():
+        return False
     if poly.eq_matrix.shape[0]:
         if np.abs(poly.eq_matrix @ x - poly.eq_rhs).max() > tol:
             return False

@@ -265,6 +265,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="action 1: expected 'player 1'"):
             basis_from_text(text)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value(self, token):
+        text = ("actions 1\nplayers 2\ndims 1 2\naction 1\n"
+                f"player 1 0.5\nplayer 2 0.25 {token}\n")
+        with pytest.raises(ValueError, match=f"action 1: player 2 has non-finite value '{token}'"):
+            basis_from_text(text)
+
     def test_actions_out_of_order(self):
         block = "player 1 0.5\n"
         text = "actions 2\nplayers 1\ndims 1\naction 2\n" + block + "action 1\n" + block

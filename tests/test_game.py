@@ -57,6 +57,18 @@ def siouxfalls_game(siouxfalls_net):
     return build_traffic_game(siouxfalls_net, players)
 
 
+class TestPlayerSpec:
+    @pytest.mark.parametrize("demand", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_demand_must_be_positive_and_finite(self, demand):
+        with pytest.raises(GameError, match="demand must be positive and finite"):
+            PlayerSpec(1, 4, demand)
+
+    @pytest.mark.parametrize("factor", [0.5, np.nan, np.inf, -np.inf])
+    def test_budget_factor_must_be_finite_and_at_least_one(self, factor):
+        with pytest.raises(GameError, match="budget_factor must be finite and >= 1"):
+            PlayerSpec(1, 4, 1.0, factor)
+
+
 class TestDemandVector:
     def test_basic(self):
         s = demand_vector(PlayerSpec(1, 3, 2.0), 3)

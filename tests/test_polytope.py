@@ -152,7 +152,7 @@ class TestSolveLp:
 
 
 def fresh(P):
-    """An equal polyhedron with no stored phase-1 start."""
+    """An equal polyhedron, constructed anew with its own phase-1 start."""
     return Polyhedron(P.eq_matrix, P.eq_rhs, P.lower, P.upper, P.budget_coeffs, P.budget_limit)
 
 
@@ -234,11 +234,12 @@ class TestStoredStart:
             return phase1(*args)
 
         monkeypatch.setattr(polytope, "_phase1", failing_twice)
-        P = Polyhedron.simplex(3)
-        c = np.array([2.0, 1.0, 3.0])
         for _ in range(2):
             with pytest.raises(DegeneracyError):
-                solve_lp(c, P)
+                Polyhedron.simplex(3)
+        P = Polyhedron.simplex(3)
+        monkeypatch.undo()
+        c = np.array([2.0, 1.0, 3.0])
         assert solve_lp(c, P).point.tobytes() == solve_lp(c, fresh(P)).point.tobytes()
 
     def test_shared_across_threads(self, siouxfalls_sets):
@@ -353,8 +354,8 @@ class TestWarmStart:
             assert solve_lp(np.array(c), P, warm=seed).point.tolist() == want
 
     def test_warm_chains_share_a_fresh_polyhedron_across_threads(self, siouxfalls_sets):
-        # concurrent first calls both run phase 1; every chain must still
-        # find its warm start's phase-1 start on the polyhedron
+        # chains in several threads only read the one phase-1 start of the
+        # shared polyhedron, so each must match its serial run bitwise
         P = siouxfalls_sets[2]
         costs = np.random.default_rng(6).normal(size=(4, 2, 20, P.dim))
 
@@ -429,7 +430,7 @@ class TestSimplexPaths:
         rng = np.random.default_rng(0)
         statuses = set()
         for _ in range(300):
-            m, n = int(rng.integers(1, 5)), int(rng.integers(2, 8))
+            m, n = int(rng.integers(0, 5)), int(rng.integers(2, 8))  # m = 0: a box
             A = rng.normal(size=(m, n))
             kind = rng.integers(0, 4, size=n)  # box, lower only, upper only, free
             lo = np.where(kind <= 1, -1.0, -np.inf)
@@ -486,14 +487,14 @@ class TestSimplexPaths:
     def test_pivot_cap_raises(self, monkeypatch):
         P = Polyhedron.simplex(3)
         c = np.array([2.0, 1.0, 3.0])
-        solve_lp(c, P)  # stores the phase-1 start
+        want = solve_lp(c, P).point
         monkeypatch.setattr(polytope, "_MAX_PIVOTS", 0)
         with pytest.raises(DegeneracyError, match="phase 2"):
             solve_lp(c, P)
-        Q = fresh(P)
         with pytest.raises(DegeneracyError, match="phase 1"):
-            solve_lp(c, Q)
-        assert Q._lp_start is None
+            fresh(P)
+        monkeypatch.undo()
+        assert solve_lp(c, fresh(P)).point.tobytes() == want.tobytes()
 
 
 class TestFrankWolfe:
@@ -719,6 +720,12 @@ class TestContains:
         Pb = Polyhedron(np.zeros((0, 2)), np.zeros(0), np.zeros(2), np.ones(2),
                         np.array([1.0, 1.0]), 1.0)
         assert not contains(Pb, [0.6, 0.6])
+        R = Polyhedron.box([-np.inf, 0.0], [np.inf, np.inf])
+        assert contains(R, [-1e300, 1e300])
+        for x in ([np.nan, 0.5], [np.inf, 0.5], [0.5, np.inf], [-np.inf, 0.5]):
+            assert not contains(R, x)
+        assert not contains(P, [np.nan])
+        assert not contains(Pb, [np.nan, np.nan])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -747,3 +754,26 @@ class TestPolyhedron:
     def test_shape_checks(self):
         with pytest.raises(DimensionMismatch):
             Polyhedron(np.ones((1, 2)), np.ones(1), [0.0], [1.0])
+        with pytest.raises(DimensionMismatch, match="at least one coordinate"):
+            Polyhedron.box([], [])
+        # an eq_rhs shorter than the row count is not read as zeros
+        for rhs in ([], np.zeros(0), [1.0, 1.0]):
+            with pytest.raises(DimensionMismatch, match="1 rows"):
+                Polyhedron(np.ones((1, 2)), rhs, np.zeros(2), np.ones(2))
+
+    @pytest.mark.parametrize("field, bad", [
+        *((f, v) for f in ("eq_matrix", "eq_rhs", "budget_coeffs", "budget_limit")
+          for v in (np.nan, np.inf, -np.inf)),
+        ("lower", np.nan), ("upper", np.nan)])
+    def test_rejects_non_finite_entries(self, field, bad):
+        # bounds may be infinite, but not NaN
+        args = {"eq_matrix": np.ones((1, 2)), "eq_rhs": np.ones(1), "lower": np.zeros(2),
+                "upper": np.ones(2), "budget_coeffs": np.ones(2), "budget_limit": 1.5}
+        if field == "budget_limit":
+            args[field] = bad
+        else:
+            args[field] = args[field].copy()
+            args[field].flat[0] = bad
+        match = "bounds must not be NaN" if field in ("lower", "upper") else f"{field} must be finite"
+        with pytest.raises(ValueError, match=match):
+            Polyhedron(**args)

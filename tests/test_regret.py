@@ -90,6 +90,9 @@ class TestBasisSet:
         bad = BasisSet([[np.array([2.0]), np.array([0.0])]])
         with pytest.raises(ValueError):
             bad.validate_feasible(game)
+        nan = BasisSet([[np.array([0.0]), np.array([np.nan])]])
+        with pytest.raises(ValueError, match="player 1 is infeasible"):
+            RegretOracle(game, nan)
 
     def test_actions_are_read_only_copies(self):
         game = quadratic_game()
