@@ -248,7 +248,14 @@ def basis_from_text(text: str) -> BasisSet:
             if t[1:2] != [str(len(joint) + 1)]:
                 raise ValueError(
                     f"action {k}: expected 'player {len(joint) + 1}', got {' '.join(t[:2])!r}")
-            vals = np.array([float(v) for v in t[2:]])
+            vals = []
+            for tok in t[2:]:
+                try:
+                    vals.append(float(tok))
+                except ValueError:
+                    raise ValueError(
+                        f"action {k}: player {t[1]} has non-numeric value {tok!r}") from None
+            vals = np.array(vals)
             expect = dims[len(joint)]
             if vals.size != expect:
                 raise ValueError(

@@ -39,6 +39,9 @@ __all__ = [
     "maximize_acquisition",
     "bo_learn",
     "LENGTHSCALE_GRID",
+    "N_INIT",
+    "NUM_CANDIDATES",
+    "NUM_POLISH",
 ]
 
 _SQRT5 = np.sqrt(5.0)
@@ -46,6 +49,11 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 #: Candidates for the periodic lengthscale refit.
 LENGTHSCALE_GRID = (0.1, 0.2, 0.5, 1.0, 2.0)
+#: Flat-Dirichlet queries that seed :func:`bo_learn`'s history.
+N_INIT = 5
+#: Points :func:`maximize_acquisition` scores, and the best of them it polishes.
+NUM_CANDIDATES = 512
+NUM_POLISH = 8
 
 
 class GpError(RuntimeError):
@@ -194,13 +202,12 @@ def _ei_and_grad(W_cand, W, factor, alpha, hyper, best):
     return ei, np.where(seen[:, None], 0.0, grad)
 
 
-def maximize_acquisition(D: QueryHistory, hyper: GpHyper,
-                         num_candidates: int = 512, num_polish: int = 8,
-                         seed: int = 0, polish_steps: int = 50) -> np.ndarray:
+def maximize_acquisition(D: QueryHistory, hyper: GpHyper, seed: int = 0,
+                         polish_steps: int = 50) -> np.ndarray:
     """Approximate argmax of EI over the simplex.
 
-    Seeded flat-Dirichlet sampling scores ``num_candidates`` points; the
-    ``num_polish`` best start a projected-gradient ascent with step
+    Seeded flat-Dirichlet sampling scores :data:`NUM_CANDIDATES` points; the
+    :data:`NUM_POLISH` best start a projected-gradient ascent with step
     0.1/sqrt(t), all starts advancing together as one batch.  The result is
     the best candidate unless a polish iterate beats it strictly; ties go to
     the lowest candidate index, then to the first iterate in start-major
@@ -214,10 +221,10 @@ def maximize_acquisition(D: QueryHistory, hyper: GpHyper,
     W, factor, alpha = _factorize(D, hyper)
     best = float(np.min(D.output_vector()))
 
-    cands = rng.dirichlet(np.ones(N), size=num_candidates)
+    cands = rng.dirichlet(np.ones(N), size=NUM_CANDIDATES)
     ei, _ = _ei_and_grad(cands, W, factor, alpha, hyper, best)
     best_w = cands[int(np.argmax(ei))]
-    w = cands[np.argsort(-ei, kind="stable")[:num_polish]]
+    w = cands[np.argsort(-ei, kind="stable")[:NUM_POLISH]]
 
     # iterates[s, t] is start s after t polish steps; row-major is the
     # order in which polishing the starts one by one would visit them
@@ -259,11 +266,10 @@ def _standardized(outputs: Sequence[float]):
 
 
 def bo_learn(oracle: Callable[[np.ndarray], float], N: int, budget: int,
-             n_init: int = 5, seed: int = 0,
-             num_candidates: int = 512, num_polish: int = 8):
+             seed: int = 0):
     """Sequentially query the average-regret oracle to minimize it.
 
-    ``n_init`` flat-Dirichlet queries seed the history; each following
+    :data:`N_INIT` flat-Dirichlet queries seed the history; each following
     round fits the GP on standardized observations, maximizes EI over the
     simplex, and queries the oracle there.  Returns the incumbent (the
     lowest observed value's weight vector) and the full trace; the
@@ -271,8 +277,8 @@ def bo_learn(oracle: Callable[[np.ndarray], float], N: int, budget: int,
     An oracle that raises or returns NaN or inf stops the run with
     :class:`OracleFailure`, which carries the trace of the queries before.
     """
-    if n_init < 1 or budget < n_init:
-        raise ValueError("need budget >= n_init >= 1")
+    if budget < N_INIT:
+        raise ValueError(f"need budget >= {N_INIT}, got {budget}")
     hyper = GpHyper()
     rng = np.random.default_rng(seed)
     inputs: List[np.ndarray] = []
@@ -293,11 +299,11 @@ def bo_learn(oracle: Callable[[np.ndarray], float], N: int, budget: int,
         inputs.append(w)
         values.append(val)
 
-    for _ in range(n_init):
+    for _ in range(N_INIT):
         query(project_simplex(rng.dirichlet(np.ones(N))))
 
     lengthscale = hyper.lengthscale
-    for n in range(n_init, budget):
+    for n in range(N_INIT, budget):
         D_std = QueryHistory(list(inputs), list(_standardized(values)))
         if n % 10 == 0:
             best_l, best_lml = lengthscale, -np.inf
@@ -307,8 +313,7 @@ def bo_learn(oracle: Callable[[np.ndarray], float], N: int, budget: int,
                     best_l, best_lml = cand, lml
             lengthscale = best_l
         hyper_n = replace(hyper, lengthscale=lengthscale)
-        w_next = maximize_acquisition(D_std, hyper_n, num_candidates, num_polish,
-                                      seed=int(rng.integers(2 ** 63)))
+        w_next = maximize_acquisition(D_std, hyper_n, seed=int(rng.integers(2 ** 63)))
         query(w_next)
 
     values_arr = np.asarray(values)

@@ -6,8 +6,10 @@ players' actions arbitrarily.  :class:`ConvexGame` carries the generic
 callable form used by toy games in tests; :class:`TrafficGame` is the
 concrete congestion game: players route fixed origin-destination demands
 through a shared network, links price themselves by the BPR law
-``a * (1 + lam * (total_flow / b)**nu)``, and each player's cost is its
-own-flow-weighted link cost normalized by the player's free-flow optimum.
+``fft * (1 + b * (total_flow / capacity)**power)`` with each link's ``b``
+and the ``power`` all links share, both read from the network file, and
+each player's cost is its own-flow-weighted link cost normalized by the
+player's free-flow optimum.
 """
 
 from __future__ import annotations
@@ -101,31 +103,27 @@ def demand_vector(spec: PlayerSpec, num_nodes: int) -> np.ndarray:
 class TrafficGame:
     """Multi-player traffic assignment with BPR link costs.
 
-    Immutable after construction; all evaluations are pure.  ``fft`` plays
-    the role of the nominal travel time vector and ``nominal_volume`` (the
-    file's capacity column) the nominal traffic volume in the BPR law.
+    Built and checked by :func:`build_traffic_game`; immutable after
+    construction, and all evaluations are pure.  Per link, ``fft`` is the
+    nominal travel time, ``nominal_volume`` (the file's capacity column) the
+    nominal traffic volume and ``lam`` the file's BPR coefficient ``b``;
+    ``nu`` is the BPR power all links share.
     """
 
-    def __init__(self, net: NetworkData, incidence: np.ndarray,
-                 players: Sequence[PlayerSpec], lam: float, nu: int,
+    def __init__(self, players: Sequence[PlayerSpec], fft: np.ndarray,
+                 nominal_volume: np.ndarray, lam: np.ndarray, nu: int,
                  deltas: Sequence[float], gammas: Sequence[float],
                  action_sets: Sequence[Polyhedron]):
-        if int(nu) != nu or nu < 1:
-            raise GameError("BPR exponent nu must be a positive integer")
-        self.net = net
-        self.incidence = incidence
         self.players = list(players)
-        self.lam = float(lam)
-        self.nu = int(nu)
+        self.fft = fft
+        self.nominal_volume = nominal_volume
+        self.lam = lam
+        self.nu = nu
         self.deltas = np.asarray(deltas, dtype=float)
         self.gammas = np.asarray(gammas, dtype=float)
         self.action_sets = list(action_sets)
-        self.fft = net.free_flow_times()
-        self.nominal_volume = net.capacities()
         self.num_players = len(self.players)
-        self.num_links = net.num_links
-        if np.any(self.deltas <= 0):
-            raise GameError("every player must have a positive nominal cost")
+        self.num_links = fft.size
 
     # -- generic convex-game surface -------------------------------------
 
@@ -220,14 +218,32 @@ def player_cost_gradient(i: int, x_i, x_minus_i, game: TrafficGame) -> np.ndarra
     return (ell + bump) / game.deltas[i]
 
 
-def build_traffic_game(net: NetworkData, players: Sequence[PlayerSpec],
-                       lam: float = 0.15, nu: int = 4) -> TrafficGame:
+def _bpr_law(net: NetworkData):
+    """The file's per-link BPR coefficients ``b`` and the power all links
+    share, which must be a positive integer."""
+    nu = net.links[0].power if net.links else 1.0
+    for rec in net.links:
+        link = f"link {rec.init_node}->{rec.term_node}"
+        if not (rec.power >= 1 and float(rec.power).is_integer()):
+            raise GameError(f"{link}: BPR power {rec.power!r} is not a positive integer")
+        if rec.power != nu:
+            raise GameError(f"{link}: BPR power {rec.power!r} differs from the first "
+                            f"link's {nu!r}")
+        if rec.b < 0:
+            raise GameError(f"{link}: negative BPR coefficient b {rec.b!r}")
+    return np.array([rec.b for rec in net.links]), int(nu)
+
+
+def build_traffic_game(net: NetworkData, players: Sequence[PlayerSpec]) -> TrafficGame:
     """Assemble the game: per-player flow polytopes, nominal costs, budgets.
 
-    The nominal cost ``delta_i`` is the fft-weighted minimum-cost routing of
-    the player's demand ignoring the budget row; the budget row then caps
-    nominal spend at ``budget_factor * delta_i``.
+    The BPR law is the file's: each link's ``b`` and the ``power`` all links
+    share (:class:`GameError` otherwise).  The nominal cost ``delta_i`` is
+    the fft-weighted minimum-cost routing of the player's demand ignoring
+    the budget row; the budget row then caps nominal spend at
+    ``budget_factor * delta_i``.
     """
+    lam, nu = _bpr_law(net)
     E = build_incidence(net)
     caps = net.capacities()
     a = net.free_flow_times()
@@ -247,4 +263,4 @@ def build_traffic_game(net: NetworkData, players: Sequence[PlayerSpec],
         deltas.append(delta)
         gammas.append(gamma)
         sets.append(Polyhedron(E, s_i, np.zeros(net.num_links), caps, a, gamma))
-    return TrafficGame(net, E, players, lam, nu, deltas, gammas, sets)
+    return TrafficGame(players, a, caps, lam, nu, deltas, gammas, sets)

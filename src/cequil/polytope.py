@@ -13,9 +13,9 @@ This module provides the geometry every other part of the package sits on:
   solution's basis.  Deterministic: identical inputs (``warm`` included)
   give bitwise-identical vertices.
 * :func:`frank_wolfe_min` -- conditional-gradient minimization of a smooth
-  convex function over a :class:`Polyhedron`, with away steps over the
-  active vertex set and exact line search when the objective is polynomial
-  along segments.  Each linear subproblem is warm-started from the previous
+  convex function over a :class:`Polyhedron` from its phase-1 vertex, with
+  away steps over the active vertex set; every step is exact on its
+  segment.  Each linear subproblem is warm-started from the previous
   iteration's; the chain lives inside one call, so the result is a pure
   function of the inputs.  The returned gap ``g(x) = grad f(x).(x - v)`` is
   a valid suboptimality certificate.
@@ -189,6 +189,7 @@ _DUAL_TOL = 1e-9
 _RATIO_TOL = 1e-10
 _STALL_CAP = 50  # degenerate pivots before switching to Bland's rule
 _MAX_PIVOTS = 50000  # pivots per phase before it gives up as 'stalled'
+_REFACTOR_EVERY = 100  # pivots between refactorizations of the basis inverse
 
 
 # Nonbasic variable states: 0 = basic, 1 = at lower, 2 = at upper,
@@ -251,6 +252,8 @@ def _phase2(start, c, warm=None):
     """min c.x from a copy of a :func:`_phase1` start, or from the final
     basis ``warm = (start, basis, state)`` of an earlier phase 2 on it.
 
+    A warm entry puts the nonbasic variables on their bounds and passes no
+    inverse: the simplex's refactorization then solves for the basic ones.
     Returns (status, x, final) with x over the first ``c.size`` variables
     and, on "optimal", ``final = (start, basis, state)`` read-only.
     """
@@ -258,16 +261,8 @@ def _phase2(start, c, warm=None):
     if warm is None:
         x, basis, binv, state = x.copy(), basis.copy(), binv.copy(), state.copy()
     else:
-        # Nonbasic variables back on their bounds, basic ones solved for:
-        # the refactorization the simplex runs every 100 pivots.
-        basis, state = warm[1].copy(), warm[2].copy()
+        basis, state, binv = warm[1].copy(), warm[2].copy(), None
         x = np.where(state == _AT_HI, hi_ext, np.where(state == _FREE, 0.0, lo_ext))
-        try:
-            binv = np.linalg.inv(A_ext[:, basis])
-        except np.linalg.LinAlgError as exc:
-            raise DegeneracyError("singular warm-start basis") from exc
-        x[basis] = 0.0
-        x[basis] = binv @ (b - A_ext @ x)
     c2 = np.zeros(x.size)
     c2[:c.size] = c
     st = _simplex_phase_np(A_ext, b, c2, lo_ext, hi_ext, x, basis, binv, state)
@@ -286,6 +281,8 @@ def _simplex_phase_np(A, b, c, lo, hi, x, basis, binv, state):
     Pricing is Dantzig (most negative reduced cost) with deterministic
     lowest-index tie-breaking; after _STALL_CAP consecutive degenerate
     pivots it falls back to Bland's rule until the objective moves again.
+    The refactorization every _REFACTOR_EVERY pivots, which recomputes
+    ``binv`` and ``x_B``, runs first when ``binv`` is None.
     """
     m, n_total = A.shape
     AT = np.ascontiguousarray(A.T)
@@ -311,8 +308,19 @@ def _simplex_phase_np(A, b, c, lo, hi, x, basis, binv, state):
     stall = 0
     bland = False
     since_refresh = 0
+    if binv is None:
+        binv, since_refresh = np.empty((m, m)), _REFACTOR_EVERY
 
     for _ in range(_MAX_PIVOTS):
+        if since_refresh >= _REFACTOR_EVERY:
+            since_refresh = 0
+            try:
+                binv[:, :] = np.linalg.inv(A[:, basis])
+            except np.linalg.LinAlgError as exc:
+                raise DegeneracyError("singular basis during refactorization") from exc
+            z = x.copy()
+            z[basis] = 0.0
+            xb[:] = binv @ (b - A @ z)
         y = binv.T @ cb
         r = c - AT @ y
         viol = dirmask * r
@@ -401,17 +409,7 @@ def _simplex_phase_np(A, b, c, lo, hi, x, basis, binv, state):
         col = d.copy()
         col[leave] = 0.0
         binv -= np.outer(col, binv[leave, :])
-
         since_refresh += 1
-        if since_refresh >= 100:
-            since_refresh = 0
-            try:
-                binv[:, :] = np.linalg.inv(A[:, basis])
-            except np.linalg.LinAlgError as exc:
-                raise DegeneracyError("singular basis during refactorization") from exc
-            z = x.copy()
-            z[basis] = 0.0
-            xb[:] = binv @ (b - A @ z)
     flush()
     return "stalled"
 
@@ -545,34 +543,28 @@ def _poly_min_on_interval(coeffs: np.ndarray, s_max: float) -> float:
     return candidates[vals.index(min(vals))]
 
 
-def _backtracking_step(fun, x, d, s_max, f0, slope):
-    """Armijo backtracking from s_max; assumes slope = grad.d < 0."""
-    s = s_max
-    for _ in range(60):
-        if fun(x + s * d)[0] <= f0 + 1e-4 * s * slope:
-            return s
-        s *= 0.5
-    return 0.0
-
-
-def _line_search(fun, x, d, s_max, f0, g0, line_poly):
+def _line_search(fun, x, d, s_max, g, line_poly):
+    """Exact minimizer on [0, s_max] of the convex ``phi(s) = f(x + s d)``;
+    ``g = grad f(x)``.  Without ``line_poly``, bisection on the sign of
+    ``phi'(s) = grad f(x + s d).d`` down to adjacent floats returns the end
+    where ``phi' < 0``, so the step never raises f."""
     if s_max <= 0.0:
         return 0.0
     if line_poly is not None:
         return _poly_min_on_interval(line_poly(x, d), s_max)
-    slope = float(g0 @ d)
-    if slope >= 0.0:
+    if float(g @ d) >= 0.0:
         return 0.0
-    # Quadratic probe: exact for quadratics, Armijo-guarded otherwise.
-    f1 = fun(x + s_max * d)[0]
-    curv = 2.0 * (f1 - f0 - slope * s_max) / (s_max * s_max)
-    if curv > 1e-14 * (1.0 + abs(f0)):
-        s = min(max(-slope / curv, 0.0), s_max)
-        if s > 0.0 and fun(x + s * d)[0] <= f0 + 1e-4 * s * slope:
-            return s
-    if f1 <= f0 + 1e-4 * s_max * slope:
+    if float(fun(x + s_max * d)[1] @ d) <= 0.0:
         return s_max
-    return _backtracking_step(fun, x, d, s_max, f0, slope)
+    lo, hi = 0.0, s_max  # phi'(lo) < 0 <= phi'(hi)
+    s = 0.5 * s_max
+    while lo < s < hi:
+        if float(fun(x + s * d)[1] @ d) < 0.0:
+            lo = s
+        else:
+            hi = s
+        s = 0.5 * (lo + hi)
+    return lo
 
 
 def frank_wolfe_min(
@@ -584,32 +576,32 @@ def frank_wolfe_min(
 ) -> FwResult:
     """Minimize a smooth convex function over a bounded polyhedron.
 
-    ``fun(x)`` must return ``(value, gradient)``.  The linear subproblems go
+    ``fun(x)`` must return ``(value, gradient)``.  The run starts at the
+    vertex of the polyhedron's phase-1 start.  The linear subproblems go
     through :func:`solve_lp`, each warm-started from the previous
     iteration's solution (the first starts cold); the chain lives only
     inside this call, so the result is a pure function of the arguments.
     Away steps over the running vertex set remove the zigzagging that keeps
     plain conditional gradient from certifying small gaps.
+    Every step, toward the FW vertex or away from an active one, is the
+    exact minimizer of the (assumed convex) ``f`` on its segment.
     ``line_poly(x, d)``, when given, must return the exact coefficients
-    (low order first) of ``s -> f(x + s d)``; the step is then the exact
-    minimizer of that polynomial, found from the root of its derivative
-    (this assumes ``f`` is convex; a root inside the segment is still kept
-    only if it beats both ends).  Without it the step comes from a
-    quadratic probe with Armijo backtracking.
+    (low order first) of ``s -> f(x + s d)``, and the step is the root of
+    its derivative (kept only if it beats both ends); without it the step
+    is found by bisection on the sign of the directional derivative.
 
     Iteration stops once the gap ``g(x) = grad f(x).(x - v)`` is at most
-    ``tol_gap``.  The result carries ``value = f(x)`` at the returned point;
-    the gap there bounds ``value - min f`` whether or not the run converged.
-    Non-convergence is reported through ``converged=False`` and the final
-    gap, never as an exception; an empty polyhedron raises
-    :class:`InfeasibleError`.
+    ``tol_gap``, or at a zero step.  The result carries ``value = f(x)`` at
+    the returned point; the gap there bounds ``value - min f`` whether or
+    not the run converged.  Non-convergence is reported through
+    ``converged=False`` and the final gap, never as an exception; an empty
+    polyhedron raises :class:`InfeasibleError`.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
-    seed_sol = solve_lp(np.zeros(poly.dim), poly)
-    if seed_sol.status != "optimal":
-        raise InfeasibleError(f"polyhedron is {seed_sol.status}")
-    x = seed_sol.point
+    if poly._lp_start == "infeasible":
+        raise InfeasibleError("polyhedron is infeasible")
+    x = poly._lp_start[4][:poly.dim].copy()
     verts = [x.copy()]
     alphas = [1.0]
 
@@ -627,42 +619,38 @@ def frank_wolfe_min(
 
         scores = [float(g @ u) for u in verts]
         a_idx = int(np.argmax(scores))
-        away_gap = scores[a_idx] - float(g @ x)
-
-        if gap >= away_gap or len(verts) == 1:
-            d = v - x
-            s_max = 1.0
-            s = _line_search(fun, x, d, s_max, f0, g, line_poly)
-            if s <= 0.0:
-                return FwResult(x, f0, gap, it, gap <= tol_gap)
-            if s >= 1.0 - 1e-14:
-                verts = [v.copy()]
-                alphas = [1.0]
-            else:
-                for i in range(len(alphas)):
-                    alphas[i] *= 1.0 - s
-                key = v.tobytes()
-                for i, u in enumerate(verts):
-                    if u.tobytes() == key:
-                        alphas[i] += s
-                        break
-                else:
-                    verts.append(v.copy())
-                    alphas.append(s)
-        else:
-            a = verts[a_idx]
+        away = len(verts) > 1 and scores[a_idx] - float(g @ x) > gap
+        if away:
             alpha_a = alphas[a_idx]
-            d = x - a
+            d = x - verts[a_idx]
             s_max = alpha_a / (1.0 - alpha_a) if alpha_a < 1.0 else 0.0
-            s = _line_search(fun, x, d, s_max, f0, g, line_poly)
-            if s <= 0.0:
-                return FwResult(x, f0, gap, it, gap <= tol_gap)
+        else:
+            d, s_max = v - x, 1.0
+        s = _line_search(fun, x, d, s_max, g, line_poly)
+        if s <= 0.0:
+            return FwResult(x, f0, gap, it, gap <= tol_gap)
+
+        if away:
             for i in range(len(alphas)):
                 alphas[i] *= 1.0 + s
             alphas[a_idx] -= s
             if alphas[a_idx] <= 1e-13:
                 del alphas[a_idx]
                 del verts[a_idx]
+        elif s >= 1.0 - 1e-14:
+            verts = [v.copy()]
+            alphas = [1.0]
+        else:
+            for i in range(len(alphas)):
+                alphas[i] *= 1.0 - s
+            key = v.tobytes()
+            for i, u in enumerate(verts):
+                if u.tobytes() == key:
+                    alphas[i] += s
+                    break
+            else:
+                verts.append(v.copy())
+                alphas.append(s)
 
         total = sum(alphas)
         alphas = [a_w / total for a_w in alphas]

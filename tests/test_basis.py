@@ -272,6 +272,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"action 1: player 2 has non-finite value '{token}'"):
             basis_from_text(text)
 
+    def test_non_numeric_value(self):
+        # float() alone named neither the action nor the player
+        text = ("actions 1\nplayers 2\ndims 1 2\naction 1\n"
+                "player 1 0.5\nplayer 2 0.5 abc\n")
+        with pytest.raises(ValueError, match="action 1: player 2 has non-numeric value 'abc'"):
+            basis_from_text(text)
+
     def test_actions_out_of_order(self):
         block = "player 1 0.5\n"
         text = "actions 2\nplayers 1\ndims 1\naction 2\n" + block + "action 1\n" + block

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from cequil.bayesopt import (
+    N_INIT,
+    NUM_CANDIDATES,
+    NUM_POLISH,
     GpHyper,
     OracleFailure,
     QueryHistory,
@@ -89,17 +92,16 @@ class TestAcquisitionKernels:
         assert worst[0] > worst[1] > worst[2]
 
 
-def sequential_acquisition(D, hyper, num_candidates=512, num_polish=8, seed=0,
-                           polish_steps=50):
+def sequential_acquisition(D, hyper, seed=0, polish_steps=50):
     """Polish the starts one after another, one point per EI evaluation."""
     rng = np.random.default_rng(seed)
     W, factor, alpha = _factorize(D, hyper)
     best = float(np.min(D.output_vector()))
-    cands = rng.dirichlet(np.ones(W.shape[1]), size=num_candidates)
+    cands = rng.dirichlet(np.ones(W.shape[1]), size=NUM_CANDIDATES)
     ei = np.array([_ei_and_grad(c[None], W, factor, alpha, hyper, best)[0][0]
                    for c in cands])
     best_w, best_ei = cands[int(np.argmax(ei))], float(np.max(ei))
-    for idx in np.argsort(-ei, kind="stable")[:num_polish]:
+    for idx in np.argsort(-ei, kind="stable")[:NUM_POLISH]:
         w = cands[idx]
         for t in range(1, polish_steps + 2):
             val, grad = _ei_and_grad(w[None], W, factor, alpha, hyper, best)
@@ -114,8 +116,7 @@ class TestMaximizeAcquisition:
     def test_result_on_simplex(self):
         D = history()
         for seed in range(3):
-            w = maximize_acquisition(D, GpHyper(), num_candidates=64, num_polish=2,
-                                     seed=seed, polish_steps=10)
+            w = maximize_acquisition(D, GpHyper(), seed=seed, polish_steps=10)
             assert w.shape == (3,)
             assert np.all(w >= 0.0)
             assert abs(w.sum() - 1.0) <= 1e-15
@@ -133,17 +134,14 @@ class TestMaximizeAcquisition:
 
     def test_deterministic(self):
         D = history()
-        a = maximize_acquisition(D, GpHyper(), num_candidates=64, num_polish=2, seed=4,
-                                 polish_steps=10)
-        b = maximize_acquisition(D, GpHyper(), num_candidates=64, num_polish=2, seed=4,
-                                 polish_steps=10)
+        a = maximize_acquisition(D, GpHyper(), seed=4, polish_steps=10)
+        b = maximize_acquisition(D, GpHyper(), seed=4, polish_steps=10)
         assert np.array_equal(a, b)
 
 
 def learn(seed, oracle=bowl):
     # budget past 10 queries so the lengthscale refit runs
-    return bo_learn(oracle, 3, budget=12, n_init=3, seed=seed,
-                    num_candidates=64, num_polish=2)
+    return bo_learn(oracle, 3, budget=12, seed=seed)
 
 
 class TestBoLearn:
@@ -181,6 +179,18 @@ class TestBoLearn:
         assert all(np.array_equal(a, b) for a, b in zip(trace.inputs, calls))
         assert np.array_equal(trace.incumbent_values, np.minimum.accumulate(trace.values))
 
+    def test_budget_below_initial_design_rejected(self):
+        with pytest.raises(ValueError, match=f"budget >= {N_INIT}"):
+            bo_learn(bowl, 3, budget=N_INIT - 1)
+
+    def test_constant_oracle(self):
+        # every observation equal: the standard deviation falls back to 1,
+        # so the standardized history is all zeros and the run still ends
+        w_best, trace = bo_learn(lambda w: 0.25, 3, budget=N_INIT + 2, seed=0)
+        assert np.all(trace.values == 0.25)
+        assert len(trace.inputs) == N_INIT + 2
+        assert np.array_equal(w_best, trace.inputs[0])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("at, budget", [(3, 8), (6, 6)])
     def test_non_finite_value_is_a_failure(self, bad, at, budget):
@@ -193,8 +203,7 @@ class TestBoLearn:
             return bad if len(calls) == at else bowl(w)
 
         with pytest.raises(OracleFailure, match=f"query {at}: non-finite value") as info:
-            bo_learn(spoiled, 3, budget=budget, n_init=3, seed=0,
-                     num_candidates=64, num_polish=2)
+            bo_learn(spoiled, 3, budget=budget, seed=0)
         trace = info.value.trace
         assert len(calls) == at
         assert len(trace.inputs) == len(trace.values) == at - 1

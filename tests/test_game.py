@@ -19,14 +19,14 @@ DATA = Path(__file__).parent / "data"
 
 SINGLE_LINK = (
     "<NUMBER OF NODES> 2\n<NUMBER OF LINKS> 1\n<END OF METADATA>\n"
-    "1 2 {cap} 1 {fft} 0.15 4 0 0 1 ;\n"
+    "1 2 {cap} 1 {fft} {b} {power} 0 0 1 ;\n"
 )
 
 
-def make_single_link_game(cap=1.0, fft=1.0, demand=1.0, players=1):
-    net = parse_net(SINGLE_LINK.format(cap=cap, fft=fft))
+def make_single_link_game(cap=1.0, fft=1.0, demand=1.0, players=1, b=0.15, power=4):
+    net = parse_net(SINGLE_LINK.format(cap=cap, fft=fft, b=b, power=power))
     specs = [PlayerSpec(1, 2, demand) for _ in range(players)]
-    return build_traffic_game(net, specs, lam=0.15, nu=4)
+    return build_traffic_game(net, specs)
 
 
 def label_correcting_shortest_path(net, origin, destination):
@@ -68,6 +68,10 @@ class TestPlayerSpec:
         with pytest.raises(GameError, match="budget_factor must be finite and >= 1"):
             PlayerSpec(1, 4, 1.0, factor)
 
+    def test_origin_must_differ_from_destination(self):
+        with pytest.raises(GameError, match="origin and destination must differ"):
+            PlayerSpec(3, 3, 1.0)
+
 
 class TestDemandVector:
     def test_basic(self):
@@ -103,7 +107,7 @@ class TestLinkCost:
 
     def test_bpr_value(self):
         game = make_single_link_game(cap=2.0, players=2)
-        # a=1, b=2, lam=.15, nu=4, total=1+1 -> 1.15 per unit of own flow
+        # fft 1, capacity 2, the file's b .15 and power 4, total 1+1 -> 1.15 per unit
         c = player_cost(0, np.array([1.0]), [np.array([1.0])], game)
         assert c * game.deltas[0] == pytest.approx(1.15, abs=1e-12)
 
@@ -153,6 +157,16 @@ class TestPlayerCost:
         bad[3] = -1.0
         with pytest.raises(Exception):
             player_cost(0, bad, [x], siouxfalls_game)
+        with pytest.raises(GameError, match="negative opponent flow"):
+            player_cost(0, x, [bad], siouxfalls_game)
+
+    def test_wrong_length_rejected(self, siouxfalls_game):
+        x = np.zeros(siouxfalls_game.num_links)
+        short = np.zeros(siouxfalls_game.num_links - 1)
+        with pytest.raises(GameError, match="player 0: flow vector must have length"):
+            player_cost(0, short, [x], siouxfalls_game)
+        with pytest.raises(GameError, match="opponent flow vector has wrong length"):
+            player_cost(0, x, [short], siouxfalls_game)
 
 
 class TestGradient:
@@ -207,7 +221,7 @@ class TestConvexityAndMonotonicity:
 
 class TestBuildTrafficGame:
     def test_single_link_delta_gamma(self):
-        net = parse_net(SINGLE_LINK.format(cap=5.0, fft=6.0))
+        net = parse_net(SINGLE_LINK.format(cap=5.0, fft=6.0, b=0.15, power=4))
         game = build_traffic_game(net, [PlayerSpec(1, 2, 1.0)])
         assert game.deltas[0] == pytest.approx(6.0)
         assert game.gammas[0] == pytest.approx(9.0)  # default budget factor 1.5
@@ -218,8 +232,39 @@ class TestBuildTrafficGame:
         sp = label_correcting_shortest_path(siouxfalls_net, 1, 20)
         assert game.deltas[0] == pytest.approx(sp * rho, rel=1e-10)
 
+    def test_bpr_law_from_the_file(self):
+        # b 0.5 and power 2 on the link: 1 * (1 + 0.5 * 1 ** 2) at unit flow
+        game = make_single_link_game(b=0.5, power=2)
+        assert game.deltas[0] == 1.0
+        assert player_cost(0, np.array([1.0]), [], game) == pytest.approx(1.5, abs=1e-15)
+        # total flow 2 on capacity 1: 1 + 0.5 * 2 ** 2 per unit of own flow
+        two = make_single_link_game(b=0.5, power=2, players=2)
+        assert player_cost(0, np.array([1.0]), [np.array([1.0])], two) == pytest.approx(3.0)
+
+    def test_mixed_powers_rejected(self):
+        text = ("<NUMBER OF NODES> 3\n<NUMBER OF LINKS> 2\n<END OF METADATA>\n"
+                "1 2 1 1 1 0.15 4 0 0 1 ;\n2 3 1 1 1 0.15 2 0 0 1 ;\n")
+        with pytest.raises(GameError, match="link 2->3: BPR power 2.0 differs"):
+            build_traffic_game(parse_net(text), [PlayerSpec(1, 3, 1.0)])
+
+    @pytest.mark.parametrize("power", [2.5, 0])
+    def test_power_must_be_a_positive_integer(self, power):
+        net = parse_net(SINGLE_LINK.format(cap=1.0, fft=1.0, b=0.15, power=power))
+        with pytest.raises(GameError, match="link 1->2: BPR power .* not a positive integer"):
+            build_traffic_game(net, [PlayerSpec(1, 2, 1.0)])
+
+    def test_negative_b_rejected(self):
+        net = parse_net(SINGLE_LINK.format(cap=1.0, fft=1.0, b=-0.15, power=4))
+        with pytest.raises(GameError, match="link 1->2: negative BPR coefficient"):
+            build_traffic_game(net, [PlayerSpec(1, 2, 1.0)])
+
+    def test_zero_free_flow_time_rejected(self):
+        net = parse_net(SINGLE_LINK.format(cap=1.0, fft=0.0, b=0.15, power=4))
+        with pytest.raises(InfeasibleDemand, match="nominal cost is not positive"):
+            build_traffic_game(net, [PlayerSpec(1, 2, 1.0)])
+
     def test_infeasible_demand(self):
-        net = parse_net(SINGLE_LINK.format(cap=1.0, fft=1.0))
+        net = parse_net(SINGLE_LINK.format(cap=1.0, fft=1.0, b=0.15, power=4))
         with pytest.raises(InfeasibleDemand) as exc:
             build_traffic_game(net, [PlayerSpec(1, 2, 2.0)])
         assert "player 0" in str(exc.value)

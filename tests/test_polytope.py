@@ -13,6 +13,7 @@ from cequil.game import PlayerSpec, build_traffic_game
 from cequil.polytope import (
     DegeneracyError,
     DimensionMismatch,
+    InfeasibleError,
     Polyhedron,
     contains,
     frank_wolfe_min,
@@ -539,15 +540,56 @@ class TestFrankWolfe:
             assert f_res - f_star <= res.gap + 1e-12
 
     def test_nonconvergence_reports_gap(self):
-        # a quartic cannot be certified to 1e-30 in two steps: the result
-        # reports the gap instead of raising
-        def fun(y):
-            return 0.25 * float((y[0] - 0.3) ** 4), np.array([(y[0] - 0.3) ** 3])
+        # a quartic with an interior minimizer on the simplex cannot be
+        # certified to 1e-30 in two steps: the result reports the gap
+        # instead of raising
+        target = np.array([0.2, 0.3, 0.5])
 
-        res = frank_wolfe_min(fun, Polyhedron.interval(0.0, 1.0),
-                              tol_gap=1e-30, max_iter=2)
+        def fun(y):
+            return 0.25 * float(np.sum((y - target) ** 4)), (y - target) ** 3
+
+        res = frank_wolfe_min(fun, Polyhedron.simplex(3), tol_gap=1e-30, max_iter=2)
         assert not res.converged
         assert np.isfinite(res.gap) and res.gap > 1e-30
+
+    @pytest.mark.parametrize("f, df, y_star", [
+        # steep: the old quadratic probe stopped at y = 0.0105 with gap 16
+        (lambda y: np.exp(12.0 * y) - 30.0 * y, lambda y: 12.0 * np.exp(12.0 * y) - 30.0,
+         np.log(2.5) / 12.0),
+        # flat near the minimizer
+        (lambda y: (y - 0.9) ** 4 + 1e-3 * y, lambda y: 4.0 * (y - 0.9) ** 3 + 1e-3,
+         0.9 - 2.5e-4 ** (1.0 / 3.0)),
+        # a smoothed kink: quadratic only within 1e-3 of the minimizer
+        (lambda y: np.sqrt(1e-6 + (y - 0.2) ** 2),
+         lambda y: (y - 0.2) / np.sqrt(1e-6 + (y - 0.2) ** 2), 0.2),
+    ], ids=["steep_exp", "flat_quartic", "smoothed_kink"])
+    def test_exact_step_on_curved_objectives(self, f, df, y_star):
+        def fun(y):
+            return float(f(y[0])), np.array([df(y[0])])
+
+        res = frank_wolfe_min(fun, Polyhedron.interval(0.0, 1.0), tol_gap=1e-9, max_iter=200)
+        assert res.converged and res.iterations <= 5
+        assert res.point[0] == pytest.approx(y_star, abs=1e-9)
+
+    def test_one_lp_per_iteration(self, monkeypatch):
+        # the start is the polyhedron's phase-1 vertex, not a zero-cost LP
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve_lp(*args, **kwargs)
+
+        target = np.array([0.2, 0.3, 0.5])
+        monkeypatch.setattr(polytope, "solve_lp", counting)
+        res = frank_wolfe_min(lambda y: (0.5 * float((y - target) @ (y - target)), y - target),
+                              Polyhedron.simplex(3), tol_gap=1e-9)
+        assert res.converged
+        assert len(calls) == res.iterations
+
+    def test_empty_polyhedron_raises(self):
+        empty = Polyhedron(np.ones((1, 2)), [3.0], np.zeros(2), np.ones(2))
+        with pytest.raises(InfeasibleError):
+            frank_wolfe_min(lambda y: (0.0, np.zeros(2)), empty, tol_gap=1e-9)
 
     def test_determinism(self):
         target = np.array([0.3, 0.8])
@@ -756,6 +798,8 @@ class TestPolyhedron:
             Polyhedron(np.ones((1, 2)), np.ones(1), [0.0], [1.0])
         with pytest.raises(DimensionMismatch, match="at least one coordinate"):
             Polyhedron.box([], [])
+        with pytest.raises(DimensionMismatch, match="budget_coeffs length"):
+            Polyhedron(np.ones((1, 2)), np.ones(1), np.zeros(2), np.ones(2), np.ones(3), 1.0)
         # an eq_rhs shorter than the row count is not read as zeros
         for rhs in ([], np.zeros(0), [1.0, 1.0]):
             with pytest.raises(DimensionMismatch, match="1 rows"):

@@ -80,6 +80,8 @@ class TestBasisSet:
             BasisSet([])
         with pytest.raises(ValueError):
             BasisSet([[np.zeros(2)], [np.zeros(3)]])
+        with pytest.raises(ValueError, match="inconsistent player count"):
+            BasisSet([[np.zeros(1), np.zeros(1)], [np.zeros(1)]])
         b = diag_basis()
         assert b.size == 2 and b.num_players == 2
         assert np.array_equal(b.joint(1), [1.0, 1.0])
@@ -262,6 +264,41 @@ class TestCorrelatedRegret:
                 exact = oracle.report(w).per_player[i]
                 brute = expected_cost(oracle, i, w) - grid_best_response(game, i, w, basis)
                 assert exact == pytest.approx(brute, abs=1e-3)
+
+
+def exp_game():
+    """Two players on [0,1]: cost exp(12 x_i) - 30 x_i (1 + x_other), convex
+    and steep in the own action, without a line polynomial."""
+
+    def cost(i, x_i, x_minus_i):
+        return float(np.exp(12.0 * x_i[0]) - 30.0 * x_i[0] * (1.0 + x_minus_i[0][0]))
+
+    def grad(i, x_i, x_minus_i):
+        return np.array([12.0 * np.exp(12.0 * x_i[0]) - 30.0 * (1.0 + x_minus_i[0][0])])
+
+    sets = [Polyhedron.interval(0.0, 1.0), Polyhedron.interval(0.0, 1.0)]
+    return ConvexGame(2, sets, cost, grad)
+
+
+class TestGenericBranch:
+    def test_steep_costs_match_a_fine_grid(self):
+        # the deviation objective sum_k w_k f_i(y, x^k_-i) on a grid of step
+        # 1e-6; its curvature is below 1e4, so the grid minimum is within
+        # 1e-8 of the true one
+        game = exp_game()
+        basis = BasisSet([[np.array([0.1]), np.array([0.7])],
+                          [np.array([0.5]), np.array([0.2])],
+                          [np.array([0.9]), np.array([0.4])]])
+        w = np.array([0.2, 0.5, 0.3])
+        oracle = RegretOracle(game, basis)
+        rep = oracle.report(w)
+        ys = np.linspace(0.0, 1.0, 1_000_001)
+        for i in range(2):
+            opp = np.array([joint[1 - i][0] for joint in basis.actions])
+            grid = np.min(np.exp(12.0 * ys) - 30.0 * ys * (1.0 + w @ opp))
+            value = expected_cost(oracle, i, w) - rep.per_player[i]
+            assert 0.0 <= rep.fw_gaps[i] <= 1e-6 * max(1.0, abs(expected_cost(oracle, i, w)))
+            assert value == pytest.approx(grid, abs=1e-8)
 
 
 class TestRegretReport:

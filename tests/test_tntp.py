@@ -143,3 +143,12 @@ def test_bad_link_records():
         parse_net(base + "1 2 0 1 1 0.15 4 0 0 1 ;\n")  # zero capacity
     with pytest.raises(Exception):
         parse_net(base + "1 3 1 1 1 0.15 4 0 0 1 ;\n")  # node id out of range
+    with pytest.raises(TntpError, match="link 1->2: negative free-flow time"):
+        parse_net(base + "1 2 1 1 -1 0.15 4 0 0 1 ;\n")
+
+
+def test_malformed_metadata():
+    with pytest.raises(TntpError, match="line 1: unterminated metadata tag"):
+        parse_net("<NUMBER OF NODES 2\n<NUMBER OF LINKS> 0\n<END OF METADATA>\n")
+    with pytest.raises(TntpError, match="<NUMBER OF NODES> is not an integer: '2.5'"):
+        parse_net("<NUMBER OF NODES> 2.5\n<NUMBER OF LINKS> 0\n<END OF METADATA>\n")
