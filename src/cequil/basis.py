@@ -233,6 +233,8 @@ def basis_from_text(text: str) -> BasisSet:
         dims = [int(v) for v in head["dims"]]
     except (KeyError, IndexError, ValueError) as exc:
         raise ValueError("malformed basis file header") from exc
+    if m < 1 or min(dims, default=1) < 1:
+        raise ValueError("malformed basis file header: players and dims must be positive")
     if len(dims) != m:
         raise ValueError("dims line does not match player count")
     actions: List[List[np.ndarray]] = []

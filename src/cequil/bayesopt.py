@@ -10,8 +10,17 @@ models the standardized observations; the posterior at a candidate w is
 with K the kernel matrix of past queries, c(w) the cross-covariances and
 eta the observed values.  Expected Improvement (minimization form) scores
 candidates, and its analytic gradient drives a projected-gradient polish
-that keeps iterates exactly on the simplex.  The loop is sequential by
-construction: every query conditions on the full history.
+that keeps iterates exactly on the simplex.  With beta = (K + sigma^2 I)^-1
+c(w), q_n = sqrt(5) |w - w_n| / l, and z, Phi, phi the standardized
+improvement and its normal cdf and pdf at w, the gradient is a weighted sum
+of the offsets from the observations,
+
+    grad EI(w) = sum_n G_n (w - w_n),
+    G_n = (5 / (3 l^2)) (1 + q_n) e^{-q_n} (Phi(z) alpha_n + (phi(z) / rho) beta_n),
+
+so a batch of B candidates never needs the B x n x N kernel derivatives.
+The loop is sequential by construction: every query conditions on the full
+history.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from typing import Callable, List, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrs
 from scipy.special import ndtr
 
 from cequil.polytope import project_simplex
@@ -99,6 +109,10 @@ class QueryHistory:
         self.outputs = [float(v) for v in self.outputs]
         if len(self.inputs) != len(self.outputs):
             raise ValueError("inputs and outputs must have equal length")
+        for k, w in enumerate(self.inputs):
+            if w.size != self.inputs[0].size:
+                raise ValueError(
+                    f"input {k} has length {w.size}, input 0 has {self.inputs[0].size}")
 
     def __len__(self) -> int:
         return len(self.inputs)
@@ -140,6 +154,8 @@ def gp_posterior(D: QueryHistory, hyper: GpHyper, w) -> GpPosterior:
     if len(D) < 1:
         raise ValueError("posterior needs at least one observation")
     w = np.asarray(w, dtype=float)
+    if w.shape != D.inputs[0].shape:
+        raise ValueError(f"w has shape {w.shape}, the inputs have {D.inputs[0].shape}")
     W, factor, alpha = _factorize(D, hyper)
     c = _kernel_matrix(W, w[None, :], hyper)[:, 0]
     mean = float(c @ alpha)
@@ -179,15 +195,20 @@ def _ei_and_grad(W_cand, W, factor, alpha, hyper, best):
     """EI and its ambient-space gradient at each row of the B x N batch W_cand.
 
     Returns ``(ei[B], grad[B, N])``.  Where the posterior deviation is at
-    most 1e-15 (an observed point) both are zero.
+    most 1e-15 (an observed point) both are zero.  The gradient is
+    ``grad[b] = sum_n G[b, n] (W_cand[b] - W[n])`` with the B x n weights
+    ``G = (5 / (3 l^2)) (1 + q) e^{-q} (Phi(z) alpha_n + (phi(z) / rho) beta_n)``,
+    so the only B x n x N array is the offsets.  ``beta`` comes from one
+    LAPACK ``dpotrs`` solve on the Cholesky factor; a non-finite row of
+    ``W_cand`` raises ``ValueError``.
     """
+    if not np.isfinite(W_cand).all():
+        raise ValueError("acquisition candidates must be finite")
     diff = W_cand[:, None, :] - W[None, :, :]  # B x n x N
-    q = _SQRT5 * np.sqrt(np.sum(diff * diff, axis=-1)) / hyper.lengthscale  # B x n
+    q = _SQRT5 * np.sqrt(np.einsum("bnk,bnk->bn", diff, diff)) / hyper.lengthscale  # B x n
     e = np.exp(-q)
     C = (1.0 + q + q * q / 3.0) * e
-    # d kappa / d w = -(5 / (3 l^2)) (1 + q) e^{-q} (w - w_i)
-    dC = (-5.0 / (3.0 * hyper.lengthscale ** 2)) * ((1.0 + q) * e)[:, :, None] * diff
-    beta = cho_solve(factor, C.T).T  # B x n
+    beta = dpotrs(factor[0], C.T, lower=True)[0].T  # B x n
     mean = C @ alpha
     rho = np.sqrt(np.maximum(1.0 - np.sum(C * beta, axis=1), 0.0))
     seen = rho <= 1e-15
@@ -196,9 +217,9 @@ def _ei_and_grad(W_cand, W, factor, alpha, hyper, best):
     cdf = ndtr(z)
     pdf = np.exp(-0.5 * z * z) * _INV_SQRT_2PI
     ei = np.where(seen, 0.0, (best - mean) * cdf + rho * pdf)
-    dmean = np.einsum("bnk,n->bk", dC, alpha)
-    dvar = -2.0 * np.einsum("bnk,bn->bk", dC, beta)
-    grad = -cdf[:, None] * dmean + (pdf / (2.0 * rho))[:, None] * dvar
+    G = ((5.0 / (3.0 * hyper.lengthscale ** 2)) * (1.0 + q) * e
+         * (cdf[:, None] * alpha + (pdf / rho)[:, None] * beta))
+    grad = G.sum(axis=1)[:, None] * W_cand - np.einsum("bn,nk->bk", G, W)
     return ei, np.where(seen[:, None], 0.0, grad)
 
 
@@ -216,6 +237,8 @@ def maximize_acquisition(D: QueryHistory, hyper: GpHyper, seed: int = 0,
     """
     if len(D) < 1:
         raise ValueError("acquisition needs at least one observation")
+    if polish_steps < 0:
+        raise ValueError(f"polish_steps must be nonnegative, got {polish_steps}")
     N = D.inputs[0].size
     rng = np.random.default_rng(seed)
     W, factor, alpha = _factorize(D, hyper)
@@ -277,6 +300,8 @@ def bo_learn(oracle: Callable[[np.ndarray], float], N: int, budget: int,
     An oracle that raises or returns NaN or inf stops the run with
     :class:`OracleFailure`, which carries the trace of the queries before.
     """
+    if N < 1:
+        raise ValueError(f"need N >= 1 basis actions, got {N}")
     if budget < N_INIT:
         raise ValueError(f"need budget >= {N_INIT}, got {budget}")
     hyper = GpHyper()

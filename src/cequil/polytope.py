@@ -30,6 +30,7 @@ read-only) and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -545,26 +546,42 @@ def _poly_min_on_interval(coeffs: np.ndarray, s_max: float) -> float:
 
 def _line_search(fun, x, d, s_max, g, line_poly):
     """Exact minimizer on [0, s_max] of the convex ``phi(s) = f(x + s d)``;
-    ``g = grad f(x)``.  Without ``line_poly``, bisection on the sign of
-    ``phi'(s) = grad f(x + s d).d`` down to adjacent floats returns the end
-    where ``phi' < 0``, so the step never raises f."""
+    ``g = grad f(x)``.  Without ``line_poly``, an Illinois secant on the
+    sign of ``phi'(s) = grad f(x + s d).d`` keeps a bracket with
+    ``phi'(lo) < 0 < phi'(hi)`` and refines it down to adjacent floats,
+    then returns ``lo``; a point where ``phi'`` is zero is returned at
+    once.  Either way the step never raises f."""
     if s_max <= 0.0:
         return 0.0
     if line_poly is not None:
         return _poly_min_on_interval(line_poly(x, d), s_max)
-    if float(g @ d) >= 0.0:
+    f_lo = float(g @ d)
+    if f_lo >= 0.0:
         return 0.0
-    if float(fun(x + s_max * d)[1] @ d) <= 0.0:
+    f_hi = float(fun(x + s_max * d)[1] @ d)
+    if f_hi <= 0.0:
         return s_max
-    lo, hi = 0.0, s_max  # phi'(lo) < 0 <= phi'(hi)
-    s = 0.5 * s_max
-    while lo < s < hi:
-        if float(fun(x + s * d)[1] @ d) < 0.0:
-            lo = s
+    lo, hi, side = 0.0, s_max, 0
+    while True:
+        # bisect while a slope is infinite; a secant point that rounds
+        # onto an end moves one float inside
+        t = f_lo / (f_lo - f_hi) if -math.inf < f_lo < f_hi < math.inf else 0.5
+        s = min(max(lo + t * (hi - lo), math.nextafter(lo, hi)), math.nextafter(hi, lo))
+        if not lo < s < hi:
+            return lo
+        f_s = float(fun(x + s * d)[1] @ d)
+        if f_s == 0.0:
+            return s
+        if f_s < 0.0:
+            lo, f_lo = s, f_s
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
         else:
-            hi = s
-        s = 0.5 * (lo + hi)
-    return lo
+            hi, f_hi = s, f_s
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
 
 
 def frank_wolfe_min(
@@ -588,7 +605,8 @@ def frank_wolfe_min(
     ``line_poly(x, d)``, when given, must return the exact coefficients
     (low order first) of ``s -> f(x + s d)``, and the step is the root of
     its derivative (kept only if it beats both ends); without it the step
-    is found by bisection on the sign of the directional derivative.
+    is found by an Illinois secant on the sign of the directional
+    derivative.
 
     Iteration stops once the gap ``g(x) = grad f(x).(x - v)`` is at most
     ``tol_gap``, or at a zero step.  The result carries ``value = f(x)`` at
@@ -674,12 +692,12 @@ def project_simplex(v) -> np.ndarray:
     equal to the projection of that row on its own.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("project_simplex requires finite input")
-    u = np.flip(np.sort(v, axis=-1), axis=-1)
+    u = np.sort(v, axis=-1)[..., ::-1]
     css = np.cumsum(u, axis=-1) - 1.0
     idx = np.arange(1, v.shape[-1] + 1)
-    rho = np.count_nonzero(u - css / idx > 0.0, axis=-1, keepdims=True)
+    rho = (u - css / idx > 0.0).sum(axis=-1, keepdims=True)
     theta = np.take_along_axis(css, rho - 1, axis=-1) / rho
     return np.maximum(v - theta, 0.0)
 

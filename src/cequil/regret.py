@@ -54,6 +54,8 @@ class BasisSet:
         if len(self.actions) < 1:
             raise ValueError("a basis needs at least one joint action")
         m = len(self.actions[0])
+        if m < 1:
+            raise ValueError("a joint action needs at least one player")
         dims = [np.asarray(x).size for x in self.actions[0]]
         clean = []
         for joint in self.actions:

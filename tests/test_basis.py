@@ -239,6 +239,13 @@ class TestSerialization:
     def test_malformed_header(self):
         with pytest.raises(ValueError):
             basis_from_text("nonsense 3\n")
+        # zero players used to give a basis whose joint action is empty, and
+        # dims -1 failed only later as "has 0 values, expected -1"
+        for text in ("actions 1\nplayers 0\ndims\naction 1\n",
+                     "actions 1\nplayers 1\ndims -1\naction 1\nplayer 1\n",
+                     "actions 1\nplayers 2\ndims 1 0\naction 1\nplayer 1 0.5\nplayer 2\n"):
+            with pytest.raises(ValueError, match="malformed basis file header"):
+                basis_from_text(text)
 
     def test_wrong_dimension(self):
         text = "actions 1\nplayers 1\ndims 2\naction 1\nplayer 1 0.5\n"
@@ -258,6 +265,10 @@ class TestSerialization:
             basis_from_text(text)
         with pytest.raises(ValueError, match="action 1"):
             basis_from_text("actions 1\nplayers 2\ndims 1 1\naction 1\nplayer 1 0.5\n")
+
+    def test_joint_action_needs_a_player(self):
+        with pytest.raises(ValueError, match="at least one player"):
+            BasisSet([[]])
 
     def test_players_out_of_order(self):
         text = ("actions 1\nplayers 2\ndims 1 1\naction 1\n"

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
+from scipy.special import ndtr
 
+from cequil import bayesopt
 from cequil.bayesopt import (
     N_INIT,
     NUM_CANDIDATES,
@@ -8,6 +11,8 @@ from cequil.bayesopt import (
     GpHyper,
     OracleFailure,
     QueryHistory,
+    _INV_SQRT_2PI,
+    _SQRT5,
     _ei_and_grad,
     _factorize,
     bo_learn,
@@ -38,8 +43,70 @@ def reference_ei(D, hyper, w):
     return expected_improvement(gp_posterior(D, hyper, w), float(min(D.outputs)))
 
 
+def dC_tensor_ei_and_grad(W_cand, W, factor, alpha, hyper, best):
+    """The kernel as it stood before the fused gradient: the B x n x N
+    derivative tensor dC contracted by two einsums, beta from cho_solve."""
+    diff = W_cand[:, None, :] - W[None, :, :]
+    q = _SQRT5 * np.sqrt(np.sum(diff * diff, axis=-1)) / hyper.lengthscale
+    e = np.exp(-q)
+    C = (1.0 + q + q * q / 3.0) * e
+    dC = (-5.0 / (3.0 * hyper.lengthscale ** 2)) * ((1.0 + q) * e)[:, :, None] * diff
+    beta = cho_solve(factor, C.T).T
+    mean = C @ alpha
+    rho = np.sqrt(np.maximum(1.0 - np.sum(C * beta, axis=1), 0.0))
+    seen = rho <= 1e-15
+    rho = np.where(seen, 1.0, rho)
+    z = (best - mean) / rho
+    cdf = ndtr(z)
+    pdf = np.exp(-0.5 * z * z) * _INV_SQRT_2PI
+    ei = np.where(seen, 0.0, (best - mean) * cdf + rho * pdf)
+    dmean = np.einsum("bnk,n->bk", dC, alpha)
+    dvar = -2.0 * np.einsum("bnk,bn->bk", dC, beta)
+    grad = -cdf[:, None] * dmean + (pdf / (2.0 * rho))[:, None] * dvar
+    return ei, np.where(seen[:, None], 0.0, grad)
+
+
 class TestAcquisitionKernels:
     hyper = GpHyper(lengthscale=0.5, noise_sigma=1e-3)
+
+    @pytest.mark.parametrize("n, N, seed", [(6, 3, 0), (10, 5, 3), (20, 5, 4), (40, 5, 1)])
+    def test_fused_gradient_matches_dC_tensor(self, n, N, seed):
+        D = history(n=n, N=N, seed=seed)
+        W, factor, alpha = _factorize(D, self.hyper)
+        best = min(D.outputs)
+        cands = np.random.default_rng(seed + 10).dirichlet(np.ones(N), size=512)
+        ei, grad = _ei_and_grad(cands, W, factor, alpha, self.hyper, best)
+        ref_ei, ref_grad = dC_tensor_ei_and_grad(cands, W, factor, alpha, self.hyper, best)
+        assert np.abs(ei - ref_ei).max() <= 1e-10 * np.abs(ref_ei).max()
+        assert np.abs(grad - ref_grad).max() <= 1e-10 * np.abs(ref_grad).max()
+
+    def test_one_lapack_solve_per_evaluation(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return dpotrs(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the kernel must not go through cho_solve")
+
+        dpotrs = bayesopt.dpotrs
+        D = history()
+        W, factor, alpha = _factorize(D, self.hyper)
+        monkeypatch.setattr(bayesopt, "dpotrs", counting)
+        monkeypatch.setattr(bayesopt, "cho_solve", forbidden)
+        cands = np.random.default_rng(5).dirichlet(np.ones(3), size=8)
+        _ei_and_grad(cands, W, factor, alpha, self.hyper, min(D.outputs))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_candidate_rejected(self, bad):
+        D = history()
+        W, factor, alpha = _factorize(D, self.hyper)
+        cands = np.full((4, 3), 1.0 / 3.0)
+        cands[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _ei_and_grad(cands, W, factor, alpha, self.hyper, min(D.outputs))
 
     def test_batch_matches_scalar(self):
         D = history()
@@ -113,6 +180,11 @@ def sequential_acquisition(D, hyper, seed=0, polish_steps=50):
 
 
 class TestMaximizeAcquisition:
+    def test_negative_polish_steps_rejected(self):
+        # used to return the best unpolished candidate without a word
+        with pytest.raises(ValueError, match="polish_steps"):
+            maximize_acquisition(history(), GpHyper(), polish_steps=-1)
+
     def test_result_on_simplex(self):
         D = history()
         for seed in range(3):
@@ -144,7 +216,30 @@ def learn(seed, oracle=bowl):
     return bo_learn(oracle, 3, budget=12, seed=seed)
 
 
+class TestInputChecks:
+    def test_history_inputs_of_different_lengths(self):
+        inputs = [np.array([0.5, 0.5]), np.array([0.2, 0.8]), np.array([0.2, 0.3, 0.5])]
+        with pytest.raises(ValueError, match="input 2 has length 3, input 0 has 2"):
+            QueryHistory(inputs, [0.0, 1.0, 2.0])
+
+    def test_posterior_at_a_point_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match=r"w has shape \(2,\)"):
+            gp_posterior(history(), GpHyper(), [0.5, 0.5])
+
+
 class TestBoLearn:
+    def test_no_basis_actions_rejected(self):
+        calls = []
+
+        def oracle(w):
+            calls.append(w)
+            return 0.0
+
+        # used to raise a bare IndexError from project_simplex
+        with pytest.raises(ValueError, match="N >= 1"):
+            bo_learn(oracle, 0, 6)
+        assert calls == []
+
     def test_incumbent_never_increases(self):
         w_best, trace = learn(seed=0)
         assert len(trace.values) == 12

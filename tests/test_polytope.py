@@ -571,6 +571,22 @@ class TestFrankWolfe:
         assert res.converged and res.iterations <= 5
         assert res.point[0] == pytest.approx(y_star, abs=1e-9)
 
+    def test_quadratic_takes_few_evaluations(self):
+        # bisection on the slope sign spent 56 evaluations here; the secant
+        # is exact on a linear slope up to rounding
+        calls = []
+        target = np.array([0.2, 0.8])
+
+        def fun(y):
+            calls.append(1)
+            r = y - target
+            return float(r @ r), 2.0 * r
+
+        res = frank_wolfe_min(fun, Polyhedron.simplex(2), tol_gap=1e-9)
+        assert res.converged
+        assert res.point == pytest.approx(target, abs=1e-15)
+        assert len(calls) <= 8
+
     def test_one_lp_per_iteration(self, monkeypatch):
         # the start is the polyhedron's phase-1 vertex, not a zero-cost LP
         calls = []
@@ -707,7 +723,31 @@ class TestLineStep:
         assert np.polynomial.polynomial.polyval(step, coeffs) <= p[2]
 
 
+def flip_count_nonzero_projection(v):
+    """project_simplex as it stood with np.flip and np.count_nonzero."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    u = np.flip(np.sort(v, axis=-1), axis=-1)
+    css = np.cumsum(u, axis=-1) - 1.0
+    idx = np.arange(1, v.shape[-1] + 1)
+    rho = np.count_nonzero(u - css / idx > 0.0, axis=-1, keepdims=True)
+    theta = np.take_along_axis(css, rho - 1, axis=-1) / rho
+    return np.maximum(v - theta, 0.0)
+
+
 class TestProjectSimplex:
+    def test_bitwise_equal_to_flip_count_nonzero(self):
+        rng = np.random.default_rng(11)
+        for k in range(10000):
+            scale = 10.0 ** rng.uniform(-3.0, 1.0)
+            V = rng.normal(scale=scale, size=(8, 5))
+            V[0] = rng.dirichlet(np.ones(5)) + scale * rng.normal(size=5)  # a simplex point plus noise
+            V[1, :3] = V[1, 0]  # tied
+            V[2] = np.eye(5)[k % 5] + 1e-12 * rng.normal(size=5)  # near a vertex
+            V[3] = scale  # all tied
+            out = project_simplex(V)
+            assert out.tobytes() == flip_count_nonzero_projection(V).tobytes()
+            assert out[k % 8].tobytes() == flip_count_nonzero_projection(V[k % 8]).tobytes()
+
     def test_spec_values(self):
         assert np.allclose(project_simplex([0.5, 0.7]), [0.4, 0.6], atol=1e-12)
         assert np.allclose(project_simplex([1.0, 0.0, 0.0]), [1.0, 0.0, 0.0])
