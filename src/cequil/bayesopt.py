@@ -19,14 +19,17 @@ of the offsets from the observations,
     G_n = (5 / (3 l^2)) (1 + q_n) e^{-q_n} (Phi(z) alpha_n + (phi(z) / rho) beta_n),
 
 so a batch of B candidates never needs the B x n x N kernel derivatives.
-The loop is sequential by construction: every query conditions on the full
-history.
+
+The GP functions take the history as plain arrays: the n x N matrix ``W``
+of queried weights, one per row, the n standardized outputs ``eta``, and
+the lengthscale l.  The noise sigma is :data:`NOISE_SIGMA`.  The loop is
+sequential by construction: every query conditions on the full history.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, List, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Callable, List, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -34,36 +37,40 @@ from scipy.linalg.lapack import dpotrs
 from scipy.special import ndtr
 
 from cequil.polytope import project_simplex
-from cequil.regret import validate_weights
 
 __all__ = [
-    "GpHyper",
-    "QueryHistory",
-    "GpPosterior",
     "LearnTrace",
     "GpError",
     "OracleFailure",
-    "gp_posterior",
-    "expected_improvement",
     "log_marginal_likelihood",
     "maximize_acquisition",
     "bo_learn",
     "LENGTHSCALE_GRID",
+    "LENGTHSCALE_START",
+    "NOISE_SIGMA",
     "N_INIT",
     "NUM_CANDIDATES",
     "NUM_POLISH",
+    "NUM_POLISH_STEPS",
 ]
 
 _SQRT5 = np.sqrt(5.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-#: Candidates for the periodic lengthscale refit.
+#: Noise standard deviation of the standardized observations; the signal
+#: variance is 1.
+NOISE_SIGMA = 1e-6
+#: Lengthscale of :func:`bo_learn`'s first rounds, and the candidates it
+#: refits it on by log marginal likelihood every 10 queries.
+LENGTHSCALE_START = 0.5
 LENGTHSCALE_GRID = (0.1, 0.2, 0.5, 1.0, 2.0)
 #: Flat-Dirichlet queries that seed :func:`bo_learn`'s history.
 N_INIT = 5
-#: Points :func:`maximize_acquisition` scores, and the best of them it polishes.
+#: Points :func:`maximize_acquisition` scores, the best of them it
+#: polishes, and the projected-gradient steps each polish takes.
 NUM_CANDIDATES = 512
 NUM_POLISH = 8
+NUM_POLISH_STEPS = 50
 
 
 class GpError(RuntimeError):
@@ -78,112 +85,46 @@ class OracleFailure(RuntimeError):
         self.trace = trace
 
 
-@dataclass(frozen=True)
-class GpHyper:
-    """Kernel and noise hyperparameters.
-
-    ``lengthscale`` is the starting value: :func:`bo_learn` refits it on
-    :data:`LENGTHSCALE_GRID` by log marginal likelihood every 10 queries.
-    The signal variance is 1: :func:`bo_learn` standardizes its outputs.
-    """
-
-    lengthscale: float = 0.5
-    noise_sigma: float = 1e-6
-
-    def __post_init__(self):
-        if self.lengthscale <= 0:
-            raise ValueError("lengthscale must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
-
-
-@dataclass
-class QueryHistory:
-    """Observed (w, value) pairs; inputs live on the simplex."""
-
-    inputs: List[np.ndarray] = field(default_factory=list)
-    outputs: List[float] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.inputs = [validate_weights(w) for w in self.inputs]
-        self.outputs = [float(v) for v in self.outputs]
-        if len(self.inputs) != len(self.outputs):
-            raise ValueError("inputs and outputs must have equal length")
-        for k, w in enumerate(self.inputs):
-            if w.size != self.inputs[0].size:
-                raise ValueError(
-                    f"input {k} has length {w.size}, input 0 has {self.inputs[0].size}")
-
-    def __len__(self) -> int:
-        return len(self.inputs)
-
-    def input_matrix(self) -> np.ndarray:
-        return np.stack(self.inputs)
-
-    def output_vector(self) -> np.ndarray:
-        return np.asarray(self.outputs)
-
-
-class GpPosterior(NamedTuple):
-    mean: float
-    variance: float
-
-
-def _kernel_matrix(W1: np.ndarray, W2: np.ndarray, hyper: GpHyper) -> np.ndarray:
+def _kernel_matrix(W1: np.ndarray, W2: np.ndarray, lengthscale: float) -> np.ndarray:
     d2 = np.sum((W1[:, None, :] - W2[None, :, :]) ** 2, axis=-1)
-    q = _SQRT5 * np.sqrt(np.maximum(d2, 0.0)) / hyper.lengthscale
+    q = _SQRT5 * np.sqrt(np.maximum(d2, 0.0)) / lengthscale
     return (1.0 + q + q * q / 3.0) * np.exp(-q)
 
 
-def _factorize(D: QueryHistory, hyper: GpHyper):
-    W = D.input_matrix()
-    K = _kernel_matrix(W, W, hyper)
-    K[np.diag_indices_from(K)] += hyper.noise_sigma ** 2
+def _factorize(W, eta, lengthscale: float):
+    """Check the history and factor its noisy kernel matrix.
+
+    Returns ``(W, factor, alpha)``: the inputs as a float matrix, the lower
+    Cholesky factor of ``K + sigma^2 I`` and ``alpha = (K + sigma^2 I)^-1
+    eta``.  Raises ``ValueError`` unless ``W`` is an n x N matrix and
+    ``eta`` n values with n, N >= 1, all finite, and ``lengthscale > 0``.
+    """
+    W = np.asarray(W, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    if W.ndim != 2 or eta.ndim != 1 or 0 in W.shape or len(W) != len(eta):
+        raise ValueError(f"need an n x N input matrix and n outputs with n, N >= 1, "
+                         f"got shapes {W.shape} and {eta.shape}")
+    if not (np.isfinite(W).all() and np.isfinite(eta).all()):
+        raise ValueError("GP inputs and outputs must be finite")
+    if not lengthscale > 0:
+        raise ValueError(f"lengthscale must be positive, got {lengthscale}")
+    K = _kernel_matrix(W, W, lengthscale)
+    K[np.diag_indices_from(K)] += NOISE_SIGMA ** 2
     try:
         factor = cho_factor(K, lower=True)
     except np.linalg.LinAlgError as exc:
-        raise GpError(
-            "kernel matrix is not positive definite; duplicate inputs with "
-            "noise_sigma=0 need jitter (set noise_sigma > 0)") from exc
-    alpha = cho_solve(factor, D.output_vector())
-    return W, factor, alpha
+        raise GpError("kernel matrix is not positive definite; "
+                      "duplicate inputs with zero noise need jitter") from exc
+    return W, factor, cho_solve(factor, eta)
 
 
-def gp_posterior(D: QueryHistory, hyper: GpHyper, w) -> GpPosterior:
-    """Exact posterior mean and variance at one candidate point."""
-    if len(D) < 1:
-        raise ValueError("posterior needs at least one observation")
-    w = np.asarray(w, dtype=float)
-    if w.shape != D.inputs[0].shape:
-        raise ValueError(f"w has shape {w.shape}, the inputs have {D.inputs[0].shape}")
-    W, factor, alpha = _factorize(D, hyper)
-    c = _kernel_matrix(W, w[None, :], hyper)[:, 0]
-    mean = float(c @ alpha)
-    var = float(1.0 - c @ cho_solve(factor, c))
-    return GpPosterior(mean, max(var, 0.0))
-
-
-def expected_improvement(post: GpPosterior, best_observed: float) -> float:
-    """Expected amount by which a draw at the posterior beats the incumbent.
-
-    Minimization form; at zero posterior deviation the improvement is
-    defined as zero so already-observed points never win the acquisition.
-    """
-    if post.variance < 0:
-        raise ValueError("posterior variance must be nonnegative")
-    rho = np.sqrt(post.variance)
-    if rho == 0.0:
-        return 0.0
-    z = (best_observed - post.mean) / rho
-    return float((best_observed - post.mean) * ndtr(z) + rho * np.exp(-0.5 * z * z) * _INV_SQRT_2PI)
-
-
-def log_marginal_likelihood(D: QueryHistory, hyper: GpHyper) -> float:
-    """Gaussian log evidence of the history under the GP prior."""
-    W, factor, alpha = _factorize(D, hyper)
-    eta = D.output_vector()
+def log_marginal_likelihood(W, eta, lengthscale: float) -> float:
+    """Gaussian log evidence of the outputs ``eta`` at inputs ``W`` under
+    the GP prior."""
+    W, factor, alpha = _factorize(W, eta, lengthscale)
     logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    return float(-0.5 * eta @ alpha - 0.5 * logdet - 0.5 * len(D) * np.log(2.0 * np.pi))
+    return float(-0.5 * np.asarray(eta, dtype=float) @ alpha - 0.5 * logdet
+                 - 0.5 * len(W) * np.log(2.0 * np.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +132,7 @@ def log_marginal_likelihood(D: QueryHistory, hyper: GpHyper) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _ei_and_grad(W_cand, W, factor, alpha, hyper, best):
+def _ei_and_grad(W_cand, W, factor, alpha, lengthscale, best):
     """EI and its ambient-space gradient at each row of the B x N batch W_cand.
 
     Returns ``(ei[B], grad[B, N])``.  Where the posterior deviation is at
@@ -205,7 +146,7 @@ def _ei_and_grad(W_cand, W, factor, alpha, hyper, best):
     if not np.isfinite(W_cand).all():
         raise ValueError("acquisition candidates must be finite")
     diff = W_cand[:, None, :] - W[None, :, :]  # B x n x N
-    q = _SQRT5 * np.sqrt(np.einsum("bnk,bnk->bn", diff, diff)) / hyper.lengthscale  # B x n
+    q = _SQRT5 * np.sqrt(np.einsum("bnk,bnk->bn", diff, diff)) / lengthscale  # B x n
     e = np.exp(-q)
     C = (1.0 + q + q * q / 3.0) * e
     beta = dpotrs(factor[0], C.T, lower=True)[0].T  # B x n
@@ -217,51 +158,47 @@ def _ei_and_grad(W_cand, W, factor, alpha, hyper, best):
     cdf = ndtr(z)
     pdf = np.exp(-0.5 * z * z) * _INV_SQRT_2PI
     ei = np.where(seen, 0.0, (best - mean) * cdf + rho * pdf)
-    G = ((5.0 / (3.0 * hyper.lengthscale ** 2)) * (1.0 + q) * e
+    G = ((5.0 / (3.0 * lengthscale ** 2)) * (1.0 + q) * e
          * (cdf[:, None] * alpha + (pdf / rho)[:, None] * beta))
     grad = G.sum(axis=1)[:, None] * W_cand - np.einsum("bn,nk->bk", G, W)
     return ei, np.where(seen[:, None], 0.0, grad)
 
 
-def maximize_acquisition(D: QueryHistory, hyper: GpHyper, seed: int = 0,
-                         polish_steps: int = 50) -> np.ndarray:
-    """Approximate argmax of EI over the simplex.
+def maximize_acquisition(W, eta, lengthscale: float, seed: int = 0) -> np.ndarray:
+    """Approximate argmax of EI over the simplex, given the inputs ``W``
+    (n x N), the standardized outputs ``eta`` and the lengthscale.
 
     Seeded flat-Dirichlet sampling scores :data:`NUM_CANDIDATES` points; the
-    :data:`NUM_POLISH` best start a projected-gradient ascent with step
-    0.1/sqrt(t), all starts advancing together as one batch.  The result is
-    the best candidate unless a polish iterate beats it strictly; ties go to
-    the lowest candidate index, then to the first iterate in start-major
-    order, exactly as polishing the starts one after another would choose.
-    The returned point satisfies the simplex invariants exactly.
+    :data:`NUM_POLISH` best start a projected-gradient ascent of
+    :data:`NUM_POLISH_STEPS` steps with step 0.1/sqrt(t), all starts
+    advancing together as one batch.  The result is the best candidate
+    unless a polish iterate beats it strictly; ties go to the lowest
+    candidate index, then to the first iterate in start-major order, exactly
+    as polishing the starts one after another would choose.  The returned
+    point satisfies the simplex invariants exactly.
     """
-    if len(D) < 1:
-        raise ValueError("acquisition needs at least one observation")
-    if polish_steps < 0:
-        raise ValueError(f"polish_steps must be nonnegative, got {polish_steps}")
-    N = D.inputs[0].size
+    W, factor, alpha = _factorize(W, eta, lengthscale)
+    best = float(np.min(eta))
+    N = W.shape[1]
     rng = np.random.default_rng(seed)
-    W, factor, alpha = _factorize(D, hyper)
-    best = float(np.min(D.output_vector()))
 
     cands = rng.dirichlet(np.ones(N), size=NUM_CANDIDATES)
-    ei, _ = _ei_and_grad(cands, W, factor, alpha, hyper, best)
+    ei, _ = _ei_and_grad(cands, W, factor, alpha, lengthscale, best)
     best_w = cands[int(np.argmax(ei))]
     w = cands[np.argsort(-ei, kind="stable")[:NUM_POLISH]]
 
     # iterates[s, t] is start s after t polish steps; row-major is the
     # order in which polishing the starts one by one would visit them
-    iterates = np.empty((len(w), polish_steps + 1, N))
-    values = np.empty((len(w), polish_steps + 1))
-    for t in range(polish_steps + 1):
+    iterates = np.empty((len(w), NUM_POLISH_STEPS + 1, N))
+    values = np.empty((len(w), NUM_POLISH_STEPS + 1))
+    for t in range(NUM_POLISH_STEPS + 1):
         iterates[:, t] = w
-        values[:, t], grad = _ei_and_grad(w, W, factor, alpha, hyper, best)
-        if t < polish_steps:
+        values[:, t], grad = _ei_and_grad(w, W, factor, alpha, lengthscale, best)
+        if t < NUM_POLISH_STEPS:
             w = project_simplex(w + (0.1 / np.sqrt(t + 1)) * grad)
-    if values.size:
-        k = np.unravel_index(np.argmax(values), values.shape)
-        if values[k] > np.max(ei):
-            best_w = iterates[k]
+    k = np.unravel_index(np.argmax(values), values.shape)
+    if values[k] > np.max(ei):
+        best_w = iterates[k]
     return project_simplex(best_w)
 
 
@@ -293,18 +230,20 @@ def bo_learn(oracle: Callable[[np.ndarray], float], N: int, budget: int,
     """Sequentially query the average-regret oracle to minimize it.
 
     :data:`N_INIT` flat-Dirichlet queries seed the history; each following
-    round fits the GP on standardized observations, maximizes EI over the
-    simplex, and queries the oracle there.  Returns the incumbent (the
-    lowest observed value's weight vector) and the full trace; the
-    incumbent-value sequence is the running minimum, hence non-increasing.
-    An oracle that raises or returns NaN or inf stops the run with
-    :class:`OracleFailure`, which carries the trace of the queries before.
+    round standardizes the observations, maximizes EI over the simplex with
+    :func:`maximize_acquisition`, and queries the oracle there.  The
+    lengthscale starts at :data:`LENGTHSCALE_START` and is refit every 10
+    queries to the point of :data:`LENGTHSCALE_GRID` with the highest
+    :func:`log_marginal_likelihood`.  Returns the incumbent (the lowest
+    observed value's weight vector) and the full trace; the incumbent-value
+    sequence is the running minimum, hence non-increasing.  An oracle that
+    raises or returns NaN or inf stops the run with :class:`OracleFailure`,
+    which carries the trace of the queries before.
     """
     if N < 1:
         raise ValueError(f"need N >= 1 basis actions, got {N}")
     if budget < N_INIT:
         raise ValueError(f"need budget >= {N_INIT}, got {budget}")
-    hyper = GpHyper()
     rng = np.random.default_rng(seed)
     inputs: List[np.ndarray] = []
     values: List[float] = []
@@ -327,19 +266,13 @@ def bo_learn(oracle: Callable[[np.ndarray], float], N: int, budget: int,
     for _ in range(N_INIT):
         query(project_simplex(rng.dirichlet(np.ones(N))))
 
-    lengthscale = hyper.lengthscale
+    lengthscale = LENGTHSCALE_START
     for n in range(N_INIT, budget):
-        D_std = QueryHistory(list(inputs), list(_standardized(values)))
+        W, eta = np.stack(inputs), _standardized(values)
         if n % 10 == 0:
-            best_l, best_lml = lengthscale, -np.inf
-            for cand in LENGTHSCALE_GRID:
-                lml = log_marginal_likelihood(D_std, replace(hyper, lengthscale=cand))
-                if lml > best_lml:
-                    best_l, best_lml = cand, lml
-            lengthscale = best_l
-        hyper_n = replace(hyper, lengthscale=lengthscale)
-        w_next = maximize_acquisition(D_std, hyper_n, seed=int(rng.integers(2 ** 63)))
-        query(w_next)
+            lengthscale = max(LENGTHSCALE_GRID,
+                              key=lambda cand: log_marginal_likelihood(W, eta, cand))
+        query(maximize_acquisition(W, eta, lengthscale, seed=int(rng.integers(2 ** 63))))
 
     values_arr = np.asarray(values)
     incumbents = np.minimum.accumulate(values_arr)

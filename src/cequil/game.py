@@ -14,6 +14,7 @@ player's free-flow optimum.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, List, Optional, Sequence
@@ -81,6 +82,11 @@ class PlayerSpec:
     budget_factor: float = 1.5
 
     def __post_init__(self):
+        for node in (self.origin, self.destination):
+            try:
+                operator.index(node)
+            except TypeError:
+                raise GameError(f"node ids must be integers, got {node!r}") from None
         if self.origin == self.destination:
             raise GameError("origin and destination must differ")
         if not (np.isfinite(self.demand) and self.demand > 0):

@@ -609,14 +609,16 @@ def frank_wolfe_min(
     derivative.
 
     Iteration stops once the gap ``g(x) = grad f(x).(x - v)`` is at most
-    ``tol_gap``, or at a zero step.  The result carries ``value = f(x)`` at
-    the returned point; the gap there bounds ``value - min f`` whether or
-    not the run converged.  Non-convergence is reported through
+    ``tol_gap >= 0``, or at a zero step.  The result carries ``value =
+    f(x)`` at the returned point; the gap there bounds ``value - min f``
+    whether or not the run converged.  Non-convergence is reported through
     ``converged=False`` and the final gap, never as an exception; an empty
     polyhedron raises :class:`InfeasibleError`.
     """
+    if not tol_gap >= 0:
+        raise ValueError(f"tol_gap must be >= 0, got {tol_gap}")
     if max_iter < 0:
-        raise ValueError("max_iter must be nonnegative")
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     if poly._lp_start == "infeasible":
         raise InfeasibleError("polyhedron is infeasible")
     x = poly._lp_start[4][:poly.dim].copy()
@@ -692,6 +694,8 @@ def project_simplex(v) -> np.ndarray:
     equal to the projection of that row on its own.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.shape[-1] == 0:
+        raise ValueError(f"project_simplex needs at least one coordinate, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError("project_simplex requires finite input")
     u = np.sort(v, axis=-1)[..., ::-1]

@@ -83,7 +83,11 @@ class BasisSet:
         return np.concatenate(self.actions[k])
 
     def validate_feasible(self, game) -> None:
-        """Raise unless every per-player component lies in its action set."""
+        """Raise unless the basis has one action per player of ``game`` and
+        every per-player component lies in its action set."""
+        if self.num_players != len(game.action_sets):
+            raise ValueError(f"basis has {self.num_players} players, "
+                             f"the game has {len(game.action_sets)}")
         for k, joint in enumerate(self.actions):
             for i, x in enumerate(joint):
                 if not contains(game.action_sets[i], x):
@@ -134,12 +138,17 @@ class RegretOracle:
     reports.
 
     ``tol_gap=None`` stops each player's Frank-Wolfe run at a gap of
-    ``1e-6 * max(1, |expected cost|)``; a given ``tol_gap`` is every
-    player's gap target instead.
+    ``1e-6 * max(1, |expected cost|)``; a given ``tol_gap >= 0`` is every
+    player's gap target instead.  Both it and ``max_iter`` are checked on
+    construction, as is the basis against the game.
     """
 
     def __init__(self, game, basis: BasisSet, tol_gap: Optional[float] = None,
                  max_iter: int = 2000):
+        if tol_gap is not None and not tol_gap >= 0:
+            raise ValueError(f"tol_gap must be None or >= 0, got {tol_gap}")
+        if max_iter < 0:
+            raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
         basis.validate_feasible(game)
         self.game = game
         self.basis = basis

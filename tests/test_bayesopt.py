@@ -3,26 +3,28 @@ import pytest
 from scipy.linalg import cho_solve
 from scipy.special import ndtr
 
+from typing import NamedTuple
+
 from cequil import bayesopt
 from cequil.bayesopt import (
     N_INIT,
     NUM_CANDIDATES,
     NUM_POLISH,
-    GpHyper,
+    GpError,
     OracleFailure,
-    QueryHistory,
     _INV_SQRT_2PI,
     _SQRT5,
     _ei_and_grad,
     _factorize,
+    _kernel_matrix,
     bo_learn,
-    expected_improvement,
-    gp_posterior,
+    log_marginal_likelihood,
     maximize_acquisition,
 )
 from cequil.polytope import project_simplex
 
 TARGET = np.array([0.6, 0.3, 0.1])
+LENGTHSCALE = 0.5
 
 
 def bowl(w):
@@ -30,27 +32,48 @@ def bowl(w):
 
 
 def history(n=6, N=3, seed=0):
-    """Observations of a bowl standardized as bo_learn standardizes them."""
+    """Inputs and outputs of a bowl, standardized as bo_learn standardizes them."""
     rng = np.random.default_rng(seed)
     W = rng.dirichlet(np.ones(N), size=n)
     target = TARGET if N == 3 else np.full(N, 1.0 / N)
     eta = np.sum((W - target) ** 2, axis=1)
-    return QueryHistory(list(W), list((eta - eta.mean()) / eta.std()))
+    return W, (eta - eta.mean()) / eta.std()
 
 
-def reference_ei(D, hyper, w):
+class GpPosterior(NamedTuple):
+    mean: float
+    variance: float
+
+
+def gp_posterior(W, eta, lengthscale, w) -> GpPosterior:
+    """Exact posterior mean and variance at one candidate point."""
+    W, factor, alpha = _factorize(W, eta, lengthscale)
+    c = _kernel_matrix(W, np.asarray(w, dtype=float)[None, :], lengthscale)[:, 0]
+    return GpPosterior(float(c @ alpha), max(float(1.0 - c @ cho_solve(factor, c)), 0.0))
+
+
+def expected_improvement(post: GpPosterior, best_observed: float) -> float:
+    """Closed-form EI in minimization form, zero at zero posterior deviation."""
+    rho = np.sqrt(post.variance)
+    if rho == 0.0:
+        return 0.0
+    z = (best_observed - post.mean) / rho
+    return float((best_observed - post.mean) * ndtr(z) + rho * np.exp(-0.5 * z * z) * _INV_SQRT_2PI)
+
+
+def reference_ei(W, eta, w):
     """The scalar path: exact posterior, then closed-form EI."""
-    return expected_improvement(gp_posterior(D, hyper, w), float(min(D.outputs)))
+    return expected_improvement(gp_posterior(W, eta, LENGTHSCALE, w), float(min(eta)))
 
 
-def dC_tensor_ei_and_grad(W_cand, W, factor, alpha, hyper, best):
+def dC_tensor_ei_and_grad(W_cand, W, factor, alpha, lengthscale, best):
     """The kernel as it stood before the fused gradient: the B x n x N
     derivative tensor dC contracted by two einsums, beta from cho_solve."""
     diff = W_cand[:, None, :] - W[None, :, :]
-    q = _SQRT5 * np.sqrt(np.sum(diff * diff, axis=-1)) / hyper.lengthscale
+    q = _SQRT5 * np.sqrt(np.sum(diff * diff, axis=-1)) / lengthscale
     e = np.exp(-q)
     C = (1.0 + q + q * q / 3.0) * e
-    dC = (-5.0 / (3.0 * hyper.lengthscale ** 2)) * ((1.0 + q) * e)[:, :, None] * diff
+    dC = (-5.0 / (3.0 * lengthscale ** 2)) * ((1.0 + q) * e)[:, :, None] * diff
     beta = cho_solve(factor, C.T).T
     mean = C @ alpha
     rho = np.sqrt(np.maximum(1.0 - np.sum(C * beta, axis=1), 0.0))
@@ -67,16 +90,18 @@ def dC_tensor_ei_and_grad(W_cand, W, factor, alpha, hyper, best):
 
 
 class TestAcquisitionKernels:
-    hyper = GpHyper(lengthscale=0.5, noise_sigma=1e-3)
+    @pytest.fixture(autouse=True)
+    def noise(self, monkeypatch):
+        monkeypatch.setattr(bayesopt, "NOISE_SIGMA", 1e-3)
 
     @pytest.mark.parametrize("n, N, seed", [(6, 3, 0), (10, 5, 3), (20, 5, 4), (40, 5, 1)])
     def test_fused_gradient_matches_dC_tensor(self, n, N, seed):
-        D = history(n=n, N=N, seed=seed)
-        W, factor, alpha = _factorize(D, self.hyper)
-        best = min(D.outputs)
+        W, eta = history(n=n, N=N, seed=seed)
+        W, factor, alpha = _factorize(W, eta, LENGTHSCALE)
+        best = min(eta)
         cands = np.random.default_rng(seed + 10).dirichlet(np.ones(N), size=512)
-        ei, grad = _ei_and_grad(cands, W, factor, alpha, self.hyper, best)
-        ref_ei, ref_grad = dC_tensor_ei_and_grad(cands, W, factor, alpha, self.hyper, best)
+        ei, grad = _ei_and_grad(cands, W, factor, alpha, LENGTHSCALE, best)
+        ref_ei, ref_grad = dC_tensor_ei_and_grad(cands, W, factor, alpha, LENGTHSCALE, best)
         assert np.abs(ei - ref_ei).max() <= 1e-10 * np.abs(ref_ei).max()
         assert np.abs(grad - ref_grad).max() <= 1e-10 * np.abs(ref_grad).max()
 
@@ -91,47 +116,47 @@ class TestAcquisitionKernels:
             raise AssertionError("the kernel must not go through cho_solve")
 
         dpotrs = bayesopt.dpotrs
-        D = history()
-        W, factor, alpha = _factorize(D, self.hyper)
+        W, eta = history()
+        W, factor, alpha = _factorize(W, eta, LENGTHSCALE)
         monkeypatch.setattr(bayesopt, "dpotrs", counting)
         monkeypatch.setattr(bayesopt, "cho_solve", forbidden)
         cands = np.random.default_rng(5).dirichlet(np.ones(3), size=8)
-        _ei_and_grad(cands, W, factor, alpha, self.hyper, min(D.outputs))
+        _ei_and_grad(cands, W, factor, alpha, LENGTHSCALE, min(eta))
         assert len(calls) == 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_candidate_rejected(self, bad):
-        D = history()
-        W, factor, alpha = _factorize(D, self.hyper)
+        W, eta = history()
+        W, factor, alpha = _factorize(W, eta, LENGTHSCALE)
         cands = np.full((4, 3), 1.0 / 3.0)
         cands[2, 1] = bad
         with pytest.raises(ValueError, match="finite"):
-            _ei_and_grad(cands, W, factor, alpha, self.hyper, min(D.outputs))
+            _ei_and_grad(cands, W, factor, alpha, LENGTHSCALE, min(eta))
 
     def test_batch_matches_scalar(self):
-        D = history()
-        W, factor, alpha = _factorize(D, self.hyper)
+        W, eta = history()
+        W, factor, alpha = _factorize(W, eta, LENGTHSCALE)
         cands = np.random.default_rng(1).dirichlet(np.ones(3), size=20)
-        batch, grad = _ei_and_grad(cands, W, factor, alpha, self.hyper, min(D.outputs))
+        batch, grad = _ei_and_grad(cands, W, factor, alpha, LENGTHSCALE, min(eta))
         assert batch.shape == (20,) and grad.shape == (20, 3)
-        ref = [reference_ei(D, self.hyper, w) for w in cands]
+        ref = [reference_ei(W, eta, w) for w in cands]
         assert batch == pytest.approx(ref, rel=1e-9, abs=1e-15)
 
     def test_value_matches_scalar(self):
-        D = history()
-        W, factor, alpha = _factorize(D, self.hyper)
+        W, eta = history()
+        W, factor, alpha = _factorize(W, eta, LENGTHSCALE)
         for w in np.random.default_rng(2).dirichlet(np.ones(3), size=10):
-            val, _ = _ei_and_grad(w[None], W, factor, alpha, self.hyper, min(D.outputs))
-            assert val[0] == pytest.approx(reference_ei(D, self.hyper, w), rel=1e-9, abs=1e-15)
+            val, _ = _ei_and_grad(w[None], W, factor, alpha, LENGTHSCALE, min(eta))
+            assert val[0] == pytest.approx(reference_ei(W, eta, w), rel=1e-9, abs=1e-15)
 
     def test_gradient_matches_central_differences(self):
-        D = history()
-        W, factor, alpha = _factorize(D, self.hyper)
-        best = min(D.outputs)
+        W, eta = history()
+        W, factor, alpha = _factorize(W, eta, LENGTHSCALE)
+        best = min(eta)
         h = 1e-6
         checked = 0
         for w in np.random.default_rng(3).dirichlet(np.ones(3), size=40):
-            val, grad = _ei_and_grad(w[None], W, factor, alpha, self.hyper, best)
+            val, grad = _ei_and_grad(w[None], W, factor, alpha, LENGTHSCALE, best)
             if val[0] < 1e-4:
                 continue  # EI and its gradient underflow far from the incumbent
             checked += 1
@@ -139,19 +164,19 @@ class TestAcquisitionKernels:
             for j in range(3):
                 e = np.zeros(3)
                 e[j] = h
-                hi, _ = _ei_and_grad((w + e)[None], W, factor, alpha, self.hyper, best)
-                lo, _ = _ei_and_grad((w - e)[None], W, factor, alpha, self.hyper, best)
+                hi, _ = _ei_and_grad((w + e)[None], W, factor, alpha, LENGTHSCALE, best)
+                lo, _ = _ei_and_grad((w - e)[None], W, factor, alpha, LENGTHSCALE, best)
                 numeric[j] = (hi[0] - lo[0]) / (2.0 * h)
             assert grad[0] == pytest.approx(numeric, rel=1e-5, abs=1e-9)
         assert checked >= 5
 
-    def test_ei_vanishes_at_observations_as_noise_vanishes(self):
-        D = history()
+    def test_ei_vanishes_at_observations_as_noise_vanishes(self, monkeypatch):
+        W, eta = history()
         worst = []
         for sigma in (1e-2, 1e-4, 1e-6):
-            hyper = GpHyper(lengthscale=0.5, noise_sigma=sigma)
-            W, factor, alpha = _factorize(D, hyper)
-            ei, _ = _ei_and_grad(W, W, factor, alpha, hyper, min(D.outputs))
+            monkeypatch.setattr(bayesopt, "NOISE_SIGMA", sigma)
+            W, factor, alpha = _factorize(W, eta, LENGTHSCALE)
+            ei, _ = _ei_and_grad(W, W, factor, alpha, LENGTHSCALE, min(eta))
             assert np.all(ei >= 0.0)
             # the posterior deviation at an observation is below sigma
             assert ei.max() <= sigma
@@ -159,19 +184,20 @@ class TestAcquisitionKernels:
         assert worst[0] > worst[1] > worst[2]
 
 
-def sequential_acquisition(D, hyper, seed=0, polish_steps=50):
+def sequential_acquisition(W, eta, lengthscale, seed=0):
     """Polish the starts one after another, one point per EI evaluation."""
+    polish_steps = bayesopt.NUM_POLISH_STEPS
     rng = np.random.default_rng(seed)
-    W, factor, alpha = _factorize(D, hyper)
-    best = float(np.min(D.output_vector()))
+    W, factor, alpha = _factorize(W, eta, lengthscale)
+    best = float(np.min(eta))
     cands = rng.dirichlet(np.ones(W.shape[1]), size=NUM_CANDIDATES)
-    ei = np.array([_ei_and_grad(c[None], W, factor, alpha, hyper, best)[0][0]
+    ei = np.array([_ei_and_grad(c[None], W, factor, alpha, lengthscale, best)[0][0]
                    for c in cands])
     best_w, best_ei = cands[int(np.argmax(ei))], float(np.max(ei))
     for idx in np.argsort(-ei, kind="stable")[:NUM_POLISH]:
         w = cands[idx]
         for t in range(1, polish_steps + 2):
-            val, grad = _ei_and_grad(w[None], W, factor, alpha, hyper, best)
+            val, grad = _ei_and_grad(w[None], W, factor, alpha, lengthscale, best)
             if val[0] > best_ei:
                 best_ei, best_w = val[0], w
             if t <= polish_steps:
@@ -180,15 +206,14 @@ def sequential_acquisition(D, hyper, seed=0, polish_steps=50):
 
 
 class TestMaximizeAcquisition:
-    def test_negative_polish_steps_rejected(self):
-        # used to return the best unpolished candidate without a word
-        with pytest.raises(ValueError, match="polish_steps"):
-            maximize_acquisition(history(), GpHyper(), polish_steps=-1)
+    @pytest.fixture(autouse=True)
+    def short_polish(self, monkeypatch):
+        monkeypatch.setattr(bayesopt, "NUM_POLISH_STEPS", 10)
 
     def test_result_on_simplex(self):
-        D = history()
+        W, eta = history()
         for seed in range(3):
-            w = maximize_acquisition(D, GpHyper(), seed=seed, polish_steps=10)
+            w = maximize_acquisition(W, eta, LENGTHSCALE, seed=seed)
             assert w.shape == (3,)
             assert np.all(w >= 0.0)
             assert abs(w.sum() - 1.0) <= 1e-15
@@ -199,15 +224,15 @@ class TestMaximizeAcquisition:
         # their EI values tie to rounding, and the batched and one-row
         # evaluations (which round differently) may pick different ones of
         # them, about 1e-8 apart.
-        D = history(n=n, N=N, seed=seed)
-        batched = maximize_acquisition(D, GpHyper(), seed=seed, polish_steps=10)
-        reference = sequential_acquisition(D, GpHyper(), seed=seed, polish_steps=10)
+        W, eta = history(n=n, N=N, seed=seed)
+        batched = maximize_acquisition(W, eta, LENGTHSCALE, seed=seed)
+        reference = sequential_acquisition(W, eta, LENGTHSCALE, seed=seed)
         assert batched == pytest.approx(reference, rel=0.0, abs=1e-12)
 
     def test_deterministic(self):
-        D = history()
-        a = maximize_acquisition(D, GpHyper(), seed=4, polish_steps=10)
-        b = maximize_acquisition(D, GpHyper(), seed=4, polish_steps=10)
+        W, eta = history()
+        a = maximize_acquisition(W, eta, LENGTHSCALE, seed=4)
+        b = maximize_acquisition(W, eta, LENGTHSCALE, seed=4)
         assert np.array_equal(a, b)
 
 
@@ -216,15 +241,81 @@ def learn(seed, oracle=bowl):
     return bo_learn(oracle, 3, budget=12, seed=seed)
 
 
+# learn(seed) on the bowl, bitwise; one query a row: its three weights, its
+# value and the incumbent after it
+PINNED = {
+    0: """
+    0x1.94f3fcdf97be4p-2 0x1.2fa01026e7f01p-1 0x1.797c5a530c351p-7 0x1.158da8ca1c4e4p-3 0x1.158da8ca1c4e4p-3
+    0x1.1090fb5d5a860p-10 0x1.023513fb08225p-2 0x1.7e5d2d84cd419p-1 0x1.8f0d58b2b51bap-1 0x1.158da8ca1c4e4p-3
+    0x1.44eb3341ad8bcp-3 0x1.6c566abf920e6p-3 0x1.53af987fb0198p-1 0x1.0de9747351c0ap-1 0x1.158da8ca1c4e4p-3
+    0x1.4be126b16996cp-1 0x1.68199368ded00p-2 0x1.20f9a27013ecfp-13 0x1.ea5cbdb1872c0p-7 0x1.ea5cbdb1872c0p-7
+    0x1.5499070611fc4p-1 0x1.5c3a4978c9d95p-6 0x1.410a4d5c4f69dp-2 0x1.05356371870bcp-3 0x1.ea5cbdb1872c0p-7
+    0x1.d5b13534c750fp-1 0x1.52765659c578ap-4 0x0.0p+0 0x1.43863ccdfcfbep-3 0x1.ea5cbdb1872c0p-7
+    0x1.18aaa285d61b3p-1 0x1.30de63bc09625p-2 0x1.3b98ae7094ceap-3 0x1.7027e5dc69a44p-8 0x1.7027e5dc69a44p-8
+    0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0x1.b851eb851eb84p-1 0x1.7027e5dc69a44p-8
+    0x1.10d1ee2c00460p-1 0x1.9cf7f5ec85304p-2 0x1.0590b6ede90f8p-4 0x1.0e1242292bfd6p-6 0x1.7027e5dc69a44p-8
+    0x1.4810bac7273b3p-1 0x1.043564dd87c33p-2 0x1.aea49650a7199p-4 0x1.f12a4623d8d84p-9 0x1.f12a4623d8d84p-9
+    0x1.319e4f4b1a007p-1 0x1.3e1370dd4e75ap-2 0x1.7abfc231f625fp-4 0x1.778e76e6a6b73p-13 0x1.778e76e6a6b73p-13
+    0x1.885899b5af9e4p-2 0x1.931a3208da854p-2 0x1.c91a6882ebb92p-3 0x1.22b369d7c82d8p-4 0x1.778e76e6a6b73p-13
+    """,
+    5: """
+    0x1.f7c6482dd8353p-2 0x1.7c768ff446753p-3 0x1.49fe6fd804903p-2 0x1.2f96966c90f05p-4 0x1.2f96966c90f05p-4
+    0x1.10d6c7cae8d5fp-1 0x1.f140336dfc932p-6 0x1.bf3e6d334e8b0p-2 0x1.8665a1b59a750p-3 0x1.2f96966c90f05p-4
+    0x1.93517f3a56f4ep-1 0x1.217614954b0d1p-3 0x1.2287dd02b23e4p-4 0x1.f5daad055c8abp-5 0x1.f5daad055c8abp-5
+    0x1.3aaa72fe1b8f5p-2 0x1.56ba6ff8724a4p-2 0x1.6e9b1d0972268p-2 0x1.3a45cd16998d0p-3 0x1.f5daad055c8abp-5
+    0x1.e58a15ddee697p-5 0x1.22d0b09617324p-1 0x1.7dad5c1813ce6p-2 0x1.c11ef752f5642p-2 0x1.f5daad055c8abp-5
+    0x1.309f64bb44d94p-1 0x1.3767b8a3311e0p-2 0x1.9d65f79914bdep-4 0x1.6940514e759cep-15 0x1.6940514e759cep-15
+    0x1.4016cb9d002d4p-1 0x1.7fd268c5ffa57p-2 0x0.0p+0 0x1.09f4bfa18ddfcp-6 0x1.6940514e759cep-15
+    0x1.0ca67acc39d5ep-1 0x1.6683a50c6c018p-2 0x1.005ecab640a57p-3 0x1.20d2b5116cb76p-7 0x1.6940514e759cep-15
+    0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 0x1.428f5c28f5c29p+0 0x1.6940514e759cep-15
+    0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0x1.b851eb851eb84p-1 0x1.6940514e759cep-15
+    0x1.2a58a3d2f5f75p-1 0x1.17c93671e311dp-2 0x1.270b03d061ff5p-3 0x1.83a11bee99088p-9 0x1.6940514e759cep-15
+    0x1.3d468793bd749p-1 0x1.2c7469aa4263bp-2 0x1.63fa1cb90accfp-4 0x1.3ba353fd35e4fp-11 0x1.6940514e759cep-15
+    """,
+}
+
+
 class TestInputChecks:
     def test_history_inputs_of_different_lengths(self):
-        inputs = [np.array([0.5, 0.5]), np.array([0.2, 0.8]), np.array([0.2, 0.3, 0.5])]
-        with pytest.raises(ValueError, match="input 2 has length 3, input 0 has 2"):
-            QueryHistory(inputs, [0.0, 1.0, 2.0])
+        W = np.array([[0.5, 0.5], [0.2, 0.8], [0.4, 0.6]])
+        with pytest.raises(ValueError, match=r"got shapes \(3, 2\) and \(2,\)"):
+            log_marginal_likelihood(W, [0.0, 1.0], LENGTHSCALE)
 
-    def test_posterior_at_a_point_of_the_wrong_length(self):
-        with pytest.raises(ValueError, match=r"w has shape \(2,\)"):
-            gp_posterior(history(), GpHyper(), [0.5, 0.5])
+    @pytest.mark.parametrize("W, eta", [
+        (np.array([0.5, 0.5]), [0.0, 1.0]),  # one input, not a matrix
+        (np.zeros((0, 3)), []),  # no observations
+        (np.zeros((2, 0)), [0.0, 1.0]),  # no coordinates
+        (np.ones((2, 3)) / 3.0, [[0.0], [1.0]]),  # outputs as a column
+    ])
+    def test_shapes_rejected_by_both_entry_points(self, W, eta):
+        with pytest.raises(ValueError, match="shapes"):
+            log_marginal_likelihood(W, eta, LENGTHSCALE)
+        with pytest.raises(ValueError, match="shapes"):
+            maximize_acquisition(W, eta, LENGTHSCALE)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_history_rejected(self, bad):
+        W, eta = history()
+        W_bad, eta_bad = W.copy(), eta.copy()
+        W_bad[0, 1] = eta_bad[2] = bad
+        for args in ((W_bad, eta), (W, eta_bad)):
+            with pytest.raises(ValueError, match="finite"):
+                log_marginal_likelihood(*args, LENGTHSCALE)
+
+    @pytest.mark.parametrize("lengthscale", [0.0, -0.5, np.nan])
+    def test_lengthscale_must_be_positive(self, lengthscale):
+        with pytest.raises(ValueError, match="lengthscale must be positive"):
+            maximize_acquisition(*history(), lengthscale)
+
+    def test_duplicate_inputs_without_noise_are_a_gp_error(self, monkeypatch):
+        W, eta = history()
+        monkeypatch.setattr(bayesopt, "NOISE_SIGMA", 0.0)
+        log_marginal_likelihood(W, eta, LENGTHSCALE)  # distinct inputs factor
+        W[1] = W[0]
+        with pytest.raises(GpError, match="not positive definite") as info:
+            log_marginal_likelihood(W, eta, LENGTHSCALE)
+        assert "noise_sigma" not in str(info.value)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestBoLearn:
@@ -256,6 +347,37 @@ class TestBoLearn:
         assert t1.incumbent_values.tobytes() == t2.incumbent_values.tobytes()
         _, t3 = learn(seed=6)
         assert not np.array_equal(t1.values, t3.values)
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_trace_pinned_bitwise(self, seed):
+        rows = np.array([[float.fromhex(x) for x in line.split()]
+                         for line in PINNED[seed].strip().splitlines()])
+        w_best, trace = learn(seed=seed)
+        assert np.stack(trace.inputs).tobytes() == rows[:, :3].tobytes()
+        assert trace.values.tobytes() == rows[:, 3].tobytes()
+        assert trace.incumbent_values.tobytes() == rows[:, 4].tobytes()
+        assert w_best.tobytes() == rows[int(np.argmin(rows[:, 3])), :3].tobytes()
+
+    def test_gp_calls_go_through_the_module_globals(self, monkeypatch):
+        # bo_learn looks both functions up at call time, so a wrapper bound
+        # in their place (as a tracer binds one) sees every call
+        calls = []
+
+        def counted(name):
+            fn = getattr(bayesopt, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("maximize_acquisition", "log_marginal_likelihood"):
+            monkeypatch.setattr(bayesopt, name, counted(name))
+        bo_learn(bowl, 3, budget=40, seed=0)
+        # one acquisition a query after the 5 initial ones; the 5 grid
+        # lengthscales at each refit, n = 10, 20, 30
+        assert calls.count("maximize_acquisition") == 35
+        assert calls.count("log_marginal_likelihood") == 15
 
     def test_oracle_failure_carries_partial_trace(self):
         calls = []

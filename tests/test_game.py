@@ -68,6 +68,16 @@ class TestPlayerSpec:
         with pytest.raises(GameError, match="budget_factor must be finite and >= 1"):
             PlayerSpec(1, 4, 1.0, factor)
 
+    @pytest.mark.parametrize("origin, destination, bad", [
+        (1.5, 4, "1.5"), (1.0, 4, "1.0"), (1, 4.0, "4.0"), ("1", 4, "'1'"),
+    ])
+    def test_node_ids_must_be_integers(self, origin, destination, bad):
+        # a float id would fail only later, as numpy's bare IndexError
+        # inside build_traffic_game
+        with pytest.raises(GameError, match=f"node ids must be integers, got {bad}"):
+            PlayerSpec(origin, destination, 2.0)
+        assert PlayerSpec(np.int64(1), 4, 2.0).origin == 1
+
     def test_origin_must_differ_from_destination(self):
         with pytest.raises(GameError, match="origin and destination must differ"):
             PlayerSpec(3, 3, 1.0)

@@ -644,6 +644,16 @@ class TestFrankWolfe:
             frank_wolfe_min(lambda y: (0.0, np.zeros(1)), Polyhedron.interval(0.0, 1.0),
                             tol_gap=1e-9, max_iter=-1)
 
+    @pytest.mark.parametrize("tol_gap", [np.nan, -1e-9, -np.inf])
+    def test_tol_gap_must_be_nonnegative(self, tol_gap):
+        # no gap is ever <= NaN, so a NaN target would run every iteration;
+        # a negative one would be met only when rounding left a negative gap
+        def fun(y):
+            raise AssertionError("no iteration may run")
+
+        with pytest.raises(ValueError, match="tol_gap must be >= 0"):
+            frank_wolfe_min(fun, Polyhedron.simplex(3), tol_gap=tol_gap)
+
 
 def eigen_candidates(coeffs, s_max):
     """0, s_max and every real root of p' inside, from companion-matrix
@@ -780,6 +790,12 @@ class TestProjectSimplex:
             project_simplex([np.nan, 0.0])
         with pytest.raises(ValueError):
             project_simplex([[0.5, 0.5], [np.inf, 0.0]])
+
+    @pytest.mark.parametrize("empty", [[], np.zeros((3, 0))])
+    def test_rejects_no_coordinates(self, empty):
+        # the active-set lookup would otherwise raise a bare IndexError
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            project_simplex(empty)
 
     def test_matrix_rows_match_vector_bitwise(self):
         rng = np.random.default_rng(4)

@@ -96,6 +96,19 @@ class TestBasisSet:
         with pytest.raises(ValueError, match="player 1 is infeasible"):
             RegretOracle(game, nan)
 
+    @pytest.mark.parametrize("players", [1, 3])
+    def test_player_count_must_match_the_game(self, players):
+        # with one player too few, player 0's regret would leave out player
+        # 1's flow; with one too many, the action sets run out
+        net = parse_net((DATA / "toy4_net.tntp").read_text())
+        game = build_traffic_game(net, [PlayerSpec(1, 4, 1.0)] * 2)
+        route = np.array([1.0, 1.0, 0.0, 0.0])
+        basis = BasisSet([[route] * players])
+        with pytest.raises(ValueError, match=f"basis has {players} players, the game has 2"):
+            basis.validate_feasible(game)
+        with pytest.raises(ValueError, match=f"basis has {players} players"):
+            RegretOracle(game, basis)
+
     def test_actions_are_read_only_copies(self):
         game = quadratic_game()
         a0, a1 = np.array([0.0]), np.array([0.0])
@@ -424,6 +437,20 @@ class TestSolverNoise:
         ref = RegretOracle(game, clean).report([0.5, 0.5])
         assert np.all(np.isfinite(rep.per_player))
         assert rep.per_player == pytest.approx(ref.per_player, abs=1e-9)
+
+
+class TestOracleSettings:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"tol_gap": np.nan}, "tol_gap must be None or >= 0"),
+        ({"tol_gap": -1e-9}, "tol_gap must be None or >= 0"),
+        ({"max_iter": -1}, "max_iter must be nonnegative"),
+    ])
+    def test_checked_on_construction(self, kwargs, message):
+        # a bad setting fails here, before any report runs Frank-Wolfe with it
+        with pytest.raises(ValueError, match=message):
+            RegretOracle(quadratic_game(), diag_basis(), **kwargs)
+        oracle = RegretOracle(quadratic_game(), diag_basis(), tol_gap=0.0, max_iter=0)
+        assert oracle.report([0.5, 0.5]).per_player.shape == (2,)
 
 
 class TestOracleBranches:

@@ -1,6 +1,7 @@
 """The package's public surface: exports and console scripts resolve."""
 
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -20,6 +21,20 @@ def test_all_names_resolve(name):
     assert len(set(exported)) == len(exported), f"{name}.__all__ has duplicates"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names undefined attributes: {missing}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_lists_exactly_the_public_classes_and_functions(name):
+    # a class or function is the module's own when it is defined there or,
+    # for the package, in one of its submodules; imported helpers are not
+    module = importlib.import_module(name)
+    defs = {attr: value for attr, value in vars(module).items()
+            if inspect.isclass(value) or inspect.isfunction(value)}
+    own = {attr for attr, value in defs.items()
+           if not attr.startswith("_") and (value.__module__ + ".").startswith(name + ".")}
+    listed = set(getattr(module, "__all__", [])) & set(defs)
+    assert listed == own, (f"{name}.__all__ misses {sorted(own - listed)} "
+                           f"and lists {sorted(listed - own)} from elsewhere")
 
 
 def test_console_scripts_import():
