@@ -22,7 +22,7 @@ from scipy import sparse
 from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
-from cequil.polytope import InfeasibleError, solve_lp
+from cequil.polytope import InfeasibleError, _as_count, solve_lp
 from cequil.regret import BasisSet
 
 __all__ = [
@@ -65,6 +65,7 @@ def random_basis(game, N: int, seed: int) -> BasisSet:
     and split across players; the product LP decomposes into one LP per
     player.  Identical seeds give identical bases.
     """
+    N = _as_count(N, "N")
     if N < 1:
         raise ValueError("N must be at least 1")
     rng = np.random.default_rng(seed)
@@ -158,6 +159,7 @@ def ccp_select(game, N: int, max_iter: int = 100,
     The trace records every accepted iterate; its objective sequence is
     non-decreasing, and the result weakly dominates the initialization.
     """
+    N, max_iter = _as_count(N, "N"), _as_count(max_iter, "max_iter")
     if N < 2:
         raise ValueError("CCP selection needs N >= 2")
     p, q = np.triu_indices(N, 1)

@@ -36,7 +36,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrs
 from scipy.special import ndtr
 
-from cequil.polytope import project_simplex
+from cequil.polytope import _as_count, project_simplex
 
 __all__ = [
     "LearnTrace",
@@ -240,6 +240,7 @@ def bo_learn(oracle: Callable[[np.ndarray], float], N: int, budget: int,
     raises or returns NaN or inf stops the run with :class:`OracleFailure`,
     which carries the trace of the queries before.
     """
+    N, budget = _as_count(N, "N"), _as_count(budget, "budget")
     if N < 1:
         raise ValueError(f"need N >= 1 basis actions, got {N}")
     if budget < N_INIT:

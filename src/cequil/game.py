@@ -130,6 +130,11 @@ class TrafficGame:
         self.action_sets = list(action_sets)
         self.num_players = len(self.players)
         self.num_links = fft.size
+        # per-link congestion weight, and the binomial weights and powers of
+        # the line polynomial (nu + 1 terms)
+        self._coef = lam * fft / nominal_volume ** nu
+        self._binom = np.array([comb(nu, r) for r in range(nu + 1)], dtype=float)[:, None]
+        self._powers = np.arange(nu, -1, -1)[:, None, None]
 
     # -- generic convex-game surface -------------------------------------
 
@@ -153,9 +158,8 @@ class TrafficGame:
         w = np.asarray(weights, dtype=float)
         T = np.asarray(opp_totals, dtype=float)
         a = self.fft
-        lam, nu = self.lam, self.nu
+        nu, coef, binom, powers = self.nu, self._coef, self._binom, self._powers
         delta = self.deltas[i]
-        coef = lam * a / self.nominal_volume ** nu  # per-link congestion weight
 
         def fun(y: np.ndarray):
             tot = y[None, :] + T
@@ -167,21 +171,22 @@ class TrafficGame:
             grad = (a + coef * (w4 + nu * y * w3)) / delta
             return value, grad
 
-        binom = np.array([comb(nu, r) for r in range(nu + 1)], dtype=float)
-
         def line_poly(x: np.ndarray, d: np.ndarray) -> np.ndarray:
-            # coefficients of s -> fun(x + s d)[0], exact (degree nu + 1)
-            u = x[None, :] + T
+            # coefficients of s -> fun(x + s d)[0], exact (degree nu + 1):
+            # wx[r] is the s**r coefficient of coef * (w @ (x + s d + T)**nu),
+            # so times y = x + s d it adds wx[r].x to s**r and wx[r].d to
+            # s**(r + 1)
+            d_pow = np.empty((nu + 1, x.size))
+            d_pow[0] = 1.0
+            d_pow[1:] = d
+            np.cumprod(d_pow, axis=0, out=d_pow)  # d**r, r = 0..nu
+            p = w @ ((x[None, :] + T)[None] ** powers * d_pow[:, None, :])
+            wx = coef * (binom * p)
             coeffs = np.zeros(nu + 2)
-            coeffs[0] += float(a @ x)
-            coeffs[1] += float(a @ d)
-            d_pow = 1.0
-            for r in range(nu + 1):
-                p_r = binom[r] * (w @ (u ** (nu - r) * d_pow))
-                wx = coef * p_r
-                coeffs[r] += float(wx @ x)
-                coeffs[r + 1] += float(wx @ d)
-                d_pow = d_pow * d
+            coeffs[0] = a @ x
+            coeffs[1] = a @ d
+            coeffs[1:] += wx @ d
+            coeffs[:-1] += wx @ x
             return coeffs / delta
 
         return fun, line_poly

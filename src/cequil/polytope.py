@@ -9,9 +9,10 @@ This module provides the geometry every other part of the package sits on:
   every polyhedron, boxes included.  Phase 1 does not read the cost, so it
   runs once, when the polyhedron is constructed, and every call runs phase
   2 only.  Phase 2 starts from the polyhedron's phase-1 basis, or, given
-  ``warm=`` a previous optimal solution on the same polyhedron, from that
-  solution's basis.  Deterministic: identical inputs (``warm`` included)
-  give bitwise-identical vertices.
+  ``warm=`` a previous optimal solution on the same polyhedron, continues
+  the simplex state that solution ended with (basis, basis inverse, vertex)
+  without refactorizing it.  Deterministic: identical inputs (``warm``
+  included) give bitwise-identical vertices.
 * :func:`frank_wolfe_min` -- conditional-gradient minimization of a smooth
   convex function over a :class:`Polyhedron` from its phase-1 vertex, with
   away steps over the active vertex set; every step is exact on its
@@ -31,6 +32,7 @@ read-only) and safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -69,6 +71,14 @@ class DegeneracyError(PolytopeError, RuntimeError):
 
 class InfeasibleError(PolytopeError, RuntimeError):
     """An operation that needs a feasible point was given an empty set."""
+
+
+def _as_count(value, name: str) -> int:
+    """``value`` as an int, or a TypeError that names the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _as_float_vector(v, name: str) -> np.ndarray:
@@ -177,8 +187,9 @@ class LpSolution:
     point: Optional[np.ndarray]
     objective: Optional[float]
     status: str
-    # (phase-1 start, basis, state): the start phase 2 ran from and the
-    # read-only extended basis it ended with; None unless optimal.
+    # (phase-1 start, _SimplexState): the start phase 2 ran from and the
+    # read-only state it ended with, which a warm call continues from a copy
+    # of; None unless optimal.
     _final_basis: object = field(default=None, repr=False, compare=False)
 
 
@@ -198,14 +209,29 @@ _REFACTOR_EVERY = 100  # pivots between refactorizations of the basis inverse
 _BASIC, _AT_LO, _AT_HI, _FREE, _FIXED = 0, 1, 2, 3, 4
 
 
+class _SimplexState(NamedTuple):
+    """Where a simplex run on one standard-form problem stands: the
+    extended vertex, the basis, its inverse, the variable states (which fix
+    the vertex) and the pivots since the inverse was last refactorized.
+    The arrays are read-only; a run continues from copies."""
+
+    x: np.ndarray
+    basis: np.ndarray
+    binv: np.ndarray
+    state: np.ndarray
+    since_refresh: int
+
+
 def _phase1(A, b, lo, hi):
     """Feasible start for  min c.x  s.t.  A x = b, lo <= x <= hi.
 
     Phase 1 of the two-phase revised simplex: one artificial variable per
     row, driven to zero.  It never reads the cost, so one start serves every
-    ``c``.  Returns ``"infeasible"`` or the read-only tuple
-    ``(A_ext, b, lo_ext, hi_ext, x, basis, binv, state)`` with the
-    artificials pinned to zero, which :func:`_phase2` starts from.
+    ``c``.  Returns ``"infeasible"`` or the read-only start
+    ``(A_ext, AT_ext, b, lo_ext, hi_ext, initial)`` that :func:`_phase2`
+    runs from: ``AT_ext`` is the contiguous transpose of ``A_ext``, and the
+    :class:`_SimplexState` ``initial`` has the artificials pinned to zero and
+    its pivot count at zero.
     """
     m, n = A.shape
 
@@ -217,6 +243,7 @@ def _phase1(A, b, lo, hi):
     resid = b - A @ x0
     sgn = np.where(resid >= 0.0, 1.0, -1.0)
     A_ext = np.hstack([A, np.diag(sgn)])
+    AT_ext = np.ascontiguousarray(A_ext.T)
     lo_ext = np.concatenate([lo, np.zeros(m)])
     hi_ext = np.concatenate([hi, np.full(m, np.inf)])
     x = np.concatenate([x0, np.abs(resid)])
@@ -231,7 +258,7 @@ def _phase1(A, b, lo, hi):
     state[n:] = _BASIC
 
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    st = _simplex_phase_np(A_ext, b, c1, lo_ext, hi_ext, x, basis, binv, state)
+    st, _ = _simplex_phase_np(A_ext, AT_ext, b, c1, lo_ext, hi_ext, x, basis, binv, state, 0)
     if st == "stalled":
         raise DegeneracyError("phase 1 made no progress after the anti-cycling cap")
     feas_tol = 1e-8 * (1.0 + np.abs(b).max(initial=0.0))
@@ -243,50 +270,52 @@ def _phase1(A, b, lo, hi):
     x[n:][state[n:] != _BASIC] = 0.0
     state[n:][state[n:] != _BASIC] = _FIXED
 
-    start = (A_ext, b, lo_ext, hi_ext, x, basis, binv, state)
-    for arr in start:
+    for arr in (A_ext, AT_ext, b, lo_ext, hi_ext, x, basis, binv, state):
         arr.flags.writeable = False
-    return start
+    return A_ext, AT_ext, b, lo_ext, hi_ext, _SimplexState(x, basis, binv, state, 0)
 
 
 def _phase2(start, c, warm=None):
-    """min c.x from a copy of a :func:`_phase1` start, or from the final
-    basis ``warm = (start, basis, state)`` of an earlier phase 2 on it.
+    """min c.x from a copy of a :func:`_phase1` start's initial state, or
+    of the :class:`_SimplexState` ``warm`` an earlier phase 2 on it ended
+    with.
 
-    A warm entry puts the nonbasic variables on their bounds and passes no
-    inverse: the simplex's refactorization then solves for the basic ones.
-    Returns (status, x, final) with x over the first ``c.size`` variables
-    and, on "optimal", ``final = (start, basis, state)`` read-only.
+    A warm entry continues that state as it was: the extended vertex, the
+    basis inverse and the pivots since its last refactorization, so the
+    refactorization keeps its period across a chain of warm calls.  Returns
+    (status, x, final) with x over the first ``c.size`` variables and, on
+    "optimal", ``final`` the read-only state this call ended with.
     """
-    A_ext, b, lo_ext, hi_ext, x, basis, binv, state = start
-    if warm is None:
-        x, basis, binv, state = x.copy(), basis.copy(), binv.copy(), state.copy()
-    else:
-        basis, state, binv = warm[1].copy(), warm[2].copy(), None
-        x = np.where(state == _AT_HI, hi_ext, np.where(state == _FREE, 0.0, lo_ext))
+    A_ext, AT_ext, b, lo_ext, hi_ext, initial = start
+    entry = initial if warm is None else warm
+    x, basis, binv, state = (arr.copy() for arr in entry[:4])
     c2 = np.zeros(x.size)
     c2[:c.size] = c
-    st = _simplex_phase_np(A_ext, b, c2, lo_ext, hi_ext, x, basis, binv, state)
+    st, since_refresh = _simplex_phase_np(A_ext, AT_ext, b, c2, lo_ext, hi_ext, x, basis,
+                                          binv, state, entry.since_refresh)
     if st == "stalled":
         raise DegeneracyError("phase 2 made no progress after the anti-cycling cap")
     if st == "unbounded":
         return "unbounded", None, None
-    basis.flags.writeable = False
-    state.flags.writeable = False
-    return "optimal", x[:c.size], (start, basis, state)
+    final = _SimplexState(x, basis, binv, state, since_refresh)
+    for arr in final[:4]:
+        arr.flags.writeable = False
+    return "optimal", x[:c.size], final
 
 
-def _simplex_phase_np(A, b, c, lo, hi, x, basis, binv, state):
-    """Primal iterations in place; returns 'optimal'|'unbounded'|'stalled'.
+def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, state, since_refresh):
+    """Primal iterations in place on ``x``, ``basis``, ``binv`` and
+    ``state``; ``AT`` is ``A.T``, contiguous.  Returns the status
+    ('optimal'|'unbounded'|'stalled') and the pivots since the last
+    refactorization, ``since_refresh`` counting those made before the call.
 
     Pricing is Dantzig (most negative reduced cost) with deterministic
     lowest-index tie-breaking; after _STALL_CAP consecutive degenerate
     pivots it falls back to Bland's rule until the objective moves again.
-    The refactorization every _REFACTOR_EVERY pivots, which recomputes
-    ``binv`` and ``x_B``, runs first when ``binv`` is None.
+    The refactorization, which recomputes ``binv`` and ``x_B``, runs once
+    ``since_refresh`` reaches _REFACTOR_EVERY.
     """
-    m, n_total = A.shape
-    AT = np.ascontiguousarray(A.T)
+    n_total = A.shape[1]
     dual_tol = _DUAL_TOL * (1.0 + np.abs(c).max())
 
     # Pricing direction per nonbasic state: viol = dirmask * r is positive
@@ -308,10 +337,6 @@ def _simplex_phase_np(A, b, c, lo, hi, x, basis, binv, state):
 
     stall = 0
     bland = False
-    since_refresh = 0
-    if binv is None:
-        binv, since_refresh = np.empty((m, m)), _REFACTOR_EVERY
-
     for _ in range(_MAX_PIVOTS):
         if since_refresh >= _REFACTOR_EVERY:
             since_refresh = 0
@@ -333,16 +358,16 @@ def _simplex_phase_np(A, b, c, lo, hi, x, basis, binv, state):
             elig = np.flatnonzero(viol > dual_tol)
             if elig.size == 0:
                 flush()
-                return "optimal"
+                return "optimal", since_refresh
             j = int(elig[0])
         else:
             j = int(np.argmax(viol))
             if viol[j] <= dual_tol:
                 flush()
-                return "optimal"
+                return "optimal", since_refresh
         direction = 1.0 if r[j] < 0.0 else -1.0
 
-        d = binv @ A[:, j]
+        d = binv @ AT[j]
         step_b = d if direction < 0.0 else -d  # x_B moves by step_b * t
 
         tgt = np.where(step_b > 0.0, hi_b, lo_b)
@@ -354,9 +379,9 @@ def _simplex_phase_np(A, b, c, lo, hi, x, basis, binv, state):
         t_own = hi[j] - lo[j]  # own-bound flip distance (inf for free vars)
         t_basic = float(ratios.min(initial=np.inf))
         t_star = min(t_basic, t_own)
-        if not np.isfinite(t_star):
+        if not math.isfinite(t_star):
             flush()
-            return "unbounded"
+            return "unbounded", since_refresh
 
         stall = stall + 1 if t_star <= _RATIO_TOL else 0
         if stall > _STALL_CAP:
@@ -409,10 +434,10 @@ def _simplex_phase_np(A, b, c, lo, hi, x, basis, binv, state):
         binv[leave, :] /= piv
         col = d.copy()
         col[leave] = 0.0
-        binv -= np.outer(col, binv[leave, :])
+        binv -= col[:, None] * binv[leave]
         since_refresh += 1
     flush()
-    return "stalled"
+    return "stalled", since_refresh
 
 
 def _standard_form(poly: Polyhedron):
@@ -442,11 +467,17 @@ def solve_lp(c, poly: Polyhedron, warm: Optional[LpSolution] = None) -> LpSoluti
     whichever thread.  The pivot rule is fixed, so identical inputs produce
     bitwise-identical solutions.
 
-    ``warm``, an earlier optimal solution on this polyhedron, starts phase
-    2 from the basis that solution ended with instead; when consecutive
-    costs are close (Frank-Wolfe gradients) few pivots remain.  The optimum
-    is the same up to the pricing tolerance, but among tied optima a warm
-    call may return another vertex than a cold one.
+    ``warm``, an earlier optimal solution on this polyhedron, makes phase 2
+    continue from a copy of the simplex state that solution ended with
+    instead: its basis, basis inverse and extended vertex, and the pivots
+    since the inverse was last refactorized, so a chain of warm calls
+    refactorizes every ``_REFACTOR_EVERY`` pivots in all, not on every
+    entry.  When consecutive costs are close (Frank-Wolfe gradients) few
+    pivots remain.  ``warm`` is only read, so one solution can start any
+    number of calls, each giving the same result.  The optimum is the same
+    up to the pricing tolerance, but among tied optima a warm call may
+    return another vertex than a cold one, and its basic coordinates carry
+    the rounding of the pivots before it.
 
     Raises
     ------
@@ -468,11 +499,11 @@ def solve_lp(c, poly: Polyhedron, warm: Optional[LpSolution] = None) -> LpSoluti
         raise ValueError("warm start comes from another polyhedron")
     if start == "infeasible":
         return LpSolution(None, None, "infeasible")
-    status, x, final = _phase2(start, c, None if warm is None else warm._final_basis)
+    status, x, final = _phase2(start, c, None if warm is None else warm._final_basis[1])
     if status != "optimal":
         return LpSolution(None, None, status)
     point = x.copy()
-    return LpSolution(point, float(c @ point), "optimal", final)
+    return LpSolution(point, float(c @ point), "optimal", (start, final))
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +615,24 @@ def _line_search(fun, x, d, s_max, g, line_poly):
             side = 1
 
 
+def _step_toward(verts, alphas, v, s):
+    """Move the active-set weights a step ``s`` toward the vertex ``v``:
+    every weight shrinks by ``1 - s`` and ``v`` gains ``s``.  A warm LP may
+    return an active vertex again with basic coordinates that differ by
+    rounding, or from another basis of a degenerate vertex, so ``v`` joins
+    an active vertex within ``1e-9 (1 + max|v|)`` of it instead of adding a
+    near-copy that every later iteration would rescore."""
+    for i in range(len(alphas)):
+        alphas[i] *= 1.0 - s
+    tol = 1e-9 * (1.0 + np.abs(v).max())
+    for i, u in enumerate(verts):
+        if np.abs(u - v).max() <= tol:
+            alphas[i] += s
+            return
+    verts.append(v.copy())
+    alphas.append(s)
+
+
 def frank_wolfe_min(
     fun: Callable[[np.ndarray], tuple],
     poly: Polyhedron,
@@ -595,9 +644,10 @@ def frank_wolfe_min(
 
     ``fun(x)`` must return ``(value, gradient)``.  The run starts at the
     vertex of the polyhedron's phase-1 start.  The linear subproblems go
-    through :func:`solve_lp`, each warm-started from the previous
-    iteration's solution (the first starts cold); the chain lives only
-    inside this call, so the result is a pure function of the arguments.
+    through :func:`solve_lp`: the first starts from the phase-1 basis, and
+    each later one continues the simplex state the previous iteration's
+    ended with.  The chain lives only inside this call, so the result is a
+    pure function of the arguments.
     Away steps over the running vertex set remove the zigzagging that keeps
     plain conditional gradient from certifying small gaps.
     Every step, toward the FW vertex or away from an active one, is the
@@ -617,11 +667,12 @@ def frank_wolfe_min(
     """
     if not tol_gap >= 0:
         raise ValueError(f"tol_gap must be >= 0, got {tol_gap}")
+    max_iter = _as_count(max_iter, "max_iter")
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     if poly._lp_start == "infeasible":
         raise InfeasibleError("polyhedron is infeasible")
-    x = poly._lp_start[4][:poly.dim].copy()
+    x = poly._lp_start[-1].x[:poly.dim].copy()
     verts = [x.copy()]
     alphas = [1.0]
 
@@ -661,16 +712,7 @@ def frank_wolfe_min(
             verts = [v.copy()]
             alphas = [1.0]
         else:
-            for i in range(len(alphas)):
-                alphas[i] *= 1.0 - s
-            key = v.tobytes()
-            for i, u in enumerate(verts):
-                if u.tobytes() == key:
-                    alphas[i] += s
-                    break
-            else:
-                verts.append(v.copy())
-                alphas.append(s)
+            _step_toward(verts, alphas, v, s)
 
         total = sum(alphas)
         alphas = [a_w / total for a_w in alphas]

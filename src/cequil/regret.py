@@ -27,7 +27,7 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from cequil.polytope import contains, frank_wolfe_min
+from cequil.polytope import _as_count, contains, frank_wolfe_min
 
 __all__ = [
     "BasisSet",
@@ -147,6 +147,7 @@ class RegretOracle:
                  max_iter: int = 2000):
         if tol_gap is not None and not tol_gap >= 0:
             raise ValueError(f"tol_gap must be None or >= 0, got {tol_gap}")
+        max_iter = _as_count(max_iter, "max_iter")
         if max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
         basis.validate_feasible(game)

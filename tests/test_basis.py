@@ -80,6 +80,11 @@ class TestRandomBasis:
             for i, x in enumerate(joint):
                 assert contains(game.action_sets[i], x, 1e-7)
 
+    def test_non_integer_count_rejected(self):
+        game = null_game([Polyhedron.interval(0.0, 1.0)])
+        with pytest.raises(TypeError, match="N must be an integer, got 2.0"):
+            random_basis(game, 2.0, seed=0)
+
     def test_1d_interval_collapses_to_lower(self):
         # coefficients are >= 0, so every LP minimum sits at the lower bound
         game = null_game([Polyhedron.interval(0.0, 1.0)])
@@ -138,6 +143,12 @@ class TestCcpSelect:
         for b, _ in trace.iterates:
             for joint in b.actions:
                 assert contains(P, joint[0], 1e-7)
+
+    @pytest.mark.parametrize("kwargs, name", [({"N": 2.0}, "N"), ({"N": 2, "max_iter": 1.5}, "max_iter")])
+    def test_non_integer_counts_rejected(self, kwargs, name):
+        game = null_game([Polyhedron.interval(0.0, 1.0)])
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            ccp_select(game, **kwargs)
 
     def test_needs_two_actions(self):
         game = null_game([Polyhedron.interval(0.0, 1.0)])

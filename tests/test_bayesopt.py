@@ -396,6 +396,18 @@ class TestBoLearn:
         assert all(np.array_equal(a, b) for a, b in zip(trace.inputs, calls))
         assert np.array_equal(trace.incumbent_values, np.minimum.accumulate(trace.values))
 
+    @pytest.mark.parametrize("N, budget, name", [(3, 5.5, "budget"), (3.0, 6, "N")])
+    def test_non_integer_counts_rejected_before_any_query(self, N, budget, name):
+        calls = []
+
+        def oracle(w):
+            calls.append(w)
+            return 0.0
+
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            bo_learn(oracle, N, budget)
+        assert calls == []
+
     def test_budget_below_initial_design_rejected(self):
         with pytest.raises(ValueError, match=f"budget >= {N_INIT}"):
             bo_learn(bowl, 3, budget=N_INIT - 1)

@@ -1,3 +1,4 @@
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,24 @@ from cequil.polytope import contains, solve_lp
 from cequil.tntp import parse_net
 
 DATA = Path(__file__).parent / "data"
+
+
+def loop_line_poly(game, i, w, T, x, d):
+    """Reference: the coefficients of ``s -> f_i(x + s d)`` summed one
+    power of ``x + T`` at a time (low order first)."""
+    nu = game.nu
+    coef = game.lam * game.fft / game.nominal_volume ** nu
+    u = x[None, :] + T
+    coeffs = np.zeros(nu + 2)
+    coeffs[0] += float(game.fft @ x)
+    coeffs[1] += float(game.fft @ d)
+    d_pow = 1.0
+    for r in range(nu + 1):
+        wx = coef * (comb(nu, r) * (w @ (u ** (nu - r) * d_pow)))
+        coeffs[r] += float(wx @ x)
+        coeffs[r + 1] += float(wx @ d)
+        d_pow = d_pow * d
+    return coeffs / game.deltas[i]
 
 SINGLE_LINK = (
     "<NUMBER OF NODES> 2\n<NUMBER OF LINKS> 1\n<END OF METADATA>\n"
@@ -319,20 +338,34 @@ class TestMixtureHelpers:
         assert np.allclose(grad, gsum, rtol=1e-12)
 
     def test_line_poly_exact(self, siouxfalls_game):
+        # a Frank-Wolfe direction d = v - x keeps x + s d in-domain on [0, 1];
+        # flows at the scale of the capacities make every power count
         game = siouxfalls_game
         rng = np.random.default_rng(6)
         N = 3
-        T = rng.uniform(0.0, 30.0, (N, game.num_links))
+        T = rng.uniform(0.0, 3000.0, (N, game.num_links))
         w = rng.dirichlet(np.ones(N))
         fun, line_poly = game.mixture_best_response(1, w, T)
-        x = rng.uniform(0.0, 20.0, game.num_links)
-        d = rng.uniform(-5.0, 5.0, game.num_links)
+        x = rng.uniform(0.0, 3000.0, game.num_links)
+        d = rng.uniform(0.0, 3000.0, game.num_links) - x
         coeffs = line_poly(x, d)
+        assert coeffs.shape == (game.nu + 2,)
         for s in (0.0, 0.25, 0.5, 1.0):
-            y = x + s * d
-            y[y < 0] = 0.0  # keep the direct evaluation in-domain
-            if np.any(x + s * d < 0):
-                continue
             expect = fun(x + s * d)[0]
             got = float(np.polynomial.polynomial.polyval(s, coeffs))
             assert got == pytest.approx(expect, rel=1e-10)
+
+    def test_line_poly_matches_loop(self, siouxfalls_game):
+        # summation order differs from the loop's, so each coefficient may
+        # move by rounding: within 1e-12 of the same sum over |terms|
+        game = siouxfalls_game
+        rng = np.random.default_rng(7)
+        for i in range(game.num_players):
+            T = rng.uniform(0.0, 3000.0, (5, game.num_links))
+            w = rng.dirichlet(np.full(5, 0.3))
+            x = rng.uniform(0.0, 3000.0, game.num_links)
+            d = rng.uniform(0.0, 3000.0, game.num_links) - x
+            got = game.mixture_best_response(i, w, T)[1](x, d)
+            want = loop_line_poly(game, i, w, T, x, d)
+            scale = loop_line_poly(game, i, w, T, x, np.abs(d))
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)

@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import linprog
 
 from cequil import polytope
+from cequil.basis import random_basis
 from cequil.game import PlayerSpec, build_traffic_game
 from cequil.polytope import (
     DegeneracyError,
@@ -20,6 +21,7 @@ from cequil.polytope import (
     project_simplex,
     solve_lp,
 )
+from cequil.regret import RegretOracle
 from cequil.tntp import parse_net
 
 DATA = Path(__file__).parent / "data"
@@ -301,25 +303,29 @@ class TestWarmStart:
                 solve_lp(c, fresh(P), warm=prev)
 
     def test_close_costs_need_few_pivots(self, siouxfalls_sets, monkeypatch):
-        # from the optimum of a nearby cost a warm start skips most pivots
+        # from the optimum of a nearby cost a warm start skips most pivots;
+        # with no refactorization due, a phase's pivots are the rise of its
+        # since_refresh count
         pivots = []
-        outer = np.outer
+        simplex = polytope._simplex_phase_np
 
         def counting(*args):
-            pivots.append(1)
-            return outer(*args)
+            status, since_refresh = simplex(*args)
+            pivots.append(since_refresh - args[-1])
+            return status, since_refresh
 
+        monkeypatch.setattr(polytope, "_REFACTOR_EVERY", 10 ** 9)
         rng = np.random.default_rng(4)
         for P in siouxfalls_sets:
             c = rng.uniform(1.0, 2.0, size=P.dim)
             first = solve_lp(c, P)
             c = c * (1.0 + 0.05 * rng.normal(size=P.dim))
-            monkeypatch.setattr(np, "outer", counting)
+            monkeypatch.setattr(polytope, "_simplex_phase_np", counting)
             cold = solve_lp(c, P)
-            n_cold = len(pivots)
             warm = solve_lp(c, P, warm=first)
-            monkeypatch.undo()
-            assert len(pivots) - n_cold <= 1 < n_cold
+            monkeypatch.setattr(polytope, "_simplex_phase_np", simplex)
+            n_cold, n_warm = pivots
+            assert n_warm <= 1 < n_cold
             assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
             pivots.clear()
 
@@ -405,6 +411,67 @@ class TestWarmStart:
                            np.zeros(1), np.ones(1))
         with pytest.raises(ValueError, match="optimal"):
             solve_lp([1.0], empty, warm=solve_lp([1.0], empty))
+
+
+class TestCarriedChain:
+    # a warm call continues the simplex state the warm solution ended with:
+    # its vertex, basis inverse and pivots since the last refactorization
+
+    def test_one_warm_start_serves_two_calls_unchanged(self, siouxfalls_sets):
+        P = fresh(siouxfalls_sets[0])
+        rng = np.random.default_rng(7)
+        warm = solve_lp(rng.uniform(1.0, 2.0, P.dim), P)
+        warm = solve_lp(rng.uniform(1.0, 2.0, P.dim), P, warm=warm)
+        held = warm._final_basis[1][:4]  # vertex, basis, inverse, states
+        before = [a.copy() for a in held]
+        assert not any(a.flags.writeable for a in held)
+        for c in rng.uniform(1.0, 2.0, size=(5, P.dim)):
+            a, b = solve_lp(c, P, warm=warm), solve_lp(c, P, warm=warm)
+            assert a.point.tobytes() == b.point.tobytes()
+            assert a.objective == b.objective
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(held, before))
+        with pytest.raises(ValueError, match="read-only"):
+            held[0][0] = 1.0
+
+    def test_refactorization_period_spans_the_chain(self, siouxfalls_sets, monkeypatch):
+        # the pivot count carries over from call to call, so a chain of
+        # warm calls with a pivot or two each is still refactorized
+        inverses = []
+        inv = np.linalg.inv
+
+        def counting(M):
+            inverses.append(1)
+            return inv(M)
+
+        monkeypatch.setattr(polytope, "_REFACTOR_EVERY", 2)
+        P = fresh(siouxfalls_sets[1])
+        rng = np.random.default_rng(8)
+        c = rng.uniform(1.0, 2.0, P.dim)
+        prev = solve_lp(c, P)
+        for _ in range(30):
+            c = c * (1.0 + 0.05 * rng.normal(size=P.dim))
+            monkeypatch.setattr(np.linalg, "inv", counting)
+            sol = solve_lp(c, P, warm=prev)
+            monkeypatch.setattr(np.linalg, "inv", inv)
+            cold = solve_lp(c, P)
+            assert sol.status == "optimal" and contains(P, sol.point)
+            assert sol._final_basis[1].since_refresh < 2
+            scale = 1.0 + np.abs(c).sum() * np.abs(sol.point).max()
+            assert abs(sol.objective - cold.objective) <= 1e-9 * scale
+            prev = sol
+        assert inverses
+
+    def test_oracles_fed_opposite_orders_agree_bitwise(self, siouxfalls_game):
+        weights = np.random.default_rng(9).dirichlet(np.full(5, 0.3), size=6)
+        basis = random_basis(siouxfalls_game, 5, seed=0)
+        forward = [RegretOracle(siouxfalls_game, basis).report(w) for w in weights]
+        oracle = RegretOracle(siouxfalls_game, basis)
+        backward = [oracle.report(w) for w in weights[::-1]][::-1]
+        for a, b in zip(forward, backward):
+            assert a.per_player.tobytes() == b.per_player.tobytes()
+            assert a.fw_gaps.tobytes() == b.fw_gaps.tobytes()
+            assert [y.tobytes() for y in a.best_responses] \
+                == [y.tobytes() for y in b.best_responses]
 
 
 HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
@@ -643,6 +710,29 @@ class TestFrankWolfe:
         with pytest.raises(ValueError):
             frank_wolfe_min(lambda y: (0.0, np.zeros(1)), Polyhedron.interval(0.0, 1.0),
                             tol_gap=1e-9, max_iter=-1)
+
+    def test_step_toward_joins_a_vertex_within_rounding(self):
+        # a warm LP may return an active vertex again a few ulps off, or
+        # from another basis; it joins that vertex's weight
+        u = np.array([3000.0, 0.0, 1411.7647058823525])
+        w = np.array([0.0, 3000.0, 1500.0])
+        for again in (u.copy(), np.nextafter(u, np.inf), u * (1.0 + 1e-13)):
+            verts, alphas = [u.copy(), w.copy()], [0.75, 0.25]
+            polytope._step_toward(verts, alphas, again, 0.2)
+            assert [x.tobytes() for x in verts] == [u.tobytes(), w.tobytes()]
+            assert alphas == [0.75 * 0.8 + 0.2, 0.25 * 0.8]
+        verts, alphas = [u.copy(), w.copy()], [0.75, 0.25]
+        other = u + np.array([0.0, 1e-3, 0.0])
+        polytope._step_toward(verts, alphas, other, 0.2)
+        assert [x.tobytes() for x in verts] == [u.tobytes(), w.tobytes(), other.tobytes()]
+        assert alphas == [0.75 * 0.8, 0.25 * 0.8, 0.2]
+
+    def test_non_integer_max_iter_rejected(self):
+        def fun(y):
+            raise AssertionError("no iteration may run")
+
+        with pytest.raises(TypeError, match="max_iter must be an integer, got 2.5"):
+            frank_wolfe_min(fun, Polyhedron.simplex(3), tol_gap=1e-9, max_iter=2.5)
 
     @pytest.mark.parametrize("tol_gap", [np.nan, -1e-9, -np.inf])
     def test_tol_gap_must_be_nonnegative(self, tol_gap):

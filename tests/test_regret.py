@@ -3,9 +3,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cequil import polytope, regret
 from cequil.basis import random_basis
 from cequil.game import ConvexGame, PlayerSpec, build_traffic_game
-from cequil.polytope import Polyhedron
+from cequil.polytope import Polyhedron, project_simplex
 from cequil.regret import BasisSet, RegretOracle, validate_weights, verify_ce
 from cequil.tntp import parse_net
 
@@ -452,6 +453,10 @@ class TestOracleSettings:
         oracle = RegretOracle(quadratic_game(), diag_basis(), tol_gap=0.0, max_iter=0)
         assert oracle.report([0.5, 0.5]).per_player.shape == (2,)
 
+    def test_non_integer_max_iter_rejected_on_construction(self):
+        with pytest.raises(TypeError, match="max_iter must be an integer, got 2.5"):
+            RegretOracle(quadratic_game(), diag_basis(), max_iter=2.5)
+
 
 class TestOracleBranches:
     @pytest.mark.parametrize("tol_gap", [None, 1e-3])
@@ -498,25 +503,36 @@ class TestHistoryIndependence:
 
 
 class TestPinnedSiouxFalls:
-    # Captured from the kernel that warm-starts each Frank-Wolfe iteration's
-    # LP from the previous basis and takes the line step by Newton on p'.
-    # Any change to the simplex or the line step that is not bitwise equal
-    # moves these hex floats.  The warm start may pick another vertex among
-    # tied optima, so the earlier cold-start kernel's values are kept in
-    # COLD: both kernels lower-bound the same regret, so they may differ by
-    # at most the sum of their FW gaps.
+    # Captured from the kernel whose warm LP calls continue the simplex state
+    # (vertex, basis inverse, pivot count) of the previous Frank-Wolfe
+    # iteration, and which takes the line step by Newton on p'.  Any change
+    # to the simplex or the line step that is not bitwise equal moves these
+    # hex floats.  Two earlier kernels are kept as references; each
+    # lower-bounds the same regret, so it may differ by at most the sum of
+    # the FW gaps:
+    # - REFACTORED: each warm LP call re-inverted the basis it started from.
+    #   Its regrets are bitwise those of PINNED; its gaps were about -1e-16.
+    # - COLD: every LP ran from the phase-1 start, so among tied optima it
+    #   may pick another vertex.
     PINNED = [
         ([0.2, 0.2, 0.2, 0.2, 0.2],
          ["0x1.3d6b4682bc6a8p-2", "0x1.d88c9c22ce83cp-2", "0x1.00418eb0dc518p-3"],
-         ["-0x1.33d7116eb05fcp-52", "0x0.0p+0", "0x1.a79f020a1df89p-54"]),
+         ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]),
         ([0.7, 0.1, 0.1, 0.05, 0.05],
          ["0x1.ac7ecbedb7230p-3", "0x1.8f256cfbc3c48p-2", "0x1.e88c9853847d0p-4"],
-         ["-0x1.2f7614fae492ap-52", "0x1.0e6ecfd85886bp-54", "-0x1.5d757529fde3ap-54"]),
+         ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]),
         ([0.0, 0.0, 1.0, 0.0, 0.0],
          ["0x1.17fb944d0ed72p-1", "0x1.120a97497f668p-1", "0x0.0p+0"],
+         ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]),
+    ]
+    REFACTORED = [
+        (["0x1.3d6b4682bc6a8p-2", "0x1.d88c9c22ce83cp-2", "0x1.00418eb0dc518p-3"],
+         ["-0x1.33d7116eb05fcp-52", "0x0.0p+0", "0x1.a79f020a1df89p-54"]),
+        (["0x1.ac7ecbedb7230p-3", "0x1.8f256cfbc3c48p-2", "0x1.e88c9853847d0p-4"],
+         ["-0x1.2f7614fae492ap-52", "0x1.0e6ecfd85886bp-54", "-0x1.5d757529fde3ap-54"]),
+        (["0x1.17fb944d0ed72p-1", "0x1.120a97497f668p-1", "0x0.0p+0"],
          ["-0x1.27eef4e401f93p-52", "-0x1.186a6c261bae5p-56", "-0x1.6599ead798e3fp-54"]),
     ]
-    # Captured from the kernel that ran every LP from the phase-1 start.
     COLD = [
         (["0x1.3d6b4682bc6a8p-2", "0x1.d88c9c22ce83cp-2", "0x1.00418eb0dc518p-3"],
          ["-0x1.5ea38515aa0edp-55", "0x0.0p+0", "0x1.b6020762c4b58p-56"]),
@@ -525,6 +541,11 @@ class TestPinnedSiouxFalls:
         (["0x1.17fb944d0ed72p-1", "0x1.120a97497f668p-1", "0x0.0p+0"],
          ["-0x1.fc66862ccec93p-56", "-0x1.b6067c233783ep-54", "0x0.0p+0"]),
     ]
+    # FW iterations and solve_lp calls over WORK_STREAM's reports, captured
+    # from the REFACTORED kernel: carrying the simplex state must not change
+    # how much work a report does.
+    WORK_STREAM = {"seed": 13, "alpha": 0.1, "size": 20}
+    WORK = {"fw_iterations": 120, "lp_calls": 120}
 
     def test_reports_bitwise(self):
         oracle = siouxfalls_oracle()
@@ -533,11 +554,39 @@ class TestPinnedSiouxFalls:
             assert [float(v).hex() for v in rep.per_player] == per_player
             assert [float(v).hex() for v in rep.fw_gaps] == fw_gaps
 
-    def test_cold_start_values_within_gaps(self):
+    def assert_within_gaps(self, reference):
         oracle = siouxfalls_oracle()
-        for (w, _, _), (cold_per, cold_gaps) in zip(self.PINNED, self.COLD):
+        for (w, _, _), (ref_per, ref_gaps) in zip(self.PINNED, reference):
             rep = oracle.report(np.array(w))
-            cold_per = np.array([float.fromhex(v) for v in cold_per])
-            cold_gaps = np.array([float.fromhex(v) for v in cold_gaps])
-            slack = np.maximum(cold_gaps, 0.0) + np.maximum(rep.fw_gaps, 0.0) + 1e-12
-            assert np.all(np.abs(rep.per_player - cold_per) <= slack)
+            ref_per = np.array([float.fromhex(v) for v in ref_per])
+            ref_gaps = np.array([float.fromhex(v) for v in ref_gaps])
+            slack = np.maximum(ref_gaps, 0.0) + np.maximum(rep.fw_gaps, 0.0) + 1e-12
+            assert np.all(np.abs(rep.per_player - ref_per) <= slack)
+
+    def test_cold_start_values_within_gaps(self):
+        self.assert_within_gaps(self.COLD)
+
+    def test_refactoring_kernel_values_within_gaps(self):
+        self.assert_within_gaps(self.REFACTORED)
+
+    def test_work_pinned(self, monkeypatch):
+        work = {"fw_iterations": 0, "lp_calls": 0}
+        solve_lp, frank_wolfe_min = polytope.solve_lp, regret.frank_wolfe_min
+
+        def counting_lp(*args, **kwargs):
+            work["lp_calls"] += 1
+            return solve_lp(*args, **kwargs)
+
+        def counting_fw(*args, **kwargs):
+            res = frank_wolfe_min(*args, **kwargs)
+            work["fw_iterations"] += res.iterations
+            return res
+
+        monkeypatch.setattr(polytope, "solve_lp", counting_lp)
+        monkeypatch.setattr(regret, "frank_wolfe_min", counting_fw)
+        oracle = siouxfalls_oracle()
+        stream = self.WORK_STREAM
+        rng = np.random.default_rng(stream["seed"])
+        for w in rng.dirichlet(np.full(5, stream["alpha"]), size=stream["size"]):
+            oracle.report(project_simplex(w))
+        assert work == self.WORK
