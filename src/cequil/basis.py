@@ -162,6 +162,8 @@ def ccp_select(game, N: int, max_iter: int = 100,
     N, max_iter = _as_count(N, "N"), _as_count(max_iter, "max_iter")
     if N < 2:
         raise ValueError("CCP selection needs N >= 2")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     p, q = np.triu_indices(N, 1)
     Q = np.zeros((p.size, N))
     Q[np.arange(p.size), p] = 1.0

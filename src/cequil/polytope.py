@@ -10,8 +10,10 @@ This module provides the geometry every other part of the package sits on:
   runs once, when the polyhedron is constructed, and every call runs phase
   2 only.  Phase 2 starts from the polyhedron's phase-1 basis, or, given
   ``warm=`` a previous optimal solution on the same polyhedron, continues
-  the simplex state that solution ended with (basis, basis inverse, vertex)
-  without refactorizing it.  Deterministic: identical inputs (``warm``
+  the simplex state that solution ended with (basis, basis inverse, vertex,
+  pricing mask) without refactorizing it.  A pivot's ratio test runs in
+  Python floats on the basic rows the entering column moves, which on a
+  network polytope are few.  Deterministic: identical inputs (``warm``
   included) give bitwise-identical vertices.
 * :func:`frank_wolfe_min` -- conditional-gradient minimization of a smooth
   convex function over a :class:`Polyhedron` from its phase-1 vertex, with
@@ -212,14 +214,25 @@ _BASIC, _AT_LO, _AT_HI, _FREE, _FIXED = 0, 1, 2, 3, 4
 class _SimplexState(NamedTuple):
     """Where a simplex run on one standard-form problem stands: the
     extended vertex, the basis, its inverse, the variable states (which fix
-    the vertex) and the pivots since the inverse was last refactorized.
-    The arrays are read-only; a run continues from copies."""
+    the vertex), the pivots since the inverse was last refactorized, and the
+    pricing mask.  ``dirmask`` is -1 at lower, +1 at upper and 0 elsewhere,
+    a function of ``state`` that the simplex keeps in step with it, so a run
+    carries it instead of rebuilding it on entry.  The arrays are read-only;
+    a run continues from copies."""
 
     x: np.ndarray
     basis: np.ndarray
     binv: np.ndarray
     state: np.ndarray
     since_refresh: int
+    dirmask: np.ndarray
+
+
+def _dirmask(state):
+    """Pricing direction per variable state: ``dirmask * r`` is positive
+    exactly when moving a nonbasic variable at a bound improves the
+    objective."""
+    return np.where(state == _AT_LO, -1.0, np.where(state == _AT_HI, 1.0, 0.0))
 
 
 def _phase1(A, b, lo, hi):
@@ -229,9 +242,10 @@ def _phase1(A, b, lo, hi):
     row, driven to zero.  It never reads the cost, so one start serves every
     ``c``.  Returns ``"infeasible"`` or the read-only start
     ``(A_ext, AT_ext, b, lo_ext, hi_ext, initial)`` that :func:`_phase2`
-    runs from: ``AT_ext`` is the contiguous transpose of ``A_ext``, and the
-    :class:`_SimplexState` ``initial`` has the artificials pinned to zero and
-    its pivot count at zero.
+    runs from: ``AT_ext`` is the contiguous transpose of ``A_ext``, the
+    bounds are tuples of Python floats (the simplex reads them one entry at
+    a time), and the :class:`_SimplexState` ``initial`` has the artificials
+    pinned to zero and its pivot count at zero.
     """
     m, n = A.shape
 
@@ -258,7 +272,9 @@ def _phase1(A, b, lo, hi):
     state[n:] = _BASIC
 
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    st, _ = _simplex_phase_np(A_ext, AT_ext, b, c1, lo_ext, hi_ext, x, basis, binv, state, 0)
+    st, _ = _simplex_phase_np(A_ext, AT_ext, b, c1, tuple(lo_ext.tolist()),
+                              tuple(hi_ext.tolist()), x, basis, binv, state,
+                              _dirmask(state), 0)
     if st == "stalled":
         raise DegeneracyError("phase 1 made no progress after the anti-cycling cap")
     feas_tol = 1e-8 * (1.0 + np.abs(b).max(initial=0.0))
@@ -270,9 +286,10 @@ def _phase1(A, b, lo, hi):
     x[n:][state[n:] != _BASIC] = 0.0
     state[n:][state[n:] != _BASIC] = _FIXED
 
-    for arr in (A_ext, AT_ext, b, lo_ext, hi_ext, x, basis, binv, state):
+    initial = _SimplexState(x, basis, binv, state, 0, _dirmask(state))
+    for arr in (A_ext, AT_ext, b, x, basis, binv, state, initial.dirmask):
         arr.flags.writeable = False
-    return A_ext, AT_ext, b, lo_ext, hi_ext, _SimplexState(x, basis, binv, state, 0)
+    return (A_ext, AT_ext, b, tuple(lo_ext.tolist()), tuple(hi_ext.tolist()), initial)
 
 
 def _phase2(start, c, warm=None):
@@ -281,56 +298,96 @@ def _phase2(start, c, warm=None):
     with.
 
     A warm entry continues that state as it was: the extended vertex, the
-    basis inverse and the pivots since its last refactorization, so the
-    refactorization keeps its period across a chain of warm calls.  Returns
-    (status, x, final) with x over the first ``c.size`` variables and, on
-    "optimal", ``final`` the read-only state this call ended with.
+    basis inverse, the pricing mask and the pivots since its last
+    refactorization, so the refactorization keeps its period across a
+    chain of warm calls.  Returns (status, x, final) with x over the first
+    ``c.size`` variables and, on "optimal", ``final`` the read-only state
+    this call ended with.
     """
     A_ext, AT_ext, b, lo_ext, hi_ext, initial = start
     entry = initial if warm is None else warm
     x, basis, binv, state = (arr.copy() for arr in entry[:4])
+    dirmask = entry.dirmask.copy()
     c2 = np.zeros(x.size)
     c2[:c.size] = c
     st, since_refresh = _simplex_phase_np(A_ext, AT_ext, b, c2, lo_ext, hi_ext, x, basis,
-                                          binv, state, entry.since_refresh)
+                                          binv, state, dirmask, entry.since_refresh)
     if st == "stalled":
         raise DegeneracyError("phase 2 made no progress after the anti-cycling cap")
     if st == "unbounded":
         return "unbounded", None, None
-    final = _SimplexState(x, basis, binv, state, since_refresh)
-    for arr in final[:4]:
+    final = _SimplexState(x, basis, binv, state, since_refresh, dirmask)
+    for arr in (x, basis, binv, state, dirmask):
         arr.flags.writeable = False
     return "optimal", x[:c.size], final
 
 
-def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, state, since_refresh):
-    """Primal iterations in place on ``x``, ``basis``, ``binv`` and
-    ``state``; ``AT`` is ``A.T``, contiguous.  Returns the status
-    ('optimal'|'unbounded'|'stalled') and the pivots since the last
-    refactorization, ``since_refresh`` counting those made before the call.
+def _ratio_test(step, xb, lo_b, hi_b, basis, bland):
+    """Ratio test of the bounded simplex on Python floats.
+
+    ``step[i]`` is how fast basic variable ``i`` (value ``xb[i]``, bounds
+    ``lo_b[i]``, ``hi_b[i]``, column ``basis[i]``) moves per unit step of
+    the entering variable.  Only rows with ``|step| > _RATIO_TOL`` bound
+    the step; their ratio is the distance to the bound they move toward,
+    clamped below at +0.0.  Returns ``(t_basic, leave)``: the least ratio
+    (``inf`` if no row bounds the step) and the leaving row, among the rows
+    within ``_RATIO_TOL`` of it the first with the largest ``|step|``
+    (Dantzig) or the one with the smallest column index (``bland``).
+    ``leave`` is -1 when ``t_basic`` is infinite.
+    """
+    rows = []
+    t_basic = math.inf
+    for i, s in enumerate(step):
+        if s > _RATIO_TOL or s < -_RATIO_TOL:
+            r = ((hi_b[i] if s > 0.0 else lo_b[i]) - xb[i]) / s
+            r = r if r > 0.0 else 0.0  # as np.maximum: -0.0 becomes +0.0
+            if r < t_basic:
+                t_basic = r
+            rows.append((i, r))
+    if t_basic == math.inf:
+        return t_basic, -1
+    cut = t_basic + _RATIO_TOL
+    leave = -1
+    if bland:
+        key = math.inf
+        for i, r in rows:
+            if r <= cut and basis[i] < key:
+                key, leave = basis[i], i
+    else:
+        key = -1.0
+        for i, r in rows:
+            if r <= cut and abs(step[i]) > key:
+                key, leave = abs(step[i]), i
+    return t_basic, leave
+
+
+def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, state, dirmask, since_refresh):
+    """Primal iterations in place on ``x``, ``basis``, ``binv``, ``state``
+    and the pricing mask ``dirmask`` (see :class:`_SimplexState`); ``AT``
+    is ``A.T``, contiguous, and the bounds ``lo``, ``hi`` are tuples of
+    Python floats.  Returns the status ('optimal'|'unbounded'|'stalled') and
+    the pivots since the last refactorization, ``since_refresh`` counting
+    those made before the call.
 
     Pricing is Dantzig (most negative reduced cost) with deterministic
     lowest-index tie-breaking; after _STALL_CAP consecutive degenerate
     pivots it falls back to Bland's rule until the objective moves again.
-    The refactorization, which recomputes ``binv`` and ``x_B``, runs once
-    ``since_refresh`` reaches _REFACTOR_EVERY.
+    The ratio test (:func:`_ratio_test`) runs in Python floats on the basic
+    rows the entering column moves: on network polytopes these are a few of
+    the rows, and numpy's per-call overhead on a short vector costs more
+    than the arithmetic.  The refactorization, which recomputes ``binv``
+    and ``x_B``, runs once ``since_refresh`` reaches _REFACTOR_EVERY.
     """
-    n_total = A.shape[1]
     dual_tol = _DUAL_TOL * (1.0 + np.abs(c).max())
-
-    # Pricing direction per nonbasic state: viol = dirmask * r is positive
-    # exactly when moving the variable improves the objective.  Kept in sync
-    # with `state`; FREE columns need |r| and get a slower path.
-    dirmask = np.zeros(n_total)
-    dirmask[state == _AT_LO] = -1.0
-    dirmask[state == _AT_HI] = 1.0
+    # FREE columns are priced by |r| and get a slower path.
     has_free = bool((state == _FREE).any())
 
     # Basis-aligned copies, updated in O(1) per pivot instead of regathered.
     xb = x[basis].copy()
     cb = c[basis].copy()
-    lo_b = lo[basis].copy()
-    hi_b = hi[basis].copy()
+    basis_l = basis.tolist()
+    lo_b = [lo[k] for k in basis_l]
+    hi_b = [hi[k] for k in basis_l]
 
     def flush():
         x[basis] = xb
@@ -355,13 +412,13 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, state, since_refresh)
             viol[free] = np.abs(r[free])
 
         if bland:
-            elig = np.flatnonzero(viol > dual_tol)
+            elig = (viol > dual_tol).nonzero()[0]
             if elig.size == 0:
                 flush()
                 return "optimal", since_refresh
             j = int(elig[0])
         else:
-            j = int(np.argmax(viol))
+            j = int(viol.argmax())
             if viol[j] <= dual_tol:
                 flush()
                 return "optimal", since_refresh
@@ -369,15 +426,10 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, state, since_refresh)
 
         d = binv @ AT[j]
         step_b = d if direction < 0.0 else -d  # x_B moves by step_b * t
-
-        tgt = np.where(step_b > 0.0, hi_b, lo_b)
-        small = np.abs(step_b) <= _RATIO_TOL
-        denom = np.where(small, 1.0, step_b)
-        ratios = np.where(small, np.inf, (tgt - xb) / denom)
-        np.maximum(ratios, 0.0, out=ratios)
+        step_l = step_b.tolist()
+        t_basic, leave = _ratio_test(step_l, xb.tolist(), lo_b, hi_b, basis_l, bland)
 
         t_own = hi[j] - lo[j]  # own-bound flip distance (inf for free vars)
-        t_basic = float(ratios.min(initial=np.inf))
         t_star = min(t_basic, t_own)
         if not math.isfinite(t_star):
             flush()
@@ -397,13 +449,7 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, state, since_refresh)
             dirmask[j] = 1.0 if direction > 0 else -1.0
             continue
 
-        cand = np.flatnonzero(ratios <= t_star + _RATIO_TOL)
-        if bland:
-            leave = int(cand[np.argmin(basis[cand])])
-        else:
-            leave = int(cand[np.argmax(np.abs(step_b[cand]))])
-        v_leave = int(basis[leave])
-
+        v_leave = basis_l[leave]
         xb += step_b * t_star
         enter_val = x[j] + direction * t_star
         # Snap the leaving variable exactly onto the bound it hit.
@@ -411,7 +457,7 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, state, since_refresh)
             x[v_leave] = lo[v_leave]
             state[v_leave] = _FIXED
             dirmask[v_leave] = 0.0
-        elif step_b[leave] > 0:
+        elif step_l[leave] > 0:
             x[v_leave] = hi[v_leave]
             state[v_leave] = _AT_HI
             dirmask[v_leave] = 1.0
@@ -421,6 +467,7 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, state, since_refresh)
             dirmask[v_leave] = -1.0
 
         basis[leave] = j
+        basis_l[leave] = j
         state[j] = _BASIC
         dirmask[j] = 0.0
         xb[leave] = enter_val
@@ -486,12 +533,15 @@ def solve_lp(c, poly: Polyhedron, warm: Optional[LpSolution] = None) -> LpSoluti
     DegeneracyError
         if phase 2 makes no progress after the anti-cycling cap.
     ValueError
-        if ``warm`` is not an optimal solution on this polyhedron (its
-        phase-1 start is not the one ``poly`` holds).
+        if ``c`` has a NaN or infinite entry, or if ``warm`` is not an
+        optimal solution on this polyhedron (its phase-1 start is not the
+        one ``poly`` holds).
     """
     c = _as_float_vector(c, "c")
     if c.size != poly.dim:
         raise DimensionMismatch(f"cost has {c.size} entries, polyhedron has dim {poly.dim}")
+    if not np.isfinite(c).all():
+        raise ValueError("cost c must be finite")
     if warm is not None and warm.status != "optimal":
         raise ValueError(f"warm start must be an optimal solution, got {warm.status!r}")
     start = poly._lp_start
@@ -689,7 +739,7 @@ def frank_wolfe_min(
             return FwResult(x, f0, gap, min(it, max_iter), gap <= tol_gap)
 
         scores = [float(g @ u) for u in verts]
-        a_idx = int(np.argmax(scores))
+        a_idx = max(range(len(scores)), key=scores.__getitem__)  # first maximum
         away = len(verts) > 1 and scores[a_idx] - float(g @ x) > gap
         if away:
             alpha_a = alphas[a_idx]

@@ -155,6 +155,12 @@ class TestCcpSelect:
         with pytest.raises(ValueError):
             ccp_select(game, 1)
 
+    def test_negative_max_iter_rejected(self):
+        # it used to return the random start with zero iterations
+        game = null_game([Polyhedron.interval(0.0, 1.0)])
+        with pytest.raises(ValueError, match="max_iter must be nonnegative"):
+            ccp_select(game, 2, max_iter=-1)
+
     def test_deterministic(self):
         game = null_game([Polyhedron.box([0.0, 0.0], [1.0, 3.0])])
         b1, _ = ccp_select(game, 3, seed=9)

@@ -141,6 +141,19 @@ class TestSolveLp:
         with pytest.raises(DimensionMismatch):
             solve_lp(np.array([1.0, 2.0]), Polyhedron.interval(0.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cost_rejected(self, siouxfalls_sets, bad):
+        # a NaN or infinite cost used to run every allowed pivot and then
+        # report that phase 2 made no progress
+        P = siouxfalls_sets[0]
+        c = np.random.default_rng(0).uniform(1.0, 2.0, P.dim)
+        warm = solve_lp(c, P)
+        c[3] = bad
+        with pytest.raises(ValueError, match="c must be finite"):
+            solve_lp(c, P)
+        with pytest.raises(ValueError, match="c must be finite"):
+            solve_lp(c, P, warm=warm)
+
     def test_bitwise_determinism(self):
         rng = np.random.default_rng(5)
         E = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]])
@@ -490,6 +503,99 @@ def assert_matches_highs(c, P):
     return got.status
 
 
+def array_ratio_test(step_b, xb, lo_b, hi_b, basis, bland):
+    """The simplex's ratio test as it ran on numpy arrays over every basic
+    row, kept as the reference for the Python-float ``_ratio_test``.  The
+    leaving row is picked only when ``t_basic`` is finite and below the
+    entering variable's own bound distance, so ``t_star`` is ``t_basic``
+    there; the reference returns -1 otherwise."""
+    _RATIO_TOL = polytope._RATIO_TOL
+    tgt = np.where(step_b > 0.0, hi_b, lo_b)
+    small = np.abs(step_b) <= _RATIO_TOL
+    denom = np.where(small, 1.0, step_b)
+    ratios = np.where(small, np.inf, (tgt - xb) / denom)
+    np.maximum(ratios, 0.0, out=ratios)
+
+    t_basic = float(ratios.min(initial=np.inf))
+    if not np.isfinite(t_basic):
+        return t_basic, -1
+    t_star = t_basic
+
+    cand = np.flatnonzero(ratios <= t_star + _RATIO_TOL)
+    if bland:
+        leave = int(cand[np.argmin(basis[cand])])
+    else:
+        leave = int(cand[np.argmax(np.abs(step_b[cand]))])
+    return t_basic, leave
+
+
+class TestRatioTest:
+    # _ratio_test must pick the same t_basic, to the byte, and the same
+    # leaving row as the array form it replaced
+
+    @staticmethod
+    def assert_matches(step, xb, lo, hi, basis):
+        args = [np.asarray(a, dtype=float) for a in (step, xb, lo, hi)]
+        basis = np.asarray(basis)
+        for bland in (False, True):
+            want = array_ratio_test(*args, basis, bland)
+            got = polytope._ratio_test(*(a.tolist() for a in args), basis.tolist(), bland)
+            assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+            assert got[1] == want[1]
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(12)
+        tol = polytope._RATIO_TOL
+        for _ in range(3000):
+            m = int(rng.integers(1, 30))
+            basis = rng.permutation(m + int(rng.integers(0, 40)))[:m]
+            lo = rng.uniform(-5.0, 0.0, m)
+            hi = lo + np.where(rng.uniform(size=m) < 0.15, 0.0, rng.uniform(0.0, 5.0, m))
+            pick = rng.uniform(size=m)
+            xb = np.where(pick < 0.2, lo, np.where(pick > 0.8, hi,  # on a bound
+                                                   lo + (hi - lo) * rng.uniform(size=m)))
+            xb = xb + np.where(rng.uniform(size=m) < 0.05, rng.normal(scale=1e-12, size=m), 0.0)
+            lo[rng.uniform(size=m) < 0.15] = -np.inf
+            hi[rng.uniform(size=m) < 0.15] = np.inf
+            step = rng.normal(size=m) * 10.0 ** rng.uniform(-12.0, 1.0, m)
+            kind = rng.integers(0, 8, size=m)
+            step = np.where(kind == 0, 0.0, step)
+            step = np.where(kind == 1, rng.choice([-1.0, 1.0], m) * tol, step)
+            step = np.where(kind == 2, rng.choice([-1.0, 1.0], m) * np.nextafter(tol, 1.0), step)
+            step = np.where(kind == 3, rng.choice([-1.0, 1.0], m) * 0.5, step)  # ties in |step|
+            self.assert_matches(step, xb, lo, hi, basis)
+
+    def test_degenerate_rows(self):
+        tol = polytope._RATIO_TOL
+        inf = np.inf
+        cases = [
+            # on its lower bound, moving down: the ratio is -0.0 before the clamp
+            ([-1.0], [0.0], [0.0], [1.0], [4]),
+            ([2.0, -1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [7, 3]),
+            ([-1.0, 2.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0], [7, 3]),
+            # slightly past a bound: a negative ratio clamps to zero
+            ([-1.0, 1.0], [-1e-13, 0.5], [0.0, 0.0], [1.0, 1.0], [0, 1]),
+            # steps at, inside and just outside the tolerance
+            ([0.0, tol, -tol, 0.5 * tol, np.nextafter(tol, 1.0), -np.nextafter(tol, 1.0)],
+             [0.5] * 6, [0.0] * 6, [1.0] * 6, [5, 4, 3, 2, 1, 0]),
+            ([0.0, tol, -tol], [0.5] * 3, [0.0] * 3, [1.0] * 3, [0, 1, 2]),
+            # every moving row heads for an infinite bound
+            ([1.0, -1.0, 0.0], [0.0, 0.0, 0.0], [0.0, -inf, 0.0], [inf, 0.0, 1.0], [0, 1, 2]),
+            ([1.0, -2.0], [3.0, -1.0], [-inf, -inf], [inf, inf], [1, 0]),
+            # ties in |step| among degenerate rows: first row, or least column
+            ([1.0, -1.0, 1.0, -1.0], [1.0, 0.0, 1.0, 0.0], [0.0] * 4, [1.0] * 4, [9, 2, 5, 1]),
+            ([-1.0, 1.0, -1.0], [0.0, 1.0, 0.0], [0.0] * 3, [1.0, 1.0, 2.0], [3, 8, 6]),
+            # ratios within the tolerance of the least tie as candidates
+            ([1.0, 2.0, 4.0], [1.0 - 0.5 * tol, 1.0, 1.0 - 4.0 * tol], [0.0] * 3, [1.0] * 3,
+             [0, 1, 2]),
+            # fixed rows (lo == hi) and a mix of everything
+            ([1.0, -1.0, 1e-11, 3.0], [0.0, 0.0, 0.0, 2.0], [0.0, 0.0, 0.0, -inf],
+             [0.0, 0.0, 0.0, inf], [10, 11, 12, 0]),
+        ]
+        for case in cases:
+            self.assert_matches(*case)
+
+
 class TestSimplexPaths:
     # pricing of free columns, Bland's rule, the periodic refactorization
     # and the pivot cap, none of which the Sioux Falls polytopes reach
@@ -710,6 +816,16 @@ class TestFrankWolfe:
         with pytest.raises(ValueError):
             frank_wolfe_min(lambda y: (0.0, np.zeros(1)), Polyhedron.interval(0.0, 1.0),
                             tol_gap=1e-9, max_iter=-1)
+
+    def test_nan_gradient_rejected(self, siouxfalls_sets):
+        # the gradient is the linear oracle's cost, which must be finite
+        def fun(y):
+            g = np.ones(y.size)
+            g[0] = np.nan
+            return float(y.sum()), g
+
+        with pytest.raises(ValueError, match="c must be finite"):
+            frank_wolfe_min(fun, siouxfalls_sets[0], tol_gap=1e-9)
 
     def test_step_toward_joins_a_vertex_within_rounding(self):
         # a warm LP may return an active vertex again a few ulps off, or

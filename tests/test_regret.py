@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -546,6 +547,20 @@ class TestPinnedSiouxFalls:
     # how much work a report does.
     WORK_STREAM = {"seed": 13, "alpha": 0.1, "size": 20}
     WORK = {"fw_iterations": 120, "lp_calls": 120}
+    # Simplex pivots over the same reports (phase 2 only, counted with
+    # _REFACTOR_EVERY raised so that a call's pivots are the rise of its
+    # since_refresh count) and a SHA-256 over the reports' per-player
+    # regrets, FW gaps and best responses, captured from the kernel whose
+    # ratio test ran on numpy arrays: a cheaper pivot must make the same
+    # pivots and give the same bytes.
+    WORK_PIVOTS = 822
+    WORK_SHA256 = "07ca8b8b79bd3bd2e4fe6f71834eb2807e3dd90a108726d4667fe8d3cedd07f0"
+
+    def work_stream(self):
+        stream = self.WORK_STREAM
+        rng = np.random.default_rng(stream["seed"])
+        return [project_simplex(w)
+                for w in rng.dirichlet(np.full(5, stream["alpha"]), size=stream["size"])]
 
     def test_reports_bitwise(self):
         oracle = siouxfalls_oracle()
@@ -585,8 +600,33 @@ class TestPinnedSiouxFalls:
         monkeypatch.setattr(polytope, "solve_lp", counting_lp)
         monkeypatch.setattr(regret, "frank_wolfe_min", counting_fw)
         oracle = siouxfalls_oracle()
-        stream = self.WORK_STREAM
-        rng = np.random.default_rng(stream["seed"])
-        for w in rng.dirichlet(np.full(5, stream["alpha"]), size=stream["size"]):
-            oracle.report(project_simplex(w))
+        for w in self.work_stream():
+            oracle.report(w)
         assert work == self.WORK
+
+    def test_pivots_pinned(self, monkeypatch):
+        oracle = siouxfalls_oracle()
+        pivots = []
+        simplex = polytope._simplex_phase_np
+
+        def counting(*args):
+            status, since_refresh = simplex(*args)
+            pivots.append(since_refresh - args[-1])
+            return status, since_refresh
+
+        monkeypatch.setattr(polytope, "_REFACTOR_EVERY", 10 ** 9)
+        monkeypatch.setattr(polytope, "_simplex_phase_np", counting)
+        for w in self.work_stream():
+            oracle.report(w)
+        assert sum(pivots) == self.WORK_PIVOTS
+
+    def test_outputs_hash_pinned(self):
+        oracle = siouxfalls_oracle()
+        digest = hashlib.sha256()
+        for w in self.work_stream():
+            rep = oracle.report(w)
+            digest.update(rep.per_player.tobytes())
+            digest.update(rep.fw_gaps.tobytes())
+            for y in rep.best_responses:
+                digest.update(y.tobytes())
+        assert digest.hexdigest() == self.WORK_SHA256
