@@ -10,11 +10,12 @@ This module provides the geometry every other part of the package sits on:
   runs once, when the polyhedron is constructed, and every call runs phase
   2 only.  Phase 2 starts from the polyhedron's phase-1 basis, or, given
   ``warm=`` a previous optimal solution on the same polyhedron, continues
-  the simplex state that solution ended with (basis, basis inverse, vertex,
-  pricing mask) without refactorizing it.  A pivot's ratio test runs in
-  Python floats on the basic rows the entering column moves, which on a
-  network polytope are few.  Deterministic: identical inputs (``warm``
-  included) give bitwise-identical vertices.
+  the simplex state that solution ended with (vertex, basis, basis
+  inverse, pricing mask) without refactorizing it.  The pricing mask is
+  the one record of which bound each nonbasic variable sits at.  A pivot's
+  ratio test runs in Python floats on the basic rows the entering column
+  moves, which on a network polytope are few.  Deterministic: identical
+  inputs (``warm`` included) give bitwise-identical vertices.
 * :func:`frank_wolfe_min` -- conditional-gradient minimization of a smooth
   convex function over a :class:`Polyhedron` from its phase-1 vertex, with
   away steps over the active vertex set; every step is exact on its
@@ -97,12 +98,13 @@ class Polyhedron:
     """Feasible set ``{x : eq_matrix x = eq_rhs, lower <= x <= upper,
     budget_coeffs . x <= budget_limit}``.
 
-    ``eq_matrix`` is dense with one row per linear equality (for flow
-    polytopes: one row per node, entries in {-1, 0, +1}); the budget row is
-    optional.  Bounds may be infinite but not NaN; every other entry must be
-    finite.  Degenerate sets (empty, single point) are legal; emptiness
-    surfaces as an infeasible LP status.  Construction runs simplex phase 1,
-    so it raises :class:`DegeneracyError` if phase 1 stalls.
+    ``eq_matrix`` is a dense 2-D array with one row per linear equality
+    (for flow polytopes: one row per node, entries in {-1, 0, +1}); the
+    budget row is optional.  Bounds may be infinite but not NaN; every other
+    entry must be finite.  Degenerate sets (empty, single point) are legal;
+    emptiness surfaces as an infeasible LP status.  Construction runs
+    simplex phase 1, so it raises :class:`DegeneracyError` if phase 1
+    stalls.
     """
 
     eq_matrix: np.ndarray
@@ -120,7 +122,7 @@ class Polyhedron:
         upper = _as_float_vector(self.upper, "upper")
         eq = np.asarray(self.eq_matrix, dtype=float)
         if eq.ndim != 2:
-            eq = eq.reshape(-1, lower.size)
+            raise DimensionMismatch(f"eq_matrix must be a matrix, got shape {eq.shape}")
         rhs = _as_float_vector(self.eq_rhs, "eq_rhs")
         if eq.shape[0] != rhs.size:
             raise DimensionMismatch(
@@ -206,33 +208,21 @@ _MAX_PIVOTS = 50000  # pivots per phase before it gives up as 'stalled'
 _REFACTOR_EVERY = 100  # pivots between refactorizations of the basis inverse
 
 
-# Nonbasic variable states: 0 = basic, 1 = at lower, 2 = at upper,
-# 3 = free at zero, 4 = fixed (lower == upper, never enters).
-_BASIC, _AT_LO, _AT_HI, _FREE, _FIXED = 0, 1, 2, 3, 4
-
-
 class _SimplexState(NamedTuple):
     """Where a simplex run on one standard-form problem stands: the
-    extended vertex, the basis, its inverse, the variable states (which fix
-    the vertex), the pivots since the inverse was last refactorized, and the
-    pricing mask.  ``dirmask`` is -1 at lower, +1 at upper and 0 elsewhere,
-    a function of ``state`` that the simplex keeps in step with it, so a run
-    carries it instead of rebuilding it on entry.  The arrays are read-only;
-    a run continues from copies."""
+    extended vertex, the basis, its inverse, the pricing mask and the
+    pivots since the inverse was last refactorized.  ``dirmask`` is the one
+    record of where each variable sits: -1 at its lower bound, +1 at its
+    upper bound, and 0 when it is basic, fixed (lower == upper, never
+    enters) or free (nonbasic at zero), so ``dirmask * r > 0`` exactly when
+    moving a variable off its bound improves the objective.  The arrays are
+    read-only; a run continues from copies."""
 
     x: np.ndarray
     basis: np.ndarray
     binv: np.ndarray
-    state: np.ndarray
-    since_refresh: int
     dirmask: np.ndarray
-
-
-def _dirmask(state):
-    """Pricing direction per variable state: ``dirmask * r`` is positive
-    exactly when moving a nonbasic variable at a bound improves the
-    objective."""
-    return np.where(state == _AT_LO, -1.0, np.where(state == _AT_HI, 1.0, 0.0))
+    since_refresh: int
 
 
 def _phase1(A, b, lo, hi):
@@ -241,11 +231,13 @@ def _phase1(A, b, lo, hi):
     Phase 1 of the two-phase revised simplex: one artificial variable per
     row, driven to zero.  It never reads the cost, so one start serves every
     ``c``.  Returns ``"infeasible"`` or the read-only start
-    ``(A_ext, AT_ext, b, lo_ext, hi_ext, initial)`` that :func:`_phase2`
-    runs from: ``AT_ext`` is the contiguous transpose of ``A_ext``, the
-    bounds are tuples of Python floats (the simplex reads them one entry at
-    a time), and the :class:`_SimplexState` ``initial`` has the artificials
-    pinned to zero and its pivot count at zero.
+    ``(A_ext, AT_ext, b, lo_ext, hi_ext, free, initial)`` that
+    :func:`solve_lp` runs phase 2 from: ``AT_ext`` is the contiguous
+    transpose of ``A_ext``, the bounds are tuples of Python floats (the
+    simplex reads them one entry at a time), ``free`` indexes the free
+    columns (None if there are none), and the :class:`_SimplexState`
+    ``initial`` has the artificials pinned to zero and its pivot count at
+    zero.
     """
     m, n = A.shape
 
@@ -263,63 +255,33 @@ def _phase1(A, b, lo, hi):
     x = np.concatenate([x0, np.abs(resid)])
     basis = np.arange(n, n + m)
     binv = np.diag(sgn)
-
-    state = np.empty(n + m, dtype=np.int8)
-    state[:n] = np.where(
-        lo == hi, _FIXED,
-        np.where(x0 == lo, _AT_LO, np.where(np.isfinite(hi) & (x0 == hi), _AT_HI, _FREE)),
-    )
-    state[n:] = _BASIC
+    dirmask = np.zeros(n + m)
+    dirmask[:n] = (x0 == hi) * 1.0 - (x0 == lo) * 1.0  # a fixed column is at both: 0
+    # A free column never flips (its own bound distance is infinite) and
+    # never leaves the basis (its ratio is infinite), so the set is fixed.
+    free = np.flatnonzero(np.isneginf(lo) & np.isposinf(hi))
+    free.flags.writeable = False
+    free = free if free.size else None
 
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     st, _ = _simplex_phase_np(A_ext, AT_ext, b, c1, tuple(lo_ext.tolist()),
-                              tuple(hi_ext.tolist()), x, basis, binv, state,
-                              _dirmask(state), 0)
+                              tuple(hi_ext.tolist()), free, x, basis, binv, dirmask, 0)
     if st == "stalled":
         raise DegeneracyError("phase 1 made no progress after the anti-cycling cap")
     feas_tol = 1e-8 * (1.0 + np.abs(b).max(initial=0.0))
     if float(c1 @ x) > feas_tol:
         return "infeasible"
-    # Artificial variables are pinned to zero for phase 2.
+    # Artificial variables are pinned to zero for phase 2, as fixed columns.
+    # A nonbasic one left the basis onto 0.0, its only finite bound, so only
+    # the mask changes; a basic one's mask is 0 already.
     lo_ext[n:] = 0.0
     hi_ext[n:] = 0.0
-    x[n:][state[n:] != _BASIC] = 0.0
-    state[n:][state[n:] != _BASIC] = _FIXED
+    dirmask[n:] = 0.0
 
-    initial = _SimplexState(x, basis, binv, state, 0, _dirmask(state))
-    for arr in (A_ext, AT_ext, b, x, basis, binv, state, initial.dirmask):
+    initial = _SimplexState(x, basis, binv, dirmask, 0)
+    for arr in (A_ext, AT_ext, b, x, basis, binv, dirmask):
         arr.flags.writeable = False
-    return (A_ext, AT_ext, b, tuple(lo_ext.tolist()), tuple(hi_ext.tolist()), initial)
-
-
-def _phase2(start, c, warm=None):
-    """min c.x from a copy of a :func:`_phase1` start's initial state, or
-    of the :class:`_SimplexState` ``warm`` an earlier phase 2 on it ended
-    with.
-
-    A warm entry continues that state as it was: the extended vertex, the
-    basis inverse, the pricing mask and the pivots since its last
-    refactorization, so the refactorization keeps its period across a
-    chain of warm calls.  Returns (status, x, final) with x over the first
-    ``c.size`` variables and, on "optimal", ``final`` the read-only state
-    this call ended with.
-    """
-    A_ext, AT_ext, b, lo_ext, hi_ext, initial = start
-    entry = initial if warm is None else warm
-    x, basis, binv, state = (arr.copy() for arr in entry[:4])
-    dirmask = entry.dirmask.copy()
-    c2 = np.zeros(x.size)
-    c2[:c.size] = c
-    st, since_refresh = _simplex_phase_np(A_ext, AT_ext, b, c2, lo_ext, hi_ext, x, basis,
-                                          binv, state, dirmask, entry.since_refresh)
-    if st == "stalled":
-        raise DegeneracyError("phase 2 made no progress after the anti-cycling cap")
-    if st == "unbounded":
-        return "unbounded", None, None
-    final = _SimplexState(x, basis, binv, state, since_refresh, dirmask)
-    for arr in (x, basis, binv, state, dirmask):
-        arr.flags.writeable = False
-    return "optimal", x[:c.size], final
+    return (A_ext, AT_ext, b, tuple(lo_ext.tolist()), tuple(hi_ext.tolist()), free, initial)
 
 
 def _ratio_test(step, xb, lo_b, hi_b, basis, bland):
@@ -361,17 +323,20 @@ def _ratio_test(step, xb, lo_b, hi_b, basis, bland):
     return t_basic, leave
 
 
-def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, state, dirmask, since_refresh):
-    """Primal iterations in place on ``x``, ``basis``, ``binv``, ``state``
-    and the pricing mask ``dirmask`` (see :class:`_SimplexState`); ``AT``
-    is ``A.T``, contiguous, and the bounds ``lo``, ``hi`` are tuples of
-    Python floats.  Returns the status ('optimal'|'unbounded'|'stalled') and
-    the pivots since the last refactorization, ``since_refresh`` counting
-    those made before the call.
+def _simplex_phase_np(A, AT, b, c, lo, hi, free, x, basis, binv, dirmask, since_refresh):
+    """Primal iterations in place on ``x``, ``basis``, ``binv`` and the
+    pricing mask ``dirmask`` (see :class:`_SimplexState`); ``AT`` is
+    ``A.T``, contiguous, the bounds ``lo``, ``hi`` are tuples of Python
+    floats and ``free`` indexes the free columns (None if there are none).
+    Returns the status ('optimal'|'unbounded'|'stalled') and the pivots
+    since the last refactorization, ``since_refresh`` counting those made
+    before the call.
 
     Pricing is Dantzig (most negative reduced cost) with deterministic
     lowest-index tie-breaking; after _STALL_CAP consecutive degenerate
     pivots it falls back to Bland's rule until the objective moves again.
+    A free column is priced by ``|r|``.  A basic one's ``r`` is only
+    rounding, far below the dual tolerance, so it is never chosen.
     The ratio test (:func:`_ratio_test`) runs in Python floats on the basic
     rows the entering column moves: on network polytopes these are a few of
     the rows, and numpy's per-call overhead on a short vector costs more
@@ -379,8 +344,6 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, state, dirmask, since
     and ``x_B``, runs once ``since_refresh`` reaches _REFACTOR_EVERY.
     """
     dual_tol = _DUAL_TOL * (1.0 + np.abs(c).max())
-    # FREE columns are priced by |r| and get a slower path.
-    has_free = bool((state == _FREE).any())
 
     # Basis-aligned copies, updated in O(1) per pivot instead of regathered.
     xb = x[basis].copy()
@@ -407,8 +370,7 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, state, dirmask, since
         y = binv.T @ cb
         r = c - AT @ y
         viol = dirmask * r
-        if has_free:
-            free = state == _FREE
+        if free is not None:
             viol[free] = np.abs(r[free])
 
         if bland:
@@ -445,7 +407,6 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, state, dirmask, since
             # Bound flip: the entering variable crosses to its other bound.
             xb += step_b * t_own
             x[j] = hi[j] if direction > 0 else lo[j]
-            state[j] = _AT_HI if direction > 0 else _AT_LO
             dirmask[j] = 1.0 if direction > 0 else -1.0
             continue
 
@@ -455,20 +416,16 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, state, dirmask, since
         # Snap the leaving variable exactly onto the bound it hit.
         if lo[v_leave] == hi[v_leave]:
             x[v_leave] = lo[v_leave]
-            state[v_leave] = _FIXED
             dirmask[v_leave] = 0.0
         elif step_l[leave] > 0:
             x[v_leave] = hi[v_leave]
-            state[v_leave] = _AT_HI
             dirmask[v_leave] = 1.0
         else:
             x[v_leave] = lo[v_leave]
-            state[v_leave] = _AT_LO
             dirmask[v_leave] = -1.0
 
         basis[leave] = j
         basis_l[leave] = j
-        state[j] = _BASIC
         dirmask[j] = 0.0
         xb[leave] = enter_val
         cb[leave] = c[j]
@@ -509,20 +466,20 @@ def solve_lp(c, poly: Polyhedron, warm: Optional[LpSolution] = None) -> LpSoluti
     Returns a vertex on success (nonbasic coordinates sit exactly on their
     bounds).  Every polyhedron, a box included, takes the same path: phase
     2 from a copy of the feasible start (or the verdict "infeasible") that
-    ``poly`` computed when it was constructed.  ``poly`` is only read, so a
-    call without ``warm`` is the same whatever was solved before and from
-    whichever thread.  The pivot rule is fixed, so identical inputs produce
-    bitwise-identical solutions.
+    :func:`_phase1` computed when ``poly`` was constructed.  ``poly`` is
+    only read, so a call without ``warm`` is the same whatever was solved
+    before and from whichever thread.  The pivot rule is fixed, so
+    identical inputs produce bitwise-identical solutions.
 
     ``warm``, an earlier optimal solution on this polyhedron, makes phase 2
     continue from a copy of the simplex state that solution ended with
-    instead: its basis, basis inverse and extended vertex, and the pivots
-    since the inverse was last refactorized, so a chain of warm calls
-    refactorizes every ``_REFACTOR_EVERY`` pivots in all, not on every
-    entry.  When consecutive costs are close (Frank-Wolfe gradients) few
-    pivots remain.  ``warm`` is only read, so one solution can start any
-    number of calls, each giving the same result.  The optimum is the same
-    up to the pricing tolerance, but among tied optima a warm call may
+    instead: its extended vertex, basis, basis inverse and pricing mask,
+    and the pivots since the inverse was last refactorized, so a chain of
+    warm calls refactorizes every ``_REFACTOR_EVERY`` pivots in all, not on
+    every entry.  When consecutive costs are close (Frank-Wolfe gradients)
+    few pivots remain.  ``warm`` is only read, so one solution can start
+    any number of calls, each giving the same result.  The optimum is the
+    same up to the pricing tolerance, but among tied optima a warm call may
     return another vertex than a cold one, and its basic coordinates carry
     the rounding of the pivots before it.
 
@@ -549,11 +506,22 @@ def solve_lp(c, poly: Polyhedron, warm: Optional[LpSolution] = None) -> LpSoluti
         raise ValueError("warm start comes from another polyhedron")
     if start == "infeasible":
         return LpSolution(None, None, "infeasible")
-    status, x, final = _phase2(start, c, None if warm is None else warm._final_basis[1])
-    if status != "optimal":
-        return LpSolution(None, None, status)
-    point = x.copy()
-    return LpSolution(point, float(c @ point), "optimal", (start, final))
+    A_ext, AT_ext, b, lo_ext, hi_ext, free, initial = start
+    entry = initial if warm is None else warm._final_basis[1]
+    x, basis, binv, dirmask = (arr.copy() for arr in entry[:4])
+    c_ext = np.zeros(x.size)
+    c_ext[:c.size] = c
+    status, since_refresh = _simplex_phase_np(A_ext, AT_ext, b, c_ext, lo_ext, hi_ext, free,
+                                              x, basis, binv, dirmask, entry.since_refresh)
+    if status == "stalled":
+        raise DegeneracyError("phase 2 made no progress after the anti-cycling cap")
+    if status == "unbounded":
+        return LpSolution(None, None, "unbounded")
+    for arr in (x, basis, binv, dirmask):
+        arr.flags.writeable = False
+    point = x[:c.size].copy()
+    return LpSolution(point, float(c @ point), "optimal",
+                      (start, _SimplexState(x, basis, binv, dirmask, since_refresh)))
 
 
 # ---------------------------------------------------------------------------
@@ -712,8 +680,16 @@ def frank_wolfe_min(
     ``tol_gap >= 0``, or at a zero step.  The result carries ``value =
     f(x)`` at the returned point; the gap there bounds ``value - min f``
     whether or not the run converged.  Non-convergence is reported through
-    ``converged=False`` and the final gap, never as an exception; an empty
-    polyhedron raises :class:`InfeasibleError`.
+    ``converged=False`` and the final gap, never as an exception.
+
+    Raises
+    ------
+    InfeasibleError
+        if the polyhedron is empty.
+    ValueError
+        if ``tol_gap`` is NaN or negative, ``max_iter`` is negative, a
+        gradient has a NaN or infinite entry, or the polyhedron is
+        unbounded along a gradient.
     """
     if not tol_gap >= 0:
         raise ValueError(f"tol_gap must be >= 0, got {tol_gap}")
@@ -732,7 +708,7 @@ def frank_wolfe_min(
         f0, g = fun(x)
         sol = solve_lp(g, poly, warm=sol)
         if sol.status != "optimal":
-            raise InfeasibleError(f"linear oracle returned {sol.status}")
+            raise ValueError(f"polyhedron must be bounded: linear oracle returned {sol.status}")
         v = sol.point
         gap = float(g @ (x - v))
         if gap <= tol_gap or it > max_iter:
@@ -800,7 +776,9 @@ def project_simplex(v) -> np.ndarray:
 
 def contains(poly: Polyhedron, x, tol: float = TOL_FEAS) -> bool:
     """True iff ``x`` is finite and satisfies every constraint of ``poly``
-    within ``tol``."""
+    within ``tol``; a NaN or negative ``tol`` raises ValueError."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     x = _as_float_vector(x, "x")
     if x.size != poly.dim:
         raise DimensionMismatch(f"point has {x.size} entries, polyhedron has dim {poly.dim}")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import sys
 import threading
@@ -184,6 +185,20 @@ def siouxfalls_sets(siouxfalls_game):
     return siouxfalls_game.action_sets
 
 
+def free_column_chains(seed=5, count=40, length=10):
+    """``count`` random polyhedra whose columns are boxed, bounded on one
+    side or free, each with ``length`` random costs: (P, costs) pairs."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, n = int(rng.integers(1, 5)), int(rng.integers(2, 8))
+        A = rng.normal(size=(m, n))
+        kind = rng.integers(0, 4, size=n)  # box, lower only, upper only, free
+        lo = np.where(kind <= 1, -1.0, -np.inf)
+        hi = np.where(kind % 2 == 0, 1.0, np.inf)
+        P = Polyhedron(A, A @ rng.uniform(-1.0, 1.0, n), lo, hi)
+        yield P, [rng.normal(size=n) for _ in range(length)]
+
+
 class TestStoredStart:
     def test_warm_equals_cold_and_highs(self, siouxfalls_sets):
         rng = np.random.default_rng(0)
@@ -343,25 +358,37 @@ class TestWarmStart:
             pivots.clear()
 
     def test_free_columns_warm_chain_match_highs(self):
-        rng = np.random.default_rng(5)
-        for _ in range(40):
-            m, n = int(rng.integers(1, 5)), int(rng.integers(2, 8))
-            A = rng.normal(size=(m, n))
-            kind = rng.integers(0, 4, size=n)  # box, lower only, upper only, free
-            lo = np.where(kind <= 1, -1.0, -np.inf)
-            hi = np.where(kind % 2 == 0, 1.0, np.inf)
-            P = Polyhedron(A, A @ rng.uniform(-1.0, 1.0, n), lo, hi)
+        for P, costs in free_column_chains():
             prev = None
-            for _ in range(10):
-                c = rng.normal(size=n)
+            for c in costs:
                 got = solve_lp(c, P, warm=prev)
-                ref = linprog(c, A_eq=A, b_eq=P.eq_rhs, bounds=np.column_stack([lo, hi]),
-                              method="highs")
+                ref = linprog(c, A_eq=P.eq_matrix, b_eq=P.eq_rhs,
+                              bounds=np.column_stack([P.lower, P.upper]), method="highs")
                 assert got.status == HIGHS_STATUS[ref.status], ref.message
                 if got.status == "optimal":
                     assert contains(P, got.point, 1e-7)
                     assert abs(got.objective - ref.fun) <= 1e-7 * (1.0 + abs(ref.fun))
                     prev = got
+
+    # SHA-256 over the status and vertex of a cold and a warm solve_lp per
+    # cost of free_column_chains(), the warm chain continuing its last
+    # optimal solution; captured from the kernel that kept a per-variable
+    # state code next to the pricing mask and priced free columns by it
+    FREE_SHA256 = "1d4c8e28fc8d7beca502f449a96658cad0ebec7f0b3ba9a445792a3f78922caf"
+
+    def test_free_columns_bytes_pinned(self):
+        digest = hashlib.sha256()
+        for P, costs in free_column_chains():
+            prev = None
+            for c in costs:
+                cold, warm = solve_lp(c, P), solve_lp(c, P, warm=prev)
+                for sol in (cold, warm):
+                    digest.update(sol.status.encode())
+                    if sol.status == "optimal":
+                        digest.update(sol.point.tobytes())
+                if warm.status == "optimal":
+                    prev = warm
+        assert digest.hexdigest() == self.FREE_SHA256
 
     def test_nonbasic_free_column_restarts_at_zero(self):
         # phase 1 never prices x2 in (its reduced cost is zero), so the
@@ -426,16 +453,34 @@ class TestWarmStart:
             solve_lp([1.0], empty, warm=solve_lp([1.0], empty))
 
 
+def assert_mask_matches_vertex(start, state):
+    """``state.dirmask`` is -1 on the nonbasic columns at a lower bound
+    below their upper bound, +1 on those at their upper bound and 0 on the
+    basic, fixed and free columns; every other nonbasic column sits on a
+    bound, and a free one at zero."""
+    lo, hi = np.array(start[3]), np.array(start[4])
+    x = state.x
+    nonbasic = np.ones(x.size, dtype=bool)
+    nonbasic[state.basis] = False
+    fixed, free = lo == hi, np.isneginf(lo) & np.isposinf(hi)
+    at_lo = nonbasic & ~fixed & (x == lo)
+    at_hi = nonbasic & ~fixed & (x == hi)
+    assert state.dirmask.tolist() == np.where(at_lo, -1.0, np.where(at_hi, 1.0, 0.0)).tolist()
+    assert np.all(at_lo | at_hi | ~nonbasic | fixed | (free & (x == 0.0)))
+
+
 class TestCarriedChain:
     # a warm call continues the simplex state the warm solution ended with:
-    # its vertex, basis inverse and pivots since the last refactorization
+    # its vertex, basis inverse, pricing mask and pivots since the last
+    # refactorization
 
     def test_one_warm_start_serves_two_calls_unchanged(self, siouxfalls_sets):
         P = fresh(siouxfalls_sets[0])
         rng = np.random.default_rng(7)
         warm = solve_lp(rng.uniform(1.0, 2.0, P.dim), P)
         warm = solve_lp(rng.uniform(1.0, 2.0, P.dim), P, warm=warm)
-        held = warm._final_basis[1][:4]  # vertex, basis, inverse, states
+        state = warm._final_basis[1]
+        held = [state.x, state.basis, state.binv, state.dirmask]
         before = [a.copy() for a in held]
         assert not any(a.flags.writeable for a in held)
         for c in rng.uniform(1.0, 2.0, size=(5, P.dim)):
@@ -445,6 +490,28 @@ class TestCarriedChain:
         assert all(a.tobytes() == b.tobytes() for a, b in zip(held, before))
         with pytest.raises(ValueError, match="read-only"):
             held[0][0] = 1.0
+
+    def test_mask_matches_the_vertex(self, siouxfalls_sets):
+        # the carried pricing mask says where each column sits after every
+        # call: Sioux Falls warm chains, then cold and warm free-column LPs
+        rng = np.random.default_rng(10)
+        for P in siouxfalls_sets:
+            P = fresh(P)
+            assert_mask_matches_vertex(P._lp_start, P._lp_start[-1])
+            c = rng.uniform(1.0, 2.0, P.dim)
+            prev = None
+            for _ in range(100):
+                c = c * (1.0 + 0.2 * rng.normal(size=P.dim))
+                prev = solve_lp(c, P, warm=prev)
+                assert_mask_matches_vertex(*prev._final_basis)
+        for P, costs in free_column_chains():
+            assert_mask_matches_vertex(P._lp_start, P._lp_start[-1])
+            prev = None
+            for c in costs:
+                for sol in (solve_lp(c, P), solve_lp(c, P, warm=prev)):
+                    if sol.status == "optimal":
+                        assert_mask_matches_vertex(*sol._final_basis)
+                        prev = sol
 
     def test_refactorization_period_spans_the_chain(self, siouxfalls_sets, monkeypatch):
         # the pivot count carries over from call to call, so a chain of
@@ -780,6 +847,12 @@ class TestFrankWolfe:
         with pytest.raises(InfeasibleError):
             frank_wolfe_min(lambda y: (0.0, np.zeros(2)), empty, tol_gap=1e-9)
 
+    def test_unbounded_polyhedron_rejected(self):
+        # the linear oracle is unbounded, which is not an empty set
+        with pytest.raises(ValueError, match="polyhedron must be bounded"):
+            frank_wolfe_min(lambda y: (-float(y[0]), -np.ones(1)),
+                            Polyhedron.box([0.0], [np.inf]), tol_gap=1e-9)
+
     def test_determinism(self):
         target = np.array([0.3, 0.8])
 
@@ -1035,6 +1108,12 @@ class TestContains:
         with pytest.raises(DimensionMismatch):
             contains(Polyhedron.interval(0.0, 1.0), [0.1, 0.2])
 
+    @pytest.mark.parametrize("tol", [np.nan, -1e-9, -np.inf])
+    def test_bad_tol_rejected(self, tol):
+        # every comparison with a NaN tolerance is false, so any point passed
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            contains(Polyhedron.simplex(2), [5.0, -3.0], tol=tol)
+
 
 class TestPolyhedron:
     def test_bounds_must_be_ordered(self):
@@ -1066,6 +1145,12 @@ class TestPolyhedron:
         for rhs in ([], np.zeros(0), [1.0, 1.0]):
             with pytest.raises(DimensionMismatch, match="1 rows"):
                 Polyhedron(np.ones((1, 2)), rhs, np.zeros(2), np.ones(2))
+
+    @pytest.mark.parametrize("eq", [np.ones((1, 1, 2)), np.ones(3), np.ones(2), 1.0])
+    def test_eq_matrix_must_be_a_matrix(self, eq):
+        # a non-2-D array is not reshaped to fit the bounds
+        with pytest.raises(DimensionMismatch, match=r"eq_matrix must be a matrix, got shape \("):
+            Polyhedron(eq, np.ones(1), np.zeros(2), np.ones(2))
 
     @pytest.mark.parametrize("field, bad", [
         *((f, v) for f in ("eq_matrix", "eq_rhs", "budget_coeffs", "budget_limit")
