@@ -19,6 +19,17 @@ of the offsets from the observations,
     G_n = (5 / (3 l^2)) (1 + q_n) e^{-q_n} (Phi(z) alpha_n + (phi(z) / rho) beta_n),
 
 so a batch of B candidates never needs the B x n x N kernel derivatives.
+Scoring the candidates computes EI alone; only the polish takes gradients.
+
+The polish stops exactly when it can no longer move.  Where the GP is sure
+that no start improves on the incumbent, EI underflows to 0 at every start
+and so does every gradient entry; a step is then w <- project_simplex(w)
+whatever its size, so the batch's next state depends on its current bytes
+alone.  The polish keeps the bytes of each
+batch state since the last step with a nonzero gradient entry and stops
+when the batch returns to one of them: every later iterate and EI value
+would repeat one already in its row, so the first row-major maximum over
+the evaluated steps is the one all the steps give.
 
 The GP functions take the history as plain arrays: the n x N matrix ``W``
 of queried weights, one per row, the n standardized outputs ``eta``, and
@@ -67,7 +78,7 @@ LENGTHSCALE_GRID = (0.1, 0.2, 0.5, 1.0, 2.0)
 #: Flat-Dirichlet queries that seed :func:`bo_learn`'s history.
 N_INIT = 5
 #: Points :func:`maximize_acquisition` scores, the best of them it
-#: polishes, and the projected-gradient steps each polish takes.
+#: polishes, and the most projected-gradient steps a polish takes.
 NUM_CANDIDATES = 512
 NUM_POLISH = 8
 NUM_POLISH_STEPS = 50
@@ -132,16 +143,16 @@ def log_marginal_likelihood(W, eta, lengthscale: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _ei_and_grad(W_cand, W, factor, alpha, lengthscale, best):
-    """EI and its ambient-space gradient at each row of the B x N batch W_cand.
+def _posterior_ei(W_cand, W, factor, alpha, lengthscale, best):
+    """EI at each row of the B x N batch W_cand, and the terms its gradient
+    reuses.
 
-    Returns ``(ei[B], grad[B, N])``.  Where the posterior deviation is at
-    most 1e-15 (an observed point) both are zero.  The gradient is
-    ``grad[b] = sum_n G[b, n] (W_cand[b] - W[n])`` with the B x n weights
-    ``G = (5 / (3 l^2)) (1 + q) e^{-q} (Phi(z) alpha_n + (phi(z) / rho) beta_n)``,
-    so the only B x n x N array is the offsets.  ``beta`` comes from one
-    LAPACK ``dpotrs`` solve on the Cholesky factor; a non-finite row of
-    ``W_cand`` raises ``ValueError``.
+    Returns ``(ei[B], (q, e, beta, cdf, pdf, rho, seen))``: the B x n scaled
+    distances ``q``, ``e = exp(-q)`` and ``beta``, and per row the normal
+    cdf and pdf at z, the posterior deviation and whether it is at most
+    1e-15 (an observed point, where EI is zero and ``rho`` reads 1).
+    ``beta`` comes from one LAPACK ``dpotrs`` solve on the Cholesky factor;
+    a non-finite row of ``W_cand`` raises ``ValueError``.
     """
     if not np.isfinite(W_cand).all():
         raise ValueError("acquisition candidates must be finite")
@@ -158,6 +169,20 @@ def _ei_and_grad(W_cand, W, factor, alpha, lengthscale, best):
     cdf = ndtr(z)
     pdf = np.exp(-0.5 * z * z) * _INV_SQRT_2PI
     ei = np.where(seen, 0.0, (best - mean) * cdf + rho * pdf)
+    return ei, (q, e, beta, cdf, pdf, rho, seen)
+
+
+def _ei_and_grad(W_cand, W, factor, alpha, lengthscale, best):
+    """EI and its ambient-space gradient at each row of the B x N batch W_cand.
+
+    Returns ``(ei[B], grad[B, N])``, both zero at an observed point.  On
+    top of :func:`_posterior_ei` the gradient is ``grad[b] = sum_n G[b, n]
+    (W_cand[b] - W[n])`` with the B x n weights ``G = (5 / (3 l^2)) (1 + q)
+    e^{-q} (Phi(z) alpha_n + (phi(z) / rho) beta_n)``, so the only B x n x N
+    array is the offsets.
+    """
+    ei, (q, e, beta, cdf, pdf, rho, seen) = _posterior_ei(
+        W_cand, W, factor, alpha, lengthscale, best)
     G = ((5.0 / (3.0 * lengthscale ** 2)) * (1.0 + q) * e
          * (cdf[:, None] * alpha + (pdf / rho)[:, None] * beta))
     grad = G.sum(axis=1)[:, None] * W_cand - np.einsum("bn,nk->bk", G, W)
@@ -168,14 +193,24 @@ def maximize_acquisition(W, eta, lengthscale: float, seed: int = 0) -> np.ndarra
     """Approximate argmax of EI over the simplex, given the inputs ``W``
     (n x N), the standardized outputs ``eta`` and the lengthscale.
 
-    Seeded flat-Dirichlet sampling scores :data:`NUM_CANDIDATES` points; the
-    :data:`NUM_POLISH` best start a projected-gradient ascent of
-    :data:`NUM_POLISH_STEPS` steps with step 0.1/sqrt(t), all starts
-    advancing together as one batch.  The result is the best candidate
-    unless a polish iterate beats it strictly; ties go to the lowest
-    candidate index, then to the first iterate in start-major order, exactly
-    as polishing the starts one after another would choose.  The returned
-    point satisfies the simplex invariants exactly.
+    Seeded flat-Dirichlet sampling scores :data:`NUM_CANDIDATES` points by
+    EI alone; the :data:`NUM_POLISH` best start a projected-gradient ascent
+    of up to :data:`NUM_POLISH_STEPS` steps with step 0.1/sqrt(t), all
+    starts advancing together as one batch.  The result is the best
+    candidate unless a polish iterate beats it strictly; ties go to the
+    lowest candidate index, then to the first iterate in start-major order,
+    exactly as polishing the starts one after another would choose.  The
+    returned point satisfies the simplex invariants exactly.
+
+    The polish stops as soon as it can no longer change the answer.  While
+    every gradient entry of the batch is exactly 0 (EI underflows at every
+    start), a step is ``w <- project_simplex(w)`` whatever its size, so the
+    next batch state is a function of the current one alone.  The polish
+    keeps the bytes of every batch state since the last step with a
+    nonzero gradient entry and stops when the batch returns to one of
+    them: every later iterate, and its EI value, would repeat one already
+    evaluated in the same row, and the first row-major maximum of the
+    evaluated steps is the one all the steps would give.
     """
     W, factor, alpha = _factorize(W, eta, lengthscale)
     best = float(np.min(eta))
@@ -183,22 +218,32 @@ def maximize_acquisition(W, eta, lengthscale: float, seed: int = 0) -> np.ndarra
     rng = np.random.default_rng(seed)
 
     cands = rng.dirichlet(np.ones(N), size=NUM_CANDIDATES)
-    ei, _ = _ei_and_grad(cands, W, factor, alpha, lengthscale, best)
+    ei, _ = _posterior_ei(cands, W, factor, alpha, lengthscale, best)
     best_w = cands[int(np.argmax(ei))]
     w = cands[np.argsort(-ei, kind="stable")[:NUM_POLISH]]
 
-    # iterates[s, t] is start s after t polish steps; row-major is the
-    # order in which polishing the starts one by one would visit them
-    iterates = np.empty((len(w), NUM_POLISH_STEPS + 1, N))
-    values = np.empty((len(w), NUM_POLISH_STEPS + 1))
+    # iterates[t][s] is start s after t polish steps; the row-major order
+    # of values (start, step) is the order in which polishing the starts one
+    # by one would visit them.  stalled holds the bytes of the batch states
+    # since the last one with a nonzero gradient entry.
+    iterates, values, stalled = [], [], set()
     for t in range(NUM_POLISH_STEPS + 1):
-        iterates[:, t] = w
-        values[:, t], grad = _ei_and_grad(w, W, factor, alpha, lengthscale, best)
-        if t < NUM_POLISH_STEPS:
-            w = project_simplex(w + (0.1 / np.sqrt(t + 1)) * grad)
-    k = np.unravel_index(np.argmax(values), values.shape)
-    if values[k] > np.max(ei):
-        best_w = iterates[k]
+        iterates.append(w)
+        ei_w, grad = _ei_and_grad(w, W, factor, alpha, lengthscale, best)
+        values.append(ei_w)
+        if t == NUM_POLISH_STEPS:
+            break
+        if grad.any():
+            stalled.clear()
+        else:
+            stalled.add(w.tobytes())
+        w = project_simplex(w + (0.1 / np.sqrt(t + 1)) * grad)
+        if w.tobytes() in stalled:
+            break
+    values = np.stack(values, axis=1)
+    s, t = np.unravel_index(np.argmax(values), values.shape)
+    if values[s, t] > np.max(ei):
+        best_w = iterates[t][s]
     return project_simplex(best_w)
 
 

@@ -762,16 +762,20 @@ def project_simplex(v) -> np.ndarray:
     equal to the projection of that row on its own.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.shape[-1] == 0:
+    n = v.shape[-1]
+    if n == 0:
         raise ValueError(f"project_simplex needs at least one coordinate, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError("project_simplex requires finite input")
     u = np.sort(v, axis=-1)[..., ::-1]
-    css = np.cumsum(u, axis=-1) - 1.0
-    idx = np.arange(1, v.shape[-1] + 1)
-    rho = (u - css / idx > 0.0).sum(axis=-1, keepdims=True)
-    theta = np.take_along_axis(css, rho - 1, axis=-1) / rho
-    return np.maximum(v - theta, 0.0)
+    css = u.cumsum(axis=-1)
+    css -= 1.0
+    # for finite floats a > b exactly when a - b > 0 (gradual underflow)
+    rho = (u > css / np.arange(1.0, n + 1.0)).sum(axis=-1)
+    k = rho.reshape(-1)
+    theta = css.reshape(-1, n)[np.arange(k.size), k - 1] / k
+    out = v - theta.reshape(rho.shape + (1,))
+    return np.maximum(out, 0.0, out=out)
 
 
 def contains(poly: Polyhedron, x, tol: float = TOL_FEAS) -> bool:

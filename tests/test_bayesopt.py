@@ -1,9 +1,11 @@
+import hashlib
+from pathlib import Path
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve
 from scipy.special import ndtr
-
-from typing import NamedTuple
 
 from cequil import bayesopt
 from cequil.bayesopt import (
@@ -17,12 +19,18 @@ from cequil.bayesopt import (
     _ei_and_grad,
     _factorize,
     _kernel_matrix,
+    _posterior_ei,
     bo_learn,
     log_marginal_likelihood,
     maximize_acquisition,
 )
+from cequil.basis import ccp_select
+from cequil.game import PlayerSpec, build_traffic_game
 from cequil.polytope import project_simplex
+from cequil.regret import RegretOracle
+from cequil.tntp import parse_net
 
+DATA = Path(__file__).parent / "data"
 TARGET = np.array([0.6, 0.3, 0.1])
 LENGTHSCALE = 0.5
 
@@ -142,6 +150,14 @@ class TestAcquisitionKernels:
         ref = [reference_ei(W, eta, w) for w in cands]
         assert batch == pytest.approx(ref, rel=1e-9, abs=1e-15)
 
+    def test_scoring_ei_is_the_gradient_paths_ei(self):
+        W, eta = history(n=10, N=5, seed=3)
+        W, factor, alpha = _factorize(W, eta, LENGTHSCALE)
+        cands = np.random.default_rng(7).dirichlet(np.ones(5), size=NUM_CANDIDATES)
+        ei, _ = _posterior_ei(cands, W, factor, alpha, LENGTHSCALE, min(eta))
+        ref, _ = _ei_and_grad(cands, W, factor, alpha, LENGTHSCALE, min(eta))
+        assert ei.tobytes() == ref.tobytes()
+
     def test_value_matches_scalar(self):
         W, eta = history()
         W, factor, alpha = _factorize(W, eta, LENGTHSCALE)
@@ -234,6 +250,101 @@ class TestMaximizeAcquisition:
         a = maximize_acquisition(W, eta, LENGTHSCALE, seed=4)
         b = maximize_acquisition(W, eta, LENGTHSCALE, seed=4)
         assert np.array_equal(a, b)
+
+
+def full_polish_acquisition(W, eta, lengthscale, seed=0):
+    """maximize_acquisition as it stood before the stall exit: the scoring
+    computes gradients too, and the batch always takes every polish step."""
+    polish_steps = bayesopt.NUM_POLISH_STEPS
+    W, factor, alpha = _factorize(W, eta, lengthscale)
+    best = float(np.min(eta))
+    N = W.shape[1]
+    rng = np.random.default_rng(seed)
+    cands = rng.dirichlet(np.ones(N), size=NUM_CANDIDATES)
+    ei, _ = _ei_and_grad(cands, W, factor, alpha, lengthscale, best)
+    best_w = cands[int(np.argmax(ei))]
+    w = cands[np.argsort(-ei, kind="stable")[:NUM_POLISH]]
+    iterates = np.empty((len(w), polish_steps + 1, N))
+    values = np.empty((len(w), polish_steps + 1))
+    for t in range(polish_steps + 1):
+        iterates[:, t] = w
+        values[:, t], grad = _ei_and_grad(w, W, factor, alpha, lengthscale, best)
+        if t < polish_steps:
+            w = project_simplex(w + (0.1 / np.sqrt(t + 1)) * grad)
+    k = np.unravel_index(np.argmax(values), values.shape)
+    if values[k] > np.max(ei):
+        best_w = iterates[k]
+    return project_simplex(best_w)
+
+
+LINEAR_COST = np.array([3.0, 2.0, 1.5, 0.0, 0.5])
+
+
+def linear(w):
+    return float(np.asarray(w) @ LINEAR_COST)
+
+
+@pytest.fixture(scope="module")
+def linear_rounds():
+    """Every acquisition call of bo_learn on a linear cost over the
+    5-simplex (budget 30, seed 0), as ``(W, eta, lengthscale, seed, dead)``;
+    ``dead`` is true where EI underflows to 0 at every candidate.  The
+    cost's minimum sits at a vertex, so once the lengthscale is refit to 2
+    the GP is sure that no interior candidate improves on it."""
+    rounds = []
+    acquire = bayesopt.maximize_acquisition
+
+    def recording(W, eta, lengthscale, seed=0):
+        W_, factor, alpha = _factorize(W, eta, lengthscale)
+        cands = np.random.default_rng(seed).dirichlet(np.ones(W.shape[1]), size=NUM_CANDIDATES)
+        ei, _ = _posterior_ei(cands, W_, factor, alpha, lengthscale, float(np.min(eta)))
+        rounds.append((W.copy(), eta.copy(), lengthscale, seed, not ei.any()))
+        return acquire(W, eta, lengthscale, seed=seed)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bayesopt, "maximize_acquisition", recording)
+        bo_learn(linear, 5, budget=30, seed=0)
+    return rounds
+
+
+class TestStallExit:
+    """The polish stops once the batch returns to a state it held since
+    its last nonzero gradient entry; the answer must be the full polish's."""
+
+    def polish_evaluations(self, monkeypatch):
+        batches = []
+        ei_and_grad = bayesopt._ei_and_grad
+
+        def counting(W_cand, *args):
+            batches.append(len(W_cand))
+            return ei_and_grad(W_cand, *args)
+
+        monkeypatch.setattr(bayesopt, "_ei_and_grad", counting)
+        return batches
+
+    def test_exact_and_early_where_ei_underflows(self, linear_rounds, monkeypatch):
+        dead = [r for r in linear_rounds if r[-1]]
+        assert len(dead) >= 3
+        batches = self.polish_evaluations(monkeypatch)
+        for W, eta, lengthscale, seed, _ in dead:
+            batches.clear()
+            out = maximize_acquisition(W, eta, lengthscale, seed=seed)
+            assert out.tobytes() == full_polish_acquisition(W, eta, lengthscale, seed).tobytes()
+            # the scoring takes no gradient: every evaluation is a polish step
+            assert batches == [NUM_POLISH] * len(batches)
+            assert len(batches) < bayesopt.NUM_POLISH_STEPS + 1
+
+    def test_exact_and_full_where_ei_is_positive(self, linear_rounds, monkeypatch):
+        live = [r[:4] for r in linear_rounds if not r[-1]]
+        live += [(*history(n=n, N=N, seed=seed), LENGTHSCALE, seed)
+                 for n, N, seed in [(6, 3, 0), (10, 5, 3), (20, 5, 4)]]
+        assert len(live) >= 10
+        batches = self.polish_evaluations(monkeypatch)
+        for W, eta, lengthscale, seed in live:
+            batches.clear()
+            out = maximize_acquisition(W, eta, lengthscale, seed=seed)
+            assert out.tobytes() == full_polish_acquisition(W, eta, lengthscale, seed).tobytes()
+            assert batches == [NUM_POLISH] * (bayesopt.NUM_POLISH_STEPS + 1)
 
 
 def learn(seed, oracle=bowl):
@@ -371,13 +482,16 @@ class TestBoLearn:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("maximize_acquisition", "log_marginal_likelihood"):
+        for name in ("maximize_acquisition", "log_marginal_likelihood", "project_simplex"):
             monkeypatch.setattr(bayesopt, name, counted(name))
         bo_learn(bowl, 3, budget=40, seed=0)
         # one acquisition a query after the 5 initial ones; the 5 grid
         # lengthscales at each refit, n = 10, 20, 30
         assert calls.count("maximize_acquisition") == 35
         assert calls.count("log_marginal_likelihood") == 15
+        # a projection per initial query, per polish step and per result:
+        # the bowl's EI never underflows, so every polish takes every step
+        assert calls.count("project_simplex") == N_INIT + 35 * (bayesopt.NUM_POLISH_STEPS + 1)
 
     def test_oracle_failure_carries_partial_trace(self):
         calls = []
@@ -439,3 +553,45 @@ class TestBoLearn:
         assert all(np.array_equal(a, b) for a, b in zip(trace.inputs, calls))
         assert np.all(np.isfinite(trace.values))
         assert np.array_equal(trace.incumbent_values, np.minimum.accumulate(trace.values))
+
+
+@pytest.fixture(scope="module")
+def siouxfalls_learn_setup():
+    """The learn setup: Sioux Falls, 3 players at demand 3000, CCP basis of
+    N=5 from seed 0."""
+    net = parse_net((DATA / "siouxfalls_net.tntp").read_text())
+    game = build_traffic_game(net, [PlayerSpec(o, d, 3000.0) for o, d in ((1, 20), (13, 8), (7, 24))])
+    basis, _ = ccp_select(game, 5, seed=0)
+    return game, basis
+
+
+class TestPinnedSiouxFallsLearn:
+    # SHA-256 over bo_learn's inputs, values and incumbents (budget 40),
+    # captured from the polish that took every step.  About half of these
+    # rounds have EI 0 at every candidate, so the pin covers the stall exit
+    # at scale; PROJECTIONS counts bayesopt.project_simplex calls, which
+    # were N_INIT + 35 * (NUM_POLISH_STEPS + 1) = 1790 before the exit.
+    SHA256 = {
+        0: "90c218ebc11add7fc1f1631b3e43238b9c27a29ab5b41b5dcc3b64fe21485535",
+        1: "ebf3507f055c8d2b6d67790247a2f6079ea97cfb5cc416bb5f316b4242e6c17e",
+    }
+    PROJECTIONS = {0: 1075, 1: 1030}
+
+    @pytest.mark.parametrize("seed", sorted(SHA256))
+    def test_trace_pinned(self, siouxfalls_learn_setup, monkeypatch, seed):
+        projections = []
+        project = bayesopt.project_simplex
+
+        def counting(v):
+            projections.append(1)
+            return project(v)
+
+        monkeypatch.setattr(bayesopt, "project_simplex", counting)
+        oracle = RegretOracle(*siouxfalls_learn_setup)
+        w_best, trace = bo_learn(oracle.average, 5, 40, seed=seed)
+        digest = hashlib.sha256()
+        digest.update(np.stack(trace.inputs).tobytes())
+        digest.update(trace.values.tobytes())
+        digest.update(trace.incumbent_values.tobytes())
+        assert digest.hexdigest() == self.SHA256[seed]
+        assert len(projections) == self.PROJECTIONS[seed]

@@ -1037,6 +1037,13 @@ class TestProjectSimplex:
             assert out.tobytes() == flip_count_nonzero_projection(V).tobytes()
             assert out[k % 8].tobytes() == flip_count_nonzero_projection(V[k % 8]).tobytes()
 
+    @pytest.mark.parametrize("shape", [(), (1,), (5,), (2, 1), (512, 5), (3, 4, 5)])
+    def test_bitwise_equal_to_flip_count_nonzero_in_every_shape(self, shape):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            V = rng.normal(scale=10.0 ** rng.uniform(-3.0, 3.0), size=shape)
+            assert project_simplex(V).tobytes() == flip_count_nonzero_projection(V).tobytes()
+
     def test_spec_values(self):
         assert np.allclose(project_simplex([0.5, 0.7]), [0.4, 0.6], atol=1e-12)
         assert np.allclose(project_simplex([1.0, 0.0, 0.0]), [1.0, 0.0, 0.0])
