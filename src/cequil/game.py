@@ -10,14 +10,18 @@ through a shared network, links price themselves by the BPR law
 and the ``power`` all links share, both read from the network file, and
 each player's cost is its own-flow-weighted link cost normalized by the
 player's free-flow optimum.
+
+Each game builds the objective ``y -> sum_k w_k f_i(y, x_-i^k)`` that a
+regret query minimizes: ``opponent_data`` condenses the scenarios
+``x_-i^k`` once per basis, and ``mixture_best_response`` does the rest.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -47,7 +51,7 @@ class InfeasibleDemand(GameError):
 
 @dataclass(frozen=True)
 class ConvexGame:
-    """Generic convex game in callable form.
+    """Generic convex game in callable form, one player per action set.
 
     ``cost(i, x_i, x_minus_i)`` returns player ``i``'s cost given its own
     action and the list of the other players' actions in increasing player
@@ -55,10 +59,13 @@ class ConvexGame:
     respect to ``x_i`` and must stay consistent with ``cost``.
     """
 
-    num_players: int
     action_sets: List[Polyhedron]
     cost_fn: Callable[[int, np.ndarray, Sequence[np.ndarray]], float]
     gradient_fn: Callable[[int, np.ndarray, Sequence[np.ndarray]], np.ndarray]
+
+    @property
+    def num_players(self) -> int:
+        return len(self.action_sets)
 
     def cost(self, i: int, x_i, x_minus_i) -> float:
         return float(self.cost_fn(i, np.asarray(x_i, dtype=float), x_minus_i))
@@ -66,6 +73,25 @@ class ConvexGame:
     def cost_gradient(self, i: int, x_i, x_minus_i) -> np.ndarray:
         return np.asarray(self.gradient_fn(i, np.asarray(x_i, dtype=float), x_minus_i),
                           dtype=float)
+
+    def opponent_data(self, scenarios):
+        """The scenarios' opponent action lists, kept as they are."""
+        return scenarios
+
+    def mixture_best_response(self, i: int, weights: np.ndarray, scenarios):
+        """Objective ``y -> sum_k w_k f_i(y, scenarios[k])``, summed over
+        the positive weights on every call, and no step polynomial."""
+        active = [(float(wk), opp) for wk, opp in zip(weights, scenarios) if wk > 0.0]
+
+        def fun(y: np.ndarray):
+            val = 0.0
+            grad = np.zeros_like(y)
+            for wk, opp in active:
+                val += wk * self.cost(i, y, opp)
+                grad += wk * self.cost_gradient(i, y, opp)
+            return val, grad
+
+        return fun, None
 
 
 @dataclass(frozen=True)
@@ -130,11 +156,13 @@ class TrafficGame:
         self.action_sets = list(action_sets)
         self.num_players = len(self.players)
         self.num_links = fft.size
-        # per-link congestion weight, and the binomial weights and powers of
-        # the line polynomial (nu + 1 terms)
-        self._coef = lam * fft / nominal_volume ** nu
-        self._binom = np.array([comb(nu, r) for r in range(nu + 1)], dtype=float)[:, None]
-        self._powers = np.arange(nu, -1, -1)[:, None, None]
+        # M_(nu - r) enters degree r + 1 weighted C(nu, r) lam fft / volume**nu;
+        # taylor[m, r] = C(m + r, r) weights degree m + r (row nu + 2 is 0)
+        binom = np.array([comb(nu, r) for r in range(nu + 1)], dtype=float)
+        self._lift = binom[:, None] * (lam * fft / nominal_volume ** nu)
+        deg = np.arange(nu + 2)
+        self._hankel = np.minimum(deg[:, None] + deg, nu + 2)
+        self._taylor = np.array([[comb(m + r, r) for r in deg] for m in deg], dtype=float)
 
     # -- generic convex-game surface -------------------------------------
 
@@ -144,52 +172,44 @@ class TrafficGame:
     def cost_gradient(self, i: int, x_i, x_minus_i) -> np.ndarray:
         return player_cost_gradient(i, x_i, x_minus_i, self)
 
-    # -- vectorized helpers for mixture best responses -------------------
+    def opponent_data(self, scenarios) -> np.ndarray:
+        """One row per scenario: its opponents' summed flows (zeros if none)."""
+        return np.stack([np.sum(opp, axis=0) if opp else np.zeros(self.num_links)
+                         for opp in scenarios])
 
     def mixture_best_response(self, i: int, weights: np.ndarray,
                               opp_totals: np.ndarray):
         """Objective ``y -> sum_k w_k f_i(y, scenario k)`` and its exact
-        step polynomial.
-
-        ``opp_totals`` has one row per scenario: the summed flow of the
-        other players.  Returns ``(fun, line_poly)`` in the form
-        :func:`cequil.polytope.frank_wolfe_min` consumes.
-        """
-        w = np.asarray(weights, dtype=float)
-        T = np.asarray(opp_totals, dtype=float)
-        a = self.fft
-        nu, coef, binom, powers = self.nu, self._coef, self._binom, self._powers
-        delta = self.deltas[i]
+        step polynomial, given the opponents' summed flows ``T_k`` as rows.
+        It is ``sum_l P_l(y_l)``, each ``P_l`` of degree ``nu + 1`` with
+        coefficients in the moments ``M_j = sum_k w_k T_k**j``; for
+        nonnegative flows no term is negative, so nothing cancels."""
+        nu = self.nu
+        moments = np.asarray(weights, dtype=float) @ _power_rows(np.asarray(opp_totals), nu + 1)
+        coeffs = np.zeros((nu + 3, self.num_links))  # coeffs[j] multiplies y**j
+        coeffs[1:nu + 2] = self._lift * moments[::-1]
+        coeffs[1] += self.fft
+        coeffs /= self.deltas[i]
+        # sum_m taylor[m, r] x**m is the s**r coefficient of P(x + s)
+        taylor = self._taylor[:, :, None] * coeffs[self._hankel]
 
         def fun(y: np.ndarray):
-            tot = y[None, :] + T
-            pow_nu1 = tot ** (nu - 1)
-            pow_nu = pow_nu1 * tot
-            w4 = w @ pow_nu
-            w3 = w @ pow_nu1
-            value = (float(a @ y) + float(coef @ (y * w4))) / delta
-            grad = (a + coef * (w4 + nu * y * w3)) / delta
-            return value, grad
+            q = np.einsum("mrl,ml->rl", taylor[:, :2], _power_rows(y, nu + 2))
+            return float(q[0].sum()), q[1]
 
         def line_poly(x: np.ndarray, d: np.ndarray) -> np.ndarray:
-            # coefficients of s -> fun(x + s d)[0], exact (degree nu + 1):
-            # wx[r] is the s**r coefficient of coef * (w @ (x + s d + T)**nu),
-            # so times y = x + s d it adds wx[r].x to s**r and wx[r].d to
-            # s**(r + 1)
-            d_pow = np.empty((nu + 1, x.size))
-            d_pow[0] = 1.0
-            d_pow[1:] = d
-            np.cumprod(d_pow, axis=0, out=d_pow)  # d**r, r = 0..nu
-            p = w @ ((x[None, :] + T)[None] ** powers * d_pow[:, None, :])
-            wx = coef * (binom * p)
-            coeffs = np.zeros(nu + 2)
-            coeffs[0] = a @ x
-            coeffs[1] = a @ d
-            coeffs[1:] += wx @ d
-            coeffs[:-1] += wx @ x
-            return coeffs / delta
+            return np.einsum("mrl,ml,rl->r", taylor,
+                             _power_rows(x, nu + 2), _power_rows(d, nu + 2))
 
         return fun, line_poly
+
+
+def _power_rows(v: np.ndarray, n: int) -> np.ndarray:
+    """``out[j] = v**j`` for ``j < n``, each row one product from the last."""
+    out = np.ones((n,) + v.shape)
+    for j in range(1, n):
+        np.multiply(out[j - 1], v, out=out[j])
+    return out
 
 
 def _check_flows(i, x_i, x_minus_i, game):

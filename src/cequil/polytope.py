@@ -21,8 +21,8 @@ This module provides the geometry every other part of the package sits on:
   away steps over the active vertex set; every step is exact on its
   segment.  Each linear subproblem is warm-started from the previous
   iteration's; the chain lives inside one call, so the result is a pure
-  function of the inputs.  The returned gap ``g(x) = grad f(x).(x - v)`` is
-  a valid suboptimality certificate.
+  function of the inputs.  The returned gap ``g(x) = grad f(x).(x - v)``
+  bounds the suboptimality only up to the simplex's pricing tolerance.
 * :func:`project_simplex` -- Euclidean projection onto the probability
   simplex.
 * :func:`contains` -- feasibility check at a tolerance.
@@ -679,8 +679,10 @@ def frank_wolfe_min(
     Iteration stops once the gap ``g(x) = grad f(x).(x - v)`` is at most
     ``tol_gap >= 0``, or at a zero step.  The result carries ``value =
     f(x)`` at the returned point; the gap there bounds ``value - min f``
-    whether or not the run converged.  Non-convergence is reported through
-    ``converged=False`` and the final gap, never as an exception.
+    whether or not the run converged, up to ``v`` missing the linear minimum
+    by :func:`solve_lp`'s pricing tolerance ``1e-9 (1 + max|g|)`` per unit
+    of ``|v - v*|_1``.  Non-convergence is ``converged=False``, never an
+    exception.
 
     Raises
     ------

@@ -10,14 +10,15 @@ expected cost achievable by a single constant deviation:
 
 :meth:`RegretOracle.report` is the one way to compute it: each call
 solves every player's deviation problem afresh, and nothing is cached per
-``w``.  The minimization is a convex program solved by Frank-Wolfe, which
-stops at a point y with F(y) >= min F, so the reported regret ``E - F(y)``
-is a *lower* bound on the true regret.  The Frank-Wolfe gap g bounds
-``F(y) - min F``, so the reported regret plus g is an upper bound.  Regrets
-are signed: a mixture can beat every constant deviation, so negative values
-are meaningful and are never clamped.  A distribution is an (approximate) correlated
+``w``.  The game builds the deviation objective F; Frank-Wolfe stops at a
+point y with F(y) >= min F, so the reported regret ``E - F(y)`` is a
+*lower* bound on the true regret.  Adding the Frank-Wolfe gap gives an
+upper bound, but only up to the simplex's pricing tolerance ``1e-9 (1 +
+max|grad F|)`` per unit of flow (about 1e-5 at flows in the thousands).
+Regrets are signed, since a mixture can beat every constant deviation, and
+are never clamped.  A distribution is an (approximate) correlated
 equilibrium exactly when every player's regret is non-positive;
-:func:`verify_ce` certifies that from the upper bound.
+:func:`verify_ce` tests that from the upper bound.
 """
 
 from __future__ import annotations
@@ -129,13 +130,13 @@ class RegretOracle:
     """Holds the per-basis quantities that every regret query reuses.
 
     On construction it evaluates each player's cost at every basis action
-    (``atom_costs``) and, for traffic-style games exposing
-    ``mixture_best_response``, the per-player opponent flow totals.
-    ``report(w)`` is then the only query: it runs one Frank-Wolfe
-    minimization per player on every call and keeps nothing per ``w``, so
-    each report is a fresh object.  ``average(w)`` is its mean regret, the
-    scalar a learner queries.  Identical inputs give bitwise-identical
-    reports.
+    (``atom_costs``), and the game condenses player ``i``'s scenarios (the
+    others' actions in each basis action) into ``opp_totals[i]``.
+    ``report(w)`` is then the only query: per player, the game builds the
+    deviation objective from ``w`` and ``opp_totals[i]``, and one
+    Frank-Wolfe run minimizes it.  Nothing is kept per ``w``.  ``average``
+    is the mean regret, the scalar a learner queries.  Identical inputs give
+    bitwise-identical reports.
 
     ``tol_gap=None`` stops each player's Frank-Wolfe run at a gap of
     ``1e-6 * max(1, |expected cost|)``; a given ``tol_gap >= 0`` is every
@@ -157,38 +158,12 @@ class RegretOracle:
         self.max_iter = max_iter
         m, N = basis.num_players, basis.size
         self.atom_costs = np.empty((m, N))
+        self.opp_totals = []
         for i in range(m):
-            for k, joint in enumerate(basis.actions):
-                others = [joint[p] for p in range(m) if p != i]
-                self.atom_costs[i, k] = game.cost(i, joint[i], others)
-        self._fast = hasattr(game, "mixture_best_response")
-        if self._fast:
-            self.opp_totals = []
-            for i in range(m):
-                T = np.stack([
-                    np.sum([joint[p] for p in range(m) if p != i], axis=0)
-                    if m > 1 else np.zeros_like(joint[i])
-                    for joint in basis.actions
-                ])
-                self.opp_totals.append(T)
-
-    def _mixture_functions(self, i: int, w: np.ndarray):
-        if self._fast:
-            return self.game.mixture_best_response(i, w, self.opp_totals[i])
-        game, basis = self.game, self.basis
-        m = basis.num_players
-        scenarios = [[joint[p] for p in range(m) if p != i] for joint in basis.actions]
-        active = [(float(wk), opp) for wk, opp in zip(w, scenarios) if wk > 0.0]
-
-        def fun(y: np.ndarray):
-            val = 0.0
-            grad = np.zeros_like(y)
-            for wk, opp in active:
-                val += wk * game.cost(i, y, opp)
-                grad += wk * game.cost_gradient(i, y, opp)
-            return val, grad
-
-        return fun, None
+            scenarios = [[joint[p] for p in range(m) if p != i] for joint in basis.actions]
+            self.atom_costs[i] = [game.cost(i, joint[i], others)
+                                  for joint, others in zip(basis.actions, scenarios)]
+            self.opp_totals.append(game.opponent_data(scenarios))
 
     def report(self, w) -> RegretReport:
         """Every player's regret, FW gap and best response at ``w``."""
@@ -202,7 +177,7 @@ class RegretOracle:
             tol = self.tol_gap
             if tol is None:
                 tol = 1e-6 * max(1.0, abs(expected))
-            fun, line_poly = self._mixture_functions(i, w)
+            fun, line_poly = self.game.mixture_best_response(i, w, self.opp_totals[i])
             res = frank_wolfe_min(fun, self.game.action_sets[i], tol_gap=tol,
                                   max_iter=self.max_iter, line_poly=line_poly)
             per[i] = expected - res.value
@@ -215,12 +190,15 @@ class RegretOracle:
 
 
 def verify_ce(oracle: RegretOracle, w, tol: float = 1e-6) -> CeVerdict:
-    """Certified equilibrium test: every player's regret is provably <= tol.
+    """Equilibrium test: every player's regret is at most ``tol``.
 
     The reported regret is a lower bound, so the verdict, the worst player
     and the worst regret all use the upper bound ``regret + fw_gap``.  A
-    negative gap is LP rounding and counts as zero.
+    negative gap is LP rounding and counts as zero.  The bound holds up to
+    the LP pricing tolerance (module docstring).  ``tol`` may be negative.
     """
+    if np.isnan(tol):
+        raise ValueError(f"tol must not be NaN, got {tol}")
     rep = oracle.report(w)
     upper = rep.per_player + np.maximum(rep.fw_gaps, 0.0)
     worst = int(np.argmax(upper))

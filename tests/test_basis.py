@@ -30,7 +30,7 @@ def null_game(action_sets):
     def grad(i, x, xm):
         return np.zeros_like(x)
 
-    return ConvexGame(len(action_sets), action_sets, cost, grad)
+    return ConvexGame(action_sets, cost, grad)
 
 
 def box_vertices(lower, upper):

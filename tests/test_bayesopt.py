@@ -567,13 +567,16 @@ def siouxfalls_learn_setup():
 
 class TestPinnedSiouxFallsLearn:
     # SHA-256 over bo_learn's inputs, values and incumbents (budget 40),
-    # captured from the polish that took every step.  About half of these
-    # rounds have EI 0 at every candidate, so the pin covers the stall exit
-    # at scale; PROJECTIONS counts bayesopt.project_simplex calls, which
-    # were N_INIT + 35 * (NUM_POLISH_STEPS + 1) = 1790 before the exit.
+    # captured from the oracle whose deviation objective is built from the
+    # opponent-flow moments.  The scenario-sum objective gave 90c218eb... and
+    # ebf3507f...; the queries moved by at most 1.9e-15 and the values by at
+    # most 2.2e-15, with the same PROJECTIONS.  About half of these rounds
+    # have EI 0 at every candidate, so the pin covers the stall exit at
+    # scale; PROJECTIONS counts bayesopt.project_simplex calls, which were
+    # N_INIT + 35 * (NUM_POLISH_STEPS + 1) = 1790 before the exit.
     SHA256 = {
-        0: "90c218ebc11add7fc1f1631b3e43238b9c27a29ab5b41b5dcc3b64fe21485535",
-        1: "ebf3507f055c8d2b6d67790247a2f6079ea97cfb5cc416bb5f316b4242e6c17e",
+        0: "a7cacd3397c1d1bd23830623d53852cca85367b4ccf2282fb4d990de83b6430d",
+        1: "f7e3c3600981edac099219ed5ff9e4edb496a6de90084ba1a3e004106ffe23ef",
     }
     PROJECTIONS = {0: 1075, 1: 1030}
 

@@ -324,18 +324,21 @@ class TestBuildTrafficGame:
 
 class TestMixtureHelpers:
     def test_matches_direct_sum(self, siouxfalls_game):
+        # flows at the scale of the capacities (3000) make every power of
+        # the moment expansion count
         game = siouxfalls_game
         rng = np.random.default_rng(5)
         N = 4
-        T = rng.uniform(0.0, 40.0, (N, game.num_links))
-        w = rng.dirichlet(np.ones(N))
-        fun, line_poly = game.mixture_best_response(0, w, T)
-        y = rng.uniform(0.0, 40.0, game.num_links)
-        val, grad = fun(y)
-        direct = sum(w[k] * player_cost(0, y, [T[k]], game) for k in range(N))
-        assert val == pytest.approx(direct, rel=1e-12)
-        gsum = sum(w[k] * player_cost_gradient(0, y, [T[k]], game) for k in range(N))
-        assert np.allclose(grad, gsum, rtol=1e-12)
+        for flow in (40.0, 3000.0):
+            T = rng.uniform(0.0, flow, (N, game.num_links))
+            w = rng.dirichlet(np.ones(N))
+            fun, line_poly = game.mixture_best_response(0, w, T)
+            y = rng.uniform(0.0, flow, game.num_links)
+            val, grad = fun(y)
+            direct = sum(w[k] * player_cost(0, y, [T[k]], game) for k in range(N))
+            assert val == pytest.approx(direct, rel=1e-12)
+            gsum = sum(w[k] * player_cost_gradient(0, y, [T[k]], game) for k in range(N))
+            assert np.allclose(grad, gsum, rtol=1e-12, atol=0.0)
 
     def test_line_poly_exact(self, siouxfalls_game):
         # a Frank-Wolfe direction d = v - x keeps x + s d in-domain on [0, 1];

@@ -24,7 +24,7 @@ def quadratic_game():
         return np.array([2.0 * (x_i[0] - x_minus_i[0][0])])
 
     sets = [Polyhedron.interval(0.0, 1.0), Polyhedron.interval(0.0, 1.0)]
-    return ConvexGame(2, sets, cost, grad)
+    return ConvexGame(sets, cost, grad)
 
 
 def diag_basis():
@@ -97,6 +97,18 @@ class TestBasisSet:
         nan = BasisSet([[np.array([0.0]), np.array([np.nan])]])
         with pytest.raises(ValueError, match="player 1 is infeasible"):
             RegretOracle(game, nan)
+
+    def test_convex_game_has_one_player_per_action_set(self):
+        def cost(i, x_i, x_minus_i):
+            return float(x_i[0] * sum(x[0] for x in x_minus_i))
+
+        def grad(i, x_i, x_minus_i):
+            return np.array([sum(x[0] for x in x_minus_i)])
+
+        game = ConvexGame([Polyhedron.interval(0.0, 1.0)] * 3, cost, grad)
+        assert game.num_players == 3
+        basis = BasisSet([[np.array([0.5])] * 3])
+        assert RegretOracle(game, basis).report([1.0]).per_player.shape == (3,)
 
     @pytest.mark.parametrize("players", [1, 3])
     def test_player_count_must_match_the_game(self, players):
@@ -185,7 +197,7 @@ class TestBestResponse:
         def grad(i, x_i, x_minus_i):
             return np.array([2.0 * (x_i[0] - 0.7)])
 
-        game = ConvexGame(1, [Polyhedron.box([0.0], [0.0])], cost, grad)
+        game = ConvexGame([Polyhedron.box([0.0], [0.0])], cost, grad)
         basis = BasisSet([[np.array([0.0])]])
         value, y_star, gap = deviation(RegretOracle(game, basis), 0, [1.0])
         assert y_star[0] == 0.0
@@ -268,7 +280,7 @@ class TestCorrelatedRegret:
             def grad(i, x_i, x_minus_i):
                 return np.array([2.0 * q[i] * (x_i[0] - c[i] * x_minus_i[0][0] - d[i])])
 
-            game = ConvexGame(2, [Polyhedron.interval(0.0, 1.0)] * 2, cost, grad)
+            game = ConvexGame([Polyhedron.interval(0.0, 1.0)] * 2, cost, grad)
             basis = BasisSet([
                 [np.array([float(rng.uniform())]), np.array([float(rng.uniform())])]
                 for _ in range(3)
@@ -292,7 +304,7 @@ def exp_game():
         return np.array([12.0 * np.exp(12.0 * x_i[0]) - 30.0 * (1.0 + x_minus_i[0][0])])
 
     sets = [Polyhedron.interval(0.0, 1.0), Polyhedron.interval(0.0, 1.0)]
-    return ConvexGame(2, sets, cost, grad)
+    return ConvexGame(sets, cost, grad)
 
 
 class TestGenericBranch:
@@ -324,7 +336,7 @@ class TestRegretReport:
         def grad(i, x_i, x_minus_i):
             return np.array([2.0 * (x_i[0] - 0.2)])
 
-        game = ConvexGame(1, [Polyhedron.interval(0.0, 1.0)], cost, grad)
+        game = ConvexGame([Polyhedron.interval(0.0, 1.0)], cost, grad)
         basis = BasisSet([[np.array([0.9])]])
         rep = RegretOracle(game, basis).report([1.0])
         assert rep.average == rep.per_player[0]
@@ -401,6 +413,21 @@ class TestVerifyCe:
             improvable = (x[0] - x[1]) ** 2 > 1e-6
             assert verdict.is_equilibrium == (not improvable)
 
+    def test_nan_tol_rejected_before_the_report(self, monkeypatch):
+        oracle = RegretOracle(quadratic_game(), diag_basis())
+
+        def no_report(w):
+            raise AssertionError("report ran")
+
+        monkeypatch.setattr(oracle, "report", no_report)
+        with pytest.raises(ValueError, match="tol must not be NaN"):
+            verify_ce(oracle, [0.5, 0.5], tol=float("nan"))
+
+    def test_negative_tol_is_legal(self):
+        # regrets are signed; the diagonal mixture's upper bound is about 0
+        verdict = verify_ce(RegretOracle(quadratic_game(), diag_basis()), [0.5, 0.5], tol=-1.0)
+        assert not verdict.is_equilibrium
+
     def test_certifies_from_upper_bound(self):
         # one iteration of FW from the box corner stops at (0.45, 0.45):
         # reported regret -0.045 is a lower bound, and gap 0.3 says the
@@ -413,7 +440,7 @@ class TestVerifyCe:
         def grad(i, y, y_minus_i):
             return 2.0 * (y - c)
 
-        game = ConvexGame(1, [Polyhedron.box([0.0, 0.0], [1.0, 1.0])], cost, grad)
+        game = ConvexGame([Polyhedron.box([0.0, 0.0], [1.0, 1.0])], cost, grad)
         oracle = RegretOracle(game, BasisSet([[c.copy()]]), max_iter=1)
         rep = oracle.report([1.0])
         assert rep.per_player[0] == pytest.approx(-0.045, abs=1e-12)
@@ -460,22 +487,32 @@ class TestOracleSettings:
 
 
 class TestOracleBranches:
+    NETWORKS = {
+        "toy4": ([(1, 4, 2.0), (1, 4, 1.0)], 4),
+        "siouxfalls": ([(1, 20, 3000.0), (13, 8, 3000.0), (7, 24, 3000.0)], 5),
+    }
+
     @pytest.mark.parametrize("tol_gap", [None, 1e-3])
     def test_traffic_branch_matches_generic_branch(self, tol_gap):
-        # the same traffic costs behind a ConvexGame take the generic branch;
-        # both reports lower-bound the true regret by at most their FW gap
-        net = parse_net((DATA / "toy4_net.tntp").read_text())
-        traffic = build_traffic_game(net, [PlayerSpec(1, 4, 2.0), PlayerSpec(1, 4, 1.0)])
-        generic = ConvexGame(2, traffic.action_sets, traffic.cost, traffic.cost_gradient)
-        assert not hasattr(generic, "mixture_best_response")
-        basis = random_basis(traffic, 4, seed=0)
-        fast = RegretOracle(traffic, basis, tol_gap=tol_gap)
-        slow = RegretOracle(generic, basis, tol_gap=tol_gap)
-        rng = np.random.default_rng(0)
-        for w in [np.full(4, 0.25), [1.0, 0.0, 0.0, 0.0], *rng.dirichlet(np.ones(4), size=3)]:
-            a, b = fast.report(w), slow.report(w)
-            slack = np.maximum(a.fw_gaps, 0.0) + np.maximum(b.fw_gaps, 0.0) + 1e-12
-            assert np.all(np.abs(a.per_player - b.per_player) <= slack)
+        # the same traffic costs behind a ConvexGame build the generic
+        # objective, an independent check of the per-link polynomials (at
+        # capacity scale on Sioux Falls); both reports lower-bound the true
+        # regret by at most their FW gap
+        for network, (specs, N) in self.NETWORKS.items():
+            net = parse_net((DATA / f"{network}_net.tntp").read_text())
+            traffic = build_traffic_game(net, [PlayerSpec(*spec) for spec in specs])
+            generic = ConvexGame(traffic.action_sets, traffic.cost, traffic.cost_gradient)
+            basis = random_basis(traffic, N, seed=0)
+            fast = RegretOracle(traffic, basis, tol_gap=tol_gap)
+            slow = RegretOracle(generic, basis, tol_gap=tol_gap)
+            vertex = np.eye(N)[0]
+            assert generic.mixture_best_response(0, vertex, slow.opp_totals[0])[1] is None
+            assert traffic.mixture_best_response(0, vertex, fast.opp_totals[0])[1] is not None
+            rng = np.random.default_rng(0)
+            for w in [np.full(N, 1.0 / N), vertex, *rng.dirichlet(np.ones(N), size=3)]:
+                a, b = fast.report(w), slow.report(w)
+                slack = np.maximum(a.fw_gaps, 0.0) + np.maximum(b.fw_gaps, 0.0) + 1e-12
+                assert np.all(np.abs(a.per_player - b.per_player) <= slack)
 
 
 def siouxfalls_oracle():
@@ -504,26 +541,38 @@ class TestHistoryIndependence:
 
 
 class TestPinnedSiouxFalls:
-    # Captured from the kernel whose warm LP calls continue the simplex state
-    # (vertex, basis inverse, pivot count) of the previous Frank-Wolfe
-    # iteration, and which takes the line step by Newton on p'.  Any change
-    # to the simplex or the line step that is not bitwise equal moves these
-    # hex floats.  Two earlier kernels are kept as references; each
-    # lower-bounds the same regret, so it may differ by at most the sum of
-    # the FW gaps:
+    # Captured from the deviation objective built from per-link polynomials
+    # in the opponent-flow moments, minimized by the kernel whose warm LP
+    # calls continue the simplex state (vertex, basis inverse, pivot count)
+    # of the previous Frank-Wolfe iteration and which takes the line step by
+    # Newton on p'.  Any change to the objective, the simplex or the line
+    # step that is not bitwise equal moves these hex floats.  Three earlier
+    # versions are kept as references; each lower-bounds the same regret,
+    # so it may differ by at most the sum of the FW gaps:
+    # - SCENARIO_SUM: the objective summed over the N scenarios on every
+    #   evaluation; same kernel.  Player 1's regrets were 1 ulp higher.
     # - REFACTORED: each warm LP call re-inverted the basis it started from.
-    #   Its regrets are bitwise those of PINNED; its gaps were about -1e-16.
+    #   Its regrets are bitwise those of SCENARIO_SUM; its gaps were about
+    #   -1e-16.
     # - COLD: every LP ran from the phase-1 start, so among tied optima it
     #   may pick another vertex.
     PINNED = [
         ([0.2, 0.2, 0.2, 0.2, 0.2],
-         ["0x1.3d6b4682bc6a8p-2", "0x1.d88c9c22ce83cp-2", "0x1.00418eb0dc518p-3"],
+         ["0x1.3d6b4682bc6a8p-2", "0x1.d88c9c22ce838p-2", "0x1.00418eb0dc518p-3"],
          ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]),
         ([0.7, 0.1, 0.1, 0.05, 0.05],
-         ["0x1.ac7ecbedb7230p-3", "0x1.8f256cfbc3c48p-2", "0x1.e88c9853847d0p-4"],
+         ["0x1.ac7ecbedb7230p-3", "0x1.8f256cfbc3c44p-2", "0x1.e88c9853847d0p-4"],
          ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]),
         ([0.0, 0.0, 1.0, 0.0, 0.0],
-         ["0x1.17fb944d0ed72p-1", "0x1.120a97497f668p-1", "0x0.0p+0"],
+         ["0x1.17fb944d0ed72p-1", "0x1.120a97497f666p-1", "0x0.0p+0"],
+         ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]),
+    ]
+    SCENARIO_SUM = [
+        (["0x1.3d6b4682bc6a8p-2", "0x1.d88c9c22ce83cp-2", "0x1.00418eb0dc518p-3"],
+         ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]),
+        (["0x1.ac7ecbedb7230p-3", "0x1.8f256cfbc3c48p-2", "0x1.e88c9853847d0p-4"],
+         ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]),
+        (["0x1.17fb944d0ed72p-1", "0x1.120a97497f668p-1", "0x0.0p+0"],
          ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]),
     ]
     REFACTORED = [
@@ -549,12 +598,13 @@ class TestPinnedSiouxFalls:
     WORK = {"fw_iterations": 120, "lp_calls": 120}
     # Simplex pivots over the same reports (phase 2 only, counted with
     # _REFACTOR_EVERY raised so that a call's pivots are the rise of its
-    # since_refresh count) and a SHA-256 over the reports' per-player
-    # regrets, FW gaps and best responses, captured from the kernel whose
-    # ratio test ran on numpy arrays: a cheaper pivot must make the same
-    # pivots and give the same bytes.
+    # since_refresh count), captured from the kernel whose ratio test ran on
+    # numpy arrays, and a SHA-256 over the reports' per-player regrets, FW
+    # gaps and best responses, captured with PINNED: a cheaper pivot must
+    # make the same pivots and give the same bytes.  The moment objective
+    # kept the pivots, the FW iterations and the LP calls.
     WORK_PIVOTS = 822
-    WORK_SHA256 = "07ca8b8b79bd3bd2e4fe6f71834eb2807e3dd90a108726d4667fe8d3cedd07f0"
+    WORK_SHA256 = "8d324d1f6b617d96b0a37a898b8db5f1678322561c03dcf29b3d135f9a7c803d"
 
     def work_stream(self):
         stream = self.WORK_STREAM
@@ -580,6 +630,9 @@ class TestPinnedSiouxFalls:
 
     def test_cold_start_values_within_gaps(self):
         self.assert_within_gaps(self.COLD)
+
+    def test_scenario_sum_values_within_gaps(self):
+        self.assert_within_gaps(self.SCENARIO_SUM)
 
     def test_refactoring_kernel_values_within_gaps(self):
         self.assert_within_gaps(self.REFACTORED)
