@@ -272,16 +272,21 @@ def build_traffic_game(net: NetworkData, players: Sequence[PlayerSpec]) -> Traff
     share (:class:`GameError` otherwise).  The nominal cost ``delta_i`` is
     the fft-weighted minimum-cost routing of the player's demand ignoring
     the budget row; the budget row then caps nominal spend at
-    ``budget_factor * delta_i``.
+    ``budget_factor * delta_i``.  Nodes numbered below the file's
+    ``<FIRST THRU NODE>`` are zones, which flow may not pass through: in
+    both of a player's polytopes, every link leaving a zone other than the
+    player's origin is bounded to 0.
     """
     lam, nu = _bpr_law(net)
     E = build_incidence(net)
     caps = net.capacities()
     a = net.free_flow_times()
+    tails = np.array([rec.init_node for rec in net.links])
     deltas, gammas, sets = [], [], []
     for i, spec in enumerate(players):
         s_i = demand_vector(spec, net.num_nodes)
-        free = Polyhedron(E, s_i, np.zeros(net.num_links), caps)
+        upper = np.where((tails < net.first_thru_node) & (tails != spec.origin), 0.0, caps)
+        free = Polyhedron(E, s_i, np.zeros(net.num_links), upper)
         sol = solve_lp(a, free)
         if sol.status != "optimal":
             raise InfeasibleDemand(
@@ -293,5 +298,5 @@ def build_traffic_game(net: NetworkData, players: Sequence[PlayerSpec]) -> Traff
         gamma = spec.budget_factor * delta
         deltas.append(delta)
         gammas.append(gamma)
-        sets.append(Polyhedron(E, s_i, np.zeros(net.num_links), caps, a, gamma))
+        sets.append(Polyhedron(E, s_i, np.zeros(net.num_links), upper, a, gamma))
     return TrafficGame(players, a, caps, lam, nu, deltas, gammas, sets)

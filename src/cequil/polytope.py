@@ -19,7 +19,9 @@ This module provides the geometry every other part of the package sits on:
 * :func:`frank_wolfe_min` -- conditional-gradient minimization of a smooth
   convex function over a :class:`Polyhedron` from its phase-1 vertex, with
   away steps over the active vertex set; every step is exact on its
-  segment.  Each linear subproblem is warm-started from the previous
+  segment, found by one Illinois secant on the sign of the slope there
+  (from the step polynomial when the objective supplies one, else from
+  the gradient).  Each linear subproblem is warm-started from the previous
   iteration's; the chain lives inside one call, so the result is a pure
   function of the inputs.  The returned gap ``g(x) = grad f(x).(x - v)``
   bounds the suboptimality only up to the simplex's pricing tolerance.
@@ -540,74 +542,32 @@ class FwResult(NamedTuple):
     converged: bool
 
 
-def _poly_min_on_interval(coeffs: np.ndarray, s_max: float) -> float:
-    """Minimizer on [0, s_max] of a polynomial (coefficients low->high) that
-    is convex there, as every Frank-Wolfe line polynomial is.
+def _poly_slope(coeffs):
+    """``(p', p'(0))`` for the polynomial ``p`` with ``coeffs`` (low order
+    first); ``p'`` runs Horner's rule on Python floats."""
+    dp = [k * a for k, a in enumerate(coeffs.tolist())][:0:-1]  # high order first
 
-    Convexity makes p' nondecreasing, so the step is 0 when p'(0) >= 0,
-    s_max when p'(s_max) <= 0, and otherwise the root of p', found by
-    Newton's method from the secant root with bisection whenever a Newton
-    step leaves the bracket.  Horner's rule on Python floats evaluates p,
-    p' and p'' together.  The root is returned only if its p is below both
-    endpoints' (else the better endpoint), so rounding in the root search
-    never makes a step worse than both ends of the segment.
-    """
-    c = [float(v) for v in coeffs]
+    def slope(s):
+        v = 0.0
+        for a in dp:
+            v = v * s + a
+        return v
 
-    def horner(s):
-        p = dp = ddp = 0.0
-        for a in reversed(c):
-            ddp = ddp * s + 2.0 * dp
-            dp = dp * s + p
-            p = p * s + a
-        return p, dp, ddp
-
-    if s_max <= 0.0:
-        return 0.0
-    p0, dp0, _ = horner(0.0)
-    if dp0 >= 0.0:
-        return 0.0
-    p1, dp1, _ = horner(s_max)
-    if dp1 <= 0.0:
-        return s_max
-    lo, hi = 0.0, s_max  # p'(lo) < 0 < p'(hi)
-    s = s_max * dp0 / (dp0 - dp1)
-    for _ in range(100):
-        _, dp, ddp = horner(s)
-        if dp < 0.0:
-            lo = s
-        elif dp > 0.0:
-            hi = s
-        else:
-            break
-        t = s - dp / ddp if ddp > 0.0 else -1.0
-        if abs(t - s) <= 1e-15 * s_max:
-            break  # Newton has converged
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi)
-        if t == s:
-            break  # the bracket is down to adjacent floats
-        s = t
-    candidates = (0.0, s_max, s)
-    vals = (p0, p1, horner(s)[0])
-    return candidates[vals.index(min(vals))]
+    return slope, (dp[-1] if dp else 0.0)
 
 
-def _line_search(fun, x, d, s_max, g, line_poly):
-    """Exact minimizer on [0, s_max] of the convex ``phi(s) = f(x + s d)``;
-    ``g = grad f(x)``.  Without ``line_poly``, an Illinois secant on the
-    sign of ``phi'(s) = grad f(x + s d).d`` keeps a bracket with
+def _line_step(slope, s_max, f_lo):
+    """Exact minimizer on [0, s_max] of a convex ``phi`` whose slope
+    ``phi'(s)`` is ``slope(s)``; ``f_lo`` is ``phi'(0)``.  The step is 0
+    when ``f_lo >= 0`` and ``s_max`` when ``phi'(s_max) <= 0``.  Otherwise
+    an Illinois secant on the sign of ``phi'`` keeps a bracket with
     ``phi'(lo) < 0 < phi'(hi)`` and refines it down to adjacent floats,
     then returns ``lo``; a point where ``phi'`` is zero is returned at
-    once.  Either way the step never raises f."""
-    if s_max <= 0.0:
+    once.  ``phi'`` is never positive at the returned step, so for a
+    convex ``phi`` the step never raises f."""
+    if s_max <= 0.0 or f_lo >= 0.0:
         return 0.0
-    if line_poly is not None:
-        return _poly_min_on_interval(line_poly(x, d), s_max)
-    f_lo = float(g @ d)
-    if f_lo >= 0.0:
-        return 0.0
-    f_hi = float(fun(x + s_max * d)[1] @ d)
+    f_hi = slope(s_max)
     if f_hi <= 0.0:
         return s_max
     lo, hi, side = 0.0, s_max, 0
@@ -618,7 +578,7 @@ def _line_search(fun, x, d, s_max, g, line_poly):
         s = min(max(lo + t * (hi - lo), math.nextafter(lo, hi)), math.nextafter(hi, lo))
         if not lo < s < hi:
             return lo
-        f_s = float(fun(x + s * d)[1] @ d)
+        f_s = slope(s)
         if f_s == 0.0:
             return s
         if f_s < 0.0:
@@ -669,12 +629,14 @@ def frank_wolfe_min(
     Away steps over the running vertex set remove the zigzagging that keeps
     plain conditional gradient from certifying small gaps.
     Every step, toward the FW vertex or away from an active one, is the
-    exact minimizer of the (assumed convex) ``f`` on its segment.
-    ``line_poly(x, d)``, when given, must return the exact coefficients
-    (low order first) of ``s -> f(x + s d)``, and the step is the root of
-    its derivative (kept only if it beats both ends); without it the step
-    is found by an Illinois secant on the sign of the directional
-    derivative.
+    exact minimizer of the (assumed convex) ``f`` on its segment, found
+    the same way: an Illinois secant on the sign of the slope ``phi'(s)``
+    of ``phi(s) = f(x + s d)``, which returns a point where ``phi'`` is
+    not positive.  ``line_poly(x, d)``, when given,
+    must return the exact coefficients (low order first) of ``phi``; then
+    ``phi'`` is Horner's rule on their derivative and ``phi'(0)`` its
+    linear coefficient.  Without it ``phi'(s) = grad f(x + s d).d``, one
+    ``fun`` call each, and ``phi'(0) = g.d`` with the gradient at hand.
 
     Iteration stops once the gap ``g(x) = grad f(x).(x - v)`` is at most
     ``tol_gap >= 0``, or at a zero step.  The result carries ``value =
@@ -725,7 +687,14 @@ def frank_wolfe_min(
             s_max = alpha_a / (1.0 - alpha_a) if alpha_a < 1.0 else 0.0
         else:
             d, s_max = v - x, 1.0
-        s = _line_search(fun, x, d, s_max, g, line_poly)
+        if line_poly is None:
+            f_lo = float(g @ d)
+
+            def slope(s):
+                return float(fun(x + s * d)[1] @ d)
+        else:
+            slope, f_lo = _poly_slope(line_poly(x, d))
+        s = _line_step(slope, s_max, f_lo)
         if s <= 0.0:
             return FwResult(x, f0, gap, it, gap <= tol_gap)
 

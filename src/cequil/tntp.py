@@ -97,6 +97,8 @@ class NetworkData:
     def __post_init__(self):
         if len(self.links) != self.num_links:
             raise CountMismatch(self.num_links, len(self.links))
+        if self.first_thru_node < 1:
+            raise TntpError(f"<FIRST THRU NODE> must be at least 1, got {self.first_thru_node}")
         for rec in self.links:
             for node in (rec.init_node, rec.term_node):
                 if not 1 <= node <= self.num_nodes:

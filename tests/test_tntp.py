@@ -59,6 +59,13 @@ def test_missing_metadata():
     assert exc.value.tag == "NUMBER OF LINKS"
 
 
+@pytest.mark.parametrize("value", [0, -2])
+def test_first_thru_node_below_one_rejected(value):
+    text = (DATA / "toy4_net.tntp").read_text().replace(
+        "<FIRST THRU NODE> 1", f"<FIRST THRU NODE> {value}")
+    with pytest.raises(TntpError, match=f"<FIRST THRU NODE> must be at least 1, got {value}"):
+        parse_net(text)
+
 def test_row_arity():
     text = "<NUMBER OF NODES> 2\n<NUMBER OF LINKS> 1\n<END OF METADATA>\n1 2 1 1 ;\n"
     with pytest.raises(RowArity) as exc:
