@@ -21,17 +21,21 @@ This module provides the geometry every other part of the package sits on:
   away steps over the active vertex set; every step is exact on its
   segment, found by one Illinois secant on the sign of the slope there
   (from the step polynomial when the objective supplies one, else from
-  the gradient).  Each linear subproblem is warm-started from the previous
-  iteration's; the chain lives inside one call, so the result is a pure
-  function of the inputs.  The returned gap ``g(x) = grad f(x).(x - v)``
-  bounds the suboptimality only up to the simplex's pricing tolerance.
+  the gradient).  The linear subproblems form one warm chain: the first
+  continues the polyhedron's nominal optimum (the minimum of its budget
+  row, solved once at construction; for a traffic polytope the free-flow
+  route), which lies close to the optima of the gradients that follow,
+  and each later one continues the previous iteration's.  The chain
+  lives inside one call, so the result is a pure function of the inputs.
+  The returned gap ``g(x) = grad f(x).(x - v)`` bounds the suboptimality
+  only up to the simplex's pricing tolerance.
 * :func:`project_simplex` -- Euclidean projection onto the probability
   simplex.
 * :func:`contains` -- feasibility check at a tolerance.
 
 Everything here is a pure function of its inputs; the types are immutable
-after construction (their arrays, the phase-1 start included, are
-read-only) and safe to share across threads.
+after construction (their arrays, the phase-1 start and the nominal
+optimum included, are read-only) and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -105,8 +109,11 @@ class Polyhedron:
     budget row is optional.  Bounds may be infinite but not NaN; every other
     entry must be finite.  Degenerate sets (empty, single point) are legal;
     emptiness surfaces as an infeasible LP status.  Construction runs
-    simplex phase 1, so it raises :class:`DegeneracyError` if phase 1
-    stalls.
+    simplex phase 1 and, when there is a budget row, solves the budget LP
+    ``min budget_coeffs . x`` from the phase-1 start: its optimal solution
+    is the start of every :func:`frank_wolfe_min` LP chain on this set
+    (none if that LP is infeasible or unbounded).  So construction raises
+    :class:`DegeneracyError` if either stalls.
     """
 
     eq_matrix: np.ndarray
@@ -118,6 +125,10 @@ class Polyhedron:
     # solve_lp's cost-independent phase-1 start (or "infeasible"), set once
     # by __post_init__.
     _lp_start: object = field(default=None, init=False, repr=False, compare=False)
+    # The optimal LpSolution of min budget_coeffs.x from that start, or None
+    # (no budget row, or that LP is infeasible or unbounded); set once by
+    # __post_init__, read-only.  frank_wolfe_min's LP chain starts from it.
+    _nominal: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lower = _as_float_vector(self.lower, "lower")
@@ -158,6 +169,11 @@ class Polyhedron:
             object.__setattr__(self, name, val)
         object.__setattr__(self, "budget_limit", limit)
         object.__setattr__(self, "_lp_start", _phase1(*_standard_form(self)))
+        if bc is not None:
+            nominal = solve_lp(bc, self)
+            if nominal.status == "optimal":
+                nominal.point.flags.writeable = False
+                object.__setattr__(self, "_nominal", nominal)
 
     @property
     def dim(self) -> int:
@@ -471,7 +487,11 @@ def solve_lp(c, poly: Polyhedron, warm: Optional[LpSolution] = None) -> LpSoluti
     :func:`_phase1` computed when ``poly`` was constructed.  ``poly`` is
     only read, so a call without ``warm`` is the same whatever was solved
     before and from whichever thread.  The pivot rule is fixed, so
-    identical inputs produce bitwise-identical solutions.
+    identical inputs produce bitwise-identical solutions.  Such a call does
+    not start from the nominal optimum that :func:`frank_wolfe_min`'s
+    chains continue: among tied optima the start decides which vertex
+    comes back, and the random and CCP bases are built from these vertices
+    (starting there cut the learn basis's least pairwise distance by 8%).
 
     ``warm``, an earlier optimal solution on this polyhedron, makes phase 2
     continue from a copy of the simplex state that solution ended with
@@ -622,10 +642,18 @@ def frank_wolfe_min(
 
     ``fun(x)`` must return ``(value, gradient)``.  The run starts at the
     vertex of the polyhedron's phase-1 start.  The linear subproblems go
-    through :func:`solve_lp`: the first starts from the phase-1 basis, and
-    each later one continues the simplex state the previous iteration's
-    ended with.  The chain lives only inside this call, so the result is a
-    pure function of the arguments.
+    through :func:`solve_lp` as one warm chain: the first continues the
+    simplex state of the polyhedron's nominal optimum, the minimum of its
+    budget row that construction solved (the phase-1 basis when there is
+    none), and each later one continues the state the previous
+    iteration's ended with.  A gradient of a congestion cost is close to
+    the budget row's cost, so the first LP needs few pivots from there
+    instead of many from the arbitrary phase-1 basis.  The start point
+    stays the phase-1 vertex: starting at the nominal vertex cut the
+    median call but made the slow calls slower and raised the iteration
+    count.  Both starts are constants of the polyhedron, and the chain
+    lives only inside this call, so the result is a pure function of the
+    arguments.
     Away steps over the running vertex set remove the zigzagging that keeps
     plain conditional gradient from certifying small gaps.
     Every step, toward the FW vertex or away from an active one, is the
@@ -667,7 +695,7 @@ def frank_wolfe_min(
     alphas = [1.0]
 
     # pass max_iter + 1 only measures the gap at the last iterate
-    sol = None
+    sol = poly._nominal
     for it in range(1, max_iter + 2):
         f0, g = fun(x)
         sol = solve_lp(g, poly, warm=sol)
@@ -723,6 +751,19 @@ def frank_wolfe_min(
 # ---------------------------------------------------------------------------
 
 
+def _project_sorted(v, u):
+    """Rows of the 2-D ``v`` projected onto the simplex; ``u`` holds them
+    sorted in descending order."""
+    n = v.shape[1]
+    css = u.cumsum(axis=1)
+    css -= 1.0
+    # for finite floats a > b exactly when a - b > 0 (gradual underflow)
+    rho = (u > css / np.arange(1.0, n + 1.0)).sum(axis=1)
+    theta = css[np.arange(rho.size), rho - 1] / rho
+    out = v - theta[:, None]
+    return np.maximum(out, 0.0, out=out)
+
+
 def project_simplex(v) -> np.ndarray:
     """Euclidean projection of ``v`` onto the probability simplex; a matrix
     is projected row by row.
@@ -730,7 +771,12 @@ def project_simplex(v) -> np.ndarray:
     Sort-based active-set solve along the last axis: the output is
     nonnegative, sums to one to machine precision, and projecting it again
     returns it unchanged.  Each row of a matrix's projection is bitwise
-    equal to the projection of that row on its own.
+    equal to the projection of that row on its own.  The solve's rounding
+    grows with the entries, and an entry so large that subtracting 1 from
+    it is lost in rounding or a sum overflows breaks it, so every row is
+    checked, and one that does not sum to one within 1e-9 is solved again
+    after subtracting its largest entry.  That leaves the exact projection
+    unchanged, so every finite input lands on the simplex.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     n = v.shape[-1]
@@ -738,15 +784,21 @@ def project_simplex(v) -> np.ndarray:
         raise ValueError(f"project_simplex needs at least one coordinate, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError("project_simplex requires finite input")
-    u = np.sort(v, axis=-1)[..., ::-1]
-    css = u.cumsum(axis=-1)
-    css -= 1.0
-    # for finite floats a > b exactly when a - b > 0 (gradual underflow)
-    rho = (u > css / np.arange(1.0, n + 1.0)).sum(axis=-1)
-    k = rho.reshape(-1)
-    theta = css.reshape(-1, n)[np.arange(k.size), k - 1] / k
-    out = v - theta.reshape(rho.shape + (1,))
-    return np.maximum(out, 0.0, out=out)
+    rows = v.reshape(-1, n)
+    u = np.sort(rows, axis=1)[:, ::-1]
+    # a row off the simplex is solved again, so its overflow or zero
+    # division is no error
+    with np.errstate(all="ignore"):
+        out = _project_sorted(rows, u)
+        redo = ~(np.abs(out.sum(axis=1) - 1.0) <= 1e-9)  # NaN too
+        if redo.any():
+            # the threshold is at least top - 1, so an entry below that
+            # projects to 0, and clipping it at top - 2 keeps the sums small
+            # and finite
+            top = u[redo, :1]
+            out[redo] = _project_sorted(np.maximum(rows[redo] - top, -2.0),
+                                        np.maximum(u[redo] - top, -2.0))
+    return out.reshape(v.shape)
 
 
 def contains(poly: Polyhedron, x, tol: float = TOL_FEAS) -> bool:

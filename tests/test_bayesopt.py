@@ -568,15 +568,20 @@ def siouxfalls_learn_setup():
 class TestPinnedSiouxFallsLearn:
     # SHA-256 over bo_learn's inputs, values and incumbents (budget 40),
     # captured from the oracle whose deviation objective is built from the
-    # opponent-flow moments.  The scenario-sum objective gave 90c218eb... and
-    # ebf3507f...; the queries moved by at most 1.9e-15 and the values by at
-    # most 2.2e-15, with the same PROJECTIONS.  About half of these rounds
-    # have EI 0 at every candidate, so the pin covers the stall exit at
-    # scale; PROJECTIONS counts bayesopt.project_simplex calls, which were
-    # N_INIT + 35 * (NUM_POLISH_STEPS + 1) = 1790 before the exit.
+    # opponent-flow moments and whose Frank-Wolfe LP chains start from each
+    # polyhedron's nominal optimum.  From the phase-1 basis they were
+    # a7cacd33... and f7e3c360...; at seeds 0-3 the queries moved by at
+    # most 2.2e-15 and the values by at most 1.2e-15, with the same final
+    # incumbent values and PROJECTIONS.  The scenario-sum objective gave
+    # 90c218eb... and ebf3507f...; the queries moved by at most 1.9e-15 and
+    # the values by at most 2.2e-15, with the same PROJECTIONS.  About half
+    # of these rounds have EI 0 at every candidate, so the pin covers the
+    # stall exit at scale; PROJECTIONS counts bayesopt.project_simplex
+    # calls, which were N_INIT + 35 * (NUM_POLISH_STEPS + 1) = 1790 before
+    # the exit.
     SHA256 = {
-        0: "a7cacd3397c1d1bd23830623d53852cca85367b4ccf2282fb4d990de83b6430d",
-        1: "f7e3c3600981edac099219ed5ff9e4edb496a6de90084ba1a3e004106ffe23ef",
+        0: "07d38be1ae2d6033e2c234f32fb256bbe877973b83a5885c155577e42cc10a64",
+        1: "5a11f2f5de2423cbe31cbd968aa6d208c65c8238335ca2dd0bb7f3edd2014e3d",
     }
     PROJECTIONS = {0: 1075, 1: 1030}
 

@@ -298,6 +298,116 @@ class TestStoredStart:
             assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 
+def bpr_objective(game):
+    """A convex BPR-like objective over the links of ``game``, congested
+    enough at demand 3000 that Frank-Wolfe takes interior steps:
+    ``sum fft (y + 0.03 y^5 / (0.3 volume)^4)``, with its gradient."""
+    fft, volume = game.fft, 0.3 * game.nominal_volume
+
+    def fun(y):
+        z = (y / volume) ** 4
+        return float(fft @ (y + 0.03 * y * z)), fft * (1.0 + 0.15 * z)
+
+    return fun
+
+
+def polyhedra_without_nominal(siouxfalls_sets):
+    """(name, polyhedron) pairs whose budget LP does not exist or has no
+    optimum: a box, a simplex, a flow polytope without its budget row, a
+    budget LP that is unbounded and one that is infeasible."""
+    P = siouxfalls_sets[2]
+    return [
+        ("box", Polyhedron.box([0.0, -1.0, 0.5], [1.0, 2.0, 0.5])),
+        ("simplex", Polyhedron.simplex(4)),
+        ("no budget row", Polyhedron(P.eq_matrix, P.eq_rhs, P.lower, P.upper)),
+        # x0 = x1 may grow without bound, and the budget row rewards it
+        ("unbounded", Polyhedron(np.array([[1.0, -1.0, 0.0]]), np.zeros(1), np.zeros(3),
+                                 np.array([np.inf, np.inf, 2.0]), np.array([-1.0, 0.0, 1.0]),
+                                 1.5)),
+        ("infeasible", Polyhedron(np.zeros((0, 1)), np.zeros(0), [0.0], [1.0], [1.0], -1.0)),
+    ]
+
+
+class TestNominalStart:
+    # Frank-Wolfe's bytes on the polyhedra without a nominal start, captured
+    # when every Frank-Wolfe LP chain started from the phase-1 basis.
+    NO_NOMINAL_SHA256 = "9fb8f8d96485401bdfd0881fcdb36c10eaf775fea4802ada716956e9df227552"
+
+    def test_objective_matches_highs(self, siouxfalls_sets):
+        for P in siouxfalls_sets:
+            nominal = P._nominal
+            assert nominal.status == "optimal"
+            ref = highs_objective(P.budget_coeffs, P)
+            assert abs(nominal.objective - ref) <= 1e-9 * abs(ref)
+            assert nominal.objective == float(P.budget_coeffs @ nominal.point)
+            assert nominal._final_basis[0] is P._lp_start
+            for arr in (nominal.point, *nominal._final_basis[1][:4]):
+                assert not arr.flags.writeable
+
+    def test_is_the_budgeted_game_nominal_cost(self, siouxfalls_game):
+        # a player's budget row is its free-flow cost, so its minimum is
+        # delta_i, the min-cost routing without the budget row
+        for P, delta in zip(siouxfalls_game.action_sets, siouxfalls_game.deltas):
+            assert P._nominal.objective == pytest.approx(delta, rel=1e-12)
+
+    def test_none_without_a_budget_optimum(self, siouxfalls_sets):
+        for name, P in polyhedra_without_nominal(siouxfalls_sets):
+            assert P._nominal is None, name
+        statuses = {name: solve_lp(P.budget_coeffs, P).status
+                    for name, P in polyhedra_without_nominal(siouxfalls_sets)
+                    if P.budget_coeffs is not None}
+        assert statuses == {"unbounded": "unbounded", "infeasible": "infeasible"}
+
+    def test_first_lp_continues_the_nominal_start(self, siouxfalls_game, monkeypatch):
+        warms = []
+
+        def recording(c, poly, warm=None):
+            warms.append(warm)
+            return solve_lp(c, poly, warm)
+
+        monkeypatch.setattr(polytope, "solve_lp", recording)
+        P = siouxfalls_game.action_sets[0]
+        frank_wolfe_min(bpr_objective(siouxfalls_game), P, tol_gap=1e-9, max_iter=3)
+        assert warms[0] is P._nominal
+        warms.clear()
+        frank_wolfe_min(lambda y: (0.5 * float(y @ y), y), Polyhedron.simplex(3),
+                        tol_gap=1e-9, max_iter=3)
+        assert warms[0] is None
+
+    def test_frank_wolfe_unchanged_without_nominal(self, siouxfalls_game, siouxfalls_sets):
+        digest = hashlib.sha256()
+        for name, P in polyhedra_without_nominal(siouxfalls_sets)[:3]:
+            if name == "no budget row":
+                fun = bpr_objective(siouxfalls_game)
+            else:
+                target = {"box": [0.3, 0.4, 0.9], "simplex": [0.1, 0.25, 0.3, 0.45]}[name]
+
+                def fun(y, t=np.array(target)):
+                    return 0.25 * float(np.sum((y - t) ** 4)), (y - t) ** 3
+
+            res = frank_wolfe_min(fun, P, tol_gap=1e-12, max_iter=200)
+            digest.update(res.point.tobytes())
+            digest.update(np.array([res.value, res.gap, res.iterations]).tobytes())
+        assert digest.hexdigest() == self.NO_NOMINAL_SHA256
+
+    def test_pure_function_of_the_inputs(self, siouxfalls_game, siouxfalls_sets):
+        fun = bpr_objective(siouxfalls_game)
+        P = fresh(siouxfalls_sets[2])
+
+        def run(poly):
+            res = frank_wolfe_min(fun, poly, tol_gap=1e-12, max_iter=200)
+            return res.point.tobytes(), res.value, res.gap, res.iterations
+
+        first = run(P)
+        assert run(fresh(P)) == first
+        rng = np.random.default_rng(3)
+        sol = None
+        for _ in range(20):
+            solve_lp(rng.normal(size=P.dim), P)
+            sol = solve_lp(rng.normal(size=P.dim), P, warm=sol)
+        assert run(P) == first
+
+
 def highs_objective(c, P):
     budget = {}
     if P.budget_coeffs is not None:
@@ -1066,6 +1176,34 @@ class TestProjectSimplex:
             w = project_simplex(v)
             d_grid = np.min(np.sum((candidates - v) ** 2, axis=1))
             assert float(np.sum((w - v) ** 2)) <= d_grid + 1e-9
+
+    @pytest.mark.parametrize("v, want", [
+        # u[0] - 1 rounds to u[0], so no coordinate passes the threshold test
+        ([1e17, 0.0], [1.0, 0.0]),
+        ([1e300, -1e300], [1.0, 0.0]),
+        # (1e16 + 2) - 1 rounds to 1e16, so the sum comes out 2
+        ([1e16 + 2.0, 0.0], [1.0, 0.0]),
+        # the cumulative sums overflow
+        ([1e308, 1e308], [0.5, 0.5]),
+        ([0.0, -1e308, -1e308], [1.0, 0.0, 0.0]),
+        ([-1e308, -1e308, -1e308], [1 / 3, 1 / 3, 1 / 3]),
+    ])
+    def test_large_finite_input(self, v, want):
+        assert project_simplex(v).tolist() == want
+        rows = project_simplex([v, np.linspace(-1.0, 1.0, len(v))])
+        assert rows[0].tolist() == want
+        assert rows[1].tobytes() == project_simplex(np.linspace(-1.0, 1.0, len(v))).tobytes()
+
+    def test_every_finite_scale_lands_on_the_simplex(self):
+        rng = np.random.default_rng(13)
+        for _ in range(2000):
+            n = int(rng.integers(1, 30))
+            v = rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.uniform(-3.0, 308.0)
+            v[: int(rng.integers(0, n + 1))] = v[0]  # ties
+            w = project_simplex(v)
+            assert (w >= 0.0).all()
+            assert abs(w.sum() - 1.0) <= 1e-9
+            assert w[v.argmax()] == w.max()
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

@@ -545,13 +545,18 @@ class TestPinnedSiouxFalls:
     # Captured from the deviation objective built from per-link polynomials
     # in the opponent-flow moments, minimized by the kernel whose warm LP
     # calls continue the simplex state (vertex, basis inverse, pivot count)
-    # of the previous Frank-Wolfe iteration and which took the line step by
-    # Newton on p'.  Any change to the objective, the simplex or the line
-    # step that is not bitwise equal moves these hex floats.  These reports
-    # take full steps only, so the Illinois secant that replaced Newton
-    # kept them (TestPinnedAuditStream pins interior and away steps).
-    # Three earlier versions are kept as references; each lower-bounds the
+    # of the previous Frank-Wolfe iteration, whose first LP continues the
+    # polyhedron's nominal optimum (min budget_coeffs.x), and which takes
+    # the line step by the Illinois secant on the step polynomial's slope.
+    # Any change to the objective, the simplex or the line step that is not
+    # bitwise equal moves these hex floats.  These reports take full steps
+    # only, so they did not move when the secant replaced Newton's method on
+    # p' (TestPinnedAuditStream pins interior and away steps).
+    # Four earlier versions are kept as references; each lower-bounds the
     # same regret, so it may differ by at most the sum of the FW gaps:
+    # - PHASE1_START: each Frank-Wolfe run's first LP started from the
+    #   phase-1 basis.  Player 1's regret at the second weight was 1 ulp
+    #   lower; it ended at another basis of the same vertex.
     # - SCENARIO_SUM: the objective summed over the N scenarios on every
     #   evaluation; same kernel.  Player 1's regrets were 1 ulp higher.
     # - REFACTORED: each warm LP call re-inverted the basis it started from.
@@ -564,10 +569,18 @@ class TestPinnedSiouxFalls:
          ["0x1.3d6b4682bc6a8p-2", "0x1.d88c9c22ce838p-2", "0x1.00418eb0dc518p-3"],
          ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]),
         ([0.7, 0.1, 0.1, 0.05, 0.05],
-         ["0x1.ac7ecbedb7230p-3", "0x1.8f256cfbc3c44p-2", "0x1.e88c9853847d0p-4"],
+         ["0x1.ac7ecbedb7230p-3", "0x1.8f256cfbc3c48p-2", "0x1.e88c9853847d0p-4"],
          ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]),
         ([0.0, 0.0, 1.0, 0.0, 0.0],
          ["0x1.17fb944d0ed72p-1", "0x1.120a97497f666p-1", "0x0.0p+0"],
+         ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]),
+    ]
+    PHASE1_START = [
+        (["0x1.3d6b4682bc6a8p-2", "0x1.d88c9c22ce838p-2", "0x1.00418eb0dc518p-3"],
+         ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]),
+        (["0x1.ac7ecbedb7230p-3", "0x1.8f256cfbc3c44p-2", "0x1.e88c9853847d0p-4"],
+         ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]),
+        (["0x1.17fb944d0ed72p-1", "0x1.120a97497f666p-1", "0x0.0p+0"],
          ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]),
     ]
     SCENARIO_SUM = [
@@ -596,18 +609,20 @@ class TestPinnedSiouxFalls:
     ]
     # FW iterations and solve_lp calls over WORK_STREAM's reports, captured
     # from the REFACTORED kernel: carrying the simplex state must not change
-    # how much work a report does.
+    # how much work a report does.  The oracle is built inside the count,
+    # so lp_calls also holds the nominal LP each player's polyhedron solves
+    # once when it is constructed (3; the reports make 120).
     WORK_STREAM = {"seed": 13, "alpha": 0.1, "size": 20}
-    WORK = {"fw_iterations": 120, "lp_calls": 120}
+    WORK = {"fw_iterations": 120, "lp_calls": 123}
     # Simplex pivots over the same reports (phase 2 only, counted with
     # _REFACTOR_EVERY raised so that a call's pivots are the rise of its
-    # since_refresh count), captured from the kernel whose ratio test ran on
-    # numpy arrays, and a SHA-256 over the reports' per-player regrets, FW
-    # gaps and best responses, captured with PINNED: a cheaper pivot must
-    # make the same pivots and give the same bytes.  The moment objective
-    # kept the pivots, the FW iterations and the LP calls.
-    WORK_PIVOTS = 822
-    WORK_SHA256 = "8d324d1f6b617d96b0a37a898b8db5f1678322561c03dcf29b3d135f9a7c803d"
+    # since_refresh count), and a SHA-256 over the reports' per-player
+    # regrets, FW gaps and best responses, both captured with PINNED: a
+    # cheaper pivot must make the same pivots and give the same bytes.
+    # From the phase-1 basis the same reports took 822 pivots (the kernel
+    # whose ratio test ran on numpy arrays made the same).
+    WORK_PIVOTS = 102
+    WORK_SHA256 = "bfda69c2ebf49f7c87cfae0fb22b85caec569c20ef1e7703204c8bf70ea9798b"
 
     def work_stream(self):
         stream = self.WORK_STREAM
@@ -630,6 +645,9 @@ class TestPinnedSiouxFalls:
             ref_gaps = np.array([float.fromhex(v) for v in ref_gaps])
             slack = np.maximum(ref_gaps, 0.0) + np.maximum(rep.fw_gaps, 0.0) + 1e-12
             assert np.all(np.abs(rep.per_player - ref_per) <= slack)
+
+    def test_phase1_start_values_within_gaps(self):
+        self.assert_within_gaps(self.PHASE1_START)
 
     def test_cold_start_values_within_gaps(self):
         self.assert_within_gaps(self.COLD)
@@ -738,16 +756,63 @@ class TestPinnedAuditStream:
     # TestPinnedSiouxFalls never take.  Pinned here: the FW iterations, the
     # line steps by kind and a SHA-256 over the reports' per-player regrets,
     # FW gaps and best responses, captured from the kernel whose line step
-    # is the Illinois secant on Horner's slope of the step polynomial.
+    # is the Illinois secant on Horner's slope of the step polynomial and
+    # whose first LP in each run continues the polyhedron's nominal optimum.
     # An away step is counted by its cap, which is 1 for a FW step and
     # alpha / (1 - alpha) for an away step (1 only at alpha = 1/2).
     FW_ITERATIONS = 458
     STEPS = {"all": 358, "interior": 258, "cap_not_one": 91}
-    SHA256 = "ff2b9a3b3fc061a89536b047a3204de6a2f3834726f61ef3d52875a84d53af2c"
-    # NEWTON: the regrets of the kernel that found an interior step by
-    # Newton's method on p' (SHA-256 c1e7b6b9..., same iterations and steps).
-    # Each lower-bounds the same regret, so it may differ by at most the sum
-    # of the FW gaps; its gaps on these reports are at most NEWTON_MAX_GAP.
+    SHA256 = "db8617238022ee804b497b7792359d9f4b0e06692bcf7942008dae537553006e"
+    # Two earlier kernels are kept as references, each with the largest of
+    # its FW gaps on these reports.  Each lower-bounds the same regret, so
+    # it may differ by at most the sum of the FW gaps:
+    # - PHASE1_START: each run's first LP started from the phase-1 basis
+    #   (SHA-256 ff2b9a3b..., same iterations and steps).
+    # - NEWTON: an interior step was found by Newton's method on p'
+    #   (SHA-256 c1e7b6b9..., same iterations and steps).
+    PHASE1_START = [
+        ["0x1.bded3b31a0adap-1", "0x1.c156b412214d4p-2", "0x1.d65a0a81e1376p-1",
+         "0x1.a398becc846c0p-4", "0x1.328aced4167eap+0"],
+        ["0x1.5eac3aef9d048p-2", "0x1.a213ff66ecd98p-2", "0x1.25d2c7a645356p-1",
+         "0x1.c67c0363751a0p-2", "0x1.0bf40dd633020p-2"],
+        ["0x1.0f2e410c8fd6ap+0", "0x1.bd65cedc53ac8p-2", "0x1.4c8a43a223762p+0",
+         "0x1.419fd00d9efdcp-2", "0x1.8439dfed4093fp+0"],
+        ["0x1.571a2b052310ap-1", "0x1.bf193ec3ca1f4p-2", "0x1.2993cec2fa9e8p-1",
+         "0x1.3c29c8763e000p-12", "0x1.c23858fe5e38ap-1"],
+        ["0x1.09ffc6a3d77a0p-1", "0x1.d190fdb441f4cp-2", "0x1.1c0739377ace8p-1",
+         "-0x1.5d6552c9dc000p-11", "0x1.81fefc9e5161ep-1"],
+        ["0x1.1f2c75d5fa060p-2", "0x1.9e08b4cf435c8p-2", "0x1.0faceb99baaf8p-1",
+         "0x1.eeef1f554f33cp-2", "0x1.399f572eaee50p-3"],
+        ["0x1.549cebf3a485cp-1", "0x1.6f14f43dce96cp-2", "0x1.21cf3c488b9c4p-1",
+         "0x1.fbf5ba43e979cp-2", "0x1.9fd88d81ddda8p-1"],
+        ["0x1.dd7d57a92bef8p-2", "0x1.7b874c789a290p-2", "0x1.03ac6e648a4b8p-1",
+         "0x1.fc75e8788761cp-2", "0x1.e7c9e71dbdeb0p-2"],
+        ["0x1.5ce6d1a6b72d0p-2", "0x1.a4868220c1f1cp-2", "0x1.0c631fdcf3beep-1",
+         "0x1.8e8d36e1dfcc8p-2", "0x1.13dec0b1d5d78p-2"],
+        ["0x1.4ef3fc880d508p-1", "0x1.ad36e25dfd330p-2", "0x1.d3325aa920326p-1",
+         "0x1.9b44a5cb9e5f0p-2", "0x1.9431f7699fa50p-1"],
+        ["0x1.ba49c4c615020p-3", "0x1.02436503c3068p-1", "0x1.fb2ca15f68164p-2",
+         "0x1.fcca68220e540p-6", "0x1.e08e052bbbea4p-2"],
+        ["0x1.1a1a55320c390p-2", "0x1.aa2898e6a70d8p-2", "0x1.02b02a19d3a64p-1",
+         "0x1.91a8a3674470cp-2", "0x1.b835196fc4220p-3"],
+        ["0x1.35e526bd0a57dp+0", "0x1.c629dc2f7ff10p-2", "0x1.7af6ef2f92a28p+0",
+         "0x1.42dbe39365468p-2", "0x1.bea1b1b9c5cf0p+0"],
+        ["0x1.446b22e902f32p-1", "0x1.69cfcb935a7e0p-2", "0x1.0463c61acc3aep-1",
+         "0x1.05b93602e44f6p-1", "0x1.836dd1bdf7e68p-1"],
+        ["0x1.451d99dee65eep-1", "0x1.6a04b5c2ebe64p-2", "0x1.059fe33fd99e0p-1",
+         "0x1.056d5f7e1f08ap-1", "0x1.84a051b24d7acp-1"],
+        ["0x1.f4fd6f61274e0p-3", "0x1.04e6f6de584aap-1", "0x1.0702b4e015742p-1",
+         "0x1.675c6a164a800p-11", "0x1.0fa71d9c26a52p-1"],
+        ["0x1.e8a7d6997f3fep-1", "0x1.c3835039493c0p-2", "0x1.116eafacf9aa6p+0",
+         "0x1.35768ff40acd8p-3", "0x1.565b87574e25ap+0"],
+        ["0x1.2f9aee334a92cp+0", "0x1.c581df734ef20p-2", "0x1.7520b110c9a14p+0",
+         "0x1.45e0f5f714720p-2", "0x1.b3accd62aa1e5p+0"],
+        ["0x1.b419ee759bcc8p-2", "0x1.a607d12e05cd8p-2", "0x1.53752b2fa532cp-1",
+         "0x1.b318b477b4a68p-2", "0x1.9e97f28a289a0p-2"],
+        ["0x1.dd34990444540p-3", "0x1.c100008f75210p-2", "0x1.ff4e8af846704p-2",
+         "0x1.320723305a548p-2", "0x1.d1ca382ed71b8p-3"],
+    ]
+    PHASE1_START_MAX_GAP = float.fromhex("0x1.0000000000000p-51")
     NEWTON = [
         ["0x1.bded3b31a0adcp-1", "0x1.c156b412214d4p-2", "0x1.d65a0a81e1376p-1",
          "0x1.a398becc846c0p-4", "0x1.328aced4167eap+0"],
@@ -808,11 +873,18 @@ class TestPinnedAuditStream:
                 digest.update(y.tobytes())
         assert digest.hexdigest() == self.SHA256
 
-    def test_newton_values_within_gaps(self, audit_run):
-        for rep, ref in zip(audit_run[0], self.NEWTON):
+    @staticmethod
+    def assert_within_gaps(audit_run, reference, max_gap):
+        for rep, ref in zip(audit_run[0], reference):
             ref = np.array([float.fromhex(v) for v in ref])
-            slack = self.NEWTON_MAX_GAP + np.maximum(rep.fw_gaps, 0.0) + 1e-12
+            slack = max_gap + np.maximum(rep.fw_gaps, 0.0) + 1e-12
             assert np.all(np.abs(rep.per_player - ref) <= slack)
+
+    def test_phase1_start_values_within_gaps(self, audit_run):
+        self.assert_within_gaps(audit_run, self.PHASE1_START, self.PHASE1_START_MAX_GAP)
+
+    def test_newton_values_within_gaps(self, audit_run):
+        self.assert_within_gaps(audit_run, self.NEWTON, self.NEWTON_MAX_GAP)
 
 
 def highs_lp(c, poly, warm=None):
