@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CcpTrace:
     """Iterate history of one ccp_select run; objectives are non-decreasing."""
 

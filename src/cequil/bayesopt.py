@@ -252,7 +252,7 @@ def maximize_acquisition(W, eta, lengthscale: float, seed: int = 0) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LearnTrace:
     """Per-query record of one bo_learn run."""
 

@@ -49,7 +49,7 @@ class InfeasibleDemand(GameError):
     """A player's demand cannot be routed through the network."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexGame:
     """Generic convex game in callable form, one player per action set.
 
@@ -144,15 +144,13 @@ class TrafficGame:
 
     def __init__(self, players: Sequence[PlayerSpec], fft: np.ndarray,
                  nominal_volume: np.ndarray, lam: np.ndarray, nu: int,
-                 deltas: Sequence[float], gammas: Sequence[float],
-                 action_sets: Sequence[Polyhedron]):
+                 deltas: Sequence[float], action_sets: Sequence[Polyhedron]):
         self.players = list(players)
         self.fft = fft
         self.nominal_volume = nominal_volume
         self.lam = lam
         self.nu = nu
         self.deltas = np.asarray(deltas, dtype=float)
-        self.gammas = np.asarray(gammas, dtype=float)
         self.action_sets = list(action_sets)
         self.num_players = len(self.players)
         self.num_links = fft.size
@@ -282,7 +280,7 @@ def build_traffic_game(net: NetworkData, players: Sequence[PlayerSpec]) -> Traff
     caps = net.capacities()
     a = net.free_flow_times()
     tails = np.array([rec.init_node for rec in net.links])
-    deltas, gammas, sets = [], [], []
+    deltas, sets = [], []
     for i, spec in enumerate(players):
         s_i = demand_vector(spec, net.num_nodes)
         upper = np.where((tails < net.first_thru_node) & (tails != spec.origin), 0.0, caps)
@@ -295,8 +293,7 @@ def build_traffic_game(net: NetworkData, players: Sequence[PlayerSpec]) -> Traff
         delta = sol.objective
         if delta <= 0:
             raise InfeasibleDemand(f"player {i}: nominal cost is not positive")
-        gamma = spec.budget_factor * delta
         deltas.append(delta)
-        gammas.append(gamma)
-        sets.append(Polyhedron(E, s_i, np.zeros(net.num_links), upper, a, gamma))
-    return TrafficGame(players, a, caps, lam, nu, deltas, gammas, sets)
+        sets.append(Polyhedron(E, s_i, np.zeros(net.num_links), upper, a,
+                               spec.budget_factor * delta))
+    return TrafficGame(players, a, caps, lam, nu, deltas, sets)

@@ -18,15 +18,16 @@ This module provides the geometry every other part of the package sits on:
   inputs (``warm`` included) give bitwise-identical vertices.
 * :func:`frank_wolfe_min` -- conditional-gradient minimization of a smooth
   convex function over a :class:`Polyhedron` from its phase-1 vertex, with
-  away steps over the active vertex set; every step is exact on its
-  segment, found by one Illinois secant on the sign of the slope there
-  (from the step polynomial when the objective supplies one, else from
-  the gradient).  The linear subproblems form one warm chain: the first
-  continues the polyhedron's nominal optimum (the minimum of its budget
-  row, solved once at construction; for a traffic polytope the free-flow
-  route), which lies close to the optima of the gradients that follow,
-  and each later one continues the previous iteration's.  The chain
-  lives inside one call, so the result is a pure function of the inputs.
+  away steps over the active vertex set, both kept by one weight update;
+  every step is exact on its segment, found by one Illinois secant on the
+  sign of the slope there (from the step polynomial when the objective
+  supplies one, else from the gradient).  The linear subproblems form one
+  warm chain: the first continues the polyhedron's nominal optimum (the
+  minimum of its budget row, solved once at construction; for a traffic
+  polytope the free-flow route), which lies close to the optima of the
+  gradients that follow, and each later one continues the previous
+  iteration's.  The chain lives inside one call, so the result is a pure
+  function of the inputs.
   The returned gap ``g(x) = grad f(x).(x - v)`` bounds the suboptimality
   only up to the simplex's pricing tolerance.
 * :func:`project_simplex` -- Euclidean projection onto the probability
@@ -99,7 +100,7 @@ def _as_float_vector(v, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polyhedron:
     """Feasible set ``{x : eq_matrix x = eq_rhs, lower <= x <= upper,
     budget_coeffs . x <= budget_limit}``.
@@ -124,11 +125,11 @@ class Polyhedron:
     budget_limit: Optional[float] = None
     # solve_lp's cost-independent phase-1 start (or "infeasible"), set once
     # by __post_init__.
-    _lp_start: object = field(default=None, init=False, repr=False, compare=False)
+    _lp_start: object = field(default=None, init=False, repr=False)
     # The optimal LpSolution of min budget_coeffs.x from that start, or None
     # (no budget row, or that LP is infeasible or unbounded); set once by
     # __post_init__, read-only.  frank_wolfe_min's LP chain starts from it.
-    _nominal: object = field(default=None, init=False, repr=False, compare=False)
+    _nominal: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         lower = _as_float_vector(self.lower, "lower")
@@ -196,7 +197,7 @@ class Polyhedron:
         return Polyhedron(np.ones((1, n)), np.ones(1), np.zeros(n), np.ones(n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
     """Outcome of :func:`solve_lp`.
 
@@ -212,7 +213,7 @@ class LpSolution:
     # (phase-1 start, _SimplexState): the start phase 2 ran from and the
     # read-only state it ended with, which a warm call continues from a copy
     # of; None unless optimal.
-    _final_basis: object = field(default=None, repr=False, compare=False)
+    _final_basis: object = field(default=None, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +351,12 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, free, x, basis, binv, dirmask, since_
     since the last refactorization, ``since_refresh`` counting those made
     before the call.
 
-    Pricing is Dantzig (most negative reduced cost) with deterministic
-    lowest-index tie-breaking; after _STALL_CAP consecutive degenerate
-    pivots it falls back to Bland's rule until the objective moves again.
-    A free column is priced by ``|r|``.  A basic one's ``r`` is only
-    rounding, far below the dual tolerance, so it is never chosen.
+    The run is optimal once no pricing violation exceeds the dual
+    tolerance; otherwise Dantzig pricing enters the largest (lowest index
+    on ties), and after _STALL_CAP consecutive degenerate pivots Bland's
+    rule enters the first, until the objective moves again.  Every stop
+    leaves the loop at one exit.  A free column is priced by ``|r|``.  A
+    basic one's ``r`` is only rounding, so it is never chosen.
     The ratio test (:func:`_ratio_test`) runs in Python floats on the basic
     rows the entering column moves: on network polytopes these are a few of
     the rows, and numpy's per-call overhead on a short vector costs more
@@ -370,9 +372,7 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, free, x, basis, binv, dirmask, since_
     lo_b = [lo[k] for k in basis_l]
     hi_b = [hi[k] for k in basis_l]
 
-    def flush():
-        x[basis] = xb
-
+    status = "stalled"
     stall = 0
     bland = False
     for _ in range(_MAX_PIVOTS):
@@ -391,17 +391,12 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, free, x, basis, binv, dirmask, since_
         if free is not None:
             viol[free] = np.abs(r[free])
 
+        j = int(viol.argmax())
+        if viol[j] <= dual_tol:
+            status = "optimal"
+            break
         if bland:
-            elig = (viol > dual_tol).nonzero()[0]
-            if elig.size == 0:
-                flush()
-                return "optimal", since_refresh
-            j = int(elig[0])
-        else:
-            j = int(viol.argmax())
-            if viol[j] <= dual_tol:
-                flush()
-                return "optimal", since_refresh
+            j = int((viol > dual_tol).argmax())  # the first eligible column
         direction = 1.0 if r[j] < 0.0 else -1.0
 
         d = binv @ AT[j]
@@ -412,8 +407,8 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, free, x, basis, binv, dirmask, since_
         t_own = hi[j] - lo[j]  # own-bound flip distance (inf for free vars)
         t_star = min(t_basic, t_own)
         if not math.isfinite(t_star):
-            flush()
-            return "unbounded", since_refresh
+            status = "unbounded"
+            break
 
         stall = stall + 1 if t_star <= _RATIO_TOL else 0
         if stall > _STALL_CAP:
@@ -458,8 +453,8 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, free, x, basis, binv, dirmask, since_
         col[leave] = 0.0
         binv -= col[:, None] * binv[leave]
         since_refresh += 1
-    flush()
-    return "stalled", since_refresh
+    x[basis] = xb
+    return status, since_refresh
 
 
 def _standard_form(poly: Polyhedron):
@@ -613,22 +608,17 @@ def _line_step(slope, s_max, f_lo):
             side = 1
 
 
-def _step_toward(verts, alphas, v, s):
-    """Move the active-set weights a step ``s`` toward the vertex ``v``:
-    every weight shrinks by ``1 - s`` and ``v`` gains ``s``.  A warm LP may
-    return an active vertex again with basic coordinates that differ by
-    rounding, or from another basis of a degenerate vertex, so ``v`` joins
-    an active vertex within ``1e-9 (1 + max|v|)`` of it instead of adding a
+def _active_index(verts, v):
+    """Index of the first active vertex within ``1e-9 (1 + max|v|)`` of
+    ``v``, or None.  A warm LP may return an active vertex again with basic
+    coordinates that differ by rounding, or from another basis of a
+    degenerate vertex; ``v`` then joins that vertex instead of adding a
     near-copy that every later iteration would rescore."""
-    for i in range(len(alphas)):
-        alphas[i] *= 1.0 - s
     tol = 1e-9 * (1.0 + np.abs(v).max())
     for i, u in enumerate(verts):
         if np.abs(u - v).max() <= tol:
-            alphas[i] += s
-            return
-    verts.append(v.copy())
-    alphas.append(s)
+            return i
+    return None
 
 
 def frank_wolfe_min(
@@ -655,13 +645,16 @@ def frank_wolfe_min(
     lives only inside this call, so the result is a pure function of the
     arguments.
     Away steps over the running vertex set remove the zigzagging that keeps
-    plain conditional gradient from certifying small gaps.
-    Every step, toward the FW vertex or away from an active one, is the
-    exact minimizer of the (assumed convex) ``f`` on its segment, found
-    the same way: an Illinois secant on the sign of the slope ``phi'(s)``
-    of ``phi(s) = f(x + s d)``, which returns a point where ``phi'`` is
-    not positive.  ``line_poly(x, d)``, when given,
-    must return the exact coefficients (low order first) of ``phi``; then
+    plain conditional gradient from certifying small gaps.  Both steps move
+    ``x`` to ``x + t (target - x)``, ``t = s`` toward the LP vertex and
+    ``t = -s`` away from an active one, so one update keeps the weights:
+    each scales by ``1 - t``, the target gains ``t``, weights at most 1e-13
+    drop out and the rest are renormalized.  Every step is the exact
+    minimizer of the (assumed convex) ``f`` on its segment, found the same
+    way: an Illinois secant on the sign of the slope ``phi'(s)`` of
+    ``phi(s) = f(x + s d)``, which returns a point where ``phi'`` is not
+    positive.  ``line_poly(x, d)``, when given, must return the exact
+    coefficients (low order first) of ``phi``; then
     ``phi'`` is Horner's rule on their derivative and ``phi'(0)`` its
     linear coefficient.  Without it ``phi'(s) = grad f(x + s d).d``, one
     ``fun`` call each, and ``phi'(0) = g.d`` with the gradient at hand.
@@ -708,7 +701,7 @@ def frank_wolfe_min(
 
         scores = [float(g @ u) for u in verts]
         a_idx = max(range(len(scores)), key=scores.__getitem__)  # first maximum
-        away = len(verts) > 1 and scores[a_idx] - float(g @ x) > gap
+        away = scores[a_idx] - float(g @ x) > gap
         if away:
             alpha_a = alphas[a_idx]
             d = x - verts[a_idx]
@@ -727,18 +720,19 @@ def frank_wolfe_min(
             return FwResult(x, f0, gap, it, gap <= tol_gap)
 
         if away:
-            for i in range(len(alphas)):
-                alphas[i] *= 1.0 + s
-            alphas[a_idx] -= s
-            if alphas[a_idx] <= 1e-13:
-                del alphas[a_idx]
-                del verts[a_idx]
-        elif s >= 1.0 - 1e-14:
-            verts = [v.copy()]
-            alphas = [1.0]
+            t, target = -s, a_idx
         else:
-            _step_toward(verts, alphas, v, s)
-
+            t, target = s, _active_index(verts, v)
+            if target is None:
+                target = len(verts)
+                verts.append(v.copy())
+                alphas.append(0.0)
+        for i in range(len(alphas)):
+            alphas[i] *= 1.0 - t
+        alphas[target] += t
+        for i in reversed(range(len(alphas))):
+            if alphas[i] <= 1e-13:
+                del alphas[i], verts[i]
         total = sum(alphas)
         alphas = [a_w / total for a_w in alphas]
         x = np.zeros(poly.dim)

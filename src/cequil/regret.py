@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisSet:
     """N joint actions, each a list of per-player action vectors.
 
@@ -95,7 +95,7 @@ class BasisSet:
                     raise ValueError(f"basis action {k}, player {i} is infeasible")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegretReport:
     """Per-player and average correlated regrets for one queried w."""
 

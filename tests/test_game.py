@@ -253,7 +253,7 @@ class TestBuildTrafficGame:
         net = parse_net(SINGLE_LINK.format(cap=5.0, fft=6.0, b=0.15, power=4))
         game = build_traffic_game(net, [PlayerSpec(1, 2, 1.0)])
         assert game.deltas[0] == pytest.approx(6.0)
-        assert game.gammas[0] == pytest.approx(9.0)  # default budget factor 1.5
+        assert game.action_sets[0].budget_limit == pytest.approx(9.0)  # default factor 1.5
 
     def test_delta_is_shortest_path_times_demand(self, siouxfalls_net):
         rho = 3000.0
@@ -303,7 +303,8 @@ class TestBuildTrafficGame:
             sol = solve_lp(np.zeros(P.dim), P)
             assert sol.status == "optimal"
             assert contains(P, sol.point, 1e-7)
-            assert P.budget_limit == pytest.approx(siouxfalls_game.gammas[i])
+            assert P.budget_limit == pytest.approx(
+                siouxfalls_game.players[i].budget_factor * siouxfalls_game.deltas[i])
 
     def test_delta_scales_with_fft(self, siouxfalls_net):
         # scaling every free-flow time by t scales delta by t and keeps the

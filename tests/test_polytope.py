@@ -1010,21 +1010,14 @@ class TestFrankWolfe:
         with pytest.raises(ValueError, match="c must be finite"):
             frank_wolfe_min(fun, siouxfalls_sets[0], tol_gap=1e-9)
 
-    def test_step_toward_joins_a_vertex_within_rounding(self):
+    def test_active_index_joins_a_vertex_within_rounding(self):
         # a warm LP may return an active vertex again a few ulps off, or
         # from another basis; it joins that vertex's weight
         u = np.array([3000.0, 0.0, 1411.7647058823525])
         w = np.array([0.0, 3000.0, 1500.0])
         for again in (u.copy(), np.nextafter(u, np.inf), u * (1.0 + 1e-13)):
-            verts, alphas = [u.copy(), w.copy()], [0.75, 0.25]
-            polytope._step_toward(verts, alphas, again, 0.2)
-            assert [x.tobytes() for x in verts] == [u.tobytes(), w.tobytes()]
-            assert alphas == [0.75 * 0.8 + 0.2, 0.25 * 0.8]
-        verts, alphas = [u.copy(), w.copy()], [0.75, 0.25]
-        other = u + np.array([0.0, 1e-3, 0.0])
-        polytope._step_toward(verts, alphas, other, 0.2)
-        assert [x.tobytes() for x in verts] == [u.tobytes(), w.tobytes(), other.tobytes()]
-        assert alphas == [0.75 * 0.8, 0.25 * 0.8, 0.2]
+            assert polytope._active_index([w, u], again) == 1
+        assert polytope._active_index([u, w], u + np.array([0.0, 1e-3, 0.0])) is None
 
     def test_non_integer_max_iter_rejected(self):
         def fun(y):

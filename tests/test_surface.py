@@ -1,13 +1,20 @@
-"""The package's public surface: exports and console scripts resolve."""
+"""The package's public surface: exports and console scripts resolve, and
+the types that hold arrays compare by identity."""
 
 import importlib
 import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cequil
+from cequil.basis import CcpTrace
+from cequil.bayesopt import LearnTrace
+from cequil.game import ConvexGame
+from cequil.polytope import Polyhedron, solve_lp
+from cequil.regret import BasisSet, RegretReport
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
@@ -55,3 +62,24 @@ def test_tracer_bindings_resolve(monkeypatch):
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, *_ in tracer.BINDINGS if not callable(getattr(owner, attr, None))]
     assert not missing, f"tracer bindings do not resolve: {missing}"
+
+
+ARRAY_HOLDERS = {
+    "Polyhedron": lambda: Polyhedron.box([0.0], [1.0]),
+    "LpSolution": lambda: solve_lp([1.0, 1.0], Polyhedron.box([0.0, 0.0], [1.0, 1.0])),
+    "BasisSet": lambda: BasisSet([[np.zeros(2)]]),
+    "RegretReport": lambda: RegretReport(np.zeros(2), 0.0, [np.zeros(2)], np.zeros(2)),
+    "CcpTrace": lambda: CcpTrace([], True, 0),
+    "LearnTrace": lambda: LearnTrace([np.zeros(2)], np.zeros(1), np.zeros(1)),
+    "ConvexGame": lambda: ConvexGame([Polyhedron.box([0.0], [1.0])], None, None),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_HOLDERS)
+def test_array_holders_compare_by_identity(name):
+    # a field-wise == on arrays raises or returns an array, and a field-wise
+    # hash fails on an array or a list
+    a, b = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    assert (a == a) is True
+    assert (a == b) is False
+    assert len({a, b}) == 2
