@@ -43,7 +43,10 @@ class CcpTrace:
 
     iterates: List[Tuple[BasisSet, float]]
     converged: bool
-    iterations: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.iterates) - 1
 
 
 def min_pairwise_distance(basis: BasisSet) -> float:
@@ -203,7 +206,7 @@ def ccp_select(game, N: int, max_iter: int = 100,
         if improved < 1e-6 * (1.0 + abs(new_obj)):
             converged = True
             break
-    return current, CcpTrace(iterates, converged, len(iterates) - 1)
+    return current, CcpTrace(iterates, converged)
 
 
 # ---------------------------------------------------------------------------

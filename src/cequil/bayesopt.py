@@ -21,15 +21,11 @@ of the offsets from the observations,
 so a batch of B candidates never needs the B x n x N kernel derivatives.
 Scoring the candidates computes EI alone; only the polish takes gradients.
 
-The polish stops exactly when it can no longer move.  Where the GP is sure
-that no start improves on the incumbent, EI underflows to 0 at every start
-and so does every gradient entry; a step is then w <- project_simplex(w)
-whatever its size, so the batch's next state depends on its current bytes
-alone.  The polish keeps the bytes of each
-batch state since the last step with a nonzero gradient entry and stops
-when the batch returns to one of them: every later iterate and EI value
-would repeat one already in its row, so the first row-major maximum over
-the evaluated steps is the one all the steps give.
+Where EI is 0 at every candidate the best candidate is returned unpolished:
+at an unobserved point EI is 0 only when the normal cdf and pdf at z have
+both underflowed, and G is built from the same two factors, so every polish
+step would only re-project the batch, and no polished value could exceed
+max(EI) = 0.
 
 The GP functions take the history as plain arrays: the n x N matrix ``W``
 of queried weights, one per row, the n standardized outputs ``eta``, and
@@ -202,15 +198,11 @@ def maximize_acquisition(W, eta, lengthscale: float, seed: int = 0) -> np.ndarra
     exactly as polishing the starts one after another would choose.  The
     returned point satisfies the simplex invariants exactly.
 
-    The polish stops as soon as it can no longer change the answer.  While
-    every gradient entry of the batch is exactly 0 (EI underflows at every
-    start), a step is ``w <- project_simplex(w)`` whatever its size, so the
-    next batch state is a function of the current one alone.  The polish
-    keeps the bytes of every batch state since the last step with a
-    nonzero gradient entry and stops when the batch returns to one of
-    them: every later iterate, and its EI value, would repeat one already
-    evaluated in the same row, and the first row-major maximum of the
-    evaluated steps is the one all the steps would give.
+    Where EI is 0 at every candidate the polish is skipped: EI is 0 at an
+    unobserved point only when the normal cdf and pdf at z have both
+    underflowed, the gradient weights are built from those two factors, so
+    every polish step would only re-project the batch, and the polish
+    table's first row-major maximum, at (0, 0), is not above ``max(EI) = 0``.
     """
     W, factor, alpha = _factorize(W, eta, lengthscale)
     best = float(np.min(eta))
@@ -220,26 +212,20 @@ def maximize_acquisition(W, eta, lengthscale: float, seed: int = 0) -> np.ndarra
     cands = rng.dirichlet(np.ones(N), size=NUM_CANDIDATES)
     ei, _ = _posterior_ei(cands, W, factor, alpha, lengthscale, best)
     best_w = cands[int(np.argmax(ei))]
+    if not ei.any():
+        return project_simplex(best_w)
     w = cands[np.argsort(-ei, kind="stable")[:NUM_POLISH]]
 
     # iterates[t][s] is start s after t polish steps; the row-major order
     # of values (start, step) is the order in which polishing the starts one
-    # by one would visit them.  stalled holds the bytes of the batch states
-    # since the last one with a nonzero gradient entry.
-    iterates, values, stalled = [], [], set()
+    # by one would visit them.
+    iterates, values = [], []
     for t in range(NUM_POLISH_STEPS + 1):
         iterates.append(w)
         ei_w, grad = _ei_and_grad(w, W, factor, alpha, lengthscale, best)
         values.append(ei_w)
-        if t == NUM_POLISH_STEPS:
-            break
-        if grad.any():
-            stalled.clear()
-        else:
-            stalled.add(w.tobytes())
-        w = project_simplex(w + (0.1 / np.sqrt(t + 1)) * grad)
-        if w.tobytes() in stalled:
-            break
+        if t < NUM_POLISH_STEPS:
+            w = project_simplex(w + (0.1 / np.sqrt(t + 1)) * grad)
     values = np.stack(values, axis=1)
     s, t = np.unravel_index(np.argmax(values), values.shape)
     if values[s, t] > np.max(ei):
@@ -258,7 +244,11 @@ class LearnTrace:
 
     inputs: List[np.ndarray]
     values: np.ndarray
-    incumbent_values: np.ndarray
+
+    @property
+    def incumbent_values(self) -> np.ndarray:
+        """The running minimum of ``values``, hence non-increasing."""
+        return np.minimum.accumulate(self.values)
 
 
 def _standardized(outputs: Sequence[float]):
@@ -295,8 +285,7 @@ def bo_learn(oracle: Callable[[np.ndarray], float], N: int, budget: int,
     values: List[float] = []
 
     def failure(reason):
-        partial = LearnTrace(inputs, np.asarray(values),
-                             np.minimum.accumulate(values) if values else np.zeros(0))
+        partial = LearnTrace(inputs, np.asarray(values))
         return OracleFailure(f"oracle failed at query {len(values) + 1}: {reason}", partial)
 
     def query(w):
@@ -321,6 +310,5 @@ def bo_learn(oracle: Callable[[np.ndarray], float], N: int, budget: int,
         query(maximize_acquisition(W, eta, lengthscale, seed=int(rng.integers(2 ** 63))))
 
     values_arr = np.asarray(values)
-    incumbents = np.minimum.accumulate(values_arr)
     w_best = inputs[int(np.argmin(values_arr))]
-    return w_best, LearnTrace(inputs, values_arr, incumbents)
+    return w_best, LearnTrace(inputs, values_arr)

@@ -157,6 +157,8 @@ class Polyhedron:
                 raise DimensionMismatch("budget_coeffs length does not match bounds")
             if self.budget_limit is None:
                 raise ValueError("budget_coeffs given without budget_limit")
+        elif self.budget_limit is not None:
+            raise ValueError("budget_limit given without budget_coeffs")
         limit = None if self.budget_limit is None else float(self.budget_limit)
         for name, val in (("eq_matrix", eq), ("eq_rhs", rhs), ("budget_coeffs", bc),
                           ("budget_limit", limit)):

@@ -100,9 +100,12 @@ class RegretReport:
     """Per-player and average correlated regrets for one queried w."""
 
     per_player: np.ndarray
-    average: float
     best_responses: List[np.ndarray]
     fw_gaps: np.ndarray
+
+    @property
+    def average(self) -> float:
+        return float(np.mean(self.per_player))
 
 
 class CeVerdict(NamedTuple):
@@ -183,7 +186,7 @@ class RegretOracle:
             per[i] = expected - res.value
             gaps[i] = res.gap
             responses.append(res.point)
-        return RegretReport(per, float(np.mean(per)), responses, gaps)
+        return RegretReport(per, responses, gaps)
 
     def average(self, w) -> float:
         return self.report(w).average

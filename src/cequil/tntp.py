@@ -27,7 +27,6 @@ __all__ = [
     "CountMismatch",
     "NonNumericField",
     "parse_net",
-    "serialize_net",
     "build_incidence",
 ]
 
@@ -174,23 +173,6 @@ def parse_net(text: str) -> NetworkData:
     except MissingMetadata:
         first_thru = 1
     return NetworkData(num_nodes, num_links, first_thru, rows, metadata)
-
-
-def serialize_net(net: NetworkData) -> str:
-    """Render NetworkData back to TNTP text; parse_net round-trips it."""
-    out = [f"<NUMBER OF NODES> {net.num_nodes}",
-           f"<NUMBER OF LINKS> {net.num_links}",
-           f"<FIRST THRU NODE> {net.first_thru_node}"]
-    skip = {"NUMBER OF NODES", "NUMBER OF LINKS", "FIRST THRU NODE"}
-    for key, val in net.metadata.items():
-        if key.upper() not in skip:
-            out.append(f"<{key}> {val}")
-    out.append("<END OF METADATA>")
-    out.append("~ init term capacity length fft b power speed toll type ;")
-    for rec in net.links:
-        nums = " ".join(repr(getattr(rec, f)) for f in _FIELDS[2:])
-        out.append(f"{rec.init_node} {rec.term_node} {nums} ;")
-    return "\n".join(out) + "\n"
 
 
 def build_incidence(net: NetworkData) -> np.ndarray:

@@ -85,6 +85,11 @@ class TestRandomBasis:
         with pytest.raises(TypeError, match="N must be an integer, got 2.0"):
             random_basis(game, 2.0, seed=0)
 
+    def test_zero_count_rejected(self):
+        game = null_game([Polyhedron.interval(0.0, 1.0)])
+        with pytest.raises(ValueError, match="N must be at least 1"):
+            random_basis(game, 0, seed=0)
+
     def test_unbounded_action_set_rejected(self):
         # the costs are >= 0, so x -> -inf is unbounded below; that is not
         # an empty set
@@ -275,6 +280,12 @@ class TestSerialization:
                      "actions 1\nplayers 1\ndims -1\naction 1\nplayer 1\n",
                      "actions 1\nplayers 2\ndims 1 0\naction 1\nplayer 1 0.5\nplayer 2\n"):
             with pytest.raises(ValueError, match="malformed basis file header"):
+                basis_from_text(text)
+
+    def test_dims_must_match_players(self):
+        for dims in ("1", "1 1 1"):
+            text = f"actions 1\nplayers 2\ndims {dims}\naction 1\nplayer 1 0.5\nplayer 2 0.5\n"
+            with pytest.raises(ValueError, match="dims line does not match player count"):
                 basis_from_text(text)
 
     def test_wrong_dimension(self):

@@ -1258,6 +1258,11 @@ class TestPolyhedron:
         with pytest.raises(ValueError):
             Polyhedron(np.zeros((0, 1)), np.zeros(0), [0.0], [1.0], [1.0], None)
 
+    def test_limit_needs_budget(self):
+        # with no row to bound, the limit would be kept and never checked
+        with pytest.raises(ValueError, match="budget_limit given without budget_coeffs"):
+            Polyhedron(np.ones((1, 2)), [1.0], np.zeros(2), np.ones(2), None, -5.0)
+
     def test_arrays_are_read_only_copies(self):
         rhs = np.array([1.0])
         P = Polyhedron(np.ones((1, 2)), rhs, np.zeros(2), np.ones(2), np.ones(2), 1.0)
@@ -1273,12 +1278,19 @@ class TestPolyhedron:
             Polyhedron(np.ones((1, 2)), np.ones(1), [0.0], [1.0])
         with pytest.raises(DimensionMismatch, match="at least one coordinate"):
             Polyhedron.box([], [])
+        with pytest.raises(DimensionMismatch, match=r"lower must be a vector, got shape \(1, 2\)"):
+            Polyhedron.box(np.zeros((1, 2)), np.ones(2))
         with pytest.raises(DimensionMismatch, match="budget_coeffs length"):
             Polyhedron(np.ones((1, 2)), np.ones(1), np.zeros(2), np.ones(2), np.ones(3), 1.0)
         # an eq_rhs shorter than the row count is not read as zeros
         for rhs in ([], np.zeros(0), [1.0, 1.0]):
             with pytest.raises(DimensionMismatch, match="1 rows"):
                 Polyhedron(np.ones((1, 2)), rhs, np.zeros(2), np.ones(2))
+
+    def test_scalar_bounds_are_one_coordinate(self):
+        P = Polyhedron.box(0.0, 1.0)
+        assert P.dim == 1
+        assert P.lower.tolist() == [0.0] and P.upper.tolist() == [1.0]
 
     @pytest.mark.parametrize("eq", [np.ones((1, 1, 2)), np.ones(3), np.ones(2), 1.0])
     def test_eq_matrix_must_be_a_matrix(self, eq):

@@ -4,6 +4,7 @@ the types that hold arrays compare by identity."""
 import importlib
 import inspect
 import pkgutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -68,9 +69,9 @@ ARRAY_HOLDERS = {
     "Polyhedron": lambda: Polyhedron.box([0.0], [1.0]),
     "LpSolution": lambda: solve_lp([1.0, 1.0], Polyhedron.box([0.0, 0.0], [1.0, 1.0])),
     "BasisSet": lambda: BasisSet([[np.zeros(2)]]),
-    "RegretReport": lambda: RegretReport(np.zeros(2), 0.0, [np.zeros(2)], np.zeros(2)),
-    "CcpTrace": lambda: CcpTrace([], True, 0),
-    "LearnTrace": lambda: LearnTrace([np.zeros(2)], np.zeros(1), np.zeros(1)),
+    "RegretReport": lambda: RegretReport(np.zeros(2), [np.zeros(2)], np.zeros(2)),
+    "CcpTrace": lambda: CcpTrace([], True),
+    "LearnTrace": lambda: LearnTrace([np.zeros(2)], np.zeros(1)),
     "ConvexGame": lambda: ConvexGame([Polyhedron.box([0.0], [1.0])], None, None),
 }
 
@@ -83,3 +84,16 @@ def test_array_holders_compare_by_identity(name):
     assert (a == a) is True
     assert (a == b) is False
     assert len({a, b}) == 2
+
+
+def test_derived_values_follow_a_replace():
+    # each derived value is computed from its source field, so a replace
+    # cannot leave it stale
+    rep = replace(RegretReport(np.array([0.1, 0.3]), [np.zeros(2)] * 2, np.zeros(2)),
+                  per_player=np.array([1.0, 3.0]))
+    assert rep.average == 2.0
+    trace = replace(LearnTrace([np.zeros(2)] * 3, np.array([3.0, 1.0, 2.0])),
+                    values=np.array([2.0, 5.0, 0.5]))
+    assert trace.incumbent_values.tolist() == [2.0, 2.0, 0.5]
+    ccp = replace(CcpTrace([(None, 0.0)], True), iterates=[(None, 0.0)] * 4)
+    assert ccp.iterations == 3

@@ -11,7 +11,6 @@ from cequil.tntp import (
     TntpError,
     build_incidence,
     parse_net,
-    serialize_net,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -37,14 +36,6 @@ def test_siouxfalls_first_row(siouxfalls):
     assert rec.free_flow_time == 6.0
     assert rec.b == 0.15
     assert rec.power == 4.0
-
-
-def test_roundtrip(siouxfalls):
-    text = serialize_net(siouxfalls)
-    again = parse_net(text)
-    assert again == siouxfalls
-    # and a second serialization is byte-identical
-    assert serialize_net(again) == text
 
 
 def test_count_mismatch():
@@ -114,6 +105,14 @@ def test_whitespace_and_comments_tolerated():
     assert net.num_links == 1
     assert net.links[0].capacity == 1.5
     assert net.metadata["SOME UNKNOWN TAG"] == "kept"
+
+
+def test_semicolon_only_line_skipped():
+    text = ("<NUMBER OF NODES> 2\n<NUMBER OF LINKS> 1\n<END OF METADATA>\n"
+            ";\n  ;  \n1 2 1 1 1 0.15 4 0 0 1 ;\n;\n")
+    net = parse_net(text)
+    assert net.num_links == 1
+    assert (net.links[0].init_node, net.links[0].term_node) == (1, 2)
 
 
 def test_incidence_single_link():
