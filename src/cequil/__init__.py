@@ -6,6 +6,11 @@ correlated regrets; Bayesian optimization over the weight simplex drives
 the average regret down, and a difference-of-convex heuristic picks the
 supporting joint actions.  The bundled application is multi-player traffic
 assignment with BPR link costs on standard network files.
+
+The regret a player reports compares the recommendations with one fixed
+deviation, whatever it was told, so the equilibrium the oracle certifies
+is the coarse correlated equilibrium (Moulin & Vial 1978); its set
+contains Aumann's correlated equilibria.
 """
 
 from cequil.polytope import (

@@ -9,22 +9,27 @@ models the standardized observations; the posterior at a candidate w is
 
 with K the kernel matrix of past queries, c(w) the cross-covariances and
 eta the observed values.  Expected Improvement (minimization form) scores
-candidates, and its analytic gradient drives a projected-gradient polish
-that keeps iterates exactly on the simplex.  With beta = (K + sigma^2 I)^-1
-c(w), q_n = sqrt(5) |w - w_n| / l, and z, Phi, phi the standardized
-improvement and its normal cdf and pdf at w, the gradient is a weighted sum
-of the offsets from the observations,
+candidates, and its analytic gradient drives a polish that keeps iterates
+exactly on the simplex: a search along the projection arc
+``a -> proj(w + a grad EI(w))`` (Bertsekas, IEEE TAC 1976) over a fixed
+grid of step lengths, every start and length scored in one EI batch.  With
+beta = (K + sigma^2 I)^-1 c(w), q_n = sqrt(5) |w - w_n| / l, and z, Phi,
+phi the standardized improvement and its normal cdf and pdf at w, the
+gradient is a weighted sum of the offsets from the observations,
 
     grad EI(w) = sum_n G_n (w - w_n),
     G_n = (5 / (3 l^2)) (1 + q_n) e^{-q_n} (Phi(z) alpha_n + (phi(z) / rho) beta_n),
 
 so a batch of B candidates never needs the B x n x N kernel derivatives.
-Scoring the candidates computes EI alone; only the polish takes gradients.
+Scoring the candidates and the trial points computes EI alone; one gradient
+batch at the starts serves each polish step.  A start moves only to a trial
+point of strictly higher EI, so its EI never falls, and the polish ends at
+the first step where no start moves.
 
 Where EI is 0 at every candidate the best candidate is returned unpolished:
 at an unobserved point EI is 0 only when the normal cdf and pdf at z have
-both underflowed, and G is built from the same two factors, so every polish
-step would only re-project the batch, and no polished value could exceed
+both underflowed, and G is built from the same two factors, so every trial
+point would be a start itself, and no polished value could exceed
 max(EI) = 0.
 
 The GP functions take the history as plain arrays: the n x N matrix ``W``
@@ -74,10 +79,12 @@ LENGTHSCALE_GRID = (0.1, 0.2, 0.5, 1.0, 2.0)
 #: Flat-Dirichlet queries that seed :func:`bo_learn`'s history.
 N_INIT = 5
 #: Points :func:`maximize_acquisition` scores, the best of them it
-#: polishes, and the most projected-gradient steps a polish takes.
+#: polishes, and the most steps its search along the projection arc takes;
+#: each step tries every length of ``_STEP_LENGTHS``.
 NUM_CANDIDATES = 512
 NUM_POLISH = 8
-NUM_POLISH_STEPS = 50
+NUM_POLISH_STEPS = 10
+_STEP_LENGTHS = 0.1 * 2.0 ** np.arange(6, -10, -1)
 
 
 class GpError(RuntimeError):
@@ -190,19 +197,24 @@ def maximize_acquisition(W, eta, lengthscale: float, seed: int = 0) -> np.ndarra
     (n x N), the standardized outputs ``eta`` and the lengthscale.
 
     Seeded flat-Dirichlet sampling scores :data:`NUM_CANDIDATES` points by
-    EI alone; the :data:`NUM_POLISH` best start a projected-gradient ascent
-    of up to :data:`NUM_POLISH_STEPS` steps with step 0.1/sqrt(t), all
-    starts advancing together as one batch.  The result is the best
-    candidate unless a polish iterate beats it strictly; ties go to the
-    lowest candidate index, then to the first iterate in start-major order,
-    exactly as polishing the starts one after another would choose.  The
-    returned point satisfies the simplex invariants exactly.
+    EI alone, and the :data:`NUM_POLISH` best, by stable argsort, start a
+    batched search along the projection arc.  Each step takes the gradient
+    at the starts, projects ``w + a grad`` for every step length ``a`` of
+    the fixed grid ``0.1 * 2**j``, ``j = 6, 5, ..., -9`` (one projection of
+    the whole start-by-length batch), scores those trial points by EI, and
+    moves each start to its best trial point only where that EI is
+    strictly higher, so a start's EI never falls.  The search ends after
+    :data:`NUM_POLISH_STEPS` steps or at the first step where no start
+    moves; a start that did not move would see the same trial points
+    again.  The result is the highest-EI start if it beats the best
+    candidate strictly and the best candidate otherwise, ties going to the
+    lowest index.  The returned point satisfies the simplex invariants
+    exactly.
 
-    Where EI is 0 at every candidate the polish is skipped: EI is 0 at an
+    Where EI is 0 at every candidate the search is skipped: EI is 0 at an
     unobserved point only when the normal cdf and pdf at z have both
     underflowed, the gradient weights are built from those two factors, so
-    every polish step would only re-project the batch, and the polish
-    table's first row-major maximum, at (0, 0), is not above ``max(EI) = 0``.
+    every trial point would be a start itself, and no start could move.
     """
     W, factor, alpha = _factorize(W, eta, lengthscale)
     best = float(np.min(eta))
@@ -214,22 +226,24 @@ def maximize_acquisition(W, eta, lengthscale: float, seed: int = 0) -> np.ndarra
     best_w = cands[int(np.argmax(ei))]
     if not ei.any():
         return project_simplex(best_w)
-    w = cands[np.argsort(-ei, kind="stable")[:NUM_POLISH]]
-
-    # iterates[t][s] is start s after t polish steps; the row-major order
-    # of values (start, step) is the order in which polishing the starts one
-    # by one would visit them.
-    iterates, values = [], []
-    for t in range(NUM_POLISH_STEPS + 1):
-        iterates.append(w)
-        ei_w, grad = _ei_and_grad(w, W, factor, alpha, lengthscale, best)
-        values.append(ei_w)
-        if t < NUM_POLISH_STEPS:
-            w = project_simplex(w + (0.1 / np.sqrt(t + 1)) * grad)
-    values = np.stack(values, axis=1)
-    s, t = np.unravel_index(np.argmax(values), values.shape)
-    if values[s, t] > np.max(ei):
-        best_w = iterates[t][s]
+    starts = np.argsort(-ei, kind="stable")[:NUM_POLISH]
+    w, ei_w = cands[starts], ei[starts]
+    rows = np.arange(len(w))
+    for _ in range(NUM_POLISH_STEPS):
+        _, grad = _ei_and_grad(w, W, factor, alpha, lengthscale, best)
+        # trial[s, k] is start s moved by the k-th step length
+        trial = project_simplex(w[:, None] + _STEP_LENGTHS[:, None] * grad[:, None])
+        ei_t, _ = _posterior_ei(trial.reshape(-1, N), W, factor, alpha, lengthscale, best)
+        ei_t = ei_t.reshape(trial.shape[:2])
+        k = np.argmax(ei_t, axis=1)
+        moved = ei_t[rows, k] > ei_w
+        if not moved.any():
+            break
+        w = np.where(moved[:, None], trial[rows, k], w)
+        ei_w = np.where(moved, ei_t[rows, k], ei_w)
+    s = int(np.argmax(ei_w))
+    if ei_w[s] > np.max(ei):
+        best_w = w[s]
     return project_simplex(best_w)
 
 

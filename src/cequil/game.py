@@ -191,13 +191,21 @@ class TrafficGame:
         # sum_m taylor[m, r] x**m is the s**r coefficient of P(x + s)
         taylor = self._taylor[:, :, None] * coeffs[self._hankel]
 
+        # fun's last point, as (dtype, shape, bytes), and its power rows: a
+        # line step asks for the polynomial at the point fun has just seen
+        last = [None, None]
+
         def fun(y: np.ndarray):
-            q = np.einsum("mrl,ml->rl", taylor[:, :2], _power_rows(y, nu + 2))
+            powers = _power_rows(y, nu + 2)
+            last[:] = (y.dtype, y.shape, y.tobytes()), powers
+            q = np.einsum("mrl,ml->rl", taylor[:, :2], powers)
             return float(q[0].sum()), q[1]
 
         def line_poly(x: np.ndarray, d: np.ndarray) -> np.ndarray:
-            return np.einsum("mrl,ml,rl->r", taylor,
-                             _power_rows(x, nu + 2), _power_rows(d, nu + 2))
+            key, powers = last
+            if key != (x.dtype, x.shape, x.tobytes()):
+                powers = _power_rows(x, nu + 2)
+            return np.einsum("mrl,ml,rl->r", taylor, powers, _power_rows(d, nu + 2))
 
         return fun, line_poly
 

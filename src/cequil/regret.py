@@ -16,9 +16,18 @@ point y with F(y) >= min F, so the reported regret ``E - F(y)`` is a
 upper bound, but only up to the simplex's pricing tolerance ``1e-9 (1 +
 max|grad F|)`` per unit of flow (about 1e-5 at flows in the thousands).
 Regrets are signed, since a mixture can beat every constant deviation, and
-are never clamped.  A distribution is an (approximate) correlated
+are never clamped.  A distribution is an (approximate) coarse correlated
 equilibrium exactly when every player's regret is non-positive;
 :func:`verify_ce` tests that from the upper bound.
+
+The deviation ``y`` is one point for every recommendation: a player
+commits to it before seeing what it was told.  So the condition certified
+here is the *coarse* correlated equilibrium (CCE) condition of Moulin &
+Vial (1978).  In Aumann's correlated equilibrium the deviation may depend
+on the recommendation, which gives the larger regret ``sum_a min_y
+sum_{k: xhat_i^k = a} w_k f_i(y, xhat_-i^k)``; every correlated
+equilibrium is a coarse one, but not conversely.  "Correlated" in the
+names of this module means the coarse notion.
 """
 
 from __future__ import annotations
@@ -109,7 +118,11 @@ class RegretReport:
 
 
 class CeVerdict(NamedTuple):
-    """Outcome of :func:`verify_ce`; ``worst_regret`` is an upper bound."""
+    """Outcome of :func:`verify_ce`; ``worst_regret`` is an upper bound.
+
+    ``is_equilibrium`` certifies the coarse correlated equilibrium
+    condition (one deviation per player for every recommendation; module
+    docstring), which Aumann's correlated equilibria also satisfy."""
 
     is_equilibrium: bool
     worst_player: int
@@ -194,6 +207,10 @@ class RegretOracle:
 
 def verify_ce(oracle: RegretOracle, w, tol: float = 1e-6) -> CeVerdict:
     """Equilibrium test: every player's regret is at most ``tol``.
+
+    The regret is the coarse one (module docstring), so a positive verdict
+    certifies a ``tol``-coarse correlated equilibrium (Moulin & Vial 1978);
+    the set of those contains the set of Aumann's correlated equilibria.
 
     The reported regret is a lower bound, so the verdict, the worst player
     and the worst regret all use the upper bound ``regret + fw_gap``.  A

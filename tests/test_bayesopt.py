@@ -201,31 +201,36 @@ class TestAcquisitionKernels:
 
 
 def sequential_acquisition(W, eta, lengthscale, seed=0):
-    """Polish the starts one after another, one point per EI evaluation."""
-    polish_steps = bayesopt.NUM_POLISH_STEPS
+    """The search one start after another, one point per EI evaluation:
+    each step tries every step length along the projection arc and moves
+    to the best trial point only where its EI is strictly higher; a start
+    that does not move stops, since it would try the same points again."""
     rng = np.random.default_rng(seed)
     W, factor, alpha = _factorize(W, eta, lengthscale)
     best = float(np.min(eta))
+
+    def value(w):
+        return _ei_and_grad(w[None], W, factor, alpha, lengthscale, best)[0][0]
+
     cands = rng.dirichlet(np.ones(W.shape[1]), size=NUM_CANDIDATES)
-    ei = np.array([_ei_and_grad(c[None], W, factor, alpha, lengthscale, best)[0][0]
-                   for c in cands])
+    ei = np.array([value(c) for c in cands])
     best_w, best_ei = cands[int(np.argmax(ei))], float(np.max(ei))
     for idx in np.argsort(-ei, kind="stable")[:NUM_POLISH]:
-        w = cands[idx]
-        for t in range(1, polish_steps + 2):
-            val, grad = _ei_and_grad(w[None], W, factor, alpha, lengthscale, best)
-            if val[0] > best_ei:
-                best_ei, best_w = val[0], w
-            if t <= polish_steps:
-                w = project_simplex(w + (0.1 / np.sqrt(t)) * grad[0])
+        w, val = cands[idx], ei[idx]
+        for _ in range(bayesopt.NUM_POLISH_STEPS):
+            grad = _ei_and_grad(w[None], W, factor, alpha, lengthscale, best)[1][0]
+            trials = [project_simplex(w + (0.1 * 2.0 ** j) * grad) for j in range(6, -10, -1)]
+            values = [value(t) for t in trials]
+            k = int(np.argmax(values))
+            if not values[k] > val:
+                break
+            w, val = trials[k], values[k]
+        if val > best_ei:
+            best_ei, best_w = val, w
     return project_simplex(best_w)
 
 
 class TestMaximizeAcquisition:
-    @pytest.fixture(autouse=True)
-    def short_polish(self, monkeypatch):
-        monkeypatch.setattr(bayesopt, "NUM_POLISH_STEPS", 10)
-
     def test_result_on_simplex(self):
         W, eta = history()
         for seed in range(3):
@@ -236,10 +241,8 @@ class TestMaximizeAcquisition:
 
     @pytest.mark.parametrize("n, N, seed", [(6, 3, 0), (10, 5, 3), (20, 5, 4)])
     def test_matches_sequential_polish(self, n, N, seed):
-        # A short polish: over 50 steps the starts converge on one maximizer,
-        # their EI values tie to rounding, and the batched and one-row
-        # evaluations (which round differently) may pick different ones of
-        # them, about 1e-8 apart.
+        # the batched and one-row evaluations round differently, so a
+        # strict comparison between near-equal values may go either way
         W, eta = history(n=n, N=N, seed=seed)
         batched = maximize_acquisition(W, eta, LENGTHSCALE, seed=seed)
         reference = sequential_acquisition(W, eta, LENGTHSCALE, seed=seed)
@@ -252,11 +255,13 @@ class TestMaximizeAcquisition:
         assert np.array_equal(a, b)
 
 
-def full_polish_acquisition(W, eta, lengthscale, seed=0):
-    """maximize_acquisition without its return where EI is 0 at every
-    candidate: the scoring computes gradients too, and the batch always
-    takes every polish step."""
-    polish_steps = bayesopt.NUM_POLISH_STEPS
+def fixed_step_polish(W, eta, lengthscale, seed=0):
+    """The polish the arc search replaced, as an independent reference: the
+    8 best candidates take 50 projected-gradient steps of length
+    0.1/sqrt(t), with gradients at the candidates too and no early return,
+    and the best candidate is replaced only by a strictly better iterate
+    (first in start-major order)."""
+    polish_steps = 50
     W, factor, alpha = _factorize(W, eta, lengthscale)
     best = float(np.min(eta))
     N = W.shape[1]
@@ -308,43 +313,97 @@ def linear_rounds():
     return rounds
 
 
+def live_rounds(linear_rounds):
+    """The rounds of linear_rounds where EI is positive somewhere, and the
+    history fixtures, as ``(W, eta, lengthscale, seed)``."""
+    live = [r[:4] for r in linear_rounds if not r[-1]]
+    live += [(*history(n=n, N=N, seed=seed), LENGTHSCALE, seed)
+             for n, N, seed in [(6, 3, 0), (10, 5, 3), (20, 5, 4)]]
+    assert len(live) >= 10
+    return live
+
+
+def ei_at(W, eta, lengthscale, w):
+    W, factor, alpha = _factorize(W, eta, lengthscale)
+    return _posterior_ei(w[None], W, factor, alpha, lengthscale, float(np.min(eta)))[0][0]
+
+
 class TestStallExit:
     """Where EI is 0 at every candidate the best candidate is returned
-    unpolished; the answer must be the full polish's."""
+    unsearched; elsewhere every step is one gradient batch at the starts
+    and one EI batch at all their trial points."""
 
-    def polish_evaluations(self, monkeypatch):
-        batches = []
-        ei_and_grad = bayesopt._ei_and_grad
+    def batches(self, monkeypatch, name):
+        sizes = []
+        fn = getattr(bayesopt, name)
 
         def counting(W_cand, *args):
-            batches.append(len(W_cand))
-            return ei_and_grad(W_cand, *args)
+            sizes.append(len(W_cand))
+            return fn(W_cand, *args)
 
-        monkeypatch.setattr(bayesopt, "_ei_and_grad", counting)
-        return batches
+        monkeypatch.setattr(bayesopt, name, counting)
+        return sizes
 
     def test_exact_and_early_where_ei_underflows(self, linear_rounds, monkeypatch):
         dead = [r for r in linear_rounds if r[-1]]
         assert len(dead) >= 3
-        batches = self.polish_evaluations(monkeypatch)
+        gradients = self.batches(monkeypatch, "_ei_and_grad")
         for W, eta, lengthscale, seed, _ in dead:
-            batches.clear()
+            gradients.clear()
             out = maximize_acquisition(W, eta, lengthscale, seed=seed)
-            assert out.tobytes() == full_polish_acquisition(W, eta, lengthscale, seed).tobytes()
-            # the scoring takes no gradient, and no polish step is taken
-            assert batches == []
+            assert out.tobytes() == fixed_step_polish(W, eta, lengthscale, seed).tobytes()
+            # the scoring takes no gradient, and no search step is taken
+            assert gradients == []
 
-    def test_exact_and_full_where_ei_is_positive(self, linear_rounds, monkeypatch):
-        live = [r[:4] for r in linear_rounds if not r[-1]]
-        live += [(*history(n=n, N=N, seed=seed), LENGTHSCALE, seed)
-                 for n, N, seed in [(6, 3, 0), (10, 5, 3), (20, 5, 4)]]
-        assert len(live) >= 10
-        batches = self.polish_evaluations(monkeypatch)
-        for W, eta, lengthscale, seed in live:
-            batches.clear()
-            out = maximize_acquisition(W, eta, lengthscale, seed=seed)
-            assert out.tobytes() == full_polish_acquisition(W, eta, lengthscale, seed).tobytes()
-            assert batches == [NUM_POLISH] * (bayesopt.NUM_POLISH_STEPS + 1)
+    def test_one_batch_of_each_kind_per_step(self, linear_rounds, monkeypatch):
+        trials = NUM_POLISH * len(bayesopt._STEP_LENGTHS)
+        assert trials == 128
+        gradients = self.batches(monkeypatch, "_ei_and_grad")
+        scores = self.batches(monkeypatch, "_posterior_ei")
+        for W, eta, lengthscale, seed in live_rounds(linear_rounds):
+            gradients.clear()
+            scores.clear()
+            maximize_acquisition(W, eta, lengthscale, seed=seed)
+            steps = len(gradients)
+            assert 1 <= steps <= bayesopt.NUM_POLISH_STEPS
+            assert gradients == [NUM_POLISH] * steps
+            # _ei_and_grad's own posterior goes through the module global too
+            assert scores == [NUM_CANDIDATES] + [NUM_POLISH, trials] * steps
+
+
+class TestArcSearchAgainstFixedSteps:
+    def test_never_below_the_fixed_step_polish(self, linear_rounds):
+        for W, eta, lengthscale, seed in live_rounds(linear_rounds):
+            new = ei_at(W, eta, lengthscale, maximize_acquisition(W, eta, lengthscale, seed=seed))
+            ref = ei_at(W, eta, lengthscale, fixed_step_polish(W, eta, lengthscale, seed))
+            assert new >= ref - 1e-9 * abs(ref)
+
+    def test_each_starts_ei_never_falls(self, linear_rounds, monkeypatch):
+        steps = []
+        ei_and_grad = bayesopt._ei_and_grad
+
+        def recording(W_cand, *args):
+            ei, grad = ei_and_grad(W_cand, *args)
+            steps.append(ei)
+            return ei, grad
+
+        monkeypatch.setattr(bayesopt, "_ei_and_grad", recording)
+        moved = 0
+        for W, eta, lengthscale, seed in live_rounds(linear_rounds):
+            steps.clear()
+            maximize_acquisition(W, eta, lengthscale, seed=seed)
+            values = np.stack(steps)  # steps x starts
+            assert np.all(np.diff(values, axis=0) >= 0.0)
+            moved += len(values) > 1
+        assert moved >= 5
+
+
+class TestLearnerQuality:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_linear_cost_reaches_its_vertex(self, seed):
+        # the minimum of a linear cost is 0, at the vertex e_4
+        _, trace = bo_learn(linear, 5, budget=12, seed=seed)
+        assert trace.incumbent_values[-1] <= 1e-12
 
 
 def learn(seed, oracle=bowl):
@@ -361,13 +420,13 @@ PINNED = {
     0x1.44eb3341ad8bcp-3 0x1.6c566abf920e6p-3 0x1.53af987fb0198p-1 0x1.0de9747351c0ap-1 0x1.158da8ca1c4e4p-3
     0x1.4be126b16996cp-1 0x1.68199368ded00p-2 0x1.20f9a27013ecfp-13 0x1.ea5cbdb1872c0p-7 0x1.ea5cbdb1872c0p-7
     0x1.5499070611fc4p-1 0x1.5c3a4978c9d95p-6 0x1.410a4d5c4f69dp-2 0x1.05356371870bcp-3 0x1.ea5cbdb1872c0p-7
-    0x1.d5b13534c750fp-1 0x1.52765659c578ap-4 0x0.0p+0 0x1.43863ccdfcfbep-3 0x1.ea5cbdb1872c0p-7
-    0x1.18aaa285d61b3p-1 0x1.30de63bc09625p-2 0x1.3b98ae7094ceap-3 0x1.7027e5dc69a44p-8 0x1.7027e5dc69a44p-8
-    0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0x1.b851eb851eb84p-1 0x1.7027e5dc69a44p-8
-    0x1.10d1ee2c00460p-1 0x1.9cf7f5ec85304p-2 0x1.0590b6ede90f8p-4 0x1.0e1242292bfd6p-6 0x1.7027e5dc69a44p-8
-    0x1.4810bac7273b3p-1 0x1.043564dd87c33p-2 0x1.aea49650a7199p-4 0x1.f12a4623d8d84p-9 0x1.f12a4623d8d84p-9
-    0x1.319e4f4b1a007p-1 0x1.3e1370dd4e75ap-2 0x1.7abfc231f625fp-4 0x1.778e76e6a6b73p-13 0x1.778e76e6a6b73p-13
-    0x1.885899b5af9e4p-2 0x1.931a3208da854p-2 0x1.c91a6882ebb92p-3 0x1.22b369d7c82d8p-4 0x1.778e76e6a6b73p-13
+    0x1.d77b3de2af2a2p-1 0x1.442610ea86af4p-4 0x0.0p+0 0x1.4b3a751194215p-3 0x1.ea5cbdb1872c0p-7
+    0x1.18954e03f7489p-1 0x1.30df98010ac72p-2 0x1.3beb97ee0d4f7p-3 0x1.7262773931af8p-8 0x1.7262773931af8p-8
+    0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0x1.b851eb851eb84p-1 0x1.7262773931af8p-8
+    0x1.10f24d239e7e5p-1 0x1.9d0e335467165p-2 0x1.0434c9916fb44p-4 0x1.0e35ff48a22f9p-6 0x1.7262773931af8p-8
+    0x1.47ffad9f093f7p-1 0x1.0446d17832dafp-2 0x1.aee74d26ea990p-4 0x1.ef10949e946bap-9 0x1.ef10949e946bap-9
+    0x1.319ad80ef0c9ap-1 0x1.3e0dbe559c66ep-2 0x1.7af2463208176p-4 0x1.756a924b63ee2p-13 0x1.756a924b63ee2p-13
+    0x1.85c4c1026a1f2p-2 0x1.93ce4bb9c1303p-2 0x1.ccd9e687a9612p-3 0x1.299684e4620f8p-4 0x1.756a924b63ee2p-13
     """,
     5: """
     0x1.f7c6482dd8353p-2 0x1.7c768ff446753p-3 0x1.49fe6fd804903p-2 0x1.2f96966c90f05p-4 0x1.2f96966c90f05p-4
@@ -375,13 +434,13 @@ PINNED = {
     0x1.93517f3a56f4ep-1 0x1.217614954b0d1p-3 0x1.2287dd02b23e4p-4 0x1.f5daad055c8abp-5 0x1.f5daad055c8abp-5
     0x1.3aaa72fe1b8f5p-2 0x1.56ba6ff8724a4p-2 0x1.6e9b1d0972268p-2 0x1.3a45cd16998d0p-3 0x1.f5daad055c8abp-5
     0x1.e58a15ddee697p-5 0x1.22d0b09617324p-1 0x1.7dad5c1813ce6p-2 0x1.c11ef752f5642p-2 0x1.f5daad055c8abp-5
-    0x1.309f64bb44d94p-1 0x1.3767b8a3311e0p-2 0x1.9d65f79914bdep-4 0x1.6940514e759cep-15 0x1.6940514e759cep-15
-    0x1.4016cb9d002d4p-1 0x1.7fd268c5ffa57p-2 0x0.0p+0 0x1.09f4bfa18ddfcp-6 0x1.6940514e759cep-15
-    0x1.0ca67acc39d5ep-1 0x1.6683a50c6c018p-2 0x1.005ecab640a57p-3 0x1.20d2b5116cb76p-7 0x1.6940514e759cep-15
-    0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 0x1.428f5c28f5c29p+0 0x1.6940514e759cep-15
-    0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0x1.b851eb851eb84p-1 0x1.6940514e759cep-15
-    0x1.2a58a3d2f5f75p-1 0x1.17c93671e311dp-2 0x1.270b03d061ff5p-3 0x1.83a11bee99088p-9 0x1.6940514e759cep-15
-    0x1.3d468793bd749p-1 0x1.2c7469aa4263bp-2 0x1.63fa1cb90accfp-4 0x1.3ba353fd35e4fp-11 0x1.6940514e759cep-15
+    0x1.309f7b69d7d0ep-1 0x1.3767cef8a6281p-2 0x1.9d64e8cea8d8ep-4 0x1.69338ee2f97fdp-15 0x1.69338ee2f97fdp-15
+    0x1.3fa6facdc2dbep-1 0x1.80b20a647a483p-2 0x0.0p+0 0x1.0b5e2ca508ae3p-6 0x1.69338ee2f97fdp-15
+    0x1.0cac1b5ae0bccp-1 0x1.65ef189965feap-2 0x1.01716161b10fcp-3 0x1.1fa25449647cbp-7 0x1.69338ee2f97fdp-15
+    0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 0x1.428f5c28f5c29p+0 0x1.69338ee2f97fdp-15
+    0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0x1.b851eb851eb84p-1 0x1.69338ee2f97fdp-15
+    0x1.2bcb8a53d3c0fp-1 0x1.1e57c0af9f1f9p-2 0x1.1422555172bd1p-3 0x1.e19f9ace8adfcp-10 0x1.69338ee2f97fdp-15
+    0x1.4179eecd2d171p-1 0x1.299aae610047fp-2 0x1.4dc5d01296282p-4 0x1.3cac3a5647677p-10 0x1.69338ee2f97fdp-15
     """,
 }
 
@@ -482,16 +541,20 @@ class TestBoLearn:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("maximize_acquisition", "log_marginal_likelihood", "project_simplex"):
+        for name in ("maximize_acquisition", "log_marginal_likelihood", "project_simplex",
+                     "_ei_and_grad"):
             monkeypatch.setattr(bayesopt, name, counted(name))
         bo_learn(bowl, 3, budget=40, seed=0)
         # one acquisition a query after the 5 initial ones; the 5 grid
         # lengthscales at each refit, n = 10, 20, 30
         assert calls.count("maximize_acquisition") == 35
         assert calls.count("log_marginal_likelihood") == 15
-        # a projection per initial query, per polish step and per result:
-        # the bowl's EI never underflows, so every polish takes every step
-        assert calls.count("project_simplex") == N_INIT + 35 * (bayesopt.NUM_POLISH_STEPS + 1)
+        # a projection per initial query, per search step (one gradient
+        # batch each) and per result; the bowl's EI never underflows, so
+        # every search takes at least one step
+        steps = calls.count("_ei_and_grad")
+        assert 35 <= steps <= 35 * bayesopt.NUM_POLISH_STEPS
+        assert calls.count("project_simplex") == N_INIT + 35 + steps
 
     def test_oracle_failure_carries_partial_trace(self):
         calls = []
@@ -567,23 +630,18 @@ def siouxfalls_learn_setup():
 
 class TestPinnedSiouxFallsLearn:
     # SHA-256 over bo_learn's inputs, values and incumbents (budget 40),
-    # captured from the oracle whose deviation objective is built from the
-    # opponent-flow moments and whose Frank-Wolfe LP chains start from each
-    # polyhedron's nominal optimum.  From the phase-1 basis they were
-    # a7cacd33... and f7e3c360...; at seeds 0-3 the queries moved by at
-    # most 2.2e-15 and the values by at most 1.2e-15, with the same final
-    # incumbent values and PROJECTIONS.  The scenario-sum objective gave
-    # 90c218eb... and ebf3507f...; the queries moved by at most 1.9e-15 and
-    # the values by at most 2.2e-15, with the same PROJECTIONS.  About half
-    # of these rounds have EI 0 at every candidate, so the pin covers the
-    # unpolished return at scale; PROJECTIONS counts bayesopt.project_simplex
-    # calls, which would be N_INIT + 35 * (NUM_POLISH_STEPS + 1) = 1790 if
-    # every round polished.
+    # captured from the EI search along the projection arc.  The 50-step
+    # 0.1/sqrt(t) polish it replaced gave 07d38be1... and 5a11f2f5..., with
+    # PROJECTIONS 990 and 940, and final incumbents 0.1127 and 0.0843; the
+    # search ends both at 0.0843.  About half of these rounds have EI 0 at
+    # every candidate, so the pin covers the unsearched return at scale;
+    # PROJECTIONS counts bayesopt.project_simplex calls: one per initial
+    # query and per result, N_INIT + 35 = 40, plus one per search step.
     SHA256 = {
-        0: "07d38be1ae2d6033e2c234f32fb256bbe877973b83a5885c155577e42cc10a64",
-        1: "5a11f2f5de2423cbe31cbd968aa6d208c65c8238335ca2dd0bb7f3edd2014e3d",
+        0: "94b61dce41bec6398781dc3e1207b2df8785afb237652933e8fb3f5320c2de6d",
+        1: "76874532860ee54ccc2c6eae8fdf142dc819d5f2461d8f8ffd6885a302d11b15",
     }
-    PROJECTIONS = {0: 990, 1: 940}
+    PROJECTIONS = {0: 196, 1: 195}
 
     @pytest.mark.parametrize("seed", sorted(SHA256))
     def test_trace_pinned(self, siouxfalls_learn_setup, monkeypatch, seed):

@@ -396,3 +396,24 @@ class TestMixtureHelpers:
             want = loop_line_poly(game, i, w, T, x, d)
             scale = loop_line_poly(game, i, w, T, x, np.abs(d))
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_line_poly_reuses_only_funs_current_point(self, siouxfalls_game):
+        # line_poly reuses the powers of x that fun has just computed; a
+        # point changed in place after fun saw it needs fresh powers
+        game = siouxfalls_game
+        rng = np.random.default_rng(8)
+        T = rng.uniform(0.0, 3000.0, (4, game.num_links))
+        w = rng.dirichlet(np.ones(4))
+        x = rng.uniform(0.0, 3000.0, game.num_links)
+        d = rng.uniform(0.0, 3000.0, game.num_links) - x
+
+        def fresh(x_):
+            return game.mixture_best_response(1, w, T)[1](x_, d)
+
+        fun, line_poly = game.mixture_best_response(1, w, T)
+        fun(x)
+        assert line_poly(x, d).tobytes() == fresh(x).tobytes()
+        x *= 0.5
+        changed = line_poly(x, d)
+        assert changed.tobytes() == fresh(x).tobytes()
+        assert changed.tobytes() != fresh(2.0 * x).tobytes()
