@@ -28,8 +28,9 @@ This module provides the geometry every other part of the package sits on:
   gradients that follow, and each later one continues the previous
   iteration's.  The chain lives inside one call, so the result is a pure
   function of the inputs.
-  The returned gap ``g(x) = grad f(x).(x - v)`` bounds the suboptimality
-  only up to the simplex's pricing tolerance.
+  The returned gap ``g(x) = grad f(x).(x - v)`` is the stop rule's; the
+  returned ``bound`` on ``min f`` comes from the final LP basis's duals by
+  weak duality, so it holds whatever tolerance the simplex stopped at.
 * :func:`project_simplex` -- Euclidean projection onto the probability
   simplex.
 * :func:`contains` -- feasibility check at a tolerance.
@@ -252,13 +253,14 @@ def _phase1(A, b, lo, hi):
     Phase 1 of the two-phase revised simplex: one artificial variable per
     row, driven to zero.  It never reads the cost, so one start serves every
     ``c``.  Returns ``"infeasible"`` or the read-only start
-    ``(A_ext, AT_ext, b, lo_ext, hi_ext, free, initial)`` that
+    ``(A_ext, AT_ext, b, lo_ext, hi_ext, free, bounds, initial)`` that
     :func:`solve_lp` runs phase 2 from: ``AT_ext`` is the contiguous
     transpose of ``A_ext``, the bounds are tuples of Python floats (the
     simplex reads them one entry at a time), ``free`` indexes the free
-    columns (None if there are none), and the :class:`_SimplexState`
-    ``initial`` has the artificials pinned to zero and its pivot count at
-    zero.
+    columns (None if there are none), ``bounds`` stacks the same bounds as
+    one array (:func:`_dual_bound` reads them whole), and the
+    :class:`_SimplexState` ``initial`` has the artificials pinned to zero
+    and its pivot count at zero.
     """
     m, n = A.shape
 
@@ -300,9 +302,11 @@ def _phase1(A, b, lo, hi):
     dirmask[n:] = 0.0
 
     initial = _SimplexState(x, basis, binv, dirmask, 0)
-    for arr in (A_ext, AT_ext, b, x, basis, binv, dirmask):
+    bounds = np.array([lo_ext, hi_ext])
+    for arr in (A_ext, AT_ext, b, bounds, x, basis, binv, dirmask):
         arr.flags.writeable = False
-    return (A_ext, AT_ext, b, tuple(lo_ext.tolist()), tuple(hi_ext.tolist()), free, initial)
+    return (A_ext, AT_ext, b, tuple(lo_ext.tolist()), tuple(hi_ext.tolist()), free, bounds,
+            initial)
 
 
 def _ratio_test(step, xb, lo_b, hi_b, basis, bland):
@@ -525,7 +529,7 @@ def solve_lp(c, poly: Polyhedron, warm: Optional[LpSolution] = None) -> LpSoluti
         raise ValueError("warm start comes from another polyhedron")
     if start == "infeasible":
         return LpSolution(None, None, "infeasible")
-    A_ext, AT_ext, b, lo_ext, hi_ext, free, initial = start
+    A_ext, AT_ext, b, lo_ext, hi_ext, free, _, initial = start
     entry = initial if warm is None else warm._final_basis[1]
     x, basis, binv, dirmask = (arr.copy() for arr in entry[:4])
     c_ext = np.zeros(x.size)
@@ -543,6 +547,36 @@ def solve_lp(c, poly: Polyhedron, warm: Optional[LpSolution] = None) -> LpSoluti
                       (start, _SimplexState(x, basis, binv, dirmask, since_refresh)))
 
 
+def _dual_bound(c, sol: LpSolution) -> float:
+    """Lower bound on ``min c.x`` over the polyhedron ``sol`` was solved on,
+    by weak duality from the duals of ``sol``'s final basis.
+
+    For any row prices ``y`` and every feasible ``x``, ``c.x = y.b + r.x``
+    with ``r = c - A^T y``, so ``y.b`` plus the least of each ``r_j x_j``
+    over the box bounds every ``c.x`` from below.  Here ``y`` solves ``B^T
+    y = c_B`` for the final basis ``B``, so the basic columns' reduced
+    costs are rounding and count as zero.  A budget row's dual above 0
+    would give its slack an infinite term, so it is clipped to 0, and the
+    reduced costs take the budget row back in.  The bound holds however far
+    the simplex stopped from the optimum, and at an exact optimum it equals
+    ``c.x``; a reduced cost whose sign points at an infinite bound makes it
+    ``-inf``.
+    """
+    (_, AT_ext, b, _, _, _, (lo, hi), _), state = sol._final_basis
+    c_ext = np.zeros(AT_ext.shape[0])
+    c_ext[:c.size] = c
+    y = state.binv.T @ c_ext[state.basis]
+    r = c_ext - AT_ext @ y
+    r[state.basis] = 0.0
+    if AT_ext.shape[0] - b.size > c.size and y[-1] > 0.0:  # a budget row, the last
+        r += y[-1] * AT_ext[:, -1]
+        y[-1] = 0.0
+    # each r_j x_j is least at lo_j when r_j > 0 and at hi_j when r_j < 0;
+    # r_j == 0 takes 0, not 0 * inf
+    least_at = np.where(r > 0.0, lo, np.where(r < 0.0, hi, 0.0))
+    return float(y @ b + r @ least_at)
+
+
 # ---------------------------------------------------------------------------
 # Frank-Wolfe with away steps
 # ---------------------------------------------------------------------------
@@ -550,13 +584,22 @@ def solve_lp(c, poly: Polyhedron, warm: Optional[LpSolution] = None) -> LpSoluti
 
 class FwResult(NamedTuple):
     """Outcome of :func:`frank_wolfe_min`: the returned point, the objective
-    there, the FW gap there, the iterations run and ``gap <= tol_gap``."""
+    there, the FW gap there, the iterations run, ``gap <= tol_gap`` and a
+    lower bound on the minimum.
+
+    ``gap`` is the stop rule's ``grad f(x).(x - v)`` at the LP vertex ``v``,
+    which may understate the true gap ``grad f(x).x - min_u grad f(x).u``
+    by as much as the simplex's pricing tolerance lets ``v`` miss the LP
+    minimum.  ``bound = value - (grad f(x).x - LB)``, with ``LB`` the weak
+    duality bound of the final LP basis, is below ``min f`` for a convex
+    ``f`` whatever tolerance the simplex stopped at (up to rounding)."""
 
     point: np.ndarray
     value: float
     gap: float
     iterations: int
     converged: bool
+    bound: float
 
 
 def _poly_slope(coeffs):
@@ -663,11 +706,13 @@ def frank_wolfe_min(
 
     Iteration stops once the gap ``g(x) = grad f(x).(x - v)`` is at most
     ``tol_gap >= 0``, or at a zero step.  The result carries ``value =
-    f(x)`` at the returned point; the gap there bounds ``value - min f``
-    whether or not the run converged, up to ``v`` missing the linear minimum
-    by :func:`solve_lp`'s pricing tolerance ``1e-9 (1 + max|g|)`` per unit
-    of ``|v - v*|_1``.  Non-convergence is ``converged=False``, never an
-    exception.
+    f(x)`` at the returned point and the gap there, which is the stop
+    rule's: it may understate ``value - min f`` by :func:`solve_lp`'s
+    pricing tolerance ``1e-9 (1 + max|g|)`` per unit of ``|v - v*|_1``.
+    ``bound``, computed once at the returned point from the final LP basis's
+    duals, is a lower bound on ``min f`` by weak duality whatever tolerance
+    the simplex stopped at, whether or not the run converged.
+    Non-convergence is ``converged=False``, never an exception.
 
     Raises
     ------
@@ -699,7 +744,7 @@ def frank_wolfe_min(
         v = sol.point
         gap = float(g @ (x - v))
         if gap <= tol_gap or it > max_iter:
-            return FwResult(x, f0, gap, min(it, max_iter), gap <= tol_gap)
+            break
 
         scores = [float(g @ u) for u in verts]
         a_idx = max(range(len(scores)), key=scores.__getitem__)  # first maximum
@@ -719,7 +764,7 @@ def frank_wolfe_min(
             slope, f_lo = _poly_slope(line_poly(x, d))
         s = _line_step(slope, s_max, f_lo)
         if s <= 0.0:
-            return FwResult(x, f0, gap, it, gap <= tol_gap)
+            break
 
         if away:
             t, target = -s, a_idx
@@ -740,6 +785,10 @@ def frank_wolfe_min(
         x = np.zeros(poly.dim)
         for a_w, u in zip(alphas, verts):
             x += a_w * u
+    # by convexity min f >= f(x) - g.x + min_u g.u, and the dual bound is
+    # below that last minimum
+    bound = f0 - (float(g @ x) - _dual_bound(g, sol))
+    return FwResult(x, f0, gap, min(it, max_iter), gap <= tol_gap, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,11 @@ expected cost achievable by a single constant deviation:
 
 :meth:`RegretOracle.report` is the one way to compute it: each call
 solves every player's deviation problem afresh, and nothing is cached per
-``w``.  The game builds the deviation objective F; Frank-Wolfe stops at a
-point y with F(y) >= min F, so the reported regret ``E - F(y)`` is a
-*lower* bound on the true regret.  Adding the Frank-Wolfe gap gives an
-upper bound, but only up to the simplex's pricing tolerance ``1e-9 (1 +
-max|grad F|)`` per unit of flow (about 1e-5 at flows in the thousands).
-Regrets are signed, since a mixture can beat every constant deviation, and
-are never clamped.  A distribution is an (approximate) coarse correlated
-equilibrium exactly when every player's regret is non-positive;
-:func:`verify_ce` tests that from the upper bound.
+``w``.  Its :class:`RegretReport` brackets each player's regret between a
+lower and a certified upper bound.  Regrets are signed, since a mixture can
+beat every constant deviation, and are never clamped.  A distribution is
+an (approximate) coarse correlated equilibrium exactly when every player's
+regret is non-positive; :func:`verify_ce` tests that on a report.
 
 The deviation ``y`` is one point for every recommendation: a player
 commits to it before seeing what it was told.  So the condition certified
@@ -106,11 +102,24 @@ class BasisSet:
 
 @dataclass(frozen=True, eq=False)
 class RegretReport:
-    """Per-player and average correlated regrets for one queried w."""
+    """Per-player and average correlated regrets for one queried w, and
+    each player's certified upper bound on its regret.
+
+    The game builds player ``i``'s deviation objective F, and Frank-Wolfe
+    stops at a point ``best_responses[i]`` with F there at least min F, so
+    ``per_player[i] = E - F(best_responses[i])`` is a *lower* bound on the
+    true regret ``E - min F`` (``E`` is the expected cost of following the
+    recommendations).  ``upper[i] = E - bound``, with Frank-Wolfe's weak
+    duality bound on min F (:class:`cequil.polytope.FwResult`), is an
+    *upper* bound, whatever tolerance the simplex stopped at; it is the
+    certificate :func:`verify_ce` reads.  ``fw_gaps[i]`` is Frank-Wolfe's
+    stop-rule gap, which may understate ``upper[i] - per_player[i]``.
+    """
 
     per_player: np.ndarray
     best_responses: List[np.ndarray]
     fw_gaps: np.ndarray
+    upper: np.ndarray
 
     @property
     def average(self) -> float:
@@ -118,11 +127,8 @@ class RegretReport:
 
 
 class CeVerdict(NamedTuple):
-    """Outcome of :func:`verify_ce`; ``worst_regret`` is an upper bound.
-
-    ``is_equilibrium`` certifies the coarse correlated equilibrium
-    condition (one deviation per player for every recommendation; module
-    docstring), which Aumann's correlated equilibria also satisfy."""
+    """Outcome of :func:`verify_ce`; ``worst_regret`` is the worst
+    player's certified upper bound (:class:`RegretReport`)."""
 
     is_equilibrium: bool
     worst_player: int
@@ -182,11 +188,13 @@ class RegretOracle:
             self.opp_totals.append(game.opponent_data(scenarios))
 
     def report(self, w) -> RegretReport:
-        """Every player's regret, FW gap and best response at ``w``."""
+        """Every player's regret, certified upper bound, FW gap and best
+        response at ``w``."""
         w = validate_weights(w, self.basis.size)
         m = self.basis.num_players
         per = np.empty(m)
         gaps = np.empty(m)
+        upper = np.empty(m)
         responses = []
         for i in range(m):
             expected = float(self.atom_costs[i] @ w)
@@ -198,28 +206,24 @@ class RegretOracle:
                                   max_iter=self.max_iter, line_poly=line_poly)
             per[i] = expected - res.value
             gaps[i] = res.gap
+            upper[i] = expected - res.bound
             responses.append(res.point)
-        return RegretReport(per, responses, gaps)
+        return RegretReport(per, responses, gaps, upper)
 
     def average(self, w) -> float:
         return self.report(w).average
 
 
-def verify_ce(oracle: RegretOracle, w, tol: float = 1e-6) -> CeVerdict:
-    """Equilibrium test: every player's regret is at most ``tol``.
+def verify_ce(report: RegretReport, tol: float = 1e-6) -> CeVerdict:
+    """Equilibrium test on a report: every player's certified upper bound
+    ``report.upper`` is at most ``tol``.
 
     The regret is the coarse one (module docstring), so a positive verdict
     certifies a ``tol``-coarse correlated equilibrium (Moulin & Vial 1978);
     the set of those contains the set of Aumann's correlated equilibria.
-
-    The reported regret is a lower bound, so the verdict, the worst player
-    and the worst regret all use the upper bound ``regret + fw_gap``.  A
-    negative gap is LP rounding and counts as zero.  The bound holds up to
-    the LP pricing tolerance (module docstring).  ``tol`` may be negative.
+    ``tol`` may be negative, not NaN.
     """
     if np.isnan(tol):
         raise ValueError(f"tol must not be NaN, got {tol}")
-    rep = oracle.report(w)
-    upper = rep.per_player + np.maximum(rep.fw_gaps, 0.0)
-    worst = int(np.argmax(upper))
-    return CeVerdict(bool(upper[worst] <= tol), worst, float(upper[worst]))
+    worst = int(np.argmax(report.upper))
+    return CeVerdict(bool(report.upper[worst] <= tol), worst, float(report.upper[worst]))

@@ -660,6 +660,7 @@ class TestCarriedChain:
         for a, b in zip(forward, backward):
             assert a.per_player.tobytes() == b.per_player.tobytes()
             assert a.fw_gaps.tobytes() == b.fw_gaps.tobytes()
+            assert a.upper.tobytes() == b.upper.tobytes()
             assert [y.tobytes() for y in a.best_responses] \
                 == [y.tobytes() for y in b.best_responses]
 
@@ -848,6 +849,55 @@ class TestSimplexPaths:
         assert solve_lp(c, fresh(P)).point.tobytes() == want.tobytes()
 
 
+class TestDualBound:
+    # _dual_bound bounds min c.x from below by weak duality from whichever
+    # basis the simplex stopped at; HiGHS gives the reference optimum
+
+    def test_equals_the_optimum(self, siouxfalls_sets):
+        # budget rows on Sioux Falls; free and half-bounded columns on the
+        # random polyhedra
+        rng = np.random.default_rng(3)
+        cases = [(P, rng.uniform(-0.2, 1.0, P.dim)) for P in siouxfalls_sets for _ in range(20)]
+        cases += [(P, c) for P, costs in free_column_chains(count=20, length=5) for c in costs]
+        optimal = 0
+        for P, c in cases:
+            sol = solve_lp(c, P)
+            if sol.status == "optimal":
+                optimal += 1
+                f = highs_objective(c, P)
+                assert polytope._dual_bound(c, sol) == pytest.approx(f, abs=1e-9 * (1.0 + abs(f)))
+        assert optimal == 60 + 55  # the rest are unbounded
+
+    def test_sound_after_a_loose_stop(self, siouxfalls_sets, monkeypatch):
+        # at pricing tolerance 1e-2 (1 + max|c|) the simplex stops short of
+        # the optimum, and the bound stays below it
+        monkeypatch.setattr(polytope, "_DUAL_TOL", 1e-2)
+        rng = np.random.default_rng(3)
+        short = 0
+        for P in siouxfalls_sets:
+            for _ in range(20):
+                c = rng.uniform(-0.2, 1.0, P.dim)
+                f = highs_objective(c, P)
+                sol = solve_lp(c, P)
+                short += sol.objective > f + 1e-6 * (1.0 + abs(f))
+                assert polytope._dual_bound(c, sol) <= f + 1e-9 * (1.0 + abs(f))
+        assert short > 0
+
+    def test_budget_dual_of_the_wrong_sign(self, monkeypatch):
+        # min 0.004 (x0 + x1) over [-1, 1]^2 with x0 + x1 <= 0.5 stops at
+        # the tolerance 1e-2 with the budget tight, x0 = 1 at its bound, x1
+        # basic and a budget dual of +0.004.  Clipping that dual to 0 makes
+        # the basic x1's reduced cost 0.004, which must count: dropped, the
+        # bound would be -0.004, above the minimum -0.008.
+        P = Polyhedron(np.zeros((0, 2)), np.zeros(0), [-1.0, -1.0], [1.0, 1.0],
+                       [1.0, 1.0], 0.5)
+        c = np.array([0.004, 0.004])
+        monkeypatch.setattr(polytope, "_DUAL_TOL", 1e-2)
+        sol = solve_lp(c, P)
+        assert sol.point.tolist() == [1.0, -0.5]
+        assert polytope._dual_bound(c, sol) == pytest.approx(-0.008, abs=1e-15)
+
+
 class TestFrankWolfe:
     def test_interior_minimum(self):
         res = frank_wolfe_min(
@@ -888,6 +938,27 @@ class TestFrankWolfe:
             res = frank_wolfe_min(fun, P, tol_gap=1e-8, max_iter=500)
             f_res = fun(res.point)[0]
             assert f_res - f_star <= res.gap + 1e-12
+
+    @pytest.mark.parametrize("dual_tol, loose", [(polytope._DUAL_TOL, False), (0.1, True)])
+    def test_bound_is_below_the_minimum(self, monkeypatch, dual_tol, loose):
+        # projection onto the simplex, whose minimum is known in closed
+        # form; at a loose LP pricing tolerance the stop rule's value - gap
+        # overstates min f, the dual bound does not
+        monkeypatch.setattr(polytope, "_DUAL_TOL", dual_tol)
+        rng = np.random.default_rng(4)
+        overstated = 0
+        for _ in range(30):
+            target = rng.normal(size=5)
+            f_star = 0.5 * float(np.sum((project_simplex(target) - target) ** 2))
+
+            def fun(y, t=target):
+                return 0.5 * float((y - t) @ (y - t)), y - t
+
+            res = frank_wolfe_min(fun, Polyhedron.simplex(5), tol_gap=1e-9, max_iter=500)
+            assert res.bound <= f_star + 1e-12
+            assert res.bound <= res.value - max(res.gap, 0.0) + 1e-12
+            overstated += res.value - max(res.gap, 0.0) > f_star + 1e-9
+        assert (overstated > 0) == loose
 
     def test_nonconvergence_reports_gap(self):
         # a quartic with an interior minimizer on the simplex cannot be

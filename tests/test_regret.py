@@ -9,7 +9,7 @@ from cequil import polytope, regret
 from cequil.basis import ccp_select, random_basis
 from cequil.game import ConvexGame, PlayerSpec, build_traffic_game
 from cequil.polytope import Polyhedron, project_simplex
-from cequil.regret import BasisSet, RegretOracle, validate_weights, verify_ce
+from cequil.regret import BasisSet, RegretOracle, RegretReport, validate_weights, verify_ce
 from cequil.tntp import parse_net
 
 DATA = Path(__file__).parent / "data"
@@ -365,11 +365,13 @@ class TestRegretReport:
         first = oracle.report([0.5, 0.5])
         first.per_player[:] = 123.0
         first.fw_gaps[:] = 123.0
+        first.upper[:] = 123.0
         first.best_responses[0][:] = 123.0
         again = oracle.report([0.5, 0.5])
         fresh = RegretOracle(game, diag_basis()).report([0.5, 0.5])
         assert again.per_player.tobytes() == fresh.per_player.tobytes()
         assert again.fw_gaps.tobytes() == fresh.fw_gaps.tobytes()
+        assert again.upper.tobytes() == fresh.upper.tobytes()
         assert [y.tobytes() for y in again.best_responses] \
             == [y.tobytes() for y in fresh.best_responses]
 
@@ -380,19 +382,19 @@ class TestVerifyCe:
         # alternating best response from 0.3 converges immediately to (t, t)
         t = 0.3
         basis = BasisSet([[np.array([t]), np.array([t])]])
-        verdict = verify_ce(RegretOracle(game, basis), [1.0], tol=1e-6)
+        verdict = verify_ce(RegretOracle(game, basis).report([1.0]), tol=1e-6)
         assert verdict.is_equilibrium
 
     def test_diagonal_mixture_is_equilibrium(self):
         game = quadratic_game()
-        verdict = verify_ce(RegretOracle(game, diag_basis()), [0.5, 0.5], tol=1e-6)
+        verdict = verify_ce(RegretOracle(game, diag_basis()).report([0.5, 0.5]), tol=1e-6)
         assert verdict.is_equilibrium
         assert verdict.worst_regret <= 0.0
 
     def test_non_equilibrium_dirac(self):
         game = quadratic_game()
         basis = BasisSet([[np.array([0.9]), np.array([0.1])]])
-        verdict = verify_ce(RegretOracle(game, basis), [1.0], tol=1e-6)
+        verdict = verify_ce(RegretOracle(game, basis).report([1.0]), tol=1e-6)
         assert not verdict.is_equilibrium
         assert verdict.worst_regret > 0.0
         # confirm the profitable deviation with the grid oracle
@@ -408,25 +410,21 @@ class TestVerifyCe:
         for _ in range(20):
             x = rng.uniform(size=2)
             basis = BasisSet([[np.array([x[0]]), np.array([x[1]])]])
-            verdict = verify_ce(RegretOracle(game, basis), [1.0], tol=1e-6)
+            verdict = verify_ce(RegretOracle(game, basis).report([1.0]), tol=1e-6)
             # exact pure-strategy check: deviating to the opponent's action
             # saves (x_i - x_other)^2, the only possible improvement here
             improvable = (x[0] - x[1]) ** 2 > 1e-6
             assert verdict.is_equilibrium == (not improvable)
 
-    def test_nan_tol_rejected_before_the_report(self, monkeypatch):
-        oracle = RegretOracle(quadratic_game(), diag_basis())
-
-        def no_report(w):
-            raise AssertionError("report ran")
-
-        monkeypatch.setattr(oracle, "report", no_report)
+    def test_nan_tol_rejected_before_the_report(self):
+        report = RegretOracle(quadratic_game(), diag_basis()).report([0.5, 0.5])
         with pytest.raises(ValueError, match="tol must not be NaN"):
-            verify_ce(oracle, [0.5, 0.5], tol=float("nan"))
+            verify_ce(report, tol=float("nan"))
 
     def test_negative_tol_is_legal(self):
         # regrets are signed; the diagonal mixture's upper bound is about 0
-        verdict = verify_ce(RegretOracle(quadratic_game(), diag_basis()), [0.5, 0.5], tol=-1.0)
+        verdict = verify_ce(RegretOracle(quadratic_game(), diag_basis()).report([0.5, 0.5]),
+                            tol=-1.0)
         assert not verdict.is_equilibrium
 
     def test_certifies_from_upper_bound(self):
@@ -447,10 +445,19 @@ class TestVerifyCe:
         assert rep.per_player[0] == pytest.approx(-0.045, abs=1e-12)
         assert rep.fw_gaps[0] == pytest.approx(0.3, abs=1e-12)
         assert rep.per_player[0] <= 1e-6  # a lower-bound rule would certify
-        verdict = verify_ce(oracle, [1.0], tol=1e-6)
+        assert rep.upper[0] == pytest.approx(0.255, abs=1e-12)
+        verdict = verify_ce(rep, tol=1e-6)
         assert not verdict.is_equilibrium
         assert verdict.worst_player == 0
         assert verdict.worst_regret == pytest.approx(0.255, abs=1e-12)
+
+    def test_reads_the_reports_upper_bound(self):
+        # the verdict is the report's certificate alone, whatever the
+        # regrets and gaps beside it say
+        rep = RegretReport(np.array([-1.0, -1.0]), [np.zeros(1)] * 2, np.zeros(2),
+                           np.array([-0.5, 2e-6]))
+        assert verify_ce(rep) == (False, 1, 2e-6)
+        assert verify_ce(rep, tol=3e-6) == (True, 1, 2e-6)
 
 
 class TestSolverNoise:
@@ -537,6 +544,7 @@ class TestHistoryIndependence:
         for rep in (again, fresh):
             assert rep.per_player.tobytes() == first.per_player.tobytes()
             assert rep.fw_gaps.tobytes() == first.fw_gaps.tobytes()
+            assert rep.upper.tobytes() == first.upper.tobytes()
             assert [y.tobytes() for y in rep.best_responses] \
                 == [y.tobytes() for y in first.best_responses]
 
@@ -900,26 +908,42 @@ def highs_lp(c, poly, warm=None):
 
 
 class TestCertificateWitness:
-    # Report 10 of the audit stream, player index 3: verify_ce's upper bound
-    # regret + max(gap, 0) is 0.0310541169, while a tight re-solve gives a
-    # true regret of 0.0310557635.  The shortfall, 1.65e-6, exceeds
-    # verify_ce's default tol, so a verdict can flip.  The FW gap misses it
-    # because solve_lp stops within its pricing tolerance 1e-9 (1 + max|c|).
-    # 5 of the first 20 reports have such a call, all at player index 3.
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the certificate is unsound "
-                       "while solve_lp stops within 1e-9 (1 + max|c|) of the LP optimum")
-    def test_certified_bound_covers_true_regret(self, audit_oracle, monkeypatch):
-        w, i = audit_stream(11)[10], 3
-        rep = audit_oracle.report(w)
-        certified = rep.per_player[i] + max(rep.fw_gaps[i], 0.0)
+    # Player index 3 of two audit reports, where the stop-rule bound
+    # regret + max(gap, 0) fell short of the true regret by more than
+    # verify_ce's default tol, so a verdict could flip: report 10 (0.0310541
+    # against 0.0310558) and report 183 (0.0735095 against 0.0735133).  The
+    # FW gap missed it because solve_lp stops within its pricing tolerance
+    # 1e-9 (1 + max|c|); the report's upper bound, from the final basis's
+    # duals, does not depend on that tolerance.
+    @pytest.mark.parametrize("k", [10, 183])
+    def test_certified_bound_covers_true_regret(self, audit_oracle, monkeypatch, k):
+        w, i = audit_stream(k + 1)[k], 3
+        certified = audit_oracle.report(w).upper[i]
         # reference without cequil's simplex: FW with HiGHS as its linear
         # oracle; any feasible point's value bounds min f from above, so
         # expected - f(y) bounds the true regret from below
         game = audit_oracle.game
         fun, line_poly = game.mixture_best_response(i, w, audit_oracle.opp_totals[i])
         monkeypatch.setattr(polytope, "solve_lp", highs_lp)
+        # highs_lp's solutions carry no basis to take duals from
+        monkeypatch.setattr(polytope, "_dual_bound", lambda c, sol: float(c @ sol.point))
         res = polytope.frank_wolfe_min(fun, game.action_sets[i], tol_gap=1e-8,
                                        max_iter=5000, line_poly=line_poly)
         assert res.converged
         reference = float(audit_oracle.atom_costs[i] @ w) - res.value
         assert certified + 1e-12 >= reference
+
+    def test_upper_bounds_cover_the_exact_bound_on_the_stream(self, audit_oracle, audit_run):
+        # every deviation call of the first 20 audit reports: the upper
+        # bound covers the exact bound at FW's final gradient g, regret +
+        # g.(y - v*) with v* from HiGHS, and the stop-rule bound regret +
+        # max(gap, 0); 5 calls failed the first when the report's bound
+        # was the second
+        game = audit_oracle.game
+        for w, rep in zip(audit_stream(20), audit_run[0]):
+            for i, y in enumerate(rep.best_responses):
+                fun, _ = game.mixture_best_response(i, w, audit_oracle.opp_totals[i])
+                g = fun(y)[1]
+                v_star = highs_lp(g, game.action_sets[i]).point
+                assert rep.upper[i] >= rep.per_player[i] + float(g @ (y - v_star)) - 1e-12
+                assert rep.upper[i] >= rep.per_player[i] + max(rep.fw_gaps[i], 0.0) - 1e-12

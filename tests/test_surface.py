@@ -69,7 +69,7 @@ ARRAY_HOLDERS = {
     "Polyhedron": lambda: Polyhedron.box([0.0], [1.0]),
     "LpSolution": lambda: solve_lp([1.0, 1.0], Polyhedron.box([0.0, 0.0], [1.0, 1.0])),
     "BasisSet": lambda: BasisSet([[np.zeros(2)]]),
-    "RegretReport": lambda: RegretReport(np.zeros(2), [np.zeros(2)], np.zeros(2)),
+    "RegretReport": lambda: RegretReport(np.zeros(2), [np.zeros(2)], np.zeros(2), np.zeros(2)),
     "CcpTrace": lambda: CcpTrace([], True),
     "LearnTrace": lambda: LearnTrace([np.zeros(2)], np.zeros(1)),
     "ConvexGame": lambda: ConvexGame([Polyhedron.box([0.0], [1.0])], None, None),
@@ -89,7 +89,8 @@ def test_array_holders_compare_by_identity(name):
 def test_derived_values_follow_a_replace():
     # each derived value is computed from its source field, so a replace
     # cannot leave it stale
-    rep = replace(RegretReport(np.array([0.1, 0.3]), [np.zeros(2)] * 2, np.zeros(2)),
+    rep = replace(RegretReport(np.array([0.1, 0.3]), [np.zeros(2)] * 2, np.zeros(2),
+                               np.zeros(2)),
                   per_player=np.array([1.0, 3.0]))
     assert rep.average == 2.0
     trace = replace(LearnTrace([np.zeros(2)] * 3, np.array([3.0, 1.0, 2.0])),
