@@ -30,10 +30,6 @@ __all__ = [
     "min_pairwise_distance",
     "ccp_select",
     "random_basis",
-    "basis_to_text",
-    "basis_from_text",
-    "save_basis",
-    "load_basis",
 ]
 
 
@@ -208,92 +204,3 @@ def ccp_select(game, N: int, max_iter: int = 100,
             break
     return current, CcpTrace(iterates, converged)
 
-
-# ---------------------------------------------------------------------------
-# Basis file format
-# ---------------------------------------------------------------------------
-#
-# Plain text, one joint action per block:
-#
-#     actions <N>
-#     players <m>
-#     dims <n_1> ... <n_m>
-#     action <k>
-#     player <i> <v_1> <v_2> ...
-#
-# Floats are written with repr() and round-trip exactly.
-
-
-def basis_to_text(basis: BasisSet) -> str:
-    dims = [x.size for x in basis.actions[0]]
-    lines = [f"actions {basis.size}",
-             f"players {basis.num_players}",
-             "dims " + " ".join(str(d) for d in dims)]
-    for k, joint in enumerate(basis.actions, start=1):
-        lines.append(f"action {k}")
-        for i, x in enumerate(joint, start=1):
-            lines.append(f"player {i} " + " ".join(repr(float(v)) for v in x))
-    return "\n".join(lines) + "\n"
-
-
-def basis_from_text(text: str) -> BasisSet:
-    tokens = [ln.split() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    head = {t[0]: t[1:] for t in tokens[:3]}
-    try:
-        N = int(head["actions"][0])
-        m = int(head["players"][0])
-        dims = [int(v) for v in head["dims"]]
-    except (KeyError, IndexError, ValueError) as exc:
-        raise ValueError("malformed basis file header") from exc
-    if m < 1 or min(dims, default=1) < 1:
-        raise ValueError("malformed basis file header: players and dims must be positive")
-    if len(dims) != m:
-        raise ValueError("dims line does not match player count")
-    actions: List[List[np.ndarray]] = []
-    for t in tokens[3:]:
-        if t[0] == "action":
-            if t[1:2] != [str(len(actions) + 1)]:
-                raise ValueError(f"expected 'action {len(actions) + 1}', got {' '.join(t[:2])!r}")
-            actions.append([])
-        elif t[0] == "player" and actions:
-            joint, k = actions[-1], len(actions)
-            if len(joint) == m:
-                raise ValueError(f"action {k}: more than the {m} players the header declares")
-            if t[1:2] != [str(len(joint) + 1)]:
-                raise ValueError(
-                    f"action {k}: expected 'player {len(joint) + 1}', got {' '.join(t[:2])!r}")
-            vals = []
-            for tok in t[2:]:
-                try:
-                    vals.append(float(tok))
-                except ValueError:
-                    raise ValueError(
-                        f"action {k}: player {t[1]} has non-numeric value {tok!r}") from None
-            vals = np.array(vals)
-            expect = dims[len(joint)]
-            if vals.size != expect:
-                raise ValueError(
-                    f"action {k}: player {t[1]} has {vals.size} values, expected {expect}")
-            bad = np.flatnonzero(~np.isfinite(vals))
-            if bad.size:
-                raise ValueError(
-                    f"action {k}: player {t[1]} has non-finite value {t[2 + bad[0]]!r}")
-            joint.append(vals)
-        else:
-            raise ValueError(f"unexpected basis file line starting with {t[0]!r}")
-    short = [k for k, j in enumerate(actions, start=1) if len(j) < m]
-    if short:
-        raise ValueError(f"action {short[0]}: fewer than the {m} players the header declares")
-    if len(actions) != N:
-        raise ValueError(f"basis file declares {N} actions but contains {len(actions)}")
-    return BasisSet(actions)
-
-
-def save_basis(basis: BasisSet, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(basis_to_text(basis))
-
-
-def load_basis(path) -> BasisSet:
-    with open(path) as fh:
-        return basis_from_text(fh.read())

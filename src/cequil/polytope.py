@@ -108,13 +108,16 @@ class Polyhedron:
 
     ``eq_matrix`` is a dense 2-D array with one row per linear equality
     (for flow polytopes: one row per node, entries in {-1, 0, +1}); the
-    budget row is optional.  Bounds may be infinite but not NaN; every other
-    entry must be finite.  Degenerate sets (empty, single point) are legal;
-    emptiness surfaces as an infeasible LP status.  Construction runs
-    simplex phase 1 and, when there is a budget row, solves the budget LP
-    ``min budget_coeffs . x`` from the phase-1 start: its optimal solution
-    is the start of every :func:`frank_wolfe_min` LP chain on this set
-    (none if that LP is infeasible or unbounded).  So construction raises
+    budget row is optional.  A lower bound may be ``-inf`` and an upper
+    bound ``+inf``, leaving that side of the coordinate open; no bound may
+    be NaN, and no lower bound ``+inf`` or upper bound ``-inf``, which no
+    point meets.  Every other entry must be finite.  Degenerate sets
+    (empty, single point) are legal; emptiness surfaces as an infeasible
+    LP status.  Construction runs simplex phase 1 and, when there is a
+    budget row, solves the budget LP ``min budget_coeffs . x`` from the
+    phase-1 start: its optimal solution is the start of every
+    :func:`frank_wolfe_min` LP chain on this set (none if that LP is
+    infeasible or unbounded).  So construction raises
     :class:`DegeneracyError` if either stalls.
     """
 
@@ -149,6 +152,8 @@ class Polyhedron:
             raise DimensionMismatch("a polyhedron needs at least one coordinate")
         if np.isnan(lower).any() or np.isnan(upper).any():
             raise ValueError("bounds must not be NaN")
+        if np.isposinf(lower).any() or np.isneginf(upper).any():
+            raise ValueError("a lower bound of +inf or an upper bound of -inf admits no point")
         if np.any(lower > upper):
             raise ValueError("lower bound exceeds upper bound")
         bc = self.budget_coeffs
@@ -213,9 +218,10 @@ class LpSolution:
     point: Optional[np.ndarray]
     objective: Optional[float]
     status: str
-    # (phase-1 start, _SimplexState): the start phase 2 ran from and the
-    # read-only state it ended with, which a warm call continues from a copy
-    # of; None unless optimal.
+    # (phase-1 start, _SimplexState, (y, r)): the start phase 2 ran from,
+    # the read-only state it ended with, which a warm call continues from a
+    # copy of, and the read-only row prices and reduced costs of its last
+    # pricing pass, which _dual_bound reads; None unless optimal.
     _final_basis: object = field(default=None, repr=False)
 
 
@@ -287,8 +293,8 @@ def _phase1(A, b, lo, hi):
     free = free if free.size else None
 
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    st, _ = _simplex_phase_np(A_ext, AT_ext, b, c1, tuple(lo_ext.tolist()),
-                              tuple(hi_ext.tolist()), free, x, basis, binv, dirmask, 0)
+    st = _simplex_phase_np(A_ext, AT_ext, b, c1, tuple(lo_ext.tolist()),
+                           tuple(hi_ext.tolist()), free, x, basis, binv, dirmask, 0)[0]
     if st == "stalled":
         raise DegeneracyError("phase 1 made no progress after the anti-cycling cap")
     feas_tol = 1e-8 * (1.0 + np.abs(b).max(initial=0.0))
@@ -353,9 +359,11 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, free, x, basis, binv, dirmask, since_
     pricing mask ``dirmask`` (see :class:`_SimplexState`); ``AT`` is
     ``A.T``, contiguous, the bounds ``lo``, ``hi`` are tuples of Python
     floats and ``free`` indexes the free columns (None if there are none).
-    Returns the status ('optimal'|'unbounded'|'stalled') and the pivots
+    Returns the status ('optimal'|'unbounded'|'stalled'), the pivots
     since the last refactorization, ``since_refresh`` counting those made
-    before the call.
+    before the call, and the row prices ``y = binv^T c_B`` and reduced
+    costs ``r = c - A^T y`` of the last pricing pass (None if there was
+    none); on 'optimal' they belong to the returned basis.
 
     The run is optimal once no pricing violation exceeds the dual
     tolerance; otherwise Dantzig pricing enters the largest (lowest index
@@ -381,6 +389,7 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, free, x, basis, binv, dirmask, since_
     status = "stalled"
     stall = 0
     bland = False
+    y = r = None
     for _ in range(_MAX_PIVOTS):
         if since_refresh >= _REFACTOR_EVERY:
             since_refresh = 0
@@ -460,7 +469,7 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, free, x, basis, binv, dirmask, since_
         binv -= col[:, None] * binv[leave]
         since_refresh += 1
     x[basis] = xb
-    return status, since_refresh
+    return status, since_refresh, y, r
 
 
 def _standard_form(poly: Polyhedron):
@@ -534,17 +543,18 @@ def solve_lp(c, poly: Polyhedron, warm: Optional[LpSolution] = None) -> LpSoluti
     x, basis, binv, dirmask = (arr.copy() for arr in entry[:4])
     c_ext = np.zeros(x.size)
     c_ext[:c.size] = c
-    status, since_refresh = _simplex_phase_np(A_ext, AT_ext, b, c_ext, lo_ext, hi_ext, free,
-                                              x, basis, binv, dirmask, entry.since_refresh)
+    status, since_refresh, y, r = _simplex_phase_np(A_ext, AT_ext, b, c_ext, lo_ext, hi_ext,
+                                                    free, x, basis, binv, dirmask,
+                                                    entry.since_refresh)
     if status == "stalled":
         raise DegeneracyError("phase 2 made no progress after the anti-cycling cap")
     if status == "unbounded":
         return LpSolution(None, None, "unbounded")
-    for arr in (x, basis, binv, dirmask):
+    for arr in (x, basis, binv, dirmask, y, r):
         arr.flags.writeable = False
     point = x[:c.size].copy()
     return LpSolution(point, float(c @ point), "optimal",
-                      (start, _SimplexState(x, basis, binv, dirmask, since_refresh)))
+                      (start, _SimplexState(x, basis, binv, dirmask, since_refresh), (y, r)))
 
 
 def _dual_bound(c, sol: LpSolution) -> float:
@@ -553,20 +563,18 @@ def _dual_bound(c, sol: LpSolution) -> float:
 
     For any row prices ``y`` and every feasible ``x``, ``c.x = y.b + r.x``
     with ``r = c - A^T y``, so ``y.b`` plus the least of each ``r_j x_j``
-    over the box bounds every ``c.x`` from below.  Here ``y`` solves ``B^T
-    y = c_B`` for the final basis ``B``, so the basic columns' reduced
-    costs are rounding and count as zero.  A budget row's dual above 0
+    over the box bounds every ``c.x`` from below.  Here ``y`` and ``r`` are
+    those the simplex priced its optimal exit with: ``y`` solves ``B^T y =
+    c_B`` for the final basis ``B``, so the basic columns' reduced costs
+    are rounding and count as zero.  A budget row's dual above 0
     would give its slack an infinite term, so it is clipped to 0, and the
     reduced costs take the budget row back in.  The bound holds however far
     the simplex stopped from the optimum, and at an exact optimum it equals
     ``c.x``; a reduced cost whose sign points at an infinite bound makes it
     ``-inf``.
     """
-    (_, AT_ext, b, _, _, _, (lo, hi), _), state = sol._final_basis
-    c_ext = np.zeros(AT_ext.shape[0])
-    c_ext[:c.size] = c
-    y = state.binv.T @ c_ext[state.basis]
-    r = c_ext - AT_ext @ y
+    (_, AT_ext, b, _, _, _, (lo, hi), _), state, (y, r) = sol._final_basis
+    y, r = y.copy(), r.copy()
     r[state.basis] = 0.0
     if AT_ext.shape[0] - b.size > c.size and y[-1] > 0.0:  # a budget row, the last
         r += y[-1] * AT_ext[:, -1]

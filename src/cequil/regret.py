@@ -136,6 +136,10 @@ class CeVerdict(NamedTuple):
 
 
 def validate_weights(w, n: Optional[int] = None) -> np.ndarray:
+    """``w`` as a flat float array, checked to be a distribution: of length
+    ``n`` when given, finite, no entry below ``-1e-9`` and a sum within
+    ``1e-9`` of 1.  Entries inside those tolerances come back as they are,
+    not clipped or renormalized.  Raises ValueError otherwise."""
     w = np.asarray(w, dtype=float).ravel()
     if n is not None and w.size != n:
         raise ValueError(f"weight vector has length {w.size}, expected {n}")

@@ -6,15 +6,7 @@ import pytest
 from scipy.optimize import linprog
 
 import cequil.basis
-from cequil.basis import (
-    basis_from_text,
-    basis_to_text,
-    ccp_select,
-    load_basis,
-    min_pairwise_distance,
-    random_basis,
-    save_basis,
-)
+from cequil.basis import ccp_select, min_pairwise_distance, random_basis
 from cequil.game import ConvexGame, PlayerSpec, build_traffic_game
 from cequil.polytope import TOL_FEAS, InfeasibleError, Polyhedron, contains
 from cequil.regret import BasisSet
@@ -243,107 +235,3 @@ class TestCcpMasterLp:
         assert lp["c"] @ z == pytest.approx(-grad.ravel() @ X.ravel() + s, rel=1e-12)
         assert lp["c"] @ z == pytest.approx(-min_pairwise_distance(start), rel=1e-9)
 
-
-class TestSerialization:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(0)
-        basis = BasisSet([
-            [rng.uniform(size=3), rng.uniform(size=2)]
-            for _ in range(4)
-        ])
-        text = basis_to_text(basis)
-        again = basis_from_text(text)
-        assert again.size == basis.size
-        for j1, j2 in zip(basis.actions, again.actions):
-            for x, y in zip(j1, j2):
-                assert (x == y).all()
-
-    def test_file_roundtrip_siouxfalls(self, siouxfalls_ccp, tmp_path):
-        # LP vertices carry rounding noise such as -1e-13; every value must
-        # come back with the same bits
-        game, trace, _ = siouxfalls_ccp
-        bases = {"ccp": trace.iterates[-1][0], "random": random_basis(game, 5, seed=1)}
-        for name, basis in bases.items():
-            path = tmp_path / f"{name}.basis"
-            save_basis(basis, path)
-            again = load_basis(path)
-            assert (again.size, again.num_players) == (basis.size, basis.num_players)
-            for j1, j2 in zip(basis.actions, again.actions):
-                assert [x.tobytes() for x in j1] == [y.tobytes() for y in j2]
-
-    def test_malformed_header(self):
-        with pytest.raises(ValueError):
-            basis_from_text("nonsense 3\n")
-        # zero players used to give a basis whose joint action is empty, and
-        # dims -1 failed only later as "has 0 values, expected -1"
-        for text in ("actions 1\nplayers 0\ndims\naction 1\n",
-                     "actions 1\nplayers 1\ndims -1\naction 1\nplayer 1\n",
-                     "actions 1\nplayers 2\ndims 1 0\naction 1\nplayer 1 0.5\nplayer 2\n"):
-            with pytest.raises(ValueError, match="malformed basis file header"):
-                basis_from_text(text)
-
-    def test_dims_must_match_players(self):
-        for dims in ("1", "1 1 1"):
-            text = f"actions 1\nplayers 2\ndims {dims}\naction 1\nplayer 1 0.5\nplayer 2 0.5\n"
-            with pytest.raises(ValueError, match="dims line does not match player count"):
-                basis_from_text(text)
-
-    def test_wrong_dimension(self):
-        text = "actions 1\nplayers 1\ndims 2\naction 1\nplayer 1 0.5\n"
-        with pytest.raises(ValueError):
-            basis_from_text(text)
-
-    def test_too_many_players(self):
-        text = ("actions 1\nplayers 2\ndims 1 1\naction 1\n"
-                "player 1 0.5\nplayer 2 0.5\nplayer 3 0.5\n")
-        with pytest.raises(ValueError, match="action 1"):
-            basis_from_text(text)
-
-    def test_too_few_players(self):
-        text = ("actions 2\nplayers 2\ndims 1 1\naction 1\nplayer 1 0.5\n"
-                "action 2\nplayer 1 0.5\nplayer 2 0.5\n")
-        with pytest.raises(ValueError, match="action 1"):
-            basis_from_text(text)
-        with pytest.raises(ValueError, match="action 1"):
-            basis_from_text("actions 1\nplayers 2\ndims 1 1\naction 1\nplayer 1 0.5\n")
-
-    def test_joint_action_needs_a_player(self):
-        with pytest.raises(ValueError, match="at least one player"):
-            BasisSet([[]])
-
-    def test_players_out_of_order(self):
-        text = ("actions 1\nplayers 2\ndims 1 1\naction 1\n"
-                "player 2 0.5\nplayer 1 0.25\n")
-        with pytest.raises(ValueError, match="action 1: expected 'player 1'"):
-            basis_from_text(text)
-
-    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
-    def test_non_finite_value(self, token):
-        text = ("actions 1\nplayers 2\ndims 1 2\naction 1\n"
-                f"player 1 0.5\nplayer 2 0.25 {token}\n")
-        with pytest.raises(ValueError, match=f"action 1: player 2 has non-finite value '{token}'"):
-            basis_from_text(text)
-
-    def test_non_numeric_value(self):
-        # float() alone named neither the action nor the player
-        text = ("actions 1\nplayers 2\ndims 1 2\naction 1\n"
-                "player 1 0.5\nplayer 2 0.5 abc\n")
-        with pytest.raises(ValueError, match="action 1: player 2 has non-numeric value 'abc'"):
-            basis_from_text(text)
-
-    def test_actions_out_of_order(self):
-        block = "player 1 0.5\n"
-        text = "actions 2\nplayers 1\ndims 1\naction 2\n" + block + "action 1\n" + block
-        with pytest.raises(ValueError, match="expected 'action 1'"):
-            basis_from_text(text)
-        with pytest.raises(ValueError, match="expected 'action 2'"):
-            basis_from_text("actions 2\nplayers 1\ndims 1\n" + ("action 1\n" + block) * 2)
-
-    def test_player_before_first_action(self):
-        with pytest.raises(ValueError, match="player"):
-            basis_from_text("actions 1\nplayers 1\ndims 1\nplayer 1 0.5\naction 1\n")
-
-    def test_wrong_count(self):
-        text = "actions 2\nplayers 1\ndims 1\naction 1\nplayer 1 0.5\n"
-        with pytest.raises(ValueError):
-            basis_from_text(text)

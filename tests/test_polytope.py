@@ -448,9 +448,9 @@ class TestWarmStart:
         simplex = polytope._simplex_phase_np
 
         def counting(*args):
-            status, since_refresh = simplex(*args)
-            pivots.append(since_refresh - args[-1])
-            return status, since_refresh
+            out = simplex(*args)
+            pivots.append(out[1] - args[-1])
+            return out
 
         monkeypatch.setattr(polytope, "_REFACTOR_EVERY", 10 ** 9)
         rng = np.random.default_rng(4)
@@ -613,14 +613,14 @@ class TestCarriedChain:
             for _ in range(100):
                 c = c * (1.0 + 0.2 * rng.normal(size=P.dim))
                 prev = solve_lp(c, P, warm=prev)
-                assert_mask_matches_vertex(*prev._final_basis)
+                assert_mask_matches_vertex(*prev._final_basis[:2])
         for P, costs in free_column_chains():
             assert_mask_matches_vertex(P._lp_start, P._lp_start[-1])
             prev = None
             for c in costs:
                 for sol in (solve_lp(c, P), solve_lp(c, P, warm=prev)):
                     if sol.status == "optimal":
-                        assert_mask_matches_vertex(*sol._final_basis)
+                        assert_mask_matches_vertex(*sol._final_basis[:2])
                         prev = sol
 
     def test_refactorization_period_spans_the_chain(self, siouxfalls_sets, monkeypatch):
@@ -849,6 +849,22 @@ class TestSimplexPaths:
         assert solve_lp(c, fresh(P)).point.tobytes() == want.tobytes()
 
 
+def recomputed_dual_bound(c, sol):
+    """_dual_bound with ``y = binv^T c_B`` and ``r = c - A^T y`` computed
+    anew from ``sol``'s final basis instead of carried from the simplex."""
+    (_, AT_ext, b, _, _, _, (lo, hi), _), state, _ = sol._final_basis
+    c_ext = np.zeros(AT_ext.shape[0])
+    c_ext[:c.size] = c
+    y = state.binv.T @ c_ext[state.basis]
+    r = c_ext - AT_ext @ y
+    r[state.basis] = 0.0
+    if AT_ext.shape[0] - b.size > c.size and y[-1] > 0.0:
+        r += y[-1] * AT_ext[:, -1]
+        y[-1] = 0.0
+    least_at = np.where(r > 0.0, lo, np.where(r < 0.0, hi, 0.0))
+    return float(y @ b + r @ least_at)
+
+
 class TestDualBound:
     # _dual_bound bounds min c.x from below by weak duality from whichever
     # basis the simplex stopped at; HiGHS gives the reference optimum
@@ -883,6 +899,19 @@ class TestDualBound:
                 assert polytope._dual_bound(c, sol) <= f + 1e-9 * (1.0 + abs(f))
         assert short > 0
 
+    def test_carried_duals_match_a_recomputation(self, siouxfalls_sets):
+        # the bound reads the row prices and reduced costs of the simplex's
+        # last pricing pass; recomputed from the final basis inverse, as
+        # recomputed_dual_bound does, they give the same bits
+        rng = np.random.default_rng(12)
+        for P in siouxfalls_sets:
+            c = rng.uniform(-0.2, 1.0, P.dim)
+            prev = None
+            for _ in range(50):
+                c = c * (1.0 + 0.2 * rng.normal(size=P.dim))
+                prev = solve_lp(c, P, warm=prev)
+                assert polytope._dual_bound(c, prev) == recomputed_dual_bound(c, prev)
+
     def test_budget_dual_of_the_wrong_sign(self, monkeypatch):
         # min 0.004 (x0 + x1) over [-1, 1]^2 with x0 + x1 <= 0.5 stops at
         # the tolerance 1e-2 with the budget tight, x0 = 1 at its bound, x1
@@ -896,6 +925,7 @@ class TestDualBound:
         sol = solve_lp(c, P)
         assert sol.point.tolist() == [1.0, -0.5]
         assert polytope._dual_bound(c, sol) == pytest.approx(-0.008, abs=1e-15)
+        assert polytope._dual_bound(c, sol) == recomputed_dual_bound(c, sol)
 
 
 class TestFrankWolfe:
@@ -1324,6 +1354,14 @@ class TestPolyhedron:
     def test_bounds_must_be_ordered(self):
         with pytest.raises(ValueError):
             Polyhedron.box([1.0], [0.0])
+
+    @pytest.mark.parametrize("lower, upper", [([np.inf], [np.inf]), ([-np.inf], [-np.inf]),
+                                              ([0.0, np.inf], [1.0, np.inf])])
+    def test_bound_no_point_meets(self, lower, upper):
+        # lower > upper is False for these bounds; unchecked, solve_lp called
+        # such a set optimal at a point outside it
+        with pytest.raises(ValueError, match="admits no point"):
+            Polyhedron.box(lower, upper)
 
     def test_budget_needs_limit(self):
         with pytest.raises(ValueError):

@@ -99,6 +99,10 @@ class TestBasisSet:
         with pytest.raises(ValueError, match="player 1 is infeasible"):
             RegretOracle(game, nan)
 
+    def test_joint_action_needs_a_player(self):
+        with pytest.raises(ValueError, match="at least one player"):
+            BasisSet([[]])
+
     def test_convex_game_has_one_player_per_action_set(self):
         def cost(i, x_i, x_minus_i):
             return float(x_i[0] * sum(x[0] for x in x_minus_i))
@@ -692,9 +696,9 @@ class TestPinnedSiouxFalls:
         simplex = polytope._simplex_phase_np
 
         def counting(*args):
-            status, since_refresh = simplex(*args)
-            pivots.append(since_refresh - args[-1])
-            return status, since_refresh
+            out = simplex(*args)
+            pivots.append(out[1] - args[-1])
+            return out
 
         monkeypatch.setattr(polytope, "_REFACTOR_EVERY", 10 ** 9)
         monkeypatch.setattr(polytope, "_simplex_phase_np", counting)
