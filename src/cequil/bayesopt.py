@@ -8,21 +8,24 @@ models the standardized observations; the posterior at a candidate w is
     var(w)  = 1 - c(w)' (K + sigma^2 I)^-1 c(w)
 
 with K the kernel matrix of past queries, c(w) the cross-covariances and
-eta the observed values.  Expected Improvement (minimization form) scores
+eta the observed values.  With L the Cholesky factor of K + sigma^2 I and
+v = L^-1 c(w), the variance is 1 - |v|^2, so a batch of candidates costs
+one triangular solve.  Expected Improvement (minimization form) scores
 candidates, and its analytic gradient drives a polish that keeps iterates
 exactly on the simplex: a search along the projection arc
 ``a -> proj(w + a grad EI(w))`` (Bertsekas, IEEE TAC 1976) over a fixed
 grid of step lengths, every start and length scored in one EI batch.  With
-beta = (K + sigma^2 I)^-1 c(w), q_n = sqrt(5) |w - w_n| / l, and z, Phi,
-phi the standardized improvement and its normal cdf and pdf at w, the
-gradient is a weighted sum of the offsets from the observations,
+beta = (K + sigma^2 I)^-1 c(w) = L^-T v, q_n = sqrt(5) |w - w_n| / l, and
+z, Phi, phi the standardized improvement and its normal cdf and pdf at w,
+the gradient is a weighted sum of the offsets from the observations,
 
     grad EI(w) = sum_n G_n (w - w_n),
     G_n = (5 / (3 l^2)) (1 + q_n) e^{-q_n} (Phi(z) alpha_n + (phi(z) / rho) beta_n),
 
 so a batch of B candidates never needs the B x n x N kernel derivatives.
 Scoring the candidates and the trial points computes EI alone; one gradient
-batch at the starts serves each polish step.  A start moves only to a trial
+batch at the starts, the only batch that solves for beta, serves each
+polish step.  A start moves only to a trial
 point of strictly higher EI, so its EI never falls, and the polish ends at
 the first step where no start moves.
 
@@ -44,8 +47,8 @@ from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.spatial.distance import cdist
 from scipy.special import ndtr
 
 from cequil.polytope import _as_count, project_simplex
@@ -99,19 +102,27 @@ class OracleFailure(RuntimeError):
         self.trace = trace
 
 
+def _scaled_distances(W1: np.ndarray, W2: np.ndarray, lengthscale: float) -> np.ndarray:
+    """``q = sqrt(5) |w1 - w2| / l`` for every row pair of W1 and W2."""
+    q = cdist(W1, W2, "sqeuclidean")
+    np.sqrt(q, out=q)
+    q *= _SQRT5 / lengthscale
+    return q
+
+
 def _kernel_matrix(W1: np.ndarray, W2: np.ndarray, lengthscale: float) -> np.ndarray:
-    d2 = np.sum((W1[:, None, :] - W2[None, :, :]) ** 2, axis=-1)
-    q = _SQRT5 * np.sqrt(np.maximum(d2, 0.0)) / lengthscale
+    q = _scaled_distances(W1, W2, lengthscale)
     return (1.0 + q + q * q / 3.0) * np.exp(-q)
 
 
 def _factorize(W, eta, lengthscale: float):
     """Check the history and factor its noisy kernel matrix.
 
-    Returns ``(W, factor, alpha)``: the inputs as a float matrix, the lower
-    Cholesky factor of ``K + sigma^2 I`` and ``alpha = (K + sigma^2 I)^-1
-    eta``.  Raises ``ValueError`` unless ``W`` is an n x N matrix and
-    ``eta`` n values with n, N >= 1, all finite, and ``lengthscale > 0``.
+    Returns ``(W, L, alpha)``: the inputs as a float matrix, the lower
+    Cholesky factor ``L`` of ``K + sigma^2 I`` (LAPACK ``dpotrf``; the
+    strict upper triangle is zero) and ``alpha = (K + sigma^2 I)^-1 eta``.
+    Raises ``ValueError`` unless ``W`` is an n x N matrix and ``eta`` n
+    values with n, N >= 1, all finite, and ``lengthscale > 0``.
     """
     W = np.asarray(W, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -124,19 +135,19 @@ def _factorize(W, eta, lengthscale: float):
         raise ValueError(f"lengthscale must be positive, got {lengthscale}")
     K = _kernel_matrix(W, W, lengthscale)
     K[np.diag_indices_from(K)] += NOISE_SIGMA ** 2
-    try:
-        factor = cho_factor(K, lower=True)
-    except np.linalg.LinAlgError as exc:
+    L, info = dpotrf(K, lower=True)
+    if info != 0:
+        cause = np.linalg.LinAlgError(f"dpotrf returned info = {info}")
         raise GpError("kernel matrix is not positive definite; "
-                      "duplicate inputs with zero noise need jitter") from exc
-    return W, factor, cho_solve(factor, eta)
+                      "duplicate inputs with zero noise need jitter") from cause
+    return W, L, dpotrs(L, eta, lower=True)[0]
 
 
 def log_marginal_likelihood(W, eta, lengthscale: float) -> float:
     """Gaussian log evidence of the outputs ``eta`` at inputs ``W`` under
     the GP prior."""
-    W, factor, alpha = _factorize(W, eta, lengthscale)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+    W, L, alpha = _factorize(W, eta, lengthscale)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     return float(-0.5 * np.asarray(eta, dtype=float) @ alpha - 0.5 * logdet
                  - 0.5 * len(W) * np.log(2.0 * np.pi))
 
@@ -146,49 +157,57 @@ def log_marginal_likelihood(W, eta, lengthscale: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _posterior_ei(W_cand, W, factor, alpha, lengthscale, best):
+def _posterior_ei(W_cand, W, L, alpha, lengthscale, best):
     """EI at each row of the B x N batch W_cand, and the terms its gradient
     reuses.
 
-    Returns ``(ei[B], (q, e, beta, cdf, pdf, rho, seen))``: the B x n scaled
-    distances ``q``, ``e = exp(-q)`` and ``beta``, and per row the normal
-    cdf and pdf at z, the posterior deviation and whether it is at most
-    1e-15 (an observed point, where EI is zero and ``rho`` reads 1).
-    ``beta`` comes from one LAPACK ``dpotrs`` solve on the Cholesky factor;
-    a non-finite row of ``W_cand`` raises ``ValueError``.
+    Returns ``(ei[B], (q, e, v, cdf, pdf, rho, seen))``: the B x n scaled
+    distances ``q``, ``e = exp(-q)``, the n x B solve ``v = L^-1 C'`` of
+    the cross-covariances ``C``, and per row the normal cdf and pdf at z,
+    the posterior deviation and whether it is at most 1e-15 (an observed
+    point, where EI is zero and ``rho`` reads 1).  The variance is ``1 -
+    |v|^2`` (Rasmussen & Williams 2006, Algorithm 2.1), so the batch costs
+    one LAPACK ``dtrtrs`` solve; a non-finite row of ``W_cand`` raises
+    ``ValueError``.
     """
     if not np.isfinite(W_cand).all():
         raise ValueError("acquisition candidates must be finite")
-    diff = W_cand[:, None, :] - W[None, :, :]  # B x n x N
-    q = _SQRT5 * np.sqrt(np.einsum("bnk,bnk->bn", diff, diff)) / lengthscale  # B x n
-    e = np.exp(-q)
-    C = (1.0 + q + q * q / 3.0) * e
-    beta = dpotrs(factor[0], C.T, lower=True)[0].T  # B x n
+    q = _scaled_distances(W_cand, W, lengthscale)  # B x n
+    e = np.negative(q)
+    np.exp(e, out=e)
+    C = q * q  # becomes (1 + q + q^2 / 3) e in place
+    C /= 3.0
+    C += q
+    C += 1.0
+    C *= e
     mean = C @ alpha
-    rho = np.sqrt(np.maximum(1.0 - np.sum(C * beta, axis=1), 0.0))
+    v = dtrtrs(L, C.T, lower=True, overwrite_b=True)[0]  # n x B, in C's memory
+    rho = np.sqrt(np.maximum(1.0 - np.einsum("nb,nb->b", v, v), 0.0))
     seen = rho <= 1e-15
     rho = np.where(seen, 1.0, rho)
     z = (best - mean) / rho
     cdf = ndtr(z)
     pdf = np.exp(-0.5 * z * z) * _INV_SQRT_2PI
     ei = np.where(seen, 0.0, (best - mean) * cdf + rho * pdf)
-    return ei, (q, e, beta, cdf, pdf, rho, seen)
+    return ei, (q, e, v, cdf, pdf, rho, seen)
 
 
-def _ei_and_grad(W_cand, W, factor, alpha, lengthscale, best):
+def _ei_and_grad(W_cand, W, L, alpha, lengthscale, best):
     """EI and its ambient-space gradient at each row of the B x N batch W_cand.
 
     Returns ``(ei[B], grad[B, N])``, both zero at an observed point.  On
-    top of :func:`_posterior_ei` the gradient is ``grad[b] = sum_n G[b, n]
-    (W_cand[b] - W[n])`` with the B x n weights ``G = (5 / (3 l^2)) (1 + q)
-    e^{-q} (Phi(z) alpha_n + (phi(z) / rho) beta_n)``, so the only B x n x N
-    array is the offsets.
+    top of :func:`_posterior_ei` the gradient takes ``beta = L^-T v``, a
+    second ``dtrtrs`` solve, and is ``grad[b] = sum_n G[b, n] (W_cand[b] -
+    W[n])`` with the B x n weights ``G = (5 / (3 l^2)) (1 + q) e^{-q}
+    (Phi(z) alpha_n + (phi(z) / rho) beta_n)``, so no B x n x N array is
+    formed.
     """
-    ei, (q, e, beta, cdf, pdf, rho, seen) = _posterior_ei(
-        W_cand, W, factor, alpha, lengthscale, best)
+    ei, (q, e, v, cdf, pdf, rho, seen) = _posterior_ei(
+        W_cand, W, L, alpha, lengthscale, best)
+    beta = dtrtrs(L, v, lower=True, trans=1)[0].T  # B x n
     G = ((5.0 / (3.0 * lengthscale ** 2)) * (1.0 + q) * e
          * (cdf[:, None] * alpha + (pdf / rho)[:, None] * beta))
-    grad = G.sum(axis=1)[:, None] * W_cand - np.einsum("bn,nk->bk", G, W)
+    grad = G.sum(axis=1)[:, None] * W_cand - G @ W
     return ei, np.where(seen[:, None], 0.0, grad)
 
 
@@ -216,13 +235,13 @@ def maximize_acquisition(W, eta, lengthscale: float, seed: int = 0) -> np.ndarra
     underflowed, the gradient weights are built from those two factors, so
     every trial point would be a start itself, and no start could move.
     """
-    W, factor, alpha = _factorize(W, eta, lengthscale)
+    W, L, alpha = _factorize(W, eta, lengthscale)
     best = float(np.min(eta))
     N = W.shape[1]
     rng = np.random.default_rng(seed)
 
     cands = rng.dirichlet(np.ones(N), size=NUM_CANDIDATES)
-    ei, _ = _posterior_ei(cands, W, factor, alpha, lengthscale, best)
+    ei, _ = _posterior_ei(cands, W, L, alpha, lengthscale, best)
     best_w = cands[int(np.argmax(ei))]
     if not ei.any():
         return project_simplex(best_w)
@@ -230,10 +249,10 @@ def maximize_acquisition(W, eta, lengthscale: float, seed: int = 0) -> np.ndarra
     w, ei_w = cands[starts], ei[starts]
     rows = np.arange(len(w))
     for _ in range(NUM_POLISH_STEPS):
-        _, grad = _ei_and_grad(w, W, factor, alpha, lengthscale, best)
+        _, grad = _ei_and_grad(w, W, L, alpha, lengthscale, best)
         # trial[s, k] is start s moved by the k-th step length
         trial = project_simplex(w[:, None] + _STEP_LENGTHS[:, None] * grad[:, None])
-        ei_t, _ = _posterior_ei(trial.reshape(-1, N), W, factor, alpha, lengthscale, best)
+        ei_t, _ = _posterior_ei(trial.reshape(-1, N), W, L, alpha, lengthscale, best)
         ei_t = ei_t.reshape(trial.shape[:2])
         k = np.argmax(ei_t, axis=1)
         moved = ei_t[rows, k] > ei_w

@@ -788,7 +788,11 @@ def frank_wolfe_min(
         for i in reversed(range(len(alphas))):
             if alphas[i] <= 1e-13:
                 del alphas[i], verts[i]
-        total = sum(alphas)
+        # left to right on purpose: from Python 3.12 on builtin sum
+        # compensates float sums, so the iterates would depend on the version
+        total = 0.0
+        for a_w in alphas:
+            total += a_w
         alphas = [a_w / total for a_w in alphas]
         x = np.zeros(poly.dim)
         for a_w, u in zip(alphas, verts):

@@ -762,6 +762,13 @@ def audit_run(audit_oracle):
     return reports, iterations, steps
 
 
+@pytest.fixture(scope="module")
+def audit_stream_reports(audit_oracle):
+    """The weights of the whole 300-report audit stream and their reports."""
+    weights = audit_stream(300)
+    return weights, [audit_oracle.report(w) for w in weights]
+
+
 class TestPinnedAuditStream:
     # The audit stream's near-vertex weights make FW take interior steps
     # toward the FW vertex and away steps, which the full-step streams of
@@ -937,14 +944,15 @@ class TestCertificateWitness:
         reference = float(audit_oracle.atom_costs[i] @ w) - res.value
         assert certified + 1e-12 >= reference
 
-    def test_upper_bounds_cover_the_exact_bound_on_the_stream(self, audit_oracle, audit_run):
-        # every deviation call of the first 20 audit reports: the upper
-        # bound covers the exact bound at FW's final gradient g, regret +
-        # g.(y - v*) with v* from HiGHS, and the stop-rule bound regret +
-        # max(gap, 0); 5 calls failed the first when the report's bound
-        # was the second
+    def test_upper_bounds_cover_the_exact_bound_on_the_stream(self, audit_oracle,
+                                                              audit_stream_reports):
+        # every deviation call of the 300 audit reports: the upper bound
+        # covers the exact bound at FW's final gradient g, regret + g.(y -
+        # v*) with v* from HiGHS, and the stop-rule bound regret + max(gap,
+        # 0); 112 calls failed the first when the report's bound was the
+        # second
         game = audit_oracle.game
-        for w, rep in zip(audit_stream(20), audit_run[0]):
+        for w, rep in zip(*audit_stream_reports):
             for i, y in enumerate(rep.best_responses):
                 fun, _ = game.mixture_best_response(i, w, audit_oracle.opp_totals[i])
                 g = fun(y)[1]
