@@ -5,7 +5,11 @@ Diversity objective: maximize the minimum pairwise l1 difference
 a difference-of-convex program; the convex-concave procedure solves it by
 linearizing the convex sum of pairwise differences around the current
 iterate while keeping the epigraph-lifted constraints exact, so each
-iteration is one sparse LP and the true objective never decreases.
+iteration is one sparse LP and the true objective never decreases.  That
+master LP is highly degenerate, so HiGHS solves it by interior point with
+crossover (IPX; Schork & Gondzio, Math. Prog. Comp. 2020): its iteration
+count barely grows with N, where the dual simplex makes thousands of pivots
+that do not move the objective.
 
 The baseline ``random_basis`` assembles joint actions by minimizing a
 random linear function (coefficients uniform on [0, 1]) over each
@@ -112,8 +116,9 @@ def _ccp_master_lp(action_sets, Q: np.ndarray):
     With d+, d- >= 0, u is at least the pair's l1 distance, and minimizing
     s pushes it down to it.  Minimizing the cost -grad . x + s, with grad a
     subgradient of 2 sum(u) at the current copies, maximizes a minorant of
-    min(u) that is tight there.  HiGHS's pivots, and with them the
-    iterates, depend on the row order.
+    min(u) that is tight there.  :func:`ccp_select` solves it by HiGHS's
+    interior point method; its optimal face is wide, and crossover picks
+    the vertex among the tied optima that becomes the next iterate.
     """
     P_u, N = Q.shape
     D = sum(P.dim for P in action_sets)
@@ -159,9 +164,15 @@ def ccp_select(game, N: int, max_iter: int = 100,
 
     Starts from ``random_basis(game, N, seed)`` and iterates linearized
     master LPs until the true min-pairwise-distance objective improves by
-    less than 1e-6 * (1 + objective) or ``max_iter`` is hit.
-    The trace records every accepted iterate; its objective sequence is
-    non-decreasing, and the result weakly dominates the initialization.
+    less than 1e-6 * (1 + objective) or ``max_iter`` is hit.  Each master
+    LP is solved by HiGHS's interior point method plus crossover
+    (``highs-ipm``), which on these degenerate LPs is faster than the dual
+    simplex and more so as N grows; crossover returns a vertex of the
+    optimal face, and that vertex is the next iterate.  A candidate
+    whose objective falls, by rounding, is not accepted: the run stops at
+    the previous iterate.  The trace records every accepted iterate; its
+    objective sequence is non-decreasing, and the result weakly dominates
+    the initialization.
     """
     N, max_iter = _as_count(N, "N"), _as_count(max_iter, "max_iter")
     if N < 2:
@@ -186,14 +197,14 @@ def ccp_select(game, N: int, max_iter: int = 100,
         sign = np.where(X[p] - X[q] >= 0.0, 1.0, -1.0)
         cost = np.concatenate([-2.0 * (Q.T @ sign).ravel(), cost_rest])
         res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                      bounds=bounds, method="highs-ds")
+                      bounds=bounds, method="highs-ipm")
         if not res.success:
             raise InfeasibleError(f"CCP master LP failed: {res.message}")
         X = res.x[:X.size].reshape(N, -1)
         candidate = BasisSet([np.split(x, splits) for x in X])
         new_obj = min_pairwise_distance(candidate)
-        if new_obj < obj - 1e-9:
-            # majorization guarantees ascent; a drop is numerical noise, stop
+        if new_obj < obj:
+            # majorization guarantees ascent; a drop is rounding, so stop
             converged = True
             break
         improved = new_obj - obj

@@ -23,7 +23,6 @@ from cequil.bayesopt import (
     log_marginal_likelihood,
     maximize_acquisition,
 )
-from cequil.basis import ccp_select
 from cequil.game import PlayerSpec, build_traffic_game
 from cequil.polytope import project_simplex
 from cequil.regret import RegretOracle
@@ -647,12 +646,12 @@ class TestBoLearn:
 
 
 @pytest.fixture(scope="module")
-def siouxfalls_learn_setup():
+def siouxfalls_learn_setup(dual_simplex_ccp_select):
     """The learn setup: Sioux Falls, 3 players at demand 3000, CCP basis of
-    N=5 from seed 0."""
+    N=5 from seed 0, with the master LPs solved by the dual simplex."""
     net = parse_net((DATA / "siouxfalls_net.tntp").read_text())
     game = build_traffic_game(net, [PlayerSpec(o, d, 3000.0) for o, d in ((1, 20), (13, 8), (7, 24))])
-    basis, _ = ccp_select(game, 5, seed=0)
+    basis, _ = dual_simplex_ccp_select(game, 5, seed=0)
     return game, basis
 
 

@@ -6,7 +6,7 @@ import pytest
 import scipy.optimize
 
 from cequil import polytope, regret
-from cequil.basis import ccp_select, random_basis
+from cequil.basis import random_basis
 from cequil.game import ConvexGame, PlayerSpec, build_traffic_game
 from cequil.polytope import Polyhedron, project_simplex
 from cequil.regret import BasisSet, RegretOracle, RegretReport, validate_weights, verify_ce
@@ -722,12 +722,12 @@ AUDIT_PLAYERS = ((1, 20), (13, 8), (7, 24), (2, 19), (16, 3))
 
 
 @pytest.fixture(scope="module")
-def audit_oracle():
+def audit_oracle(dual_simplex_ccp_select):
     """The audit setup: Sioux Falls, 5 players at demand 3000, CCP basis of
-    N=5 from seed 0."""
+    N=5 from seed 0, with the master LPs solved by the dual simplex."""
     net = parse_net((DATA / "siouxfalls_net.tntp").read_text())
     game = build_traffic_game(net, [PlayerSpec(o, d, 3000.0) for o, d in AUDIT_PLAYERS])
-    basis, _ = ccp_select(game, 5, seed=0)
+    basis, _ = dual_simplex_ccp_select(game, 5, seed=0)
     return RegretOracle(game, basis)
 
 
