@@ -66,9 +66,9 @@ def random_basis(game, N: int, seed: int) -> BasisSet:
 
     One coefficient vector uniform on [0,1]^dim is drawn per joint action
     and split across players; the product LP decomposes into one LP per
-    player.  Identical seeds give identical bases.  An empty action set
-    raises :class:`InfeasibleError`; one on which a drawn cost is unbounded
-    below raises ``ValueError``, as the action sets must be bounded.
+    player.  Identical seeds give identical bases.  The action sets are
+    bounded, so each LP has an optimum unless its set is empty, which
+    raises :class:`InfeasibleError`.
     """
     N = _as_count(N, "N")
     if N < 1:
@@ -84,9 +84,6 @@ def random_basis(game, N: int, seed: int) -> BasisSet:
             sol = solve_lp(c[offset:offset + dims[i]], P)
             if sol.status == "infeasible":
                 raise InfeasibleError(f"player {i} action set is infeasible")
-            if sol.status == "unbounded":
-                raise ValueError(f"player {i} action set must be bounded: "
-                                 f"its random linear cost is unbounded below")
             joint.append(sol.point)
             offset += dims[i]
         actions.append(joint)

@@ -3,7 +3,9 @@
 This module provides the geometry every other part of the package sits on:
 
 * :class:`Polyhedron` -- a feasible set ``{x : Ex = s, lo <= x <= hi,
-  a.x <= gamma}`` (equalities, box bounds, one optional budget row).
+  a.x <= gamma}`` (equalities, finite box bounds, one optional budget
+  row).  The bounds are finite, so every action set is a compact convex
+  set, as the equilibrium theory needs.
 * :func:`solve_lp` -- a bounded-variable revised simplex (two phases,
   Dantzig pricing with a Bland anti-cycling fallback), the one LP path for
   every polyhedron, boxes included.  Phase 1 does not read the cost, so it
@@ -14,8 +16,9 @@ This module provides the geometry every other part of the package sits on:
   inverse, pricing mask) without refactorizing it.  The pricing mask is
   the one record of which bound each nonbasic variable sits at.  A pivot's
   ratio test runs in Python floats on the basic rows the entering column
-  moves, which on a network polytope are few.  Deterministic: identical
-  inputs (``warm`` included) give bitwise-identical vertices.
+  moves, which on a network polytope are few.  An LP over a bounded set is
+  ``"optimal"`` or ``"infeasible"``.  Deterministic: identical inputs
+  (``warm`` included) give bitwise-identical vertices.
 * :func:`frank_wolfe_min` -- conditional-gradient minimization of a smooth
   convex function over a :class:`Polyhedron` from its phase-1 vertex, with
   away steps over the active vertex set, both kept by one weight update;
@@ -77,7 +80,8 @@ class DimensionMismatch(PolytopeError, ValueError):
 
 
 class DegeneracyError(PolytopeError, RuntimeError):
-    """The simplex made no progress after the anti-cycling cap."""
+    """The simplex made no progress after the anti-cycling cap, or rounding
+    left an entering column with no bound on its step."""
 
 
 class InfeasibleError(PolytopeError, RuntimeError):
@@ -108,16 +112,14 @@ class Polyhedron:
 
     ``eq_matrix`` is a dense 2-D array with one row per linear equality
     (for flow polytopes: one row per node, entries in {-1, 0, +1}); the
-    budget row is optional.  A lower bound may be ``-inf`` and an upper
-    bound ``+inf``, leaving that side of the coordinate open; no bound may
-    be NaN, and no lower bound ``+inf`` or upper bound ``-inf``, which no
-    point meets.  Every other entry must be finite.  Degenerate sets
-    (empty, single point) are legal; emptiness surfaces as an infeasible
-    LP status.  Construction runs simplex phase 1 and, when there is a
-    budget row, solves the budget LP ``min budget_coeffs . x`` from the
-    phase-1 start: its optimal solution is the start of every
-    :func:`frank_wolfe_min` LP chain on this set (none if that LP is
-    infeasible or unbounded).  So construction raises
+    budget row is optional.  Every entry must be finite, the bounds
+    included, so the set is a bounded box cut by the rows: an action set
+    is compact.  Degenerate sets (empty, single point) are legal;
+    emptiness surfaces as an infeasible LP status.  Construction runs
+    simplex phase 1 and, when there is a budget row, solves the budget LP
+    ``min budget_coeffs . x`` from the phase-1 start: its optimal solution
+    is the start of every :func:`frank_wolfe_min` LP chain on this set
+    (none if the set is empty).  So construction raises
     :class:`DegeneracyError` if either stalls.
     """
 
@@ -131,8 +133,8 @@ class Polyhedron:
     # by __post_init__.
     _lp_start: object = field(default=None, init=False, repr=False)
     # The optimal LpSolution of min budget_coeffs.x from that start, or None
-    # (no budget row, or that LP is infeasible or unbounded); set once by
-    # __post_init__, read-only.  frank_wolfe_min's LP chain starts from it.
+    # (no budget row, or the set is empty); set once by __post_init__,
+    # read-only.  frank_wolfe_min's LP chain starts from it.
     _nominal: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -150,12 +152,6 @@ class Polyhedron:
             raise DimensionMismatch("eq_matrix columns and bound lengths disagree")
         if lower.size == 0:
             raise DimensionMismatch("a polyhedron needs at least one coordinate")
-        if np.isnan(lower).any() or np.isnan(upper).any():
-            raise ValueError("bounds must not be NaN")
-        if np.isposinf(lower).any() or np.isneginf(upper).any():
-            raise ValueError("a lower bound of +inf or an upper bound of -inf admits no point")
-        if np.any(lower > upper):
-            raise ValueError("lower bound exceeds upper bound")
         bc = self.budget_coeffs
         if bc is not None:
             bc = _as_float_vector(bc, "budget_coeffs")
@@ -166,10 +162,12 @@ class Polyhedron:
         elif self.budget_limit is not None:
             raise ValueError("budget_limit given without budget_coeffs")
         limit = None if self.budget_limit is None else float(self.budget_limit)
-        for name, val in (("eq_matrix", eq), ("eq_rhs", rhs), ("budget_coeffs", bc),
-                          ("budget_limit", limit)):
+        for name, val in (("eq_matrix", eq), ("eq_rhs", rhs), ("lower", lower),
+                          ("upper", upper), ("budget_coeffs", bc), ("budget_limit", limit)):
             if val is not None and not np.isfinite(val).all():
                 raise ValueError(f"{name} must be finite")
+        if np.any(lower > upper):
+            raise ValueError("lower bound exceeds upper bound")
         for name, val in (("eq_matrix", eq), ("eq_rhs", rhs), ("lower", lower),
                           ("upper", upper), ("budget_coeffs", bc)):
             if val is not None:
@@ -209,10 +207,10 @@ class Polyhedron:
 class LpSolution:
     """Outcome of :func:`solve_lp`.
 
-    ``status`` is one of ``"optimal"``, ``"infeasible"``, ``"unbounded"``.
-    On ``"optimal"`` the point is a vertex satisfying every constraint
-    within :data:`TOL_FEAS`, and it can warm-start the next
-    :func:`solve_lp` on the same polyhedron.
+    ``status`` is ``"optimal"`` or ``"infeasible"``: the bounds are finite,
+    so a nonempty polyhedron has an optimum.  On ``"optimal"`` the point is
+    a vertex satisfying every constraint within :data:`TOL_FEAS`, and it
+    can warm-start the next :func:`solve_lp` on the same polyhedron.
     """
 
     point: Optional[np.ndarray]
@@ -241,8 +239,8 @@ class _SimplexState(NamedTuple):
     extended vertex, the basis, its inverse, the pricing mask and the
     pivots since the inverse was last refactorized.  ``dirmask`` is the one
     record of where each variable sits: -1 at its lower bound, +1 at its
-    upper bound, and 0 when it is basic, fixed (lower == upper, never
-    enters) or free (nonbasic at zero), so ``dirmask * r > 0`` exactly when
+    upper bound, and 0 when it is basic or fixed (lower == upper, never
+    enters), so ``dirmask * r > 0`` exactly when
     moving a variable off its bound improves the objective.  The arrays are
     read-only; a run continues from copies."""
 
@@ -259,21 +257,19 @@ def _phase1(A, b, lo, hi):
     Phase 1 of the two-phase revised simplex: one artificial variable per
     row, driven to zero.  It never reads the cost, so one start serves every
     ``c``.  Returns ``"infeasible"`` or the read-only start
-    ``(A_ext, AT_ext, b, lo_ext, hi_ext, free, bounds, initial)`` that
+    ``(A_ext, AT_ext, b, lo_ext, hi_ext, bounds, initial)`` that
     :func:`solve_lp` runs phase 2 from: ``AT_ext`` is the contiguous
     transpose of ``A_ext``, the bounds are tuples of Python floats (the
-    simplex reads them one entry at a time), ``free`` indexes the free
-    columns (None if there are none), ``bounds`` stacks the same bounds as
-    one array (:func:`_dual_bound` reads them whole), and the
+    simplex reads them one entry at a time), ``bounds`` stacks the same
+    bounds as one array (:func:`_dual_bound` reads them whole), and the
     :class:`_SimplexState` ``initial`` has the artificials pinned to zero
     and its pivot count at zero.
     """
     m, n = A.shape
 
-    # Nonbasic start: finite bound of least magnitude; free variables at 0.
-    x0 = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
-    pick_hi = np.isfinite(lo) & np.isfinite(hi) & (np.abs(hi) < np.abs(lo))
-    x0 = np.where(pick_hi, hi, x0)
+    # Nonbasic start: the bound of least magnitude, the lower one on a tie
+    # (the budget slack's upper bound is +inf, so it starts at 0).
+    x0 = np.where(np.abs(hi) < np.abs(lo), hi, lo)
 
     resid = b - A @ x0
     sgn = np.where(resid >= 0.0, 1.0, -1.0)
@@ -286,15 +282,10 @@ def _phase1(A, b, lo, hi):
     binv = np.diag(sgn)
     dirmask = np.zeros(n + m)
     dirmask[:n] = (x0 == hi) * 1.0 - (x0 == lo) * 1.0  # a fixed column is at both: 0
-    # A free column never flips (its own bound distance is infinite) and
-    # never leaves the basis (its ratio is infinite), so the set is fixed.
-    free = np.flatnonzero(np.isneginf(lo) & np.isposinf(hi))
-    free.flags.writeable = False
-    free = free if free.size else None
 
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     st = _simplex_phase_np(A_ext, AT_ext, b, c1, tuple(lo_ext.tolist()),
-                           tuple(hi_ext.tolist()), free, x, basis, binv, dirmask, 0)[0]
+                           tuple(hi_ext.tolist()), x, basis, binv, dirmask, 0)[0]
     if st == "stalled":
         raise DegeneracyError("phase 1 made no progress after the anti-cycling cap")
     feas_tol = 1e-8 * (1.0 + np.abs(b).max(initial=0.0))
@@ -311,8 +302,7 @@ def _phase1(A, b, lo, hi):
     bounds = np.array([lo_ext, hi_ext])
     for arr in (A_ext, AT_ext, b, bounds, x, basis, binv, dirmask):
         arr.flags.writeable = False
-    return (A_ext, AT_ext, b, tuple(lo_ext.tolist()), tuple(hi_ext.tolist()), free, bounds,
-            initial)
+    return A_ext, AT_ext, b, tuple(lo_ext.tolist()), tuple(hi_ext.tolist()), bounds, initial
 
 
 def _ratio_test(step, xb, lo_b, hi_b, basis, bland):
@@ -354,12 +344,11 @@ def _ratio_test(step, xb, lo_b, hi_b, basis, bland):
     return t_basic, leave
 
 
-def _simplex_phase_np(A, AT, b, c, lo, hi, free, x, basis, binv, dirmask, since_refresh):
+def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, dirmask, since_refresh):
     """Primal iterations in place on ``x``, ``basis``, ``binv`` and the
     pricing mask ``dirmask`` (see :class:`_SimplexState`); ``AT`` is
-    ``A.T``, contiguous, the bounds ``lo``, ``hi`` are tuples of Python
-    floats and ``free`` indexes the free columns (None if there are none).
-    Returns the status ('optimal'|'unbounded'|'stalled'), the pivots
+    ``A.T``, contiguous, and the bounds ``lo``, ``hi`` are tuples of Python
+    floats.  Returns the status ('optimal'|'stalled'), the pivots
     since the last refactorization, ``since_refresh`` counting those made
     before the call, and the row prices ``y = binv^T c_B`` and reduced
     costs ``r = c - A^T y`` of the last pricing pass (None if there was
@@ -369,8 +358,11 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, free, x, basis, binv, dirmask, since_
     tolerance; otherwise Dantzig pricing enters the largest (lowest index
     on ties), and after _STALL_CAP consecutive degenerate pivots Bland's
     rule enters the first, until the objective moves again.  Every stop
-    leaves the loop at one exit.  A free column is priced by ``|r|``.  A
-    basic one's ``r`` is only rounding, so it is never chosen.
+    leaves the loop at one exit.  Only the budget slack and, in phase 1,
+    the artificials have an infinite (upper) bound; a bounded set, or
+    phase 1's objective, which cannot fall below 0, puts a basic row in
+    the way of every improving step, so a step that no row bounds comes
+    from rounding and raises :class:`DegeneracyError`.
     The ratio test (:func:`_ratio_test`) runs in Python floats on the basic
     rows the entering column moves: on network polytopes these are a few of
     the rows, and numpy's per-call overhead on a short vector costs more
@@ -403,8 +395,6 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, free, x, basis, binv, dirmask, since_
         y = binv.T @ cb
         r = c - AT @ y
         viol = dirmask * r
-        if free is not None:
-            viol[free] = np.abs(r[free])
 
         j = int(viol.argmax())
         if viol[j] <= dual_tol:
@@ -419,11 +409,10 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, free, x, basis, binv, dirmask, since_
         step_l = step_b.tolist()
         t_basic, leave = _ratio_test(step_l, xb.tolist(), lo_b, hi_b, basis_l, bland)
 
-        t_own = hi[j] - lo[j]  # own-bound flip distance (inf for free vars)
+        t_own = hi[j] - lo[j]  # own-bound flip distance (inf for the slack)
         t_star = min(t_basic, t_own)
         if not math.isfinite(t_star):
-            status = "unbounded"
-            break
+            raise DegeneracyError("no basic row bounds the entering column's step")
 
         stall = stall + 1 if t_star <= _RATIO_TOL else 0
         if stall > _STALL_CAP:
@@ -515,12 +504,16 @@ def solve_lp(c, poly: Polyhedron, warm: Optional[LpSolution] = None) -> LpSoluti
     return another vertex than a cold one, and its basic coordinates carry
     the rounding of the pivots before it.
 
+    The result is ``"optimal"``, or ``"infeasible"`` when ``poly`` is
+    empty: the bounds are finite, so no cost is unbounded below.
+
     Raises
     ------
     DimensionMismatch
         if ``c`` does not match the polyhedron dimension.
     DegeneracyError
-        if phase 2 makes no progress after the anti-cycling cap.
+        if phase 2 makes no progress after the anti-cycling cap, or
+        rounding leaves an entering column with no bound on its step.
     ValueError
         if ``c`` has a NaN or infinite entry, or if ``warm`` is not an
         optimal solution on this polyhedron (its phase-1 start is not the
@@ -538,18 +531,16 @@ def solve_lp(c, poly: Polyhedron, warm: Optional[LpSolution] = None) -> LpSoluti
         raise ValueError("warm start comes from another polyhedron")
     if start == "infeasible":
         return LpSolution(None, None, "infeasible")
-    A_ext, AT_ext, b, lo_ext, hi_ext, free, _, initial = start
+    A_ext, AT_ext, b, lo_ext, hi_ext, _, initial = start
     entry = initial if warm is None else warm._final_basis[1]
     x, basis, binv, dirmask = (arr.copy() for arr in entry[:4])
     c_ext = np.zeros(x.size)
     c_ext[:c.size] = c
     status, since_refresh, y, r = _simplex_phase_np(A_ext, AT_ext, b, c_ext, lo_ext, hi_ext,
-                                                    free, x, basis, binv, dirmask,
+                                                    x, basis, binv, dirmask,
                                                     entry.since_refresh)
     if status == "stalled":
         raise DegeneracyError("phase 2 made no progress after the anti-cycling cap")
-    if status == "unbounded":
-        return LpSolution(None, None, "unbounded")
     for arr in (x, basis, binv, dirmask, y, r):
         arr.flags.writeable = False
     point = x[:c.size].copy()
@@ -570,10 +561,11 @@ def _dual_bound(c, sol: LpSolution) -> float:
     would give its slack an infinite term, so it is clipped to 0, and the
     reduced costs take the budget row back in.  The bound holds however far
     the simplex stopped from the optimum, and at an exact optimum it equals
-    ``c.x``; a reduced cost whose sign points at an infinite bound makes it
-    ``-inf``.
+    ``c.x``.  The budget slack's upper bound is the only infinite one, and
+    after the clip its reduced cost is never negative, so the bound is
+    finite.
     """
-    (_, AT_ext, b, _, _, _, (lo, hi), _), state, (y, r) = sol._final_basis
+    (_, AT_ext, b, _, _, (lo, hi), _), state, (y, r) = sol._final_basis
     y, r = y.copy(), r.copy()
     r[state.basis] = 0.0
     if AT_ext.shape[0] - b.size > c.size and y[-1] > 0.0:  # a budget row, the last
@@ -681,7 +673,8 @@ def frank_wolfe_min(
     max_iter: int = 2000,
     line_poly: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
 ) -> FwResult:
-    """Minimize a smooth convex function over a bounded polyhedron.
+    """Minimize a smooth convex function over a polyhedron (bounded, as
+    every :class:`Polyhedron` is).
 
     ``fun(x)`` must return ``(value, gradient)``.  The run starts at the
     vertex of the polyhedron's phase-1 start.  The linear subproblems go
@@ -727,9 +720,8 @@ def frank_wolfe_min(
     InfeasibleError
         if the polyhedron is empty.
     ValueError
-        if ``tol_gap`` is NaN or negative, ``max_iter`` is negative, a
-        gradient has a NaN or infinite entry, or the polyhedron is
-        unbounded along a gradient.
+        if ``tol_gap`` is NaN or negative, ``max_iter`` is negative, or a
+        gradient has a NaN or infinite entry.
     """
     if not tol_gap >= 0:
         raise ValueError(f"tol_gap must be >= 0, got {tol_gap}")
@@ -747,8 +739,6 @@ def frank_wolfe_min(
     for it in range(1, max_iter + 2):
         f0, g = fun(x)
         sol = solve_lp(g, poly, warm=sol)
-        if sol.status != "optimal":
-            raise ValueError(f"polyhedron must be bounded: linear oracle returned {sol.status}")
         v = sol.point
         gap = float(g @ (x - v))
         if gap <= tol_gap or it > max_iter:

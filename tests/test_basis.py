@@ -83,13 +83,6 @@ class TestRandomBasis:
         with pytest.raises(ValueError, match="N must be at least 1"):
             random_basis(game, 0, seed=0)
 
-    def test_unbounded_action_set_rejected(self):
-        # the costs are >= 0, so x -> -inf is unbounded below; that is not
-        # an empty set
-        game = null_game([Polyhedron.box([-np.inf], [0.0]), Polyhedron.interval(0.0, 1.0)])
-        with pytest.raises(ValueError, match="player 0 action set must be bounded"):
-            random_basis(game, 2, seed=0)
-
     def test_empty_action_set_is_infeasible(self):
         empty = Polyhedron(np.ones((1, 2)), [3.0], np.zeros(2), np.ones(2))
         game = null_game([Polyhedron.interval(0.0, 1.0), empty])
@@ -268,9 +261,8 @@ class TestProductionBases:
     # N=5 from seed 0), as ccp_select returns them with its interior-point
     # master LP: a SHA-256 over the stacked joint actions and their min
     # distance, which the benchmark reports as basis_min_dist.  The dual
-    # simplex reached other vertices of the same optimal faces, with min
-    # distances 53732.83678756476 and 109326.38940007353; the oracle and
-    # learner pins run on those bases (conftest.py).
+    # simplex reached other vertices of the same optimal faces; the oracle
+    # and learner pins run on those bases (TestStoredBases).
     PLAYERS = {
         "learn": ((1, 20), (13, 8), (7, 24)),
         "audit": ((1, 20), (13, 8), (7, 24), (2, 19), (16, 3)),
@@ -290,3 +282,31 @@ class TestProductionBases:
         assert hashlib.sha256(X.tobytes()).hexdigest() == self.SHA256[setup]
         assert min_pairwise_distance(basis) == self.MIN_DIST[setup]
         assert trace.iterates[-1][1] == self.MIN_DIST[setup]
+
+
+class TestStoredBases:
+    # The bases the oracle and learner pins of test_regret.py and
+    # test_bayesopt.py run on: the learn and audit setups' CCP bases (N=5,
+    # seed 0) that ccp_select returned while HiGHS's dual simplex solved its
+    # master LP, saved with np.save as the stacked joint actions.  Those
+    # pins' reference kernels are gone, so the bases are test data rather
+    # than ccp_select's output: a SHA-256 over the stacked joints, and their
+    # min distance.
+    SHA256 = {
+        "learn": "802c890da47a1ad17c484570015826f0d155bfcb11073e4671717c0556f0cdbc",
+        "audit": "575ccf7d0c73024e174234a631eb49c54366f2cb24d9125c61193a8d12865d7b",
+    }
+    MIN_DIST = {"learn": 53732.83678756476, "audit": 109326.38940007353}
+
+    @pytest.mark.parametrize("setup", sorted(SHA256))
+    def test_basis_pinned(self, setup):
+        net = parse_net((DATA / "siouxfalls_net.tntp").read_text())
+        players = TestProductionBases.PLAYERS[setup]
+        game = build_traffic_game(net, [PlayerSpec(o, d, 3000.0) for o, d in players])
+        dims = [P.dim for P in game.action_sets]
+        X = np.load(DATA / f"siouxfalls_{setup}_basis.npy")
+        assert X.shape == (5, sum(dims))
+        assert hashlib.sha256(X.tobytes()).hexdigest() == self.SHA256[setup]
+        basis = BasisSet([np.split(x, np.cumsum(dims)[:-1]) for x in X])
+        basis.validate_feasible(game)
+        assert min_pairwise_distance(basis) == self.MIN_DIST[setup]

@@ -25,7 +25,7 @@ from cequil.bayesopt import (
 )
 from cequil.game import PlayerSpec, build_traffic_game
 from cequil.polytope import project_simplex
-from cequil.regret import RegretOracle
+from cequil.regret import BasisSet, RegretOracle
 from cequil.tntp import parse_net
 
 DATA = Path(__file__).parent / "data"
@@ -646,13 +646,15 @@ class TestBoLearn:
 
 
 @pytest.fixture(scope="module")
-def siouxfalls_learn_setup(dual_simplex_ccp_select):
-    """The learn setup: Sioux Falls, 3 players at demand 3000, CCP basis of
-    N=5 from seed 0, with the master LPs solved by the dual simplex."""
+def siouxfalls_learn_setup():
+    """The learn setup: Sioux Falls, 3 players at demand 3000, and the CCP
+    basis of N=5 from seed 0 that the dual-simplex master LP reached, read
+    from tests/data (test_basis.py pins it)."""
     net = parse_net((DATA / "siouxfalls_net.tntp").read_text())
     game = build_traffic_game(net, [PlayerSpec(o, d, 3000.0) for o, d in ((1, 20), (13, 8), (7, 24))])
-    basis, _ = dual_simplex_ccp_select(game, 5, seed=0)
-    return game, basis
+    splits = np.cumsum([P.dim for P in game.action_sets])[:-1]
+    X = np.load(DATA / "siouxfalls_learn_basis.npy")
+    return game, BasisSet([np.split(x, splits) for x in X])
 
 
 class TestPinnedSiouxFallsLearn:

@@ -722,13 +722,15 @@ AUDIT_PLAYERS = ((1, 20), (13, 8), (7, 24), (2, 19), (16, 3))
 
 
 @pytest.fixture(scope="module")
-def audit_oracle(dual_simplex_ccp_select):
-    """The audit setup: Sioux Falls, 5 players at demand 3000, CCP basis of
-    N=5 from seed 0, with the master LPs solved by the dual simplex."""
+def audit_oracle():
+    """The audit setup: Sioux Falls, 5 players at demand 3000, and the CCP
+    basis of N=5 from seed 0 that the dual-simplex master LP reached, read
+    from tests/data (test_basis.py pins it)."""
     net = parse_net((DATA / "siouxfalls_net.tntp").read_text())
     game = build_traffic_game(net, [PlayerSpec(o, d, 3000.0) for o, d in AUDIT_PLAYERS])
-    basis, _ = dual_simplex_ccp_select(game, 5, seed=0)
-    return RegretOracle(game, basis)
+    splits = np.cumsum([P.dim for P in game.action_sets])[:-1]
+    X = np.load(DATA / "siouxfalls_audit_basis.npy")
+    return RegretOracle(game, BasisSet([np.split(x, splits) for x in X]))
 
 
 def audit_stream(size):
@@ -904,6 +906,23 @@ class TestPinnedAuditStream:
 
     def test_newton_values_within_gaps(self, audit_run):
         self.assert_within_gaps(audit_run, self.NEWTON, self.NEWTON_MAX_GAP)
+
+
+class TestAuditConvexity:
+    def test_regret_is_convex_in_w(self, audit_oracle, audit_stream_reports):
+        # regret_i(w) = E_i(w) - min F_i(w): E_i is linear in w and min F_i
+        # a minimum of linear functions, so regret_i is convex.  A report's
+        # per_player is below the true regret and its upper bound above, so
+        # at the midpoint of two stream weights per_player lies below the
+        # mean of their upper bounds; 50 seeded pairs of distinct weights.
+        # Where a player's best response is the same vertex along the
+        # segment its regret is linear there and the two sides are equal, so
+        # rounding may put the left one above by a few ulps (4.4e-16 here).
+        weights, reports = audit_stream_reports
+        pairs = np.random.default_rng(0).permutation(len(weights))[:100].reshape(50, 2)
+        for a, b in pairs:
+            mid = audit_oracle.report(0.5 * weights[a] + 0.5 * weights[b])
+            assert np.all(mid.per_player <= 0.5 * (reports[a].upper + reports[b].upper) + 1e-12)
 
 
 def highs_lp(c, poly, warm=None):
