@@ -67,8 +67,7 @@ def random_basis(game, N: int, seed: int) -> BasisSet:
     One coefficient vector uniform on [0,1]^dim is drawn per joint action
     and split across players; the product LP decomposes into one LP per
     player.  Identical seeds give identical bases.  The action sets are
-    bounded, so each LP has an optimum unless its set is empty, which
-    raises :class:`InfeasibleError`.
+    nonempty and bounded, so each LP has an optimum.
     """
     N = _as_count(N, "N")
     if N < 1:
@@ -81,10 +80,7 @@ def random_basis(game, N: int, seed: int) -> BasisSet:
         joint = []
         offset = 0
         for i, P in enumerate(game.action_sets):
-            sol = solve_lp(c[offset:offset + dims[i]], P)
-            if sol.status == "infeasible":
-                raise InfeasibleError(f"player {i} action set is infeasible")
-            joint.append(sol.point)
+            joint.append(solve_lp(c[offset:offset + dims[i]], P).point)
             offset += dims[i]
         actions.append(joint)
     return BasisSet(actions)

@@ -25,7 +25,7 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from cequil.polytope import TOL_FEAS, Polyhedron, solve_lp
+from cequil.polytope import TOL_FEAS, InfeasibleError, Polyhedron, solve_lp
 from cequil.tntp import NetworkData, build_incidence
 
 __all__ = [
@@ -281,7 +281,9 @@ def build_traffic_game(net: NetworkData, players: Sequence[PlayerSpec]) -> Traff
     ``budget_factor * delta_i``.  Nodes numbered below the file's
     ``<FIRST THRU NODE>`` are zones, which flow may not pass through: in
     both of a player's polytopes, every link leaving a zone other than the
-    player's origin is bounded to 0.
+    player's origin is bounded to 0.  A demand the capacities cannot route
+    leaves the unbudgeted polytope empty and raises
+    :class:`InfeasibleDemand`.
     """
     lam, nu = _bpr_law(net)
     E = build_incidence(net)
@@ -292,13 +294,13 @@ def build_traffic_game(net: NetworkData, players: Sequence[PlayerSpec]) -> Traff
     for i, spec in enumerate(players):
         s_i = demand_vector(spec, net.num_nodes)
         upper = np.where((tails < net.first_thru_node) & (tails != spec.origin), 0.0, caps)
-        free = Polyhedron(E, s_i, np.zeros(net.num_links), upper)
-        sol = solve_lp(a, free)
-        if sol.status != "optimal":
+        try:
+            free = Polyhedron(E, s_i, np.zeros(net.num_links), upper)
+        except InfeasibleError as exc:
             raise InfeasibleDemand(
                 f"player {i}: demand {spec.demand} from {spec.origin} to "
-                f"{spec.destination} is not routable ({sol.status})")
-        delta = sol.objective
+                f"{spec.destination} is not routable") from exc
+        delta = solve_lp(a, free).objective
         if delta <= 0:
             raise InfeasibleDemand(f"player {i}: nominal cost is not positive")
         deltas.append(delta)

@@ -4,8 +4,9 @@ This module provides the geometry every other part of the package sits on:
 
 * :class:`Polyhedron` -- a feasible set ``{x : Ex = s, lo <= x <= hi,
   a.x <= gamma}`` (equalities, finite box bounds, one optional budget
-  row).  The bounds are finite, so every action set is a compact convex
-  set, as the equilibrium theory needs.
+  row).  The bounds are finite and construction rejects an empty set, so
+  every action set is a nonempty compact convex set, as the equilibrium
+  theory needs.
 * :func:`solve_lp` -- a bounded-variable revised simplex (two phases,
   Dantzig pricing with a Bland anti-cycling fallback), the one LP path for
   every polyhedron, boxes included.  Phase 1 does not read the cost, so it
@@ -16,9 +17,10 @@ This module provides the geometry every other part of the package sits on:
   inverse, pricing mask) without refactorizing it.  The pricing mask is
   the one record of which bound each nonbasic variable sits at.  A pivot's
   ratio test runs in Python floats on the basic rows the entering column
-  moves, which on a network polytope are few.  An LP over a bounded set is
-  ``"optimal"`` or ``"infeasible"``.  Deterministic: identical inputs
-  (``warm`` included) give bitwise-identical vertices.
+  moves, which on a network polytope are few.  An LP over a nonempty
+  bounded set has an optimum, so every call returns an optimal vertex or
+  raises.  Deterministic: identical inputs (``warm`` included) give
+  bitwise-identical vertices.
 * :func:`frank_wolfe_min` -- conditional-gradient minimization of a smooth
   convex function over a :class:`Polyhedron` from its phase-1 vertex, with
   away steps over the active vertex set, both kept by one weight update;
@@ -80,12 +82,15 @@ class DimensionMismatch(PolytopeError, ValueError):
 
 
 class DegeneracyError(PolytopeError, RuntimeError):
-    """The simplex made no progress after the anti-cycling cap, or rounding
-    left an entering column with no bound on its step."""
+    """A simplex phase ran out of pivots (``_MAX_PIVOTS``) without reaching
+    its optimum, or rounding left an entering column with no bound on its
+    step.  Phase 1 raises it from :class:`Polyhedron`'s construction,
+    phase 2 from :func:`solve_lp`."""
 
 
 class InfeasibleError(PolytopeError, RuntimeError):
-    """An operation that needs a feasible point was given an empty set."""
+    """A :class:`Polyhedron` was constructed on an empty set: phase 1
+    ended with positive infeasibility."""
 
 
 def _as_count(value, name: str) -> int:
@@ -114,13 +119,13 @@ class Polyhedron:
     (for flow polytopes: one row per node, entries in {-1, 0, +1}); the
     budget row is optional.  Every entry must be finite, the bounds
     included, so the set is a bounded box cut by the rows: an action set
-    is compact.  Degenerate sets (empty, single point) are legal;
-    emptiness surfaces as an infeasible LP status.  Construction runs
-    simplex phase 1 and, when there is a budget row, solves the budget LP
-    ``min budget_coeffs . x`` from the phase-1 start: its optimal solution
-    is the start of every :func:`frank_wolfe_min` LP chain on this set
-    (none if the set is empty).  So construction raises
-    :class:`DegeneracyError` if either stalls.
+    is compact.  It must also be nonempty: construction runs simplex phase
+    1, and an empty set raises :class:`InfeasibleError`.  A single point is
+    legal.  When there is a budget row, construction then solves the
+    budget LP ``min budget_coeffs . x`` from the phase-1 start: its optimal
+    solution is the start of every :func:`frank_wolfe_min` LP chain on this
+    set.  Construction raises :class:`DegeneracyError` if either LP runs
+    out of pivots.
     """
 
     eq_matrix: np.ndarray
@@ -129,12 +134,11 @@ class Polyhedron:
     upper: np.ndarray
     budget_coeffs: Optional[np.ndarray] = None
     budget_limit: Optional[float] = None
-    # solve_lp's cost-independent phase-1 start (or "infeasible"), set once
-    # by __post_init__.
+    # solve_lp's cost-independent phase-1 start, set once by __post_init__.
     _lp_start: object = field(default=None, init=False, repr=False)
     # The optimal LpSolution of min budget_coeffs.x from that start, or None
-    # (no budget row, or the set is empty); set once by __post_init__,
-    # read-only.  frank_wolfe_min's LP chain starts from it.
+    # when there is no budget row; set once by __post_init__, read-only.
+    # frank_wolfe_min's LP chain starts from it.
     _nominal: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -178,9 +182,8 @@ class Polyhedron:
         object.__setattr__(self, "_lp_start", _phase1(*_standard_form(self)))
         if bc is not None:
             nominal = solve_lp(bc, self)
-            if nominal.status == "optimal":
-                nominal.point.flags.writeable = False
-                object.__setattr__(self, "_nominal", nominal)
+            nominal.point.flags.writeable = False
+            object.__setattr__(self, "_nominal", nominal)
 
     @property
     def dim(self) -> int:
@@ -205,21 +208,20 @@ class Polyhedron:
 
 @dataclass(frozen=True, eq=False)
 class LpSolution:
-    """Outcome of :func:`solve_lp`.
+    """Outcome of :func:`solve_lp`: an optimal vertex ``point`` and the
+    ``objective`` there.
 
-    ``status`` is ``"optimal"`` or ``"infeasible"``: the bounds are finite,
-    so a nonempty polyhedron has an optimum.  On ``"optimal"`` the point is
-    a vertex satisfying every constraint within :data:`TOL_FEAS`, and it
-    can warm-start the next :func:`solve_lp` on the same polyhedron.
+    The point satisfies every constraint within :data:`TOL_FEAS`, and the
+    solution can warm-start the next :func:`solve_lp` on the same
+    polyhedron.
     """
 
-    point: Optional[np.ndarray]
-    objective: Optional[float]
-    status: str
+    point: np.ndarray
+    objective: float
     # (phase-1 start, _SimplexState, (y, r)): the start phase 2 ran from,
     # the read-only state it ended with, which a warm call continues from a
     # copy of, and the read-only row prices and reduced costs of its last
-    # pricing pass, which _dual_bound reads; None unless optimal.
+    # pricing pass, which _dual_bound reads.
     _final_basis: object = field(default=None, repr=False)
 
 
@@ -230,7 +232,7 @@ class LpSolution:
 _DUAL_TOL = 1e-9
 _RATIO_TOL = 1e-10
 _STALL_CAP = 50  # degenerate pivots before switching to Bland's rule
-_MAX_PIVOTS = 50000  # pivots per phase before it gives up as 'stalled'
+_MAX_PIVOTS = 50000  # pivots per phase before it raises DegeneracyError
 _REFACTOR_EVERY = 100  # pivots between refactorizations of the basis inverse
 
 
@@ -256,7 +258,8 @@ def _phase1(A, b, lo, hi):
 
     Phase 1 of the two-phase revised simplex: one artificial variable per
     row, driven to zero.  It never reads the cost, so one start serves every
-    ``c``.  Returns ``"infeasible"`` or the read-only start
+    ``c``.  Raises :class:`InfeasibleError` if the artificials cannot reach
+    zero (the set is empty); returns the read-only start
     ``(A_ext, AT_ext, b, lo_ext, hi_ext, bounds, initial)`` that
     :func:`solve_lp` runs phase 2 from: ``AT_ext`` is the contiguous
     transpose of ``A_ext``, the bounds are tuples of Python floats (the
@@ -284,13 +287,12 @@ def _phase1(A, b, lo, hi):
     dirmask[:n] = (x0 == hi) * 1.0 - (x0 == lo) * 1.0  # a fixed column is at both: 0
 
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    st = _simplex_phase_np(A_ext, AT_ext, b, c1, tuple(lo_ext.tolist()),
-                           tuple(hi_ext.tolist()), x, basis, binv, dirmask, 0)[0]
-    if st == "stalled":
-        raise DegeneracyError("phase 1 made no progress after the anti-cycling cap")
-    feas_tol = 1e-8 * (1.0 + np.abs(b).max(initial=0.0))
-    if float(c1 @ x) > feas_tol:
-        return "infeasible"
+    _simplex_phase_np(A_ext, AT_ext, b, c1, tuple(lo_ext.tolist()),
+                      tuple(hi_ext.tolist()), x, basis, binv, dirmask, 0)
+    infeasibility = float(c1 @ x)
+    if infeasibility > 1e-8 * (1.0 + np.abs(b).max(initial=0.0)):
+        raise InfeasibleError(f"the polyhedron is empty (phase-1 infeasibility "
+                              f"{infeasibility:.3g})")
     # Artificial variables are pinned to zero for phase 2, as fixed columns.
     # A nonbasic one left the basis onto 0.0, its only finite bound, so only
     # the mask changes; a basic one's mask is 0 already.
@@ -348,17 +350,17 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, dirmask, since_refres
     """Primal iterations in place on ``x``, ``basis``, ``binv`` and the
     pricing mask ``dirmask`` (see :class:`_SimplexState`); ``AT`` is
     ``A.T``, contiguous, and the bounds ``lo``, ``hi`` are tuples of Python
-    floats.  Returns the status ('optimal'|'stalled'), the pivots
-    since the last refactorization, ``since_refresh`` counting those made
-    before the call, and the row prices ``y = binv^T c_B`` and reduced
-    costs ``r = c - A^T y`` of the last pricing pass (None if there was
-    none); on 'optimal' they belong to the returned basis.
+    floats.  Returns the pivots since the last refactorization,
+    ``since_refresh`` counting those made before the call, and the row
+    prices ``y = binv^T c_B`` and reduced costs ``r = c - A^T y`` of the
+    last pricing pass, which belong to the returned, optimal basis.
 
     The run is optimal once no pricing violation exceeds the dual
     tolerance; otherwise Dantzig pricing enters the largest (lowest index
     on ties), and after _STALL_CAP consecutive degenerate pivots Bland's
-    rule enters the first, until the objective moves again.  Every stop
-    leaves the loop at one exit.  Only the budget slack and, in phase 1,
+    rule enters the first, until the objective moves again.  A run that
+    is not optimal after _MAX_PIVOTS pricing passes raises
+    :class:`DegeneracyError`.  Only the budget slack and, in phase 1,
     the artificials have an infinite (upper) bound; a bounded set, or
     phase 1's objective, which cannot fall below 0, puts a basic row in
     the way of every improving step, so a step that no row bounds comes
@@ -378,10 +380,8 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, dirmask, since_refres
     lo_b = [lo[k] for k in basis_l]
     hi_b = [hi[k] for k in basis_l]
 
-    status = "stalled"
     stall = 0
     bland = False
-    y = r = None
     for _ in range(_MAX_PIVOTS):
         if since_refresh >= _REFACTOR_EVERY:
             since_refresh = 0
@@ -398,7 +398,6 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, dirmask, since_refres
 
         j = int(viol.argmax())
         if viol[j] <= dual_tol:
-            status = "optimal"
             break
         if bland:
             j = int((viol > dual_tol).argmax())  # the first eligible column
@@ -457,8 +456,10 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, dirmask, since_refres
         col[leave] = 0.0
         binv -= col[:, None] * binv[leave]
         since_refresh += 1
+    else:
+        raise DegeneracyError(f"the simplex is not optimal after {_MAX_PIVOTS} pivots")
     x[basis] = xb
-    return status, since_refresh, y, r
+    return since_refresh, y, r
 
 
 def _standard_form(poly: Polyhedron):
@@ -480,19 +481,20 @@ def _standard_form(poly: Polyhedron):
 def solve_lp(c, poly: Polyhedron, warm: Optional[LpSolution] = None) -> LpSolution:
     """Minimize ``c . x`` over a :class:`Polyhedron`.
 
-    Returns a vertex on success (nonbasic coordinates sit exactly on their
-    bounds).  Every polyhedron, a box included, takes the same path: phase
-    2 from a copy of the feasible start (or the verdict "infeasible") that
-    :func:`_phase1` computed when ``poly`` was constructed.  ``poly`` is
-    only read, so a call without ``warm`` is the same whatever was solved
-    before and from whichever thread.  The pivot rule is fixed, so
-    identical inputs produce bitwise-identical solutions.  Such a call does
+    Returns an optimal vertex (nonbasic coordinates sit exactly on their
+    bounds): ``poly`` is nonempty and bounded, so an optimum exists.  Every
+    polyhedron, a box included, takes the same path: phase 2 from a copy of
+    the feasible start that :func:`_phase1` computed when ``poly`` was
+    constructed.  ``poly`` is only read, so a call without ``warm`` is the
+    same whatever was solved before and from whichever thread.  The pivot
+    rule is fixed, so identical inputs produce bitwise-identical
+    solutions.  Such a call does
     not start from the nominal optimum that :func:`frank_wolfe_min`'s
     chains continue: among tied optima the start decides which vertex
     comes back, and the random and CCP bases are built from these vertices
     (starting there cut the learn basis's least pairwise distance by 8%).
 
-    ``warm``, an earlier optimal solution on this polyhedron, makes phase 2
+    ``warm``, an earlier solution on this polyhedron, makes phase 2
     continue from a copy of the simplex state that solution ended with
     instead: its extended vertex, basis, basis inverse and pricing mask,
     and the pivots since the inverse was last refactorized, so a chain of
@@ -504,47 +506,37 @@ def solve_lp(c, poly: Polyhedron, warm: Optional[LpSolution] = None) -> LpSoluti
     return another vertex than a cold one, and its basic coordinates carry
     the rounding of the pivots before it.
 
-    The result is ``"optimal"``, or ``"infeasible"`` when ``poly`` is
-    empty: the bounds are finite, so no cost is unbounded below.
-
     Raises
     ------
     DimensionMismatch
         if ``c`` does not match the polyhedron dimension.
     DegeneracyError
-        if phase 2 makes no progress after the anti-cycling cap, or
+        if phase 2 is not optimal after ``_MAX_PIVOTS`` pivots, or
         rounding leaves an entering column with no bound on its step.
     ValueError
-        if ``c`` has a NaN or infinite entry, or if ``warm`` is not an
-        optimal solution on this polyhedron (its phase-1 start is not the
-        one ``poly`` holds).
+        if ``c`` has a NaN or infinite entry, or if ``warm`` was solved on
+        another polyhedron (its phase-1 start is not the one ``poly``
+        holds).
     """
     c = _as_float_vector(c, "c")
     if c.size != poly.dim:
         raise DimensionMismatch(f"cost has {c.size} entries, polyhedron has dim {poly.dim}")
     if not np.isfinite(c).all():
         raise ValueError("cost c must be finite")
-    if warm is not None and warm.status != "optimal":
-        raise ValueError(f"warm start must be an optimal solution, got {warm.status!r}")
     start = poly._lp_start
     if warm is not None and warm._final_basis[0] is not start:
         raise ValueError("warm start comes from another polyhedron")
-    if start == "infeasible":
-        return LpSolution(None, None, "infeasible")
     A_ext, AT_ext, b, lo_ext, hi_ext, _, initial = start
     entry = initial if warm is None else warm._final_basis[1]
     x, basis, binv, dirmask = (arr.copy() for arr in entry[:4])
     c_ext = np.zeros(x.size)
     c_ext[:c.size] = c
-    status, since_refresh, y, r = _simplex_phase_np(A_ext, AT_ext, b, c_ext, lo_ext, hi_ext,
-                                                    x, basis, binv, dirmask,
-                                                    entry.since_refresh)
-    if status == "stalled":
-        raise DegeneracyError("phase 2 made no progress after the anti-cycling cap")
+    since_refresh, y, r = _simplex_phase_np(A_ext, AT_ext, b, c_ext, lo_ext, hi_ext,
+                                            x, basis, binv, dirmask, entry.since_refresh)
     for arr in (x, basis, binv, dirmask, y, r):
         arr.flags.writeable = False
     point = x[:c.size].copy()
-    return LpSolution(point, float(c @ point), "optimal",
+    return LpSolution(point, float(c @ point),
                       (start, _SimplexState(x, basis, binv, dirmask, since_refresh), (y, r)))
 
 
@@ -673,8 +665,8 @@ def frank_wolfe_min(
     max_iter: int = 2000,
     line_poly: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
 ) -> FwResult:
-    """Minimize a smooth convex function over a polyhedron (bounded, as
-    every :class:`Polyhedron` is).
+    """Minimize a smooth convex function over a polyhedron (nonempty and
+    bounded, as every :class:`Polyhedron` is).
 
     ``fun(x)`` must return ``(value, gradient)``.  The run starts at the
     vertex of the polyhedron's phase-1 start.  The linear subproblems go
@@ -717,8 +709,6 @@ def frank_wolfe_min(
 
     Raises
     ------
-    InfeasibleError
-        if the polyhedron is empty.
     ValueError
         if ``tol_gap`` is NaN or negative, ``max_iter`` is negative, or a
         gradient has a NaN or infinite entry.
@@ -728,8 +718,6 @@ def frank_wolfe_min(
     max_iter = _as_count(max_iter, "max_iter")
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
-    if poly._lp_start == "infeasible":
-        raise InfeasibleError("polyhedron is infeasible")
     x = poly._lp_start[-1].x[:poly.dim].copy()
     verts = [x.copy()]
     alphas = [1.0]

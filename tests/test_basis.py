@@ -9,7 +9,7 @@ from scipy.optimize import linprog
 import cequil.basis
 from cequil.basis import ccp_select, min_pairwise_distance, random_basis
 from cequil.game import ConvexGame, PlayerSpec, build_traffic_game
-from cequil.polytope import TOL_FEAS, InfeasibleError, Polyhedron, contains
+from cequil.polytope import TOL_FEAS, Polyhedron, contains
 from cequil.regret import BasisSet
 from cequil.tntp import parse_net
 
@@ -82,12 +82,6 @@ class TestRandomBasis:
         game = null_game([Polyhedron.interval(0.0, 1.0)])
         with pytest.raises(ValueError, match="N must be at least 1"):
             random_basis(game, 0, seed=0)
-
-    def test_empty_action_set_is_infeasible(self):
-        empty = Polyhedron(np.ones((1, 2)), [3.0], np.zeros(2), np.ones(2))
-        game = null_game([Polyhedron.interval(0.0, 1.0), empty])
-        with pytest.raises(InfeasibleError, match="player 1 action set is infeasible"):
-            random_basis(game, 2, seed=0)
 
     def test_1d_interval_collapses_to_lower(self):
         # coefficients are >= 0, so every LP minimum sits at the lower bound

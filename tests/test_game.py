@@ -294,14 +294,23 @@ class TestBuildTrafficGame:
 
     def test_infeasible_demand(self):
         net = parse_net(SINGLE_LINK.format(cap=1.0, fft=1.0, b=0.15, power=4))
-        with pytest.raises(InfeasibleDemand) as exc:
+        with pytest.raises(InfeasibleDemand, match="player 0: .* not routable"):
             build_traffic_game(net, [PlayerSpec(1, 2, 2.0)])
-        assert "player 0" in str(exc.value)
+
+    def test_tightest_budget(self, siouxfalls_net):
+        # budget_factor 1 puts each budget limit at the budget row's minimum
+        # delta_i, so the budgeted set is the face of free-flow routings
+        pairs = ((1, 20), (13, 8), (7, 24), (2, 19), (16, 3))
+        game = build_traffic_game(siouxfalls_net,
+                                  [PlayerSpec(o, d, 3000.0, budget_factor=1.0) for o, d in pairs])
+        for P, delta in zip(game.action_sets, game.deltas):
+            assert P.budget_limit == delta
+            assert P._nominal.objective <= P.budget_limit
+            assert P._nominal.objective == pytest.approx(delta, rel=1e-12)
 
     def test_action_sets_nonempty_and_budgeted(self, siouxfalls_game):
         for i, P in enumerate(siouxfalls_game.action_sets):
             sol = solve_lp(np.zeros(P.dim), P)
-            assert sol.status == "optimal"
             assert contains(P, sol.point, 1e-7)
             assert P.budget_limit == pytest.approx(
                 siouxfalls_game.players[i].budget_factor * siouxfalls_game.deltas[i])

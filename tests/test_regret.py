@@ -697,7 +697,7 @@ class TestPinnedSiouxFalls:
 
         def counting(*args):
             out = simplex(*args)
-            pivots.append(out[1] - args[-1])
+            pivots.append(out[0] - args[-1])
             return out
 
         monkeypatch.setattr(polytope, "_REFACTOR_EVERY", 10 ** 9)
@@ -934,7 +934,7 @@ def highs_lp(c, poly, warm=None):
         bounds=np.column_stack([poly.lower, poly.upper]), method="highs-ds",
         options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
     assert res.status == 0
-    return polytope.LpSolution(res.x, float(c @ res.x), "optimal")
+    return polytope.LpSolution(res.x, float(c @ res.x))
 
 
 class TestCertificateWitness:
