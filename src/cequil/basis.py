@@ -26,7 +26,7 @@ from scipy import sparse
 from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
-from cequil.polytope import InfeasibleError, _as_count, solve_lp
+from cequil.polytope import _as_count, solve_lp
 from cequil.regret import BasisSet
 
 __all__ = [
@@ -166,6 +166,13 @@ def ccp_select(game, N: int, max_iter: int = 100,
     the previous iterate.  The trace records every accepted iterate; its
     objective sequence is non-decreasing, and the result weakly dominates
     the initialization.
+
+    Raises
+    ------
+    RuntimeError
+        if HiGHS fails on a master LP.  Over nonempty bounded action sets
+        that LP is feasible and bounded, so a failure is the solver's; the
+        message carries HiGHS's status and message.
     """
     N, max_iter = _as_count(N, "N"), _as_count(max_iter, "max_iter")
     if N < 2:
@@ -192,7 +199,8 @@ def ccp_select(game, N: int, max_iter: int = 100,
         res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                       bounds=bounds, method="highs-ipm")
         if not res.success:
-            raise InfeasibleError(f"CCP master LP failed: {res.message}")
+            raise RuntimeError(f"CCP master LP failed (HiGHS status {res.status}): "
+                               f"{res.message}")
         X = res.x[:X.size].reshape(N, -1)
         candidate = BasisSet([np.split(x, splits) for x in X])
         new_obj = min_pairwise_distance(candidate)

@@ -8,10 +8,11 @@ This module provides the geometry every other part of the package sits on:
   every action set is a nonempty compact convex set, as the equilibrium
   theory needs.
 * :func:`solve_lp` -- a bounded-variable revised simplex (two phases,
-  Dantzig pricing with a Bland anti-cycling fallback), the one LP path for
-  every polyhedron, boxes included.  Phase 1 does not read the cost, so it
-  runs once, when the polyhedron is constructed, and every call runs phase
-  2 only.  Phase 2 starts from the polyhedron's phase-1 basis, or, given
+  Dantzig pricing, ratio-test ties drawn at random in a long degenerate
+  stall), the one LP path for every polyhedron, boxes included.  Phase 1
+  does not read the cost, so it runs once, when the polyhedron is
+  constructed, and every call runs phase 2 only.  Phase 2 starts from the
+  polyhedron's phase-1 basis, or, given
   ``warm=`` a previous optimal solution on the same polyhedron, continues
   the simplex state that solution ended with (vertex, basis, basis
   inverse, pricing mask) without refactorizing it.  The pricing mask is
@@ -231,7 +232,7 @@ class LpSolution:
 
 _DUAL_TOL = 1e-9
 _RATIO_TOL = 1e-10
-_STALL_CAP = 50  # degenerate pivots before switching to Bland's rule
+_STALL_CAP = 50  # degenerate pivots before ratio-test ties are broken at random
 _MAX_PIVOTS = 50000  # pivots per phase before it raises DegeneracyError
 _REFACTOR_EVERY = 100  # pivots between refactorizations of the basis inverse
 
@@ -307,18 +308,18 @@ def _phase1(A, b, lo, hi):
     return A_ext, AT_ext, b, tuple(lo_ext.tolist()), tuple(hi_ext.tolist()), bounds, initial
 
 
-def _ratio_test(step, xb, lo_b, hi_b, basis, bland):
+def _ratio_test(step, xb, lo_b, hi_b, rng):
     """Ratio test of the bounded simplex on Python floats.
 
     ``step[i]`` is how fast basic variable ``i`` (value ``xb[i]``, bounds
-    ``lo_b[i]``, ``hi_b[i]``, column ``basis[i]``) moves per unit step of
-    the entering variable.  Only rows with ``|step| > _RATIO_TOL`` bound
-    the step; their ratio is the distance to the bound they move toward,
-    clamped below at +0.0.  Returns ``(t_basic, leave)``: the least ratio
-    (``inf`` if no row bounds the step) and the leaving row, among the rows
-    within ``_RATIO_TOL`` of it the first with the largest ``|step|``
-    (Dantzig) or the one with the smallest column index (``bland``).
-    ``leave`` is -1 when ``t_basic`` is infinite.
+    ``lo_b[i]``, ``hi_b[i]``) moves per unit step of the entering variable.
+    Only rows with ``|step| > _RATIO_TOL`` bound the step; their ratio is
+    the distance to the bound they move toward, clamped below at +0.0.
+    Returns ``(t_basic, leave)``: the least ratio (``inf`` if no row bounds
+    the step) and the leaving row, among the rows within ``_RATIO_TOL`` of
+    it the first with the largest ``|step|``, or, given a generator
+    ``rng`` (a stalled run), one drawn uniformly.  ``leave`` is -1 when
+    ``t_basic`` is infinite.
     """
     rows = []
     t_basic = math.inf
@@ -332,17 +333,13 @@ def _ratio_test(step, xb, lo_b, hi_b, basis, bland):
     if t_basic == math.inf:
         return t_basic, -1
     cut = t_basic + _RATIO_TOL
-    leave = -1
-    if bland:
-        key = math.inf
-        for i, r in rows:
-            if r <= cut and basis[i] < key:
-                key, leave = basis[i], i
-    else:
-        key = -1.0
-        for i, r in rows:
-            if r <= cut and abs(step[i]) > key:
-                key, leave = abs(step[i]), i
+    if rng is not None:
+        tied = [i for i, r in rows if r <= cut]
+        return t_basic, tied[int(rng.integers(len(tied)))]
+    leave, key = -1, -1.0
+    for i, r in rows:
+        if r <= cut and abs(step[i]) > key:
+            key, leave = abs(step[i]), i
     return t_basic, leave
 
 
@@ -357,8 +354,13 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, dirmask, since_refres
 
     The run is optimal once no pricing violation exceeds the dual
     tolerance; otherwise Dantzig pricing enters the largest (lowest index
-    on ties), and after _STALL_CAP consecutive degenerate pivots Bland's
-    rule enters the first, until the objective moves again.  A run that
+    on ties).  Once more than _STALL_CAP consecutive pivots are degenerate,
+    the ratio test draws the leaving row uniformly among the tied rows,
+    until the objective moves again: Dantzig's rule with a fixed tie-break
+    can cycle (Kuhn's example does), and a random draw leaves such a
+    cycle.  The generator, ``default_rng(0)``, is created at
+    the run's first such stall and lives only in the call, so identical
+    inputs still give bitwise-identical results.  A run that
     is not optimal after _MAX_PIVOTS pricing passes raises
     :class:`DegeneracyError`.  Only the budget slack and, in phase 1,
     the artificials have an infinite (upper) bound; a bounded set, or
@@ -381,7 +383,7 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, dirmask, since_refres
     hi_b = [hi[k] for k in basis_l]
 
     stall = 0
-    bland = False
+    rng = None
     for _ in range(_MAX_PIVOTS):
         if since_refresh >= _REFACTOR_EVERY:
             since_refresh = 0
@@ -399,14 +401,15 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, dirmask, since_refres
         j = int(viol.argmax())
         if viol[j] <= dual_tol:
             break
-        if bland:
-            j = int((viol > dual_tol).argmax())  # the first eligible column
         direction = 1.0 if r[j] < 0.0 else -1.0
 
         d = binv @ AT[j]
         step_b = d if direction < 0.0 else -d  # x_B moves by step_b * t
         step_l = step_b.tolist()
-        t_basic, leave = _ratio_test(step_l, xb.tolist(), lo_b, hi_b, basis_l, bland)
+        if stall > _STALL_CAP and rng is None:
+            rng = np.random.default_rng(0)
+        t_basic, leave = _ratio_test(step_l, xb.tolist(), lo_b, hi_b,
+                                     rng if stall > _STALL_CAP else None)
 
         t_own = hi[j] - lo[j]  # own-bound flip distance (inf for the slack)
         t_star = min(t_basic, t_own)
@@ -414,10 +417,6 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, dirmask, since_refres
             raise DegeneracyError("no basic row bounds the entering column's step")
 
         stall = stall + 1 if t_star <= _RATIO_TOL else 0
-        if stall > _STALL_CAP:
-            bland = True
-        elif t_star > _RATIO_TOL:
-            bland = False
 
         if t_own <= t_basic:
             # Bound flip: the entering variable crosses to its other bound.
@@ -487,9 +486,9 @@ def solve_lp(c, poly: Polyhedron, warm: Optional[LpSolution] = None) -> LpSoluti
     the feasible start that :func:`_phase1` computed when ``poly`` was
     constructed.  ``poly`` is only read, so a call without ``warm`` is the
     same whatever was solved before and from whichever thread.  The pivot
-    rule is fixed, so identical inputs produce bitwise-identical
-    solutions.  Such a call does
-    not start from the nominal optimum that :func:`frank_wolfe_min`'s
+    rule is fixed, and a stall's tie-break generator is seeded anew in each
+    call, so identical inputs produce bitwise-identical solutions.  Such a
+    call does not start from the nominal optimum that :func:`frank_wolfe_min`'s
     chains continue: among tied optima the start decides which vertex
     comes back, and the random and CCP bases are built from these vertices
     (starting there cut the learn basis's least pairwise distance by 8%).

@@ -9,7 +9,7 @@ from scipy.optimize import linprog
 import cequil.basis
 from cequil.basis import ccp_select, min_pairwise_distance, random_basis
 from cequil.game import ConvexGame, PlayerSpec, build_traffic_game
-from cequil.polytope import TOL_FEAS, Polyhedron, contains
+from cequil.polytope import TOL_FEAS, InfeasibleError, Polyhedron, contains
 from cequil.regret import BasisSet
 from cequil.tntp import parse_net
 
@@ -134,6 +134,22 @@ class TestCcpSelect:
         assert trace.converged and len(results) == 2
         assert objs == [0.0, 2.0]
         assert np.array_equal(np.stack([basis.joint(k) for k in range(2)]), results[0])
+
+    def test_master_lp_failure_is_the_solvers(self, monkeypatch):
+        # over nonempty boxes the master LP is feasible and bounded, so a
+        # failed solve is HiGHS's: a RuntimeError with its status and
+        # message, not the empty-polyhedron InfeasibleError
+        def failing_linprog(c, **kwargs):
+            res = linprog(c, **kwargs)
+            res.success, res.status, res.message = False, 4, "Numerical difficulties."
+            return res
+
+        monkeypatch.setattr(cequil.basis, "linprog", failing_linprog)
+        game = null_game([Polyhedron.box([0.0, 0.0], [1.0, 1.0])])
+        with pytest.raises(RuntimeError, match=r"master LP failed \(HiGHS status 4\): "
+                                               r"Numerical difficulties\.") as info:
+            ccp_select(game, 2, seed=0)
+        assert not isinstance(info.value, InfeasibleError)
 
     def test_result_dominates_initialization(self):
         game = null_game([Polyhedron.box([0.0] * 2, [1.0] * 2),

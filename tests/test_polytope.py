@@ -11,7 +11,7 @@ from scipy.optimize import linprog
 
 from cequil import polytope
 from cequil.basis import random_basis
-from cequil.game import PlayerSpec, build_traffic_game
+from cequil.game import PlayerSpec, build_traffic_game, demand_vector
 from cequil.polytope import (
     DegeneracyError,
     DimensionMismatch,
@@ -23,7 +23,7 @@ from cequil.polytope import (
     solve_lp,
 )
 from cequil.regret import RegretOracle
-from cequil.tntp import parse_net
+from cequil.tntp import build_incidence, parse_net
 
 DATA = Path(__file__).parent / "data"
 
@@ -616,25 +616,27 @@ def assert_matches_highs(c, *args):
 
 
 @pytest.fixture
-def bland_flags(monkeypatch):
-    """The ``bland`` flag of every ratio test the simplex runs, in order."""
+def stalled_flags(monkeypatch):
+    """Whether each ratio test the simplex runs, in order, got a generator:
+    True exactly when it ran in a stall longer than ``_STALL_CAP``."""
     flags = []
     ratio_test = polytope._ratio_test
 
     def recording(*args):
-        flags.append(args[-1])
+        flags.append(args[-1] is not None)
         return ratio_test(*args)
 
     monkeypatch.setattr(polytope, "_ratio_test", recording)
     return flags
 
 
-def array_ratio_test(step_b, xb, lo_b, hi_b, basis, bland):
+def array_ratio_test(step_b, xb, lo_b, hi_b):
     """The simplex's ratio test as it ran on numpy arrays over every basic
     row, kept as the reference for the Python-float ``_ratio_test``.  The
     leaving row is picked only when ``t_basic`` is finite and below the
     entering variable's own bound distance, so ``t_star`` is ``t_basic``
-    there; the reference returns -1 otherwise."""
+    there; the reference returns -1 otherwise.  Also returns the rows
+    within ``_RATIO_TOL`` of ``t_basic``, among which a stalled run draws."""
     _RATIO_TOL = polytope._RATIO_TOL
     tgt = np.where(step_b > 0.0, hi_b, lo_b)
     small = np.abs(step_b) <= _RATIO_TOL
@@ -644,92 +646,181 @@ def array_ratio_test(step_b, xb, lo_b, hi_b, basis, bland):
 
     t_basic = float(ratios.min(initial=np.inf))
     if not np.isfinite(t_basic):
-        return t_basic, -1
+        return t_basic, -1, []
     t_star = t_basic
 
     cand = np.flatnonzero(ratios <= t_star + _RATIO_TOL)
-    if bland:
-        leave = int(cand[np.argmin(basis[cand])])
-    else:
-        leave = int(cand[np.argmax(np.abs(step_b[cand]))])
-    return t_basic, leave
+    leave = int(cand[np.argmax(np.abs(step_b[cand]))])
+    return t_basic, leave, cand.tolist()
+
+
+def random_ratio_rows(rng):
+    """Random ratio-test rows: bounds with fixed and infinite entries, values
+    on, inside and just past them, and steps at, inside and outside the
+    tolerance, with ties in ``|step|``."""
+    tol = polytope._RATIO_TOL
+    m = int(rng.integers(1, 30))
+    lo = rng.uniform(-5.0, 0.0, m)
+    hi = lo + np.where(rng.uniform(size=m) < 0.15, 0.0, rng.uniform(0.0, 5.0, m))
+    pick = rng.uniform(size=m)
+    xb = np.where(pick < 0.2, lo, np.where(pick > 0.8, hi,  # on a bound
+                                           lo + (hi - lo) * rng.uniform(size=m)))
+    xb = xb + np.where(rng.uniform(size=m) < 0.05, rng.normal(scale=1e-12, size=m), 0.0)
+    lo[rng.uniform(size=m) < 0.15] = -np.inf
+    hi[rng.uniform(size=m) < 0.15] = np.inf
+    step = rng.normal(size=m) * 10.0 ** rng.uniform(-12.0, 1.0, m)
+    kind = rng.integers(0, 8, size=m)
+    step = np.where(kind == 0, 0.0, step)
+    step = np.where(kind == 1, rng.choice([-1.0, 1.0], m) * tol, step)
+    step = np.where(kind == 2, rng.choice([-1.0, 1.0], m) * np.nextafter(tol, 1.0), step)
+    step = np.where(kind == 3, rng.choice([-1.0, 1.0], m) * 0.5, step)  # ties in |step|
+    return step, xb, lo, hi
+
+
+def degenerate_ratio_rows():
+    """Hand-made ratio-test rows ``(step, xb, lo, hi)`` at the edges of the
+    clamp, the tolerance and the tie window."""
+    tol = polytope._RATIO_TOL
+    inf = np.inf
+    return [
+        # on its lower bound, moving down: the ratio is -0.0 before the clamp
+        ([-1.0], [0.0], [0.0], [1.0]),
+        ([2.0, -1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0]),
+        ([-1.0, 2.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]),
+        # slightly past a bound: a negative ratio clamps to zero
+        ([-1.0, 1.0], [-1e-13, 0.5], [0.0, 0.0], [1.0, 1.0]),
+        # steps at, inside and just outside the tolerance
+        ([0.0, tol, -tol, 0.5 * tol, np.nextafter(tol, 1.0), -np.nextafter(tol, 1.0)],
+         [0.5] * 6, [0.0] * 6, [1.0] * 6),
+        ([0.0, tol, -tol], [0.5] * 3, [0.0] * 3, [1.0] * 3),
+        # every moving row heads for an infinite bound
+        ([1.0, -1.0, 0.0], [0.0, 0.0, 0.0], [0.0, -inf, 0.0], [inf, 0.0, 1.0]),
+        ([1.0, -2.0], [3.0, -1.0], [-inf, -inf], [inf, inf]),
+        # ties in |step| among degenerate rows: the first row
+        ([1.0, -1.0, 1.0, -1.0], [1.0, 0.0, 1.0, 0.0], [0.0] * 4, [1.0] * 4),
+        ([-1.0, 1.0, -1.0], [0.0, 1.0, 0.0], [0.0] * 3, [1.0, 1.0, 2.0]),
+        # ratios within the tolerance of the least tie as candidates
+        ([1.0, 2.0, 4.0], [1.0 - 0.5 * tol, 1.0, 1.0 - 4.0 * tol], [0.0] * 3, [1.0] * 3),
+        # fixed rows (lo == hi) and a mix of everything
+        ([1.0, -1.0, 1e-11, 3.0], [0.0, 0.0, 0.0, 2.0], [0.0, 0.0, 0.0, -inf],
+         [0.0, 0.0, 0.0, inf]),
+    ]
 
 
 class TestRatioTest:
     # _ratio_test must pick the same t_basic, to the byte, and the same
-    # leaving row as the array form it replaced
+    # leaving row as the array form it replaced; given a generator (a
+    # stalled run) it draws the leaving row uniformly among the tied rows
 
     @staticmethod
-    def assert_matches(step, xb, lo, hi, basis):
+    def assert_matches(step, xb, lo, hi):
         args = [np.asarray(a, dtype=float) for a in (step, xb, lo, hi)]
-        basis = np.asarray(basis)
-        for bland in (False, True):
-            want = array_ratio_test(*args, basis, bland)
-            got = polytope._ratio_test(*(a.tolist() for a in args), basis.tolist(), bland)
-            assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
-            assert got[1] == want[1]
+        want = array_ratio_test(*args)
+        got = polytope._ratio_test(*(a.tolist() for a in args), None)
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert got[1] == want[1]
+
+    @staticmethod
+    def assert_draws_among_ties(step, xb, lo, hi, rng):
+        """One draw: the same ``t_basic`` to the byte, and a row within the
+        tie window.  Returns the drawn row and the tied rows."""
+        args = [np.asarray(a, dtype=float) for a in (step, xb, lo, hi)]
+        t_want, _, tied = array_ratio_test(*args)
+        t_basic, leave = polytope._ratio_test(*(a.tolist() for a in args), rng)
+        assert np.float64(t_basic).tobytes() == np.float64(t_want).tobytes()
+        assert leave in tied if tied else leave == -1
+        return leave, tied
 
     def test_random_rows(self):
         rng = np.random.default_rng(12)
-        tol = polytope._RATIO_TOL
         for _ in range(3000):
-            m = int(rng.integers(1, 30))
-            basis = rng.permutation(m + int(rng.integers(0, 40)))[:m]
-            lo = rng.uniform(-5.0, 0.0, m)
-            hi = lo + np.where(rng.uniform(size=m) < 0.15, 0.0, rng.uniform(0.0, 5.0, m))
-            pick = rng.uniform(size=m)
-            xb = np.where(pick < 0.2, lo, np.where(pick > 0.8, hi,  # on a bound
-                                                   lo + (hi - lo) * rng.uniform(size=m)))
-            xb = xb + np.where(rng.uniform(size=m) < 0.05, rng.normal(scale=1e-12, size=m), 0.0)
-            lo[rng.uniform(size=m) < 0.15] = -np.inf
-            hi[rng.uniform(size=m) < 0.15] = np.inf
-            step = rng.normal(size=m) * 10.0 ** rng.uniform(-12.0, 1.0, m)
-            kind = rng.integers(0, 8, size=m)
-            step = np.where(kind == 0, 0.0, step)
-            step = np.where(kind == 1, rng.choice([-1.0, 1.0], m) * tol, step)
-            step = np.where(kind == 2, rng.choice([-1.0, 1.0], m) * np.nextafter(tol, 1.0), step)
-            step = np.where(kind == 3, rng.choice([-1.0, 1.0], m) * 0.5, step)  # ties in |step|
-            self.assert_matches(step, xb, lo, hi, basis)
+            self.assert_matches(*random_ratio_rows(rng))
 
     def test_degenerate_rows(self):
-        tol = polytope._RATIO_TOL
-        inf = np.inf
-        cases = [
-            # on its lower bound, moving down: the ratio is -0.0 before the clamp
-            ([-1.0], [0.0], [0.0], [1.0], [4]),
-            ([2.0, -1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [7, 3]),
-            ([-1.0, 2.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0], [7, 3]),
-            # slightly past a bound: a negative ratio clamps to zero
-            ([-1.0, 1.0], [-1e-13, 0.5], [0.0, 0.0], [1.0, 1.0], [0, 1]),
-            # steps at, inside and just outside the tolerance
-            ([0.0, tol, -tol, 0.5 * tol, np.nextafter(tol, 1.0), -np.nextafter(tol, 1.0)],
-             [0.5] * 6, [0.0] * 6, [1.0] * 6, [5, 4, 3, 2, 1, 0]),
-            ([0.0, tol, -tol], [0.5] * 3, [0.0] * 3, [1.0] * 3, [0, 1, 2]),
-            # every moving row heads for an infinite bound
-            ([1.0, -1.0, 0.0], [0.0, 0.0, 0.0], [0.0, -inf, 0.0], [inf, 0.0, 1.0], [0, 1, 2]),
-            ([1.0, -2.0], [3.0, -1.0], [-inf, -inf], [inf, inf], [1, 0]),
-            # ties in |step| among degenerate rows: first row, or least column
-            ([1.0, -1.0, 1.0, -1.0], [1.0, 0.0, 1.0, 0.0], [0.0] * 4, [1.0] * 4, [9, 2, 5, 1]),
-            ([-1.0, 1.0, -1.0], [0.0, 1.0, 0.0], [0.0] * 3, [1.0, 1.0, 2.0], [3, 8, 6]),
-            # ratios within the tolerance of the least tie as candidates
-            ([1.0, 2.0, 4.0], [1.0 - 0.5 * tol, 1.0, 1.0 - 4.0 * tol], [0.0] * 3, [1.0] * 3,
-             [0, 1, 2]),
-            # fixed rows (lo == hi) and a mix of everything
-            ([1.0, -1.0, 1e-11, 3.0], [0.0, 0.0, 0.0, 2.0], [0.0, 0.0, 0.0, -inf],
-             [0.0, 0.0, 0.0, inf], [10, 11, 12, 0]),
-        ]
-        for case in cases:
+        for case in degenerate_ratio_rows():
             self.assert_matches(*case)
+
+    def test_stalled_draw_stays_in_the_tie_window(self):
+        rows = np.random.default_rng(12)
+        draws = np.random.default_rng(0)
+        for _ in range(3000):
+            self.assert_draws_among_ties(*random_ratio_rows(rows), draws)
+        for case in degenerate_ratio_rows():
+            self.assert_draws_among_ties(*case, draws)
+
+    def test_stalled_draw_reaches_every_tied_row(self):
+        # five rows at ratio 0 (two within the tolerance above it), one
+        # beyond the window, one at rest: every tied row comes back, each
+        # about a fifth of the time, and no other
+        tol = polytope._RATIO_TOL
+        case = ([1.0, -2.0, 2.0, 1.0, 4.0, 1.0, 0.0],
+                [1.0, 0.0, 1.0 - 0.5 * tol, 1.0, 1.0 - 3.0 * tol, 0.5, 0.5],
+                [0.0] * 7, [1.0] * 7)
+        rng = np.random.default_rng(0)
+        counts = np.zeros(7, dtype=int)
+        for _ in range(1000):
+            leave, tied = self.assert_draws_among_ties(*case, rng)
+            counts[leave] += 1
+        assert tied == [0, 1, 2, 3, 4]
+        assert (counts[:5] > 150).all() and counts[5:].sum() == 0
+
+
+def degenerate_sweep_lp(m, s):
+    """``min c.x`` over ``{Ax = 0, 0 <= x <= 1}`` with ``A`` in {-1, 0, 1}
+    of shape ``(m, 2.5 m)``, drawn with ``c`` from ``default_rng(1000 m +
+    s)``: phase 1 starts at ``x = 0`` with every artificial at zero, so its
+    pivots are degenerate."""
+    rng = np.random.default_rng(1000 * m + s)
+    n = int(2.5 * m)
+    A = rng.integers(-1, 2, (m, n)).astype(float)
+    return rng.normal(size=n), A, np.zeros(m), np.zeros(n), np.ones(n)
+
+
+def second_seed_100_lp():
+    """The sweep's construction at 100 rows, the second LP drawn from
+    ``default_rng(100)``."""
+    rng = np.random.default_rng(100)
+    rng.integers(-1, 2, (100, 250))
+    rng.normal(size=250)
+    A = rng.integers(-1, 2, (100, 250)).astype(float)
+    return rng.normal(size=250), A, np.zeros(100), np.zeros(250), np.ones(250)
+
+
+def grid_network(k, rng):
+    """TNTP text of a k x k grid, parsed: links both ways between
+    neighbours, node ``r k + q + 1`` at row ``r``, column ``q``, capacity
+    1000, 2000 or 3000, free-flow time 1 to 6, BPR b 0.15 and power 4."""
+    pairs = []
+    for r in range(k):
+        for q in range(k):
+            u = r * k + q + 1
+            if q + 1 < k:
+                pairs += [(u, u + 1), (u + 1, u)]
+            if r + 1 < k:
+                pairs += [(u, u + k), (u + k, u)]
+    caps = rng.integers(1, 4, len(pairs)) * 1000
+    fft = rng.integers(1, 7, len(pairs))
+    rows = "".join(f"{u} {v} {cap} 1 {t} 0.15 4 0 0 1 ;\n"
+                   for (u, v), cap, t in zip(pairs, caps, fft))
+    return parse_net(f"<NUMBER OF NODES> {k * k}\n<NUMBER OF LINKS> {len(pairs)}\n"
+                     f"<END OF METADATA>\n{rows}")
+
+
+KUHN = (np.array([-2.0, -3.0, 1.0, 12.0, 0.0, 0.0, 0.0]),
+        np.array([[-2.0, -9.0, 1.0, 9.0, 1.0, 0.0, 0.0],
+                  [1.0 / 3.0, 1.0, -1.0 / 3.0, -2.0, 0.0, 1.0, 0.0],
+                  [2.0, 3.0, -1.0, -12.0, 0.0, 0.0, 1.0]]),
+        np.array([0.0, 0.0, 2.0]), np.zeros(7), np.array([10.0] * 4 + [1e3] * 3))
 
 
 class TestSimplexPaths:
-    # Bland's rule, the periodic refactorization, the pivot cap and the
-    # exit for a step no row bounds, none of which the Sioux Falls
-    # polytopes reach
+    # The stalled rule (ratio-test ties drawn at random), the periodic
+    # refactorization, the pivot cap and the exit for a step no row bounds,
+    # none of which the Sioux Falls polytopes reach
 
-    def test_bland_rule_on_degenerate_lps(self, monkeypatch):
-        # a negative cap puts each phase on Bland's rule after its first
-        # pivot, which is Dantzig's
+    def test_stalled_rule_on_degenerate_lps(self, monkeypatch, stalled_flags):
+        # a negative cap draws every ratio-test tie at random, from each
+        # phase's first pivot on
         monkeypatch.setattr(polytope, "_STALL_CAP", -1)
         rng = np.random.default_rng(1)
         for _ in range(200):
@@ -739,13 +830,14 @@ class TestSimplexPaths:
             hi = np.where(rng.uniform(size=n) < 0.5, 10.0, 3.0)
             c = rng.integers(-3, 4, size=n).astype(float)
             assert assert_matches_highs(c, A, A @ x0, np.zeros(n), hi) is not None
+        assert stalled_flags and all(stalled_flags)
 
     @pytest.mark.parametrize("stall_cap", [-1, polytope._STALL_CAP])
-    def test_beale_cycling_example(self, monkeypatch, bland_flags, stall_cap):
+    def test_beale_cycling_example(self, monkeypatch, stalled_flags, stall_cap):
         # Beale (1955): Dantzig pricing with a naive leaving rule cycles
         # here; the optimum (1/25, 0, 1, 0, 3/100, 0, 0) lies in the unit box.
         # At the production cap no stall outlasts it, so this case covers
-        # Dantzig's rule alone.
+        # Dantzig's rule alone, and at -1 the stalled rule alone.
         monkeypatch.setattr(polytope, "_STALL_CAP", stall_cap)
         A = np.array([[0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
                       [0.5, -90.0, -1.0 / 50.0, 3.0, 0.0, 1.0, 0.0],
@@ -753,33 +845,68 @@ class TestSimplexPaths:
         c = np.array([-0.75, 150.0, -1.0 / 50.0, 6.0, 0.0, 0.0, 0.0])
         P = assert_matches_highs(c, A, np.array([0.0, 0.0, 1.0]), np.zeros(7), np.ones(7))
         assert solve_lp(c, P).objective == pytest.approx(-0.05, abs=1e-12)
-        assert any(bland_flags) == (stall_cap < 0)
+        assert any(stalled_flags) == (stall_cap < 0)
 
-    def test_anti_cycling_switch_at_the_production_cap(self, bland_flags):
-        # Ax = 0 over the unit box: phase 1 starts at x = 0 with every
-        # artificial at zero, so its pivots are degenerate.  It ran 3896
-        # ratio tests, 3845 of them under Bland's rule (Dantzig's rule alone
-        # takes 60), and phase 2 then found -11.573081958656987 where HiGHS
-        # finds -11.57308195865717.
+    def test_kuhn_cycling_example(self, stalled_flags):
+        # Kuhn's cycling example, with boxes on x and the slacks.  In phase
+        # 1, Dantzig's rule with the largest-|step| leaving row cycles on
+        # degenerate vertices.  At the production cap the stall outlasts it
+        # after 51 ratio tests, 3 draw their leaving row at random, and
+        # phase 1 ends after 54; phase 2 reaches HiGHS's optimum -2 in one.
+        P = assert_matches_highs(*KUHN)
+        assert solve_lp(KUHN[0], P).objective == pytest.approx(-2.0, abs=1e-12)
+        assert any(stalled_flags)
+
+    def test_kuhn_cycling_example_cycles_under_dantzig_alone(self, monkeypatch):
+        # with the stalled rule out of reach the same phase 1 never ends
+        monkeypatch.setattr(polytope, "_MAX_PIVOTS", 2000)
+        monkeypatch.setattr(polytope, "_STALL_CAP", polytope._MAX_PIVOTS)
+        with pytest.raises(DegeneracyError, match="not optimal after 2000 pivots"):
+            Polyhedron(*KUHN[1:])
+
+    def test_anti_cycling_switch_at_the_production_cap(self, stalled_flags):
+        # Ax = 0 over the unit box at 60 rows, drawn from seed 60: phase 1
+        # starts at x = 0 with every artificial at zero, so its pivots are
+        # degenerate.  It runs 156 ratio tests, 105 of them stalled, and
+        # phase 2 then finds -11.573081958656998 where HiGHS finds
+        # -11.57308195865717.
         rng = np.random.default_rng(60)
         A = rng.integers(-1, 2, (60, 150)).astype(float)
         assert assert_matches_highs(rng.normal(size=150), A, np.zeros(60), np.zeros(150),
                                     np.ones(150)) is not None
-        assert any(bland_flags)
+        assert any(stalled_flags)
 
-    @pytest.mark.xfail(strict=True, raises=DegeneracyError,
-                       reason="Bland's smallest-index leaving rule evicts structural columns "
-                              "before the artificials and never finishes phase 1")
-    def test_bland_rule_finishes_a_degenerate_phase_1(self):
-        # the test above at 100 rows, on the second polytope of the stream:
-        # it contains x = 0, yet phase 1 runs out of pivots, 49949 of its
-        # 50000 under Bland's rule, where Dantzig's rule alone takes 100
-        rng = np.random.default_rng(100)
-        rng.integers(-1, 2, (100, 250))
-        rng.normal(size=250)
-        A = rng.integers(-1, 2, (100, 250)).astype(float)
-        assert assert_matches_highs(rng.normal(size=250), A, np.zeros(100), np.zeros(250),
-                                    np.ones(250)) is not None
+    @pytest.mark.parametrize("lp", [
+        pytest.param(lambda: degenerate_sweep_lp(100, 3), id="m100-s3"),
+        pytest.param(lambda: degenerate_sweep_lp(100, 6), id="m100-s6"),
+        pytest.param(lambda: degenerate_sweep_lp(150, 0), id="m150-s0"),
+        pytest.param(lambda: degenerate_sweep_lp(150, 1), id="m150-s1"),
+        pytest.param(second_seed_100_lp, id="seed100"),
+    ])
+    def test_stalled_rule_finishes_degenerate_lps(self, stalled_flags, lp):
+        # each of these polytopes contains x = 0, yet a smallest-index
+        # leaving rule in the stall (Bland's) ran phase 1 out of pivots: it
+        # evicts structural columns before the artificials.  With ties
+        # drawn at random, both phases together run 500 to 1600 ratio tests.
+        assert assert_matches_highs(*lp()) is not None
+        assert any(stalled_flags) and len(stalled_flags) <= 5000
+
+    def test_stalled_rule_on_a_traffic_grid(self, stalled_flags):
+        # the flow polytopes of a 10 x 10 grid are degenerate enough that
+        # stalls outlast the cap inside build_traffic_game (59 stalled
+        # ratio tests of about 1000; Sioux Falls runs none); every nominal
+        # cost is still HiGHS's to the bit
+        net = grid_network(10, np.random.default_rng(10))
+        players = [PlayerSpec(1, 100, 1500.0), PlayerSpec(10, 91, 1500.0),
+                   PlayerSpec(50, 1, 1000.0)]
+        game = build_traffic_game(net, players)
+        assert any(stalled_flags)
+        bounds = np.column_stack([np.zeros(net.num_links), net.capacities()])
+        for spec, delta in zip(players, game.deltas):
+            ref = linprog(net.free_flow_times(), A_eq=build_incidence(net),
+                          b_eq=demand_vector(spec, net.num_nodes), bounds=bounds,
+                          method="highs")
+            assert ref.status == 0 and delta == ref.fun
 
     def test_refactorization_on_a_long_solve(self, monkeypatch):
         # each phase needs more than 100 pivots on these 60 rows
