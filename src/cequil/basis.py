@@ -50,15 +50,16 @@ class CcpTrace:
 
 
 def min_pairwise_distance(basis: BasisSet) -> float:
-    """Smallest l1 difference over all pairs of joint actions."""
+    """Smallest l1 difference over all pairs of joint actions; raises
+    ``ValueError`` when any pair's difference is not finite."""
     if basis.size < 2:
         raise ValueError("need at least two joint actions")
-    joints = [basis.joint(k) for k in range(basis.size)]
-    best = np.inf
-    for p in range(len(joints)):
-        for q in range(p + 1, len(joints)):
-            best = min(best, float(np.abs(joints[p] - joints[q]).sum()))
-    return best
+    X = np.stack([basis.joint(k) for k in range(basis.size)])
+    p, q = np.triu_indices(basis.size, 1)
+    dist = np.abs(X[p] - X[q]).sum(axis=1)
+    if not np.isfinite(dist).all():
+        raise ValueError("a pairwise distance is not finite")
+    return float(dist.min())
 
 
 def random_basis(game, N: int, seed: int) -> BasisSet:

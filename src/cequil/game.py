@@ -255,29 +255,36 @@ def player_cost_gradient(i: int, x_i, x_minus_i, game: TrafficGame) -> np.ndarra
     return (ell + bump) / game.deltas[i]
 
 
-def _bpr_law(net: NetworkData):
-    """The file's per-link BPR coefficients ``b`` and the power all links
-    share, which must be a positive integer."""
-    nu = net.links[0].power if net.links else 1.0
-    for rec in net.links:
-        link = f"link {rec.init_node}->{rec.term_node}"
-        if not (rec.power >= 1 and float(rec.power).is_integer()):
-            raise GameError(f"{link}: BPR power {rec.power!r} is not a positive integer")
-        if rec.power != nu:
-            raise GameError(f"{link}: BPR power {rec.power!r} differs from the first "
+def _bpr_power(net: NetworkData) -> int:
+    """The BPR power all links share, after checking that it is a positive
+    integer and that no link's coefficient ``b`` is negative."""
+    power = net.power
+    nu = float(power[0]) if net.num_links else 1.0
+    integral = (power >= 1) & (power == np.floor(power))
+    bad = ~integral | (power != nu) | (net.b < 0)
+    if bad.any():
+        # the first link at fault, named by its first failed check
+        k = int(np.argmax(bad))
+        link = f"link {net.init_node[k]}->{net.term_node[k]}"
+        if not integral[k]:
+            raise GameError(f"{link}: BPR power {float(power[k])!r} is not a positive integer")
+        if power[k] != nu:
+            raise GameError(f"{link}: BPR power {float(power[k])!r} differs from the first "
                             f"link's {nu!r}")
-        if rec.b < 0:
-            raise GameError(f"{link}: negative BPR coefficient b {rec.b!r}")
-    return np.array([rec.b for rec in net.links]), int(nu)
+        raise GameError(f"{link}: negative BPR coefficient b {float(net.b[k])!r}")
+    return int(nu)
 
 
 def build_traffic_game(net: NetworkData, players: Sequence[PlayerSpec]) -> TrafficGame:
     """Assemble the game: per-player flow polytopes, nominal costs, budgets.
 
-    The BPR law is the file's: each link's ``b`` and the ``power`` all links
-    share (:class:`GameError` otherwise).  The nominal cost ``delta_i`` is
-    the fft-weighted minimum-cost routing of the player's demand ignoring
-    the budget row; the budget row then caps nominal spend at
+    The game reads the network's arrays as they are: ``free_flow_time`` is
+    its ``fft``, ``capacity`` its ``nominal_volume`` and every player's
+    upper bounds, and ``b`` its ``lam``.  The BPR ``power`` all links share
+    must be a positive integer and no ``b`` may be negative
+    (:class:`GameError` otherwise).  The nominal cost ``delta_i`` is the
+    fft-weighted minimum-cost routing of the player's demand ignoring the
+    budget row; the budget row then caps nominal spend at
     ``budget_factor * delta_i``.  Nodes numbered below the file's
     ``<FIRST THRU NODE>`` are zones, which flow may not pass through: in
     both of a player's polytopes, every link leaving a zone other than the
@@ -285,25 +292,24 @@ def build_traffic_game(net: NetworkData, players: Sequence[PlayerSpec]) -> Traff
     leaves the unbudgeted polytope empty and raises
     :class:`InfeasibleDemand`.
     """
-    lam, nu = _bpr_law(net)
+    nu = _bpr_power(net)
     E = build_incidence(net)
-    caps = net.capacities()
-    a = net.free_flow_times()
-    tails = np.array([rec.init_node for rec in net.links])
+    tails, fft = net.init_node, net.free_flow_time
     deltas, sets = [], []
     for i, spec in enumerate(players):
         s_i = demand_vector(spec, net.num_nodes)
-        upper = np.where((tails < net.first_thru_node) & (tails != spec.origin), 0.0, caps)
+        upper = np.where((tails < net.first_thru_node) & (tails != spec.origin), 0.0,
+                         net.capacity)
         try:
             free = Polyhedron(E, s_i, np.zeros(net.num_links), upper)
         except InfeasibleError as exc:
             raise InfeasibleDemand(
                 f"player {i}: demand {spec.demand} from {spec.origin} to "
                 f"{spec.destination} is not routable") from exc
-        delta = solve_lp(a, free).objective
+        delta = solve_lp(fft, free).objective
         if delta <= 0:
             raise InfeasibleDemand(f"player {i}: nominal cost is not positive")
         deltas.append(delta)
-        sets.append(Polyhedron(E, s_i, np.zeros(net.num_links), upper, a,
+        sets.append(Polyhedron(E, s_i, np.zeros(net.num_links), upper, fft,
                                spec.budget_factor * delta))
-    return TrafficGame(players, a, caps, lam, nu, deltas, sets)
+    return TrafficGame(players, fft, net.capacity, net.b, nu, deltas, sets)

@@ -1,128 +1,113 @@
-"""Parser for TNTP-format network files.
+"""TNTP network files, read into per-link arrays.
 
 The format is the plain-text convention used by the Transportation Networks
 for Research repository: metadata lines ``<TAG> value``, an
 ``<END OF METADATA>`` sentinel, ``~``-prefixed comment lines, then one
-whitespace-separated row per link terminated by ``;`` with fields
-(init_node, term_node, capacity, length, free_flow_time, b, power, speed,
-toll, link_type).
+whitespace-separated row per link terminated by ``;`` with ten numeric
+fields (init_node, term_node, capacity, length, free_flow_time, b, power,
+speed, toll, link_type).
 
-Node ids are 1-based in files; :func:`build_incidence` converts to 0-based
-array indexing at this module's boundary.
+:func:`parse_net` checks every row and keeps the six columns the game reads
+as a :class:`NetworkData`; length, speed, toll and link type are checked
+and dropped.  Every problem raises :class:`TntpError`, whose message names
+the line and column or the link at fault.  Node ids are 1-based in files;
+:func:`build_incidence` converts to 0-based array indexing at this module's
+boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
 
 __all__ = [
-    "LinkRecord",
     "NetworkData",
     "TntpError",
-    "MissingMetadata",
-    "RowArity",
-    "CountMismatch",
-    "NonNumericField",
     "parse_net",
     "build_incidence",
 ]
 
 
 class TntpError(ValueError):
-    """Base class for TNTP parsing problems."""
+    """A malformed TNTP file or an invalid network."""
 
 
-class MissingMetadata(TntpError):
-    def __init__(self, tag: str):
-        super().__init__(f"missing metadata tag <{tag}>")
-        self.tag = tag
-
-
-class RowArity(TntpError):
-    def __init__(self, line_number: int, got: int):
-        super().__init__(f"line {line_number}: expected 10 link fields, got {got}")
-        self.line_number = line_number
-
-
-class CountMismatch(TntpError):
-    def __init__(self, declared: int, parsed: int):
-        super().__init__(f"metadata declares {declared} links but file has {parsed}")
-        self.declared = declared
-        self.parsed = parsed
-
-
-class NonNumericField(TntpError):
-    def __init__(self, line_number: int, column: int, token: str):
-        super().__init__(f"line {line_number}, column {column}: non-numeric field {token!r}")
-        self.line_number = line_number
-        self.column = column
-
-
-@dataclass(frozen=True)
-class LinkRecord:
-    """One directed link row; node ids are 1-based as in the file."""
-
-    init_node: int
-    term_node: int
-    capacity: float
-    length: float
-    free_flow_time: float
-    b: float
-    power: float
-    speed: float
-    toll: float
-    link_type: float
-
-    def __post_init__(self):
-        if self.capacity <= 0:
-            raise TntpError(f"link {self.init_node}->{self.term_node}: capacity must be positive")
-        if self.free_flow_time < 0:
-            raise TntpError(f"link {self.init_node}->{self.term_node}: negative free-flow time")
-        if self.init_node == self.term_node:
-            raise TntpError(f"self-loop at node {self.init_node}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkData:
+    """A directed network as read-only per-link arrays in file order.
+
+    ``init_node`` and ``term_node`` are the 1-based tail and head of each
+    link, as ints; ``capacity``, ``free_flow_time`` and the BPR columns
+    ``b`` and ``power`` are floats.  Nodes numbered below
+    ``first_thru_node`` are zones.  Construction checks what every link
+    must satisfy, so a network built directly is checked like a parsed one:
+    the columns are 1-D and equally long, node ids are integral and in
+    ``[1, num_nodes]``, no link is a self-loop, capacities are positive,
+    free-flow times nonnegative, and ``first_thru_node`` is at least 1.
+    A violation raises :class:`TntpError`.
+    """
+
     num_nodes: int
-    num_links: int
     first_thru_node: int
-    links: List[LinkRecord]
-    metadata: Dict[str, str] = field(default_factory=dict)
+    init_node: np.ndarray
+    term_node: np.ndarray
+    capacity: np.ndarray
+    free_flow_time: np.ndarray
+    b: np.ndarray
+    power: np.ndarray
 
     def __post_init__(self):
-        if len(self.links) != self.num_links:
-            raise CountMismatch(self.num_links, len(self.links))
         if self.first_thru_node < 1:
             raise TntpError(f"<FIRST THRU NODE> must be at least 1, got {self.first_thru_node}")
-        for rec in self.links:
-            for node in (rec.init_node, rec.term_node):
-                if not 1 <= node <= self.num_nodes:
-                    raise TntpError(f"node id {node} outside [1, {self.num_nodes}]")
+        names = ("init_node", "term_node", "capacity", "free_flow_time", "b", "power")
+        cols = {name: np.array(getattr(self, name), dtype=float) for name in names}
+        if len({col.shape for col in cols.values()}) != 1 or cols["b"].ndim != 1:
+            raise TntpError("link columns must be 1-D and of equal length")
+        ends = np.column_stack([cols["init_node"], cols["term_node"]]).ravel()
+        fractional = ~np.isfinite(ends) | (ends != np.floor(ends))
+        if fractional.any():
+            raise TntpError(f"non-integer node id {float(ends[fractional][0])!r}")
+        outside = (ends < 1) | (ends > self.num_nodes)
+        if outside.any():
+            raise TntpError(f"node id {int(ends[outside][0])} outside [1, {self.num_nodes}]")
+        for name in ("init_node", "term_node"):
+            cols[name] = cols[name].astype(int)
+        tail, head = cols["init_node"], cols["term_node"]
+        # the first link at fault, named by its first failed check
+        bad = ~(cols["capacity"] > 0) | (cols["free_flow_time"] < 0) | (tail == head)
+        if bad.any():
+            k = int(np.argmax(bad))
+            link = f"link {tail[k]}->{head[k]}"
+            if not cols["capacity"][k] > 0:
+                raise TntpError(f"{link}: capacity must be positive")
+            if cols["free_flow_time"][k] < 0:
+                raise TntpError(f"{link}: negative free-flow time")
+            raise TntpError(f"self-loop at node {tail[k]}")
+        for name, col in cols.items():
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
 
-    def capacities(self) -> np.ndarray:
-        return np.array([rec.capacity for rec in self.links])
-
-    def free_flow_times(self) -> np.ndarray:
-        return np.array([rec.free_flow_time for rec in self.links])
+    @property
+    def num_links(self) -> int:
+        return self.init_node.size
 
 
-_FIELDS = ("init_node", "term_node", "capacity", "length", "free_flow_time",
-           "b", "power", "speed", "toll", "link_type")
+_NUM_FIELDS = 10
 
 
 def parse_net(text: str) -> NetworkData:
     """Parse TNTP network text into :class:`NetworkData`.
 
     Tolerates blank lines, ``~`` comments anywhere, and arbitrary
-    whitespace.  Unknown metadata tags are preserved in
-    ``NetworkData.metadata`` but otherwise ignored.
+    whitespace.  Metadata tags match case-insensitively and the first of
+    repeated tags wins; tags other than the node and link counts and
+    ``<FIRST THRU NODE>`` (1 when absent) are ignored.  Every row must
+    carry ten finite numbers, the first two integral.
     """
     metadata: Dict[str, str] = {}
-    rows: List[LinkRecord] = []
+    rows: List[List[float]] = []
     in_body = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("~", 1)[0].strip()
@@ -132,47 +117,49 @@ def parse_net(text: str) -> NetworkData:
             end = line.find(">")
             if end < 0:
                 raise TntpError(f"line {lineno}: unterminated metadata tag")
-            tag = line[1:end].strip()
-            value = line[end + 1:].strip()
-            if tag.upper() == "END OF METADATA":
+            tag = line[1:end].strip().upper()
+            if tag == "END OF METADATA":
                 in_body = True
             else:
-                metadata[tag] = value
+                metadata.setdefault(tag, line[end + 1:].strip())
             continue
         tokens = line.rstrip(";").split()
         if not tokens:
             continue
-        if len(tokens) != len(_FIELDS):
-            raise RowArity(lineno, len(tokens))
+        if len(tokens) != _NUM_FIELDS:
+            raise TntpError(f"line {lineno}: expected {_NUM_FIELDS} link fields, "
+                            f"got {len(tokens)}")
         values = []
         for col, tok in enumerate(tokens, start=1):
             try:
                 value = float(tok)
             except ValueError:
-                raise NonNumericField(lineno, col, tok) from None
+                raise TntpError(f"line {lineno}, column {col}: non-numeric field {tok!r}") from None
             if not np.isfinite(value):
                 raise TntpError(f"line {lineno}, column {col}: non-finite field {tok!r}")
             if col <= 2 and not value.is_integer():
                 raise TntpError(f"line {lineno}, column {col}: non-integer node id {tok!r}")
             values.append(value)
-        rows.append(LinkRecord(int(values[0]), int(values[1]), *values[2:]))
+        rows.append(values)
 
-    def _require_int(tag: str) -> int:
-        for key, val in metadata.items():
-            if key.upper() == tag:
-                try:
-                    return int(val)
-                except ValueError:
-                    raise TntpError(f"metadata <{tag}> is not an integer: {val!r}") from None
-        raise MissingMetadata(tag)
+    def _metadata_int(tag: str, default=None) -> int:
+        val = metadata.get(tag, default)
+        if val is None:
+            raise TntpError(f"missing metadata tag <{tag}>")
+        try:
+            return int(val)
+        except ValueError:
+            raise TntpError(f"metadata <{tag}> is not an integer: {val!r}") from None
 
-    num_nodes = _require_int("NUMBER OF NODES")
-    num_links = _require_int("NUMBER OF LINKS")
-    try:
-        first_thru = _require_int("FIRST THRU NODE")
-    except MissingMetadata:
-        first_thru = 1
-    return NetworkData(num_nodes, num_links, first_thru, rows, metadata)
+    num_nodes = _metadata_int("NUMBER OF NODES")
+    num_links = _metadata_int("NUMBER OF LINKS")
+    if num_links != len(rows):
+        raise TntpError(f"metadata declares {num_links} links but file has {len(rows)}")
+    first_thru = _metadata_int("FIRST THRU NODE", "1")
+    # columns: init, term, capacity, length, fft, b, power, speed, toll, type
+    cols = np.array(rows, dtype=float).reshape(-1, _NUM_FIELDS).T
+    return NetworkData(num_nodes, first_thru, cols[0], cols[1], cols[2], cols[4],
+                       cols[5], cols[6])
 
 
 def build_incidence(net: NetworkData) -> np.ndarray:
@@ -182,7 +169,7 @@ def build_incidence(net: NetworkData) -> np.ndarray:
     so every column sums to zero.
     """
     E = np.zeros((net.num_nodes, net.num_links))
-    for k, rec in enumerate(net.links):
-        E[rec.init_node - 1, k] = 1.0
-        E[rec.term_node - 1, k] = -1.0
+    links = np.arange(net.num_links)
+    E[net.init_node - 1, links] = 1.0
+    E[net.term_node - 1, links] = -1.0
     return E

@@ -55,6 +55,13 @@ class TestMinPairwiseDistance:
         with pytest.raises(ValueError):
             min_pairwise_distance(BasisSet([[np.array([0.0])]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_distance_raises(self, bad):
+        # min() over floats kept 5.0 here: a comparison with nan is False
+        b = BasisSet([[np.array([0.0, 1.0])], [np.array([bad, 1.0])], [np.array([5.0, 1.0])]])
+        with pytest.raises(ValueError, match="pairwise distance is not finite"):
+            min_pairwise_distance(b)
+
 
 class TestRandomBasis:
     def test_deterministic(self):

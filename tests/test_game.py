@@ -55,10 +55,10 @@ def label_correcting_shortest_path(net, origin, destination):
     dist[origin] = 0.0
     for _ in range(net.num_nodes):
         changed = False
-        for rec in net.links:
-            alt = dist[rec.init_node] + rec.free_flow_time
-            if alt < dist[rec.term_node] - 1e-15:
-                dist[rec.term_node] = alt
+        for u, v, t in zip(net.init_node, net.term_node, net.free_flow_time):
+            alt = dist[u] + t
+            if alt < dist[v] - 1e-15:
+                dist[v] = alt
                 changed = True
         if not changed:
             break
@@ -276,6 +276,13 @@ class TestBuildTrafficGame:
         with pytest.raises(GameError, match="link 2->3: BPR power 2.0 differs"):
             build_traffic_game(parse_net(text), [PlayerSpec(1, 3, 1.0)])
 
+    def test_first_link_at_fault_is_named(self):
+        # link 1->2 fails only the last check, link 2->3 the first two
+        text = ("<NUMBER OF NODES> 3\n<NUMBER OF LINKS> 2\n<END OF METADATA>\n"
+                "1 2 1 1 1 -0.15 4 0 0 1 ;\n2 3 1 1 1 0.15 2.5 0 0 1 ;\n")
+        with pytest.raises(GameError, match="link 1->2: negative BPR coefficient b -0.15"):
+            build_traffic_game(parse_net(text), [PlayerSpec(1, 3, 1.0)])
+
     @pytest.mark.parametrize("power", [2.5, 0])
     def test_power_must_be_a_positive_integer(self, power):
         net = parse_net(SINGLE_LINK.format(cap=1.0, fft=1.0, b=0.15, power=power))
@@ -321,12 +328,10 @@ class TestBuildTrafficGame:
         from dataclasses import replace
 
         base = build_traffic_game(siouxfalls_net, [PlayerSpec(1, 20, 1000.0)])
-        scaled_links = [replace(rec, free_flow_time=3.0 * rec.free_flow_time)
-                        for rec in siouxfalls_net.links]
-        scaled_net = replace(siouxfalls_net, links=scaled_links)
+        scaled_net = replace(siouxfalls_net, free_flow_time=3.0 * siouxfalls_net.free_flow_time)
         scaled = build_traffic_game(scaled_net, [PlayerSpec(1, 20, 1000.0)])
         assert scaled.deltas[0] == pytest.approx(3.0 * base.deltas[0], rel=1e-12)
-        a_scaled = scaled_net.free_flow_times()
+        a_scaled = scaled_net.free_flow_time
         free = base.action_sets[0]
         sol_base = solve_lp(base.fft, free)
         assert float(a_scaled @ sol_base.point) == pytest.approx(scaled.deltas[0], rel=1e-10)
@@ -352,7 +357,7 @@ class TestBuildTrafficGame:
 
     def test_first_thru_node_one_keeps_capacities(self, siouxfalls_net, siouxfalls_game):
         # Sioux Falls has no zone below its <FIRST THRU NODE> 1
-        caps = siouxfalls_net.capacities().tobytes()
+        caps = siouxfalls_net.capacity.tobytes()
         assert all(P.upper.tobytes() == caps for P in siouxfalls_game.action_sets)
 
 class TestMixtureHelpers:

@@ -901,9 +901,9 @@ class TestSimplexPaths:
                    PlayerSpec(50, 1, 1000.0)]
         game = build_traffic_game(net, players)
         assert any(stalled_flags)
-        bounds = np.column_stack([np.zeros(net.num_links), net.capacities()])
+        bounds = np.column_stack([np.zeros(net.num_links), net.capacity])
         for spec, delta in zip(players, game.deltas):
-            ref = linprog(net.free_flow_times(), A_eq=build_incidence(net),
+            ref = linprog(net.free_flow_time, A_eq=build_incidence(net),
                           b_eq=demand_vector(spec, net.num_nodes), bounds=bounds,
                           method="highs")
             assert ref.status == 0 and delta == ref.fun

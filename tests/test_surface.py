@@ -16,6 +16,7 @@ from cequil.bayesopt import LearnTrace
 from cequil.game import ConvexGame
 from cequil.polytope import Polyhedron, solve_lp
 from cequil.regret import BasisSet, RegretReport
+from cequil.tntp import NetworkData
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
@@ -73,6 +74,7 @@ ARRAY_HOLDERS = {
     "CcpTrace": lambda: CcpTrace([], True),
     "LearnTrace": lambda: LearnTrace([np.zeros(2)], np.zeros(1)),
     "ConvexGame": lambda: ConvexGame([Polyhedron.box([0.0], [1.0])], None, None),
+    "NetworkData": lambda: NetworkData(2, 1, [1], [2], [1.0], [1.0], [0.15], [4.0]),
 }
 
 

@@ -3,15 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cequil.tntp import (
-    CountMismatch,
-    MissingMetadata,
-    NonNumericField,
-    RowArity,
-    TntpError,
-    build_incidence,
-    parse_net,
-)
+from cequil.tntp import NetworkData, TntpError, build_incidence, parse_net
 
 DATA = Path(__file__).parent / "data"
 
@@ -25,29 +17,30 @@ def test_siouxfalls_counts(siouxfalls):
     assert siouxfalls.num_nodes == 24
     assert siouxfalls.num_links == 76
     assert siouxfalls.first_thru_node == 1
-    assert len(siouxfalls.links) == 76
+    for col in (siouxfalls.init_node, siouxfalls.term_node, siouxfalls.capacity,
+                siouxfalls.free_flow_time, siouxfalls.b, siouxfalls.power):
+        assert col.shape == (76,)
 
 
 def test_siouxfalls_first_row(siouxfalls):
-    rec = siouxfalls.links[0]
-    assert rec.init_node == 1
-    assert rec.term_node == 2
-    assert rec.capacity == pytest.approx(25900.20064)
-    assert rec.free_flow_time == 6.0
-    assert rec.b == 0.15
-    assert rec.power == 4.0
+    net = siouxfalls
+    assert net.init_node[0] == 1 and net.init_node.dtype.kind == "i"
+    assert net.term_node[0] == 2 and net.term_node.dtype.kind == "i"
+    assert net.capacity[0] == pytest.approx(25900.20064)
+    assert net.free_flow_time[0] == 6.0
+    assert net.b[0] == 0.15
+    assert net.power[0] == 4.0
 
 
 def test_count_mismatch():
     text = "<NUMBER OF NODES> 2\n<NUMBER OF LINKS> 2\n<END OF METADATA>\n1 2 1 1 1 0.15 4 0 0 1 ;\n"
-    with pytest.raises(CountMismatch):
+    with pytest.raises(TntpError, match="metadata declares 2 links but file has 1"):
         parse_net(text)
 
 
 def test_missing_metadata():
-    with pytest.raises(MissingMetadata) as exc:
+    with pytest.raises(TntpError, match="missing metadata tag <NUMBER OF LINKS>"):
         parse_net("<NUMBER OF NODES> 2\n<END OF METADATA>\n")
-    assert exc.value.tag == "NUMBER OF LINKS"
 
 
 @pytest.mark.parametrize("value", [0, -2])
@@ -59,16 +52,14 @@ def test_first_thru_node_below_one_rejected(value):
 
 def test_row_arity():
     text = "<NUMBER OF NODES> 2\n<NUMBER OF LINKS> 1\n<END OF METADATA>\n1 2 1 1 ;\n"
-    with pytest.raises(RowArity) as exc:
+    with pytest.raises(TntpError, match="line 4: expected 10 link fields, got 4"):
         parse_net(text)
-    assert exc.value.line_number == 4
 
 
 def test_non_numeric_field():
     text = "<NUMBER OF NODES> 2\n<NUMBER OF LINKS> 1\n<END OF METADATA>\n1 2 abc 1 1 0.15 4 0 0 1 ;\n"
-    with pytest.raises(NonNumericField) as exc:
+    with pytest.raises(TntpError, match="line 4, column 3: non-numeric field 'abc'"):
         parse_net(text)
-    assert exc.value.column == 3
 
 
 @pytest.mark.parametrize("token", ["nan", "inf"])
@@ -103,8 +94,7 @@ def test_whitespace_and_comments_tolerated():
     )
     net = parse_net(text)
     assert net.num_links == 1
-    assert net.links[0].capacity == 1.5
-    assert net.metadata["SOME UNKNOWN TAG"] == "kept"
+    assert net.capacity[0] == 1.5
 
 
 def test_semicolon_only_line_skipped():
@@ -112,7 +102,7 @@ def test_semicolon_only_line_skipped():
             ";\n  ;  \n1 2 1 1 1 0.15 4 0 0 1 ;\n;\n")
     net = parse_net(text)
     assert net.num_links == 1
-    assert (net.links[0].init_node, net.links[0].term_node) == (1, 2)
+    assert (net.init_node.tolist(), net.term_node.tolist()) == ([1], [2])
 
 
 def test_incidence_single_link():
@@ -143,12 +133,12 @@ def test_incidence_column_properties(siouxfalls):
 
 def test_bad_link_records():
     base = "<NUMBER OF NODES> 2\n<NUMBER OF LINKS> 1\n<END OF METADATA>\n"
-    with pytest.raises(Exception):
-        parse_net(base + "1 1 1 1 1 0.15 4 0 0 1 ;\n")  # self loop
-    with pytest.raises(Exception):
-        parse_net(base + "1 2 0 1 1 0.15 4 0 0 1 ;\n")  # zero capacity
-    with pytest.raises(Exception):
-        parse_net(base + "1 3 1 1 1 0.15 4 0 0 1 ;\n")  # node id out of range
+    with pytest.raises(TntpError, match="self-loop at node 1"):
+        parse_net(base + "1 1 1 1 1 0.15 4 0 0 1 ;\n")
+    with pytest.raises(TntpError, match="link 1->2: capacity must be positive"):
+        parse_net(base + "1 2 0 1 1 0.15 4 0 0 1 ;\n")
+    with pytest.raises(TntpError, match=r"node id 3 outside \[1, 2\]"):
+        parse_net(base + "1 3 1 1 1 0.15 4 0 0 1 ;\n")
     with pytest.raises(TntpError, match="link 1->2: negative free-flow time"):
         parse_net(base + "1 2 1 1 -1 0.15 4 0 0 1 ;\n")
 
@@ -158,3 +148,67 @@ def test_malformed_metadata():
         parse_net("<NUMBER OF NODES 2\n<NUMBER OF LINKS> 0\n<END OF METADATA>\n")
     with pytest.raises(TntpError, match="<NUMBER OF NODES> is not an integer: '2.5'"):
         parse_net("<NUMBER OF NODES> 2.5\n<NUMBER OF LINKS> 0\n<END OF METADATA>\n")
+
+
+def test_first_of_repeated_tags_wins():
+    text = ("<NUMBER OF NODES> 2\n<number of nodes> 5\n<NUMBER OF NODES> 7\n"
+            "<NUMBER OF LINKS> 1\n<END OF METADATA>\n1 2 1 1 1 0.15 4 0 0 1 ;\n")
+    assert parse_net(text).num_nodes == 2
+
+
+def test_incidence_parallel_links():
+    net = parse_net(
+        "<NUMBER OF NODES> 3\n<NUMBER OF LINKS> 3\n<END OF METADATA>\n"
+        "1 2 1 1 1 0.15 4 0 0 1 ;\n1 2 2 1 3 0.15 4 0 0 1 ;\n2 3 1 1 1 0.15 4 0 0 1 ;\n"
+    )
+    E = build_incidence(net)
+    assert np.array_equal(E[:, 0], [1.0, -1.0, 0.0])
+    assert np.array_equal(E[:, 1], E[:, 0])
+
+
+def direct_network(**columns):
+    """A two-node, one-link network built without the parser, with
+    ``columns`` replacing the link 1->2's defaults."""
+    link = dict(init_node=[1], term_node=[2], capacity=[1.0], free_flow_time=[1.0],
+                b=[0.15], power=[4.0])
+    link.update(columns)
+    return NetworkData(2, 1, **link)
+
+
+class TestDirectNetwork:
+    # a network built from arrays is checked like a parsed one
+
+    def test_valid(self):
+        net = direct_network()
+        assert net.num_links == 1
+        assert net.init_node.dtype.kind == "i" and net.capacity.dtype == np.float64
+
+    @pytest.mark.parametrize("columns, message", [
+        ({"init_node": [1.7]}, "non-integer node id 1.7"),
+        ({"term_node": [np.nan]}, "non-integer node id nan"),
+        ({"capacity": [0.0]}, "link 1->2: capacity must be positive"),
+        ({"free_flow_time": [-1.0]}, "link 1->2: negative free-flow time"),
+        ({"term_node": [1]}, "self-loop at node 1"),
+        ({"term_node": [3]}, r"node id 3 outside \[1, 2\]"),
+        ({"init_node": [0]}, r"node id 0 outside \[1, 2\]"),
+        ({"b": [0.15, 0.15]}, "link columns must be 1-D and of equal length"),
+        ({"b": 0.15}, "link columns must be 1-D and of equal length"),
+    ])
+    def test_invalid_link_rejected(self, columns, message):
+        with pytest.raises(TntpError, match=message):
+            direct_network(**columns)
+
+    def test_first_link_at_fault_is_named(self):
+        with pytest.raises(TntpError, match="link 2->1: negative free-flow time"):
+            NetworkData(2, 1, [1, 2, 2], [2, 1, 1], [1.0, 1.0, 0.0], [1.0, -1.0, 1.0],
+                        [0.15] * 3, [4.0] * 3)
+
+    def test_arrays_are_read_only_copies(self):
+        capacity = np.array([1.0])
+        net = direct_network(capacity=capacity)
+        capacity[0] = 5.0
+        assert net.capacity[0] == 1.0
+        for col in (net.init_node, net.term_node, net.capacity, net.free_flow_time,
+                    net.b, net.power):
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = 2
