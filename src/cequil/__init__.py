@@ -11,27 +11,13 @@ The regret a player reports compares the recommendations with one fixed
 deviation, whatever it was told, so the equilibrium the oracle certifies
 is the coarse correlated equilibrium (Moulin & Vial 1978); its set
 contains Aumann's correlated equilibria.
-"""
 
-from cequil.polytope import (
-    Polyhedron,
-    LpSolution,
-    FwResult,
-    solve_lp,
-    frank_wolfe_min,
-    project_simplex,
-    contains,
-)
+The code lives in six submodules, imported by name: ``tntp`` (network
+files), ``game`` (the games), ``polytope`` (action sets, LP and
+Frank-Wolfe), ``regret`` (the oracle), ``basis`` (basis selection) and
+``bayesopt`` (the learner).
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Polyhedron",
-    "LpSolution",
-    "FwResult",
-    "solve_lp",
-    "frank_wolfe_min",
-    "project_simplex",
-    "contains",
-    "__version__",
-]
+__all__ = ["__version__"]

@@ -167,9 +167,6 @@ class TrafficGame:
     def cost(self, i: int, x_i, x_minus_i) -> float:
         return player_cost(i, x_i, x_minus_i, self)
 
-    def cost_gradient(self, i: int, x_i, x_minus_i) -> np.ndarray:
-        return player_cost_gradient(i, x_i, x_minus_i, self)
-
     def opponent_data(self, scenarios) -> np.ndarray:
         """One row per scenario: its opponents' summed flows (zeros if none)."""
         return np.stack([np.sum(opp, axis=0) if opp else np.zeros(self.num_links)
@@ -219,6 +216,7 @@ def _power_rows(v: np.ndarray, n: int) -> np.ndarray:
 
 
 def _check_flows(i, x_i, x_minus_i, game):
+    """``(x_i, total, ell)``: the checked flow, each link's total, its BPR cost."""
     # entries down to -TOL_FEAS are LP rounding, as contains() accepts them
     x_i = np.asarray(x_i, dtype=float)
     if x_i.shape != (game.num_links,):
@@ -233,24 +231,22 @@ def _check_flows(i, x_i, x_minus_i, game):
         if np.any(x < -TOL_FEAS):
             raise GameError("negative opponent flow")
         others.append(x)
-    return x_i, others
+    total = x_i + (np.sum(others, axis=0) if others else 0.0)
+    ell = game.fft * (1.0 + game.lam * (total / game.nominal_volume) ** game.nu)
+    return x_i, total, ell
 
 
 def player_cost(i: int, x_i, x_minus_i, game: TrafficGame) -> float:
     """Own-flow-weighted BPR cost, normalized by the player's free-flow
     optimum; symmetric in the ordering of the opponents."""
-    x_i, others = _check_flows(i, x_i, x_minus_i, game)
-    total = x_i + (np.sum(others, axis=0) if others else 0.0)
-    ell = game.fft * (1.0 + game.lam * (total / game.nominal_volume) ** game.nu)
+    x_i, _, ell = _check_flows(i, x_i, x_minus_i, game)
     return float(x_i @ ell) / game.deltas[i]
 
 
 def player_cost_gradient(i: int, x_i, x_minus_i, game: TrafficGame) -> np.ndarray:
     """Gradient of :func:`player_cost` in the player's own flow."""
-    x_i, others = _check_flows(i, x_i, x_minus_i, game)
-    total = x_i + (np.sum(others, axis=0) if others else 0.0)
+    x_i, total, ell = _check_flows(i, x_i, x_minus_i, game)
     a, b = game.fft, game.nominal_volume
-    ell = a * (1.0 + game.lam * (total / b) ** game.nu)
     bump = x_i * a * game.lam * game.nu * total ** (game.nu - 1) / b ** game.nu
     return (ell + bump) / game.deltas[i]
 

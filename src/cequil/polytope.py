@@ -41,9 +41,11 @@ This module provides the geometry every other part of the package sits on:
   simplex.
 * :func:`contains` -- feasibility check at a tolerance.
 
-Everything here is a pure function of its inputs; the types are immutable
-after construction (their arrays, the phase-1 start and the nominal
-optimum included, are read-only) and safe to share across threads.
+Everything here is a pure function of its inputs; :class:`Polyhedron` and
+:class:`LpSolution` are immutable after construction (their arrays, the
+phase-1 start and the nominal optimum included, are read-only) and safe to
+share across threads.  A :class:`FwResult`'s point is the caller's own,
+writable array.
 """
 
 from __future__ import annotations
@@ -182,9 +184,7 @@ class Polyhedron:
         object.__setattr__(self, "budget_limit", limit)
         object.__setattr__(self, "_lp_start", _phase1(*_standard_form(self)))
         if bc is not None:
-            nominal = solve_lp(bc, self)
-            nominal.point.flags.writeable = False
-            object.__setattr__(self, "_nominal", nominal)
+            object.__setattr__(self, "_nominal", solve_lp(bc, self))
 
     @property
     def dim(self) -> int:
@@ -214,7 +214,8 @@ class LpSolution:
 
     The point satisfies every constraint within :data:`TOL_FEAS`, and the
     solution can warm-start the next :func:`solve_lp` on the same
-    polyhedron.
+    polyhedron.  ``point`` is a read-only view of the simplex's final
+    extended vertex.
     """
 
     point: np.ndarray
@@ -372,6 +373,8 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, dirmask, since_refres
     the rows, and numpy's per-call overhead on a short vector costs more
     than the arithmetic.  The refactorization, which recomputes ``binv``
     and ``x_B``, runs once ``since_refresh`` reaches _REFACTOR_EVERY.
+    The pivot element ``d[leave]`` needs no guard: the ratio test only
+    picks a row with ``|step| > _RATIO_TOL``, and ``|step| = |d|``.
     """
     dual_tol = _DUAL_TOL * (1.0 + np.abs(c).max())
 
@@ -447,10 +450,7 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, dirmask, since_refres
         lo_b[leave] = lo[j]
         hi_b[leave] = hi[j]
 
-        piv = d[leave]
-        if abs(piv) < 1e-12:
-            raise DegeneracyError("vanishing pivot element")
-        binv[leave, :] /= piv
+        binv[leave, :] /= d[leave]
         col = d.copy()
         col[leave] = 0.0
         binv -= col[:, None] * binv[leave]
@@ -534,7 +534,7 @@ def solve_lp(c, poly: Polyhedron, warm: Optional[LpSolution] = None) -> LpSoluti
                                             x, basis, binv, dirmask, entry.since_refresh)
     for arr in (x, basis, binv, dirmask, y, r):
         arr.flags.writeable = False
-    point = x[:c.size].copy()
+    point = x[:c.size]
     return LpSolution(point, float(c @ point),
                       (start, _SimplexState(x, basis, binv, dirmask, since_refresh), (y, r)))
 

@@ -114,6 +114,8 @@ class RegretReport:
     *upper* bound, whatever tolerance the simplex stopped at; it is the
     certificate :func:`verify_ce` reads.  ``fw_gaps[i]`` is Frank-Wolfe's
     stop-rule gap, which may understate ``upper[i] - per_player[i]``.
+    The arrays are the report's own and writable: writing into them leaves
+    the oracle and its later reports intact.
     """
 
     per_player: np.ndarray

@@ -17,6 +17,7 @@ boundary.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -43,9 +44,10 @@ class NetworkData:
     ``b`` and ``power`` are floats.  Nodes numbered below
     ``first_thru_node`` are zones.  Construction checks what every link
     must satisfy, so a network built directly is checked like a parsed one:
-    the columns are 1-D and equally long, node ids are integral and in
-    ``[1, num_nodes]``, no link is a self-loop, capacities are positive,
-    free-flow times nonnegative, and ``first_thru_node`` is at least 1.
+    both counts are integers (kept as Python ints), the columns are 1-D and
+    equally long, node ids are integral and in ``[1, num_nodes]``, no link
+    is a self-loop, capacities are positive, free-flow times nonnegative,
+    and ``first_thru_node`` is at least 1.
     A violation raises :class:`TntpError`.
     """
 
@@ -59,6 +61,13 @@ class NetworkData:
     power: np.ndarray
 
     def __post_init__(self):
+        for name, tag in (("num_nodes", "NUMBER OF NODES"),
+                          ("first_thru_node", "FIRST THRU NODE")):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise TntpError(f"<{tag}> must be an integer, got {value!r}") from None
         if self.first_thru_node < 1:
             raise TntpError(f"<FIRST THRU NODE> must be at least 1, got {self.first_thru_node}")
         names = ("init_node", "term_node", "capacity", "free_flow_time", "b", "power")

@@ -76,6 +76,15 @@ class TestSolveLp:
         again = solve_lp(np.array([-1.0, -1.0]), P)
         assert (again.point == sol.point).all()
 
+    def test_point_is_read_only(self):
+        P = Polyhedron.simplex(3)
+        cold = solve_lp([1.0, 2.0, 3.0], P)
+        warm = solve_lp([3.0, 2.0, 1.0], P, warm=cold)
+        for sol in (cold, warm):
+            assert sol.point.flags.writeable is False
+            with pytest.raises(ValueError, match="read-only"):
+                sol.point[0] = 1.0
+
     def test_three_parallel_links(self):
         E = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]])
         P = Polyhedron(E, np.array([1.0, -1.0]), np.zeros(3), np.ones(3))
@@ -927,6 +936,19 @@ class TestSimplexPaths:
         assert (m, m) in inverses
         assert assert_matches_highs(rng.normal(size=n), P.eq_matrix, P.eq_rhs, P.lower,
                                     P.upper) is not None
+
+    def test_singular_refactorization_raises(self, monkeypatch):
+        P = Polyhedron.simplex(3)
+        singular = np.linalg.LinAlgError("Singular matrix")
+
+        def failing(M):
+            raise singular
+
+        monkeypatch.setattr(polytope, "_REFACTOR_EVERY", 0)
+        monkeypatch.setattr(np.linalg, "inv", failing)
+        with pytest.raises(DegeneracyError, match="singular basis during refactorization") as info:
+            solve_lp([1.0, 2.0, 3.0], P)
+        assert info.value.__cause__ is singular
 
     def test_pivot_cap_raises(self, monkeypatch):
         P = Polyhedron.simplex(3)

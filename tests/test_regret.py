@@ -7,7 +7,7 @@ import scipy.optimize
 
 from cequil import polytope, regret
 from cequil.basis import random_basis
-from cequil.game import ConvexGame, PlayerSpec, build_traffic_game
+from cequil.game import ConvexGame, PlayerSpec, build_traffic_game, player_cost_gradient
 from cequil.polytope import Polyhedron, project_simplex
 from cequil.regret import BasisSet, RegretOracle, RegretReport, validate_weights, verify_ce
 from cequil.tntp import parse_net
@@ -513,7 +513,8 @@ class TestOracleBranches:
         for network, (specs, N) in self.NETWORKS.items():
             net = parse_net((DATA / f"{network}_net.tntp").read_text())
             traffic = build_traffic_game(net, [PlayerSpec(*spec) for spec in specs])
-            generic = ConvexGame(traffic.action_sets, traffic.cost, traffic.cost_gradient)
+            generic = ConvexGame(traffic.action_sets, traffic.cost,
+                                 lambda i, x, o: player_cost_gradient(i, x, o, traffic))
             basis = random_basis(traffic, N, seed=0)
             fast = RegretOracle(traffic, basis, tol_gap=tol_gap)
             slow = RegretOracle(generic, basis, tol_gap=tol_gap)

@@ -198,6 +198,19 @@ class TestDirectNetwork:
         with pytest.raises(TntpError, match=message):
             direct_network(**columns)
 
+    @pytest.mark.parametrize("counts, message", [
+        ((2.5, 1), "<NUMBER OF NODES> must be an integer, got 2.5"),
+        ((2, 1.5), "<FIRST THRU NODE> must be an integer, got 1.5"),
+    ])
+    def test_non_integer_count_rejected(self, counts, message):
+        with pytest.raises(TntpError, match=message):
+            NetworkData(*counts, [1], [2], [1.0], [1.0], [0.15], [4.0])
+
+    def test_numpy_integer_counts_kept_as_ints(self):
+        net = NetworkData(np.int64(2), np.int64(1), [1], [2], [1.0], [1.0], [0.15], [4.0])
+        assert type(net.num_nodes) is int and type(net.first_thru_node) is int
+        assert build_incidence(net).shape == (2, 1)
+
     def test_first_link_at_fault_is_named(self):
         with pytest.raises(TntpError, match="link 2->1: negative free-flow time"):
             NetworkData(2, 1, [1, 2, 2], [2, 1, 1], [1.0, 1.0, 0.0], [1.0, -1.0, 1.0],
