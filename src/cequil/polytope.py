@@ -39,7 +39,7 @@ This module provides the geometry every other part of the package sits on:
   weak duality, so it holds whatever tolerance the simplex stopped at.
 * :func:`project_simplex` -- Euclidean projection onto the probability
   simplex.
-* :func:`contains` -- feasibility check at a tolerance.
+* :func:`contains` -- feasibility check at :data:`TOL_FEAS`.
 
 Everything here is a pure function of its inputs; :class:`Polyhedron` and
 :class:`LpSolution` are immutable after construction (their arrays, the
@@ -72,7 +72,7 @@ __all__ = [
     "TOL_FEAS",
 ]
 
-#: Default feasibility tolerance for membership checks and LP cleanup.
+#: Feasibility tolerance of membership checks and LP cleanup.
 TOL_FEAS = 1e-7
 
 
@@ -236,6 +236,7 @@ _RATIO_TOL = 1e-10
 _STALL_CAP = 50  # degenerate pivots before ratio-test ties are broken at random
 _MAX_PIVOTS = 50000  # pivots per phase before it raises DegeneracyError
 _REFACTOR_EVERY = 100  # pivots between refactorizations of the basis inverse
+_FW_MAX_ITER = 2000  # Frank-Wolfe iterations per call before it stops unconverged
 
 
 class _SimplexState(NamedTuple):
@@ -661,7 +662,6 @@ def frank_wolfe_min(
     fun: Callable[[np.ndarray], tuple],
     poly: Polyhedron,
     tol_gap: float,
-    max_iter: int = 2000,
     line_poly: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
 ) -> FwResult:
     """Minimize a smooth convex function over a polyhedron (nonempty and
@@ -697,38 +697,36 @@ def frank_wolfe_min(
     ``fun`` call each, and ``phi'(0) = g.d`` with the gradient at hand.
 
     Iteration stops once the gap ``g(x) = grad f(x).(x - v)`` is at most
-    ``tol_gap >= 0``, or at a zero step.  The result carries ``value =
-    f(x)`` at the returned point and the gap there, which is the stop
-    rule's: it may understate ``value - min f`` by :func:`solve_lp`'s
-    pricing tolerance ``1e-9 (1 + max|g|)`` per unit of ``|v - v*|_1``.
+    ``tol_gap >= 0``, at a zero step, or after ``_FW_MAX_ITER`` iterations.
+    The result carries ``value = f(x)`` at the returned point and the gap
+    there, which is the stop rule's: it may understate ``value - min f`` by
+    :func:`solve_lp`'s pricing tolerance ``1e-9 (1 + max|g|)`` per unit of
+    ``|v - v*|_1``.
     ``bound``, computed once at the returned point from the final LP basis's
     duals, is a lower bound on ``min f`` by weak duality whatever tolerance
     the simplex stopped at, whether or not the run converged.
-    Non-convergence is ``converged=False``, never an exception.
+    A run that the cap stops is ``converged=False``, never an exception.
 
     Raises
     ------
     ValueError
-        if ``tol_gap`` is NaN or negative, ``max_iter`` is negative, or a
-        gradient has a NaN or infinite entry.
+        if ``tol_gap`` is NaN or negative, or a gradient has a NaN or
+        infinite entry.
     """
     if not tol_gap >= 0:
         raise ValueError(f"tol_gap must be >= 0, got {tol_gap}")
-    max_iter = _as_count(max_iter, "max_iter")
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     x = poly._lp_start[-1].x[:poly.dim].copy()
     verts = [x.copy()]
     alphas = [1.0]
 
-    # pass max_iter + 1 only measures the gap at the last iterate
+    # pass _FW_MAX_ITER + 1 only measures the gap at the last iterate
     sol = poly._nominal
-    for it in range(1, max_iter + 2):
+    for it in range(1, _FW_MAX_ITER + 2):
         f0, g = fun(x)
         sol = solve_lp(g, poly, warm=sol)
         v = sol.point
         gap = float(g @ (x - v))
-        if gap <= tol_gap or it > max_iter:
+        if gap <= tol_gap or it > _FW_MAX_ITER:
             break
 
         scores = [float(g @ u) for u in verts]
@@ -777,7 +775,7 @@ def frank_wolfe_min(
     # by convexity min f >= f(x) - g.x + min_u g.u, and the dual bound is
     # below that last minimum
     bound = f0 - (float(g @ x) - _dual_bound(g, sol))
-    return FwResult(x, f0, gap, min(it, max_iter), gap <= tol_gap, bound)
+    return FwResult(x, f0, gap, min(it, _FW_MAX_ITER), gap <= tol_gap, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -835,22 +833,20 @@ def project_simplex(v) -> np.ndarray:
     return out.reshape(v.shape)
 
 
-def contains(poly: Polyhedron, x, tol: float = TOL_FEAS) -> bool:
+def contains(poly: Polyhedron, x) -> bool:
     """True iff ``x`` is finite and satisfies every constraint of ``poly``
-    within ``tol``; a NaN or negative ``tol`` raises ValueError."""
-    if not tol >= 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    within :data:`TOL_FEAS`."""
     x = _as_float_vector(x, "x")
     if x.size != poly.dim:
         raise DimensionMismatch(f"point has {x.size} entries, polyhedron has dim {poly.dim}")
     if not np.isfinite(x).all():
         return False
     if poly.eq_matrix.shape[0]:
-        if np.abs(poly.eq_matrix @ x - poly.eq_rhs).max() > tol:
+        if np.abs(poly.eq_matrix @ x - poly.eq_rhs).max() > TOL_FEAS:
             return False
-    if np.any(x < poly.lower - tol) or np.any(x > poly.upper + tol):
+    if np.any(x < poly.lower - TOL_FEAS) or np.any(x > poly.upper + TOL_FEAS):
         return False
     if poly.budget_coeffs is not None:
-        if float(poly.budget_coeffs @ x) > poly.budget_limit + tol:
+        if float(poly.budget_coeffs @ x) > poly.budget_limit + TOL_FEAS:
             return False
     return True

@@ -33,7 +33,7 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from cequil.polytope import _as_count, contains, frank_wolfe_min
+from cequil.polytope import contains, frank_wolfe_min
 
 __all__ = [
     "BasisSet",
@@ -137,13 +137,13 @@ class CeVerdict(NamedTuple):
     worst_regret: float
 
 
-def validate_weights(w, n: Optional[int] = None) -> np.ndarray:
+def validate_weights(w, n: int) -> np.ndarray:
     """``w`` as a flat float array, checked to be a distribution: of length
-    ``n`` when given, finite, no entry below ``-1e-9`` and a sum within
-    ``1e-9`` of 1.  Entries inside those tolerances come back as they are,
-    not clipped or renormalized.  Raises ValueError otherwise."""
+    ``n``, finite, no entry below ``-1e-9`` and a sum within ``1e-9`` of 1.
+    Entries inside those tolerances come back as they are, not clipped or
+    renormalized.  Raises ValueError otherwise."""
     w = np.asarray(w, dtype=float).ravel()
-    if n is not None and w.size != n:
+    if w.size != n:
         raise ValueError(f"weight vector has length {w.size}, expected {n}")
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
@@ -168,22 +168,18 @@ class RegretOracle:
 
     ``tol_gap=None`` stops each player's Frank-Wolfe run at a gap of
     ``1e-6 * max(1, |expected cost|)``; a given ``tol_gap >= 0`` is every
-    player's gap target instead.  Both it and ``max_iter`` are checked on
-    construction, as is the basis against the game.
+    player's gap target instead.  It is checked on construction, as is the
+    basis against the game; each run stops unconverged after
+    ``polytope._FW_MAX_ITER`` iterations.
     """
 
-    def __init__(self, game, basis: BasisSet, tol_gap: Optional[float] = None,
-                 max_iter: int = 2000):
+    def __init__(self, game, basis: BasisSet, tol_gap: Optional[float] = None):
         if tol_gap is not None and not tol_gap >= 0:
             raise ValueError(f"tol_gap must be None or >= 0, got {tol_gap}")
-        max_iter = _as_count(max_iter, "max_iter")
-        if max_iter < 0:
-            raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
         basis.validate_feasible(game)
         self.game = game
         self.basis = basis
         self.tol_gap = tol_gap
-        self.max_iter = max_iter
         m, N = basis.num_players, basis.size
         self.atom_costs = np.empty((m, N))
         self.opp_totals = []
@@ -209,7 +205,7 @@ class RegretOracle:
                 tol = 1e-6 * max(1.0, abs(expected))
             fun, line_poly = self.game.mixture_best_response(i, w, self.opp_totals[i])
             res = frank_wolfe_min(fun, self.game.action_sets[i], tol_gap=tol,
-                                  max_iter=self.max_iter, line_poly=line_poly)
+                                  line_poly=line_poly)
             per[i] = expected - res.value
             gaps[i] = res.gap
             upper[i] = expected - res.bound

@@ -44,10 +44,10 @@ class NetworkData:
     ``b`` and ``power`` are floats.  Nodes numbered below
     ``first_thru_node`` are zones.  Construction checks what every link
     must satisfy, so a network built directly is checked like a parsed one:
-    both counts are integers (kept as Python ints), the columns are 1-D and
-    equally long, node ids are integral and in ``[1, num_nodes]``, no link
-    is a self-loop, capacities are positive, free-flow times nonnegative,
-    and ``first_thru_node`` is at least 1.
+    both counts are integers of at least 1 (kept as Python ints), the
+    columns are 1-D and equally long, node ids are integral and in
+    ``[1, num_nodes]``, no link is a self-loop, capacities are positive and
+    free-flow times nonnegative.
     A violation raises :class:`TntpError`.
     """
 
@@ -65,11 +65,12 @@ class NetworkData:
                           ("first_thru_node", "FIRST THRU NODE")):
             value = getattr(self, name)
             try:
-                object.__setattr__(self, name, operator.index(value))
+                value = operator.index(value)
             except TypeError:
                 raise TntpError(f"<{tag}> must be an integer, got {value!r}") from None
-        if self.first_thru_node < 1:
-            raise TntpError(f"<FIRST THRU NODE> must be at least 1, got {self.first_thru_node}")
+            if value < 1:
+                raise TntpError(f"<{tag}> must be at least 1, got {value}")
+            object.__setattr__(self, name, value)
         names = ("init_node", "term_node", "capacity", "free_flow_time", "b", "power")
         cols = {name: np.array(getattr(self, name), dtype=float) for name in names}
         if len({col.shape for col in cols.values()}) != 1 or cols["b"].ndim != 1:

@@ -78,7 +78,7 @@ class TestRandomBasis:
         basis = random_basis(game, 5, seed=3)
         for joint in basis.actions:
             for i, x in enumerate(joint):
-                assert contains(game.action_sets[i], x, 1e-7)
+                assert contains(game.action_sets[i], x)
 
     def test_non_integer_count_rejected(self):
         game = null_game([Polyhedron.interval(0.0, 1.0)])
@@ -188,7 +188,7 @@ class TestCcpSelect:
         basis, trace = ccp_select(game, 3, seed=0)
         for b, _ in trace.iterates:
             for joint in b.actions:
-                assert contains(P, joint[0], 1e-7)
+                assert contains(P, joint[0])
 
     @pytest.mark.parametrize("kwargs, name", [({"N": 2.0}, "N"), ({"N": 2, "max_iter": 1.5}, "max_iter")])
     def test_non_integer_counts_rejected(self, kwargs, name):

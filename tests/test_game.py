@@ -318,7 +318,7 @@ class TestBuildTrafficGame:
     def test_action_sets_nonempty_and_budgeted(self, siouxfalls_game):
         for i, P in enumerate(siouxfalls_game.action_sets):
             sol = solve_lp(np.zeros(P.dim), P)
-            assert contains(P, sol.point, 1e-7)
+            assert contains(P, sol.point)
             assert P.budget_limit == pytest.approx(
                 siouxfalls_game.players[i].budget_factor * siouxfalls_game.deltas[i])
 

@@ -64,17 +64,17 @@ def deviation(oracle, i, w):
 
 class TestWeights:
     def test_validate(self):
-        w = validate_weights([0.25, 0.75])
+        w = validate_weights([0.25, 0.75], 2)
         assert w.sum() == 1.0
         with pytest.raises(ValueError):
-            validate_weights([0.5, 0.2])
+            validate_weights([0.5, 0.2], 2)
         with pytest.raises(ValueError):
-            validate_weights([1.5, -0.5])
-        with pytest.raises(ValueError):
-            validate_weights([1.0], n=2)
+            validate_weights([1.5, -0.5], 2)
+        with pytest.raises(ValueError, match="weight vector has length 1, expected 2"):
+            validate_weights([1.0], 2)
         for bad in ([np.nan, 1.0], [np.inf, 1.0], [0.5, np.nan]):
             with pytest.raises(ValueError, match="finite"):
-                validate_weights(bad)
+                validate_weights(bad, 2)
 
 
 class TestBasisSet:
@@ -432,9 +432,10 @@ class TestVerifyCe:
         assert not verdict.is_equilibrium
 
     def test_certifies_from_upper_bound(self):
-        # one iteration of FW from the box corner stops at (0.45, 0.45):
-        # reported regret -0.045 is a lower bound, and gap 0.3 says the
-        # true regret may be as large as 0.255, so nothing is certified
+        # at a coarse gap target one iteration of FW from the box corner
+        # stops, converged, at (0.45, 0.45): reported regret -0.045 is a
+        # lower bound, and gap 0.3 says the true regret may be as large as
+        # 0.255, so nothing is certified
         c = np.array([0.3, 0.6])
 
         def cost(i, y, y_minus_i):
@@ -444,7 +445,7 @@ class TestVerifyCe:
             return 2.0 * (y - c)
 
         game = ConvexGame([Polyhedron.box([0.0, 0.0], [1.0, 1.0])], cost, grad)
-        oracle = RegretOracle(game, BasisSet([[c.copy()]]), max_iter=1)
+        oracle = RegretOracle(game, BasisSet([[c.copy()]]), tol_gap=0.5)
         rep = oracle.report([1.0])
         assert rep.per_player[0] == pytest.approx(-0.045, abs=1e-12)
         assert rep.fw_gaps[0] == pytest.approx(0.3, abs=1e-12)
@@ -484,18 +485,14 @@ class TestOracleSettings:
     @pytest.mark.parametrize("kwargs, message", [
         ({"tol_gap": np.nan}, "tol_gap must be None or >= 0"),
         ({"tol_gap": -1e-9}, "tol_gap must be None or >= 0"),
-        ({"max_iter": -1}, "max_iter must be nonnegative"),
     ])
-    def test_checked_on_construction(self, kwargs, message):
+    def test_checked_on_construction(self, monkeypatch, kwargs, message):
         # a bad setting fails here, before any report runs Frank-Wolfe with it
         with pytest.raises(ValueError, match=message):
             RegretOracle(quadratic_game(), diag_basis(), **kwargs)
-        oracle = RegretOracle(quadratic_game(), diag_basis(), tol_gap=0.0, max_iter=0)
+        monkeypatch.setattr(polytope, "_FW_MAX_ITER", 0)
+        oracle = RegretOracle(quadratic_game(), diag_basis(), tol_gap=0.0)
         assert oracle.report([0.5, 0.5]).per_player.shape == (2,)
-
-    def test_non_integer_max_iter_rejected_on_construction(self):
-        with pytest.raises(TypeError, match="max_iter must be an integer, got 2.5"):
-            RegretOracle(quadratic_game(), diag_basis(), max_iter=2.5)
 
 
 class TestOracleBranches:
@@ -958,8 +955,9 @@ class TestCertificateWitness:
         monkeypatch.setattr(polytope, "solve_lp", highs_lp)
         # highs_lp's solutions carry no basis to take duals from
         monkeypatch.setattr(polytope, "_dual_bound", lambda c, sol: float(c @ sol.point))
+        monkeypatch.setattr(polytope, "_FW_MAX_ITER", 5000)
         res = polytope.frank_wolfe_min(fun, game.action_sets[i], tol_gap=1e-8,
-                                       max_iter=5000, line_poly=line_poly)
+                                       line_poly=line_poly)
         assert res.converged
         reference = float(audit_oracle.atom_costs[i] @ w) - res.value
         assert certified + 1e-12 >= reference

@@ -50,6 +50,13 @@ def test_first_thru_node_below_one_rejected(value):
     with pytest.raises(TntpError, match=f"<FIRST THRU NODE> must be at least 1, got {value}"):
         parse_net(text)
 
+
+def test_no_nodes_rejected():
+    # a network without nodes parsed and built an empty incidence matrix
+    with pytest.raises(TntpError, match="<NUMBER OF NODES> must be at least 1, got 0"):
+        parse_net("<NUMBER OF NODES> 0\n<NUMBER OF LINKS> 0\n<END OF METADATA>\n")
+
+
 def test_row_arity():
     text = "<NUMBER OF NODES> 2\n<NUMBER OF LINKS> 1\n<END OF METADATA>\n1 2 1 1 ;\n"
     with pytest.raises(TntpError, match="line 4: expected 10 link fields, got 4"):
@@ -205,6 +212,13 @@ class TestDirectNetwork:
     def test_non_integer_count_rejected(self, counts, message):
         with pytest.raises(TntpError, match=message):
             NetworkData(*counts, [1], [2], [1.0], [1.0], [0.15], [4.0])
+
+    @pytest.mark.parametrize("num_nodes", [-1, 0])
+    def test_node_count_below_one_rejected(self, num_nodes):
+        # -1 used to reach build_incidence, where numpy refused the shape
+        message = f"<NUMBER OF NODES> must be at least 1, got {num_nodes}"
+        with pytest.raises(TntpError, match=message):
+            NetworkData(num_nodes, 1, [], [], [], [], [], [])
 
     def test_numpy_integer_counts_kept_as_ints(self):
         net = NetworkData(np.int64(2), np.int64(1), [1], [2], [1.0], [1.0], [0.15], [4.0])
