@@ -104,10 +104,7 @@ class OracleFailure(RuntimeError):
 
 def _scaled_distances(W1: np.ndarray, W2: np.ndarray, lengthscale: float) -> np.ndarray:
     """``q = sqrt(5) |w1 - w2| / l`` for every row pair of W1 and W2."""
-    q = cdist(W1, W2, "sqeuclidean")
-    np.sqrt(q, out=q)
-    q *= _SQRT5 / lengthscale
-    return q
+    return np.sqrt(cdist(W1, W2, "sqeuclidean")) * (_SQRT5 / lengthscale)
 
 
 def _kernel_matrix(W1: np.ndarray, W2: np.ndarray, lengthscale: float) -> np.ndarray:
@@ -173,13 +170,8 @@ def _posterior_ei(W_cand, W, L, alpha, lengthscale, best):
     if not np.isfinite(W_cand).all():
         raise ValueError("acquisition candidates must be finite")
     q = _scaled_distances(W_cand, W, lengthscale)  # B x n
-    e = np.negative(q)
-    np.exp(e, out=e)
-    C = q * q  # becomes (1 + q + q^2 / 3) e in place
-    C /= 3.0
-    C += q
-    C += 1.0
-    C *= e
+    e = np.exp(-q)
+    C = (q * q / 3.0 + q + 1.0) * e
     mean = C @ alpha
     v = dtrtrs(L, C.T, lower=True, overwrite_b=True)[0]  # n x B, in C's memory
     rho = np.sqrt(np.maximum(1.0 - np.einsum("nb,nb->b", v, v), 0.0))

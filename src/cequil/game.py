@@ -188,21 +188,13 @@ class TrafficGame:
         # sum_m taylor[m, r] x**m is the s**r coefficient of P(x + s)
         taylor = self._taylor[:, :, None] * coeffs[self._hankel]
 
-        # fun's last point, as (dtype, shape, bytes), and its power rows: a
-        # line step asks for the polynomial at the point fun has just seen
-        last = [None, None]
-
         def fun(y: np.ndarray):
-            powers = _power_rows(y, nu + 2)
-            last[:] = (y.dtype, y.shape, y.tobytes()), powers
-            q = np.einsum("mrl,ml->rl", taylor[:, :2], powers)
+            q = np.einsum("mrl,ml->rl", taylor[:, :2], _power_rows(y, nu + 2))
             return float(q[0].sum()), q[1]
 
         def line_poly(x: np.ndarray, d: np.ndarray) -> np.ndarray:
-            key, powers = last
-            if key != (x.dtype, x.shape, x.tobytes()):
-                powers = _power_rows(x, nu + 2)
-            return np.einsum("mrl,ml,rl->r", taylor, powers, _power_rows(d, nu + 2))
+            return np.einsum("mrl,ml,rl->r", taylor, _power_rows(x, nu + 2),
+                             _power_rows(d, nu + 2))
 
         return fun, line_poly
 
@@ -221,6 +213,8 @@ def _check_flows(i, x_i, x_minus_i, game):
     x_i = np.asarray(x_i, dtype=float)
     if x_i.shape != (game.num_links,):
         raise GameError(f"player {i}: flow vector must have length {game.num_links}")
+    if not np.isfinite(x_i).all():
+        raise GameError(f"player {i}: non-finite flow")
     if np.any(x_i < -TOL_FEAS):
         raise GameError(f"player {i}: negative flow")
     others = []
@@ -228,6 +222,8 @@ def _check_flows(i, x_i, x_minus_i, game):
         x = np.asarray(x, dtype=float)
         if x.shape != (game.num_links,):
             raise GameError("opponent flow vector has wrong length")
+        if not np.isfinite(x).all():
+            raise GameError("non-finite opponent flow")
         if np.any(x < -TOL_FEAS):
             raise GameError("negative opponent flow")
         others.append(x)
@@ -255,7 +251,7 @@ def _bpr_power(net: NetworkData) -> int:
     """The BPR power all links share, after checking that it is a positive
     integer and that no link's coefficient ``b`` is negative."""
     power = net.power
-    nu = float(power[0]) if net.num_links else 1.0
+    nu = float(power[0])
     integral = (power >= 1) & (power == np.floor(power))
     bad = ~integral | (power != nu) | (net.b < 0)
     if bad.any():

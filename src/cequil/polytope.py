@@ -220,10 +220,9 @@ class LpSolution:
 
     point: np.ndarray
     objective: float
-    # (phase-1 start, _SimplexState, (y, r)): the start phase 2 ran from,
-    # the read-only state it ended with, which a warm call continues from a
-    # copy of, and the read-only row prices and reduced costs of its last
-    # pricing pass, which _dual_bound reads.
+    # (phase-1 start, _SimplexState): the start phase 2 ran from and the
+    # read-only state it ended with, which a warm call continues from a copy
+    # of and _dual_bound prices.
     _final_basis: object = field(default=None, repr=False)
 
 
@@ -350,9 +349,7 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, dirmask, since_refres
     pricing mask ``dirmask`` (see :class:`_SimplexState`); ``AT`` is
     ``A.T``, contiguous, and the bounds ``lo``, ``hi`` are tuples of Python
     floats.  Returns the pivots since the last refactorization,
-    ``since_refresh`` counting those made before the call, and the row
-    prices ``y = binv^T c_B`` and reduced costs ``r = c - A^T y`` of the
-    last pricing pass, which belong to the returned, optimal basis.
+    ``since_refresh`` counting those made before the call.
 
     The run is optimal once no pricing violation exceeds the dual
     tolerance; otherwise Dantzig pricing enters the largest (lowest index
@@ -380,8 +377,8 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, dirmask, since_refres
     dual_tol = _DUAL_TOL * (1.0 + np.abs(c).max())
 
     # Basis-aligned copies, updated in O(1) per pivot instead of regathered.
-    xb = x[basis].copy()
-    cb = c[basis].copy()
+    xb = x[basis]
+    cb = c[basis]
     basis_l = basis.tolist()
     lo_b = [lo[k] for k in basis_l]
     hi_b = [hi[k] for k in basis_l]
@@ -459,7 +456,7 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, dirmask, since_refres
     else:
         raise DegeneracyError(f"the simplex is not optimal after {_MAX_PIVOTS} pivots")
     x[basis] = xb
-    return since_refresh, y, r
+    return since_refresh
 
 
 def _standard_form(poly: Polyhedron):
@@ -531,13 +528,13 @@ def solve_lp(c, poly: Polyhedron, warm: Optional[LpSolution] = None) -> LpSoluti
     x, basis, binv, dirmask = (arr.copy() for arr in entry[:4])
     c_ext = np.zeros(x.size)
     c_ext[:c.size] = c
-    since_refresh, y, r = _simplex_phase_np(A_ext, AT_ext, b, c_ext, lo_ext, hi_ext,
-                                            x, basis, binv, dirmask, entry.since_refresh)
-    for arr in (x, basis, binv, dirmask, y, r):
+    since_refresh = _simplex_phase_np(A_ext, AT_ext, b, c_ext, lo_ext, hi_ext,
+                                      x, basis, binv, dirmask, entry.since_refresh)
+    for arr in (x, basis, binv, dirmask):
         arr.flags.writeable = False
     point = x[:c.size]
     return LpSolution(point, float(c @ point),
-                      (start, _SimplexState(x, basis, binv, dirmask, since_refresh), (y, r)))
+                      (start, _SimplexState(x, basis, binv, dirmask, since_refresh)))
 
 
 def _dual_bound(c, sol: LpSolution) -> float:
@@ -546,10 +543,10 @@ def _dual_bound(c, sol: LpSolution) -> float:
 
     For any row prices ``y`` and every feasible ``x``, ``c.x = y.b + r.x``
     with ``r = c - A^T y``, so ``y.b`` plus the least of each ``r_j x_j``
-    over the box bounds every ``c.x`` from below.  Here ``y`` and ``r`` are
-    those the simplex priced its optimal exit with: ``y`` solves ``B^T y =
-    c_B`` for the final basis ``B``, so the basic columns' reduced costs
-    are rounding and count as zero.  A budget row's dual above 0
+    over the box bounds every ``c.x`` from below.  Here ``y = B^-T c_B``
+    prices the final basis ``B`` through its inverse, as the simplex's
+    last pricing pass did, so the basic columns' reduced costs are
+    rounding and count as zero.  A budget row's dual above 0
     would give its slack an infinite term, so it is clipped to 0, and the
     reduced costs take the budget row back in.  The bound holds however far
     the simplex stopped from the optimum, and at an exact optimum it equals
@@ -557,8 +554,11 @@ def _dual_bound(c, sol: LpSolution) -> float:
     after the clip its reduced cost is never negative, so the bound is
     finite.
     """
-    (_, AT_ext, b, _, _, (lo, hi), _), state, (y, r) = sol._final_basis
-    y, r = y.copy(), r.copy()
+    (_, AT_ext, b, _, _, (lo, hi), _), state = sol._final_basis
+    c_ext = np.zeros(AT_ext.shape[0])
+    c_ext[:c.size] = c
+    y = state.binv.T @ c_ext[state.basis]
+    r = c_ext - AT_ext @ y
     r[state.basis] = 0.0
     if AT_ext.shape[0] - b.size > c.size and y[-1] > 0.0:  # a budget row, the last
         r += y[-1] * AT_ext[:, -1]
@@ -576,8 +576,10 @@ def _dual_bound(c, sol: LpSolution) -> float:
 
 class FwResult(NamedTuple):
     """Outcome of :func:`frank_wolfe_min`: the returned point, the objective
-    there, the FW gap there, the iterations run, ``gap <= tol_gap`` and a
-    lower bound on the minimum.
+    there, the FW gap there, the linear subproblems solved (one per
+    iteration; a run that reaches the cap solves ``_FW_MAX_ITER + 1``, the
+    last only to measure the gap), ``gap <= tol_gap`` and a lower bound on
+    the minimum.
 
     ``gap`` is the stop rule's ``grad f(x).(x - v)`` at the LP vertex ``v``,
     which may understate the true gap ``grad f(x).x - min_u grad f(x).u``
@@ -755,7 +757,7 @@ def frank_wolfe_min(
             t, target = s, _active_index(verts, v)
             if target is None:
                 target = len(verts)
-                verts.append(v.copy())
+                verts.append(v)
                 alphas.append(0.0)
         for i in range(len(alphas)):
             alphas[i] *= 1.0 - t
@@ -775,7 +777,7 @@ def frank_wolfe_min(
     # by convexity min f >= f(x) - g.x + min_u g.u, and the dual bound is
     # below that last minimum
     bound = f0 - (float(g @ x) - _dual_bound(g, sol))
-    return FwResult(x, f0, gap, min(it, _FW_MAX_ITER), gap <= tol_gap, bound)
+    return FwResult(x, f0, gap, it, gap <= tol_gap, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class BasisSet:
-    """N joint actions, each a list of per-player action vectors.
+    """N joint actions, each a list of per-player action vectors (1-D;
+    anything else raises ``ValueError``).
 
     The vectors are stored as read-only copies in tuples, so the atom costs
     an oracle computes from a basis cannot go stale; the caller's arrays
@@ -70,6 +71,9 @@ class BasisSet:
             row = []
             for i, x in enumerate(joint):
                 x = np.array(x, dtype=float)
+                if x.ndim != 1:
+                    raise ValueError(f"joint action {len(clean)}, player {i}: an action "
+                                     f"must be a vector, got shape {x.shape}")
                 if x.size != dims[i]:
                     raise ValueError(f"inconsistent dimension for player {i}")
                 x.flags.writeable = False

@@ -45,9 +45,9 @@ class NetworkData:
     ``first_thru_node`` are zones.  Construction checks what every link
     must satisfy, so a network built directly is checked like a parsed one:
     both counts are integers of at least 1 (kept as Python ints), the
-    columns are 1-D and equally long, node ids are integral and in
-    ``[1, num_nodes]``, no link is a self-loop, capacities are positive and
-    free-flow times nonnegative.
+    columns are 1-D and equally long with at least one link, node ids are
+    integral and in ``[1, num_nodes]``, no link is a self-loop, capacities
+    are positive and free-flow times nonnegative.
     A violation raises :class:`TntpError`.
     """
 
@@ -75,6 +75,8 @@ class NetworkData:
         cols = {name: np.array(getattr(self, name), dtype=float) for name in names}
         if len({col.shape for col in cols.values()}) != 1 or cols["b"].ndim != 1:
             raise TntpError("link columns must be 1-D and of equal length")
+        if cols["b"].size == 0:
+            raise TntpError("<NUMBER OF LINKS> must be at least 1, got 0")
         ends = np.column_stack([cols["init_node"], cols["term_node"]]).ravel()
         fractional = ~np.isfinite(ends) | (ends != np.floor(ends))
         if fractional.any():

@@ -197,6 +197,18 @@ class TestPlayerCost:
         with pytest.raises(GameError, match="opponent flow vector has wrong length"):
             player_cost(0, x, [short], siouxfalls_game)
 
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+    def test_non_finite_flow_rejected(self, siouxfalls_game, bad_value):
+        # NaN and inf slipped past the sign check and came out as the cost
+        x = np.zeros(siouxfalls_game.num_links)
+        bad = x.copy()
+        bad[3] = bad_value
+        for evaluate in (player_cost, player_cost_gradient):
+            with pytest.raises(GameError, match="player 0: non-finite flow"):
+                evaluate(0, bad, [x], siouxfalls_game)
+            with pytest.raises(GameError, match="non-finite opponent flow"):
+                evaluate(0, x, [bad], siouxfalls_game)
+
 
 class TestGradient:
     def test_zero_own_flow(self):
@@ -412,8 +424,8 @@ class TestMixtureHelpers:
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
     def test_line_poly_reuses_only_funs_current_point(self, siouxfalls_game):
-        # line_poly reuses the powers of x that fun has just computed; a
-        # point changed in place after fun saw it needs fresh powers
+        # line_poly is a pure function of its arguments: whatever fun saw, a
+        # point changed in place gives the polynomial at the new point
         game = siouxfalls_game
         rng = np.random.default_rng(8)
         T = rng.uniform(0.0, 3000.0, (4, game.num_links))

@@ -436,7 +436,7 @@ class TestWarmStart:
 
         def counting(*args):
             out = simplex(*args)
-            pivots.append(out[0] - args[-1])
+            pivots.append(out - args[-1])
             return out
 
         monkeypatch.setattr(polytope, "_REFACTOR_EVERY", 10 ** 9)
@@ -976,22 +976,6 @@ class TestSimplexPaths:
             solve_lp([1.0], P)
 
 
-def recomputed_dual_bound(c, sol):
-    """_dual_bound with ``y = binv^T c_B`` and ``r = c - A^T y`` computed
-    anew from ``sol``'s final basis instead of carried from the simplex."""
-    (_, AT_ext, b, _, _, (lo, hi), _), state, _ = sol._final_basis
-    c_ext = np.zeros(AT_ext.shape[0])
-    c_ext[:c.size] = c
-    y = state.binv.T @ c_ext[state.basis]
-    r = c_ext - AT_ext @ y
-    r[state.basis] = 0.0
-    if AT_ext.shape[0] - b.size > c.size and y[-1] > 0.0:
-        r += y[-1] * AT_ext[:, -1]
-        y[-1] = 0.0
-    least_at = np.where(r > 0.0, lo, np.where(r < 0.0, hi, 0.0))
-    return float(y @ b + r @ least_at)
-
-
 class TestDualBound:
     # _dual_bound bounds min c.x from below by weak duality from whichever
     # basis the simplex stopped at; HiGHS gives the reference optimum
@@ -1022,19 +1006,6 @@ class TestDualBound:
                 assert polytope._dual_bound(c, sol) <= f + 1e-9 * (1.0 + abs(f))
         assert short > 0
 
-    def test_carried_duals_match_a_recomputation(self, siouxfalls_sets):
-        # the bound reads the row prices and reduced costs of the simplex's
-        # last pricing pass; recomputed from the final basis inverse, as
-        # recomputed_dual_bound does, they give the same bits
-        rng = np.random.default_rng(12)
-        for P in siouxfalls_sets:
-            c = rng.uniform(-0.2, 1.0, P.dim)
-            prev = None
-            for _ in range(50):
-                c = c * (1.0 + 0.2 * rng.normal(size=P.dim))
-                prev = solve_lp(c, P, warm=prev)
-                assert polytope._dual_bound(c, prev) == recomputed_dual_bound(c, prev)
-
     def test_budget_dual_of_the_wrong_sign(self, monkeypatch):
         # min 0.004 (x0 + x1) over [-1, 1]^2 with x0 + x1 <= 0.5 stops at
         # the tolerance 1e-2 with the budget tight, x0 = 1 at its bound, x1
@@ -1048,7 +1019,6 @@ class TestDualBound:
         sol = solve_lp(c, P)
         assert sol.point.tolist() == [1.0, -0.5]
         assert polytope._dual_bound(c, sol) == pytest.approx(-0.008, abs=1e-15)
-        assert polytope._dual_bound(c, sol) == recomputed_dual_bound(c, sol)
 
 
 class TestFrankWolfe:
@@ -1162,8 +1132,9 @@ class TestFrankWolfe:
         assert res.point == pytest.approx(target, abs=1e-15)
         assert len(calls) <= 8
 
-    def test_one_lp_per_iteration(self, monkeypatch):
-        # the start is the polyhedron's phase-1 vertex, not a zero-cost LP
+    @staticmethod
+    def counted_run(monkeypatch):
+        """``(LP calls, result)`` of FW on a quadratic over the 3-simplex."""
         calls = []
 
         def counting(*args, **kwargs):
@@ -1174,8 +1145,22 @@ class TestFrankWolfe:
         monkeypatch.setattr(polytope, "solve_lp", counting)
         res = frank_wolfe_min(lambda y: (0.5 * float((y - target) @ (y - target)), y - target),
                               Polyhedron.simplex(3), tol_gap=1e-9)
+        return len(calls), res
+
+    def test_one_lp_per_iteration(self, monkeypatch):
+        # the start is the polyhedron's phase-1 vertex, not a zero-cost LP
+        lps, res = self.counted_run(monkeypatch)
         assert res.converged
-        assert len(calls) == res.iterations
+        assert lps == res.iterations
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3])
+    def test_one_lp_per_iteration_up_to_the_cap(self, monkeypatch, cap):
+        # a run that reaches the cap solves one more LP, which only measures
+        # the gap at its last iterate, and counts it
+        monkeypatch.setattr(polytope, "_FW_MAX_ITER", cap)
+        lps, res = self.counted_run(monkeypatch)
+        assert not res.converged
+        assert lps == res.iterations == cap + 1
 
     def test_determinism(self):
         target = np.array([0.3, 0.8])
@@ -1207,7 +1192,7 @@ class TestFrankWolfe:
         line_poly = (lambda x, d: np.zeros(5)) if flat else None
         res = frank_wolfe_min(fun, Polyhedron.simplex(3), tol_gap=tol_gap, line_poly=line_poly)
         assert res.value == fun(res.point)[0]
-        assert res.iterations <= polytope._FW_MAX_ITER
+        assert res.iterations <= polytope._FW_MAX_ITER + 1
         assert res.converged == (res.gap <= tol_gap)
         if cap < 2:
             assert not res.converged

@@ -99,6 +99,14 @@ class TestBasisSet:
         with pytest.raises(ValueError, match="player 1 is infeasible"):
             RegretOracle(game, nan)
 
+    def test_actions_must_be_vectors(self):
+        # 2 x 2 actions built, and min_pairwise_distance read their l1
+        # distance of 4 as 2
+        with pytest.raises(ValueError, match=r"joint action 0, player 0: .* shape \(2, 2\)"):
+            BasisSet([[np.zeros((2, 2))], [np.ones((2, 2))]])
+        with pytest.raises(ValueError, match=r"joint action 0, player 1: .* shape \(\)"):
+            BasisSet([[np.zeros(1), 0.5]])
+
     def test_joint_action_needs_a_player(self):
         with pytest.raises(ValueError, match="at least one player"):
             BasisSet([[]])
@@ -695,7 +703,7 @@ class TestPinnedSiouxFalls:
 
         def counting(*args):
             out = simplex(*args)
-            pivots.append(out[0] - args[-1])
+            pivots.append(out - args[-1])
             return out
 
         monkeypatch.setattr(polytope, "_REFACTOR_EVERY", 10 ** 9)

@@ -57,6 +57,13 @@ def test_no_nodes_rejected():
         parse_net("<NUMBER OF NODES> 0\n<NUMBER OF LINKS> 0\n<END OF METADATA>\n")
 
 
+def test_no_links_rejected():
+    # a network without links parsed, and build_traffic_game then failed on
+    # a polyhedron without coordinates
+    with pytest.raises(TntpError, match="<NUMBER OF LINKS> must be at least 1, got 0"):
+        parse_net("<NUMBER OF NODES> 2\n<NUMBER OF LINKS> 0\n<END OF METADATA>\n")
+
+
 def test_row_arity():
     text = "<NUMBER OF NODES> 2\n<NUMBER OF LINKS> 1\n<END OF METADATA>\n1 2 1 1 ;\n"
     with pytest.raises(TntpError, match="line 4: expected 10 link fields, got 4"):
@@ -219,6 +226,10 @@ class TestDirectNetwork:
         message = f"<NUMBER OF NODES> must be at least 1, got {num_nodes}"
         with pytest.raises(TntpError, match=message):
             NetworkData(num_nodes, 1, [], [], [], [], [], [])
+
+    def test_no_links_rejected(self):
+        with pytest.raises(TntpError, match="<NUMBER OF LINKS> must be at least 1, got 0"):
+            NetworkData(2, 1, [], [], [], [], [], [])
 
     def test_numpy_integer_counts_kept_as_ints(self):
         net = NetworkData(np.int64(2), np.int64(1), [1], [2], [1.0], [1.0], [0.15], [4.0])
