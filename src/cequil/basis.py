@@ -65,26 +65,19 @@ def min_pairwise_distance(basis: BasisSet) -> float:
 def random_basis(game, N: int, seed: int) -> BasisSet:
     """N joint actions, each a vertex minimizing a seeded random linear cost.
 
-    One coefficient vector uniform on [0,1]^dim is drawn per joint action
-    and split across players; the product LP decomposes into one LP per
-    player.  Identical seeds give identical bases.  The action sets are
-    nonempty and bounded, so each LP has an optimum.
+    The product LP decomposes into one LP per player, each with its own
+    coefficient vector uniform on [0,1]^dim, drawn joint action by joint
+    action and player by player.  ``Generator.uniform`` fills in sequence,
+    so this is the stream of one joint draw per joint action split across
+    the players.  Identical seeds give identical bases.  The action sets
+    are nonempty and bounded, so each LP has an optimum.
     """
     N = _as_count(N, "N")
     if N < 1:
         raise ValueError("N must be at least 1")
     rng = np.random.default_rng(seed)
-    dims = [P.dim for P in game.action_sets]
-    actions = []
-    for _ in range(N):
-        c = rng.uniform(0.0, 1.0, sum(dims))
-        joint = []
-        offset = 0
-        for i, P in enumerate(game.action_sets):
-            joint.append(solve_lp(c[offset:offset + dims[i]], P).point)
-            offset += dims[i]
-        actions.append(joint)
-    return BasisSet(actions)
+    return BasisSet([[solve_lp(rng.uniform(0.0, 1.0, P.dim), P).point
+                      for P in game.action_sets] for _ in range(N)])
 
 
 # ---------------------------------------------------------------------------

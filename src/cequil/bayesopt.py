@@ -217,10 +217,10 @@ def maximize_acquisition(W, eta, lengthscale: float, seed: int = 0) -> np.ndarra
     strictly higher, so a start's EI never falls.  The search ends after
     :data:`NUM_POLISH_STEPS` steps or at the first step where no start
     moves; a start that did not move would see the same trial points
-    again.  The result is the highest-EI start if it beats the best
-    candidate strictly and the best candidate otherwise, ties going to the
-    lowest index.  The returned point satisfies the simplex invariants
-    exactly.
+    again.  The result is the highest-EI start, ties going to the lowest
+    index; start 0 is the best candidate, so the result is that candidate
+    unless a search step strictly beat it.  The returned point satisfies
+    the simplex invariants exactly.
 
     Where EI is 0 at every candidate the search is skipped: EI is 0 at an
     unobserved point only when the normal cdf and pdf at z have both
@@ -234,9 +234,8 @@ def maximize_acquisition(W, eta, lengthscale: float, seed: int = 0) -> np.ndarra
 
     cands = rng.dirichlet(np.ones(N), size=NUM_CANDIDATES)
     ei, _ = _posterior_ei(cands, W, L, alpha, lengthscale, best)
-    best_w = cands[int(np.argmax(ei))]
     if not ei.any():
-        return project_simplex(best_w)
+        return project_simplex(cands[int(np.argmax(ei))])
     starts = np.argsort(-ei, kind="stable")[:NUM_POLISH]
     w, ei_w = cands[starts], ei[starts]
     rows = np.arange(len(w))
@@ -252,10 +251,7 @@ def maximize_acquisition(W, eta, lengthscale: float, seed: int = 0) -> np.ndarra
             break
         w = np.where(moved[:, None], trial[rows, k], w)
         ei_w = np.where(moved, ei_t[rows, k], ei_w)
-    s = int(np.argmax(ei_w))
-    if ei_w[s] > np.max(ei):
-        best_w = w[s]
-    return project_simplex(best_w)
+    return project_simplex(w[int(np.argmax(ei_w))])
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from math import comb
+from numbers import Real
 from typing import Callable, List, Sequence
 
 import numpy as np
@@ -55,8 +56,9 @@ class ConvexGame:
 
     ``cost(i, x_i, x_minus_i)`` returns player ``i``'s cost given its own
     action and the list of the other players' actions in increasing player
-    order (player ``i`` omitted).  ``cost_gradient`` is the gradient with
-    respect to ``x_i`` and must stay consistent with ``cost``.
+    order (player ``i`` omitted).  ``gradient_fn``, with the same
+    arguments, returns the gradient with respect to ``x_i`` and must stay
+    consistent with ``cost_fn``.
     """
 
     action_sets: List[Polyhedron]
@@ -69,10 +71,6 @@ class ConvexGame:
 
     def cost(self, i: int, x_i, x_minus_i) -> float:
         return float(self.cost_fn(i, np.asarray(x_i, dtype=float), x_minus_i))
-
-    def cost_gradient(self, i: int, x_i, x_minus_i) -> np.ndarray:
-        return np.asarray(self.gradient_fn(i, np.asarray(x_i, dtype=float), x_minus_i),
-                          dtype=float)
 
     def opponent_data(self, scenarios):
         """The scenarios' opponent action lists, kept as they are."""
@@ -88,7 +86,8 @@ class ConvexGame:
             grad = np.zeros_like(y)
             for wk, opp in active:
                 val += wk * self.cost(i, y, opp)
-                grad += wk * self.cost_gradient(i, y, opp)
+                grad += wk * np.asarray(self.gradient_fn(i, np.asarray(y, dtype=float), opp),
+                                        dtype=float)
             return val, grad
 
         return fun, None
@@ -115,9 +114,11 @@ class PlayerSpec:
                 raise GameError(f"node ids must be integers, got {node!r}") from None
         if self.origin == self.destination:
             raise GameError("origin and destination must differ")
-        if not (np.isfinite(self.demand) and self.demand > 0):
+        if not (isinstance(self.demand, Real) and np.isfinite(self.demand)
+                and self.demand > 0):
             raise GameError(f"demand must be positive and finite, got {self.demand}")
-        if not (np.isfinite(self.budget_factor) and self.budget_factor >= 1.0):
+        if not (isinstance(self.budget_factor, Real) and np.isfinite(self.budget_factor)
+                and self.budget_factor >= 1.0):
             raise GameError(f"budget_factor must be finite and >= 1, got {self.budget_factor}")
 
 
@@ -207,26 +208,24 @@ def _power_rows(v: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _checked_flow(x, owner: str, num_links: int) -> np.ndarray:
+    """``x`` as a float array, or a :class:`GameError` naming ``owner``."""
+    # entries down to -TOL_FEAS are LP rounding, as contains() accepts them
+    x = np.asarray(x, dtype=float)
+    if x.shape != (num_links,):
+        raise GameError(f"{owner}: flow vector must have length {num_links}")
+    if not np.isfinite(x).all():
+        raise GameError(f"{owner}: non-finite flow")
+    if np.any(x < -TOL_FEAS):
+        raise GameError(f"{owner}: negative flow")
+    return x
+
+
 def _check_flows(i, x_i, x_minus_i, game):
     """``(x_i, total, ell)``: the checked flow, each link's total, its BPR cost."""
-    # entries down to -TOL_FEAS are LP rounding, as contains() accepts them
-    x_i = np.asarray(x_i, dtype=float)
-    if x_i.shape != (game.num_links,):
-        raise GameError(f"player {i}: flow vector must have length {game.num_links}")
-    if not np.isfinite(x_i).all():
-        raise GameError(f"player {i}: non-finite flow")
-    if np.any(x_i < -TOL_FEAS):
-        raise GameError(f"player {i}: negative flow")
-    others = []
-    for x in x_minus_i:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (game.num_links,):
-            raise GameError("opponent flow vector has wrong length")
-        if not np.isfinite(x).all():
-            raise GameError("non-finite opponent flow")
-        if np.any(x < -TOL_FEAS):
-            raise GameError("negative opponent flow")
-        others.append(x)
+    x_i = _checked_flow(x_i, f"player {i}", game.num_links)
+    others = [_checked_flow(x, f"player {i}, opponent {j}", game.num_links)
+              for j, x in enumerate(x_minus_i)]
     total = x_i + (np.sum(others, axis=0) if others else 0.0)
     ell = game.fft * (1.0 + game.lam * (total / game.nominal_volume) ** game.nu)
     return x_i, total, ell

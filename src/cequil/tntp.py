@@ -46,8 +46,9 @@ class NetworkData:
     must satisfy, so a network built directly is checked like a parsed one:
     both counts are integers of at least 1 (kept as Python ints), the
     columns are 1-D and equally long with at least one link, node ids are
-    integral and in ``[1, num_nodes]``, no link is a self-loop, capacities
-    are positive and free-flow times nonnegative.
+    integral and in ``[1, num_nodes]``, no link is a self-loop, the four
+    float columns are finite, capacities are positive and free-flow times
+    nonnegative.
     A violation raises :class:`TntpError`.
     """
 
@@ -87,11 +88,17 @@ class NetworkData:
         for name in ("init_node", "term_node"):
             cols[name] = cols[name].astype(int)
         tail, head = cols["init_node"], cols["term_node"]
+        floats = ("capacity", "free_flow_time", "b", "power")
+        finite = np.isfinite([cols[name] for name in floats])
         # the first link at fault, named by its first failed check
-        bad = ~(cols["capacity"] > 0) | (cols["free_flow_time"] < 0) | (tail == head)
+        bad = (~finite.all(axis=0) | ~(cols["capacity"] > 0) | (cols["free_flow_time"] < 0)
+               | (tail == head))
         if bad.any():
             k = int(np.argmax(bad))
             link = f"link {tail[k]}->{head[k]}"
+            for name, ok in zip(floats, finite[:, k]):
+                if not ok:
+                    raise TntpError(f"{link}: non-finite {name} {float(cols[name][k])!r}")
             if not cols["capacity"][k] > 0:
                 raise TntpError(f"{link}: capacity must be positive")
             if cols["free_flow_time"][k] < 0:

@@ -87,6 +87,16 @@ class TestPlayerSpec:
         with pytest.raises(GameError, match="budget_factor must be finite and >= 1"):
             PlayerSpec(1, 4, 1.0, factor)
 
+    @pytest.mark.parametrize("args, message", [
+        ((None,), "demand must be positive and finite, got None"),
+        (("3",), "demand must be positive and finite, got 3"),
+        ((3.0, "2"), "budget_factor must be finite and >= 1, got 2"),
+    ])
+    def test_non_numeric_demand_or_factor_rejected(self, args, message):
+        # numpy's isfinite raises its own TypeError on these
+        with pytest.raises(GameError, match=message):
+            PlayerSpec(1, 2, *args)
+
     @pytest.mark.parametrize("origin, destination, bad", [
         (1.5, 4, "1.5"), (1.0, 4, "1.0"), (1, 4.0, "4.0"), ("1", 4, "'1'"),
     ])
@@ -186,7 +196,7 @@ class TestPlayerCost:
         bad[3] = -1.0
         with pytest.raises(Exception):
             player_cost(0, bad, [x], siouxfalls_game)
-        with pytest.raises(GameError, match="negative opponent flow"):
+        with pytest.raises(GameError, match="player 0, opponent 0: negative flow"):
             player_cost(0, x, [bad], siouxfalls_game)
 
     def test_wrong_length_rejected(self, siouxfalls_game):
@@ -194,7 +204,7 @@ class TestPlayerCost:
         short = np.zeros(siouxfalls_game.num_links - 1)
         with pytest.raises(GameError, match="player 0: flow vector must have length"):
             player_cost(0, short, [x], siouxfalls_game)
-        with pytest.raises(GameError, match="opponent flow vector has wrong length"):
+        with pytest.raises(GameError, match="player 0, opponent 0: flow vector must have length"):
             player_cost(0, x, [short], siouxfalls_game)
 
     @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
@@ -206,7 +216,7 @@ class TestPlayerCost:
         for evaluate in (player_cost, player_cost_gradient):
             with pytest.raises(GameError, match="player 0: non-finite flow"):
                 evaluate(0, bad, [x], siouxfalls_game)
-            with pytest.raises(GameError, match="non-finite opponent flow"):
+            with pytest.raises(GameError, match="player 0, opponent 0: non-finite flow"):
                 evaluate(0, x, [bad], siouxfalls_game)
 
 

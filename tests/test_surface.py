@@ -100,3 +100,15 @@ def test_derived_values_follow_a_replace():
     assert trace.incumbent_values.tolist() == [2.0, 2.0, 0.5]
     ccp = replace(CcpTrace([(None, 0.0)], True), iterates=[(None, 0.0)] * 4)
     assert ccp.iterations == 3
+
+
+def test_readme_pipeline_runs(monkeypatch, capsys):
+    # the README's python block is the whole pipeline on Sioux Falls, run
+    # from the root of the checkout as the README says
+    block = (ROOT / "README.md").read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(ROOT)
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert len(scope["trace"].values) == 40
+    assert scope["report"].per_player.shape == (3,)
+    assert "CeVerdict(" in capsys.readouterr().out

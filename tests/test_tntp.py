@@ -207,6 +207,11 @@ class TestDirectNetwork:
         ({"init_node": [0]}, r"node id 0 outside \[1, 2\]"),
         ({"b": [0.15, 0.15]}, "link columns must be 1-D and of equal length"),
         ({"b": 0.15}, "link columns must be 1-D and of equal length"),
+        # the parser rejects these tokens; past a direct build they reach
+        # the game, whose own checks miss them or name the wrong link
+        *[({name: [bad]}, f"link 1->2: non-finite {name} {bad!r}")
+          for name in ("capacity", "free_flow_time", "b", "power")
+          for bad in (float("nan"), float("inf"))],
     ])
     def test_invalid_link_rejected(self, columns, message):
         with pytest.raises(TntpError, match=message):
