@@ -177,9 +177,9 @@ def ccp_select(game, N: int, max_iter: int = 100,
     Q = np.zeros((p.size, N))
     Q[np.arange(p.size), p] = 1.0
     Q[np.arange(p.size), q] = -1.0
+    current = random_basis(game, N, seed)  # first: it rejects a game with no players
     A_eq, b_eq, A_ub, b_ub, bounds = _ccp_master_lp(game.action_sets, Q)
     splits = np.cumsum([P.dim for P in game.action_sets])[:-1]
-    current = random_basis(game, N, seed)
     X = np.stack([current.joint(k) for k in range(N)])
     cost_rest = np.zeros(len(bounds) - X.size)  # d+, d-, u, s
     cost_rest[-1] = 1.0

@@ -78,8 +78,10 @@ class ConvexGame:
 
     def mixture_best_response(self, i: int, weights: np.ndarray, scenarios):
         """Objective ``y -> sum_k w_k f_i(y, scenarios[k])``, summed over
-        the positive weights on every call, and no step polynomial."""
-        active = [(float(wk), opp) for wk, opp in zip(weights, scenarios) if wk > 0.0]
+        the nonzero weights on every call, and no step polynomial.  A
+        weight that the oracle's tolerance lets fall below 0 is counted, as
+        the expected cost counts it."""
+        active = [(float(wk), opp) for wk, opp in zip(weights, scenarios) if wk != 0.0]
 
         def fun(y: np.ndarray):
             val = 0.0

@@ -9,18 +9,18 @@ This module provides the geometry every other part of the package sits on:
   theory needs.
 * :func:`solve_lp` -- a bounded-variable revised simplex (two phases,
   Dantzig pricing, ratio-test ties drawn at random in a long degenerate
-  stall), the one LP path for every polyhedron, boxes included.  Phase 1
-  does not read the cost, so it runs once, when the polyhedron is
-  constructed, and every call runs phase 2 only.  Phase 2 starts from the
-  polyhedron's phase-1 basis, or, given
-  ``warm=`` a previous optimal solution on the same polyhedron, continues
-  the simplex state that solution ended with (vertex, basis, basis
-  inverse, pricing mask) without refactorizing it.  The pricing mask is
-  the one record of which bound each nonbasic variable sits at.  A pivot's
-  ratio test runs in Python floats on the basic rows the entering column
-  moves, which on a network polytope are few.  An LP over a nonempty
-  bounded set has an optimum, so every call returns an optimal vertex or
-  raises.  Deterministic: identical inputs (``warm`` included) give
+  stall), the one LP path for every polyhedron, boxes included.  Every
+  solve continues an :class:`LpSolution`: the simplex state it ended in
+  (extended vertex, basis, basis inverse, pricing mask) is the next
+  solve's start.  Phase 1 does not read the cost, so it runs once, when
+  the polyhedron is constructed, and its vertex is kept as the solution of
+  the zero cost; a call continues that one, or, given ``warm=``, an
+  earlier solution on the same polyhedron.  The pricing mask is the one
+  record of which bound each nonbasic variable sits at.  A pivot's ratio
+  test runs in Python floats on the basic rows the entering column moves,
+  which on a network polytope are few.  An LP over a nonempty bounded set
+  has an optimum, so every call returns an optimal vertex or raises.
+  Deterministic: identical inputs (``warm`` included) give
   bitwise-identical vertices.
 * :func:`frank_wolfe_min` -- conditional-gradient minimization of a smooth
   convex function over a :class:`Polyhedron` from its phase-1 vertex, with
@@ -28,12 +28,12 @@ This module provides the geometry every other part of the package sits on:
   every step is exact on its segment, found by one Illinois secant on the
   sign of the slope there (from the step polynomial when the objective
   supplies one, else from the gradient).  The linear subproblems form one
-  warm chain: the first continues the polyhedron's nominal optimum (the
+  warm chain: the first continues the polyhedron's nominal solution (the
   minimum of its budget row, solved once at construction; for a traffic
-  polytope the free-flow route), which lies close to the optima of the
-  gradients that follow, and each later one continues the previous
-  iteration's.  The chain lives inside one call, so the result is a pure
-  function of the inputs.
+  polytope the free-flow route, which lies close to the optima of the
+  gradients that follow; the phase-1 solution without a budget row), and
+  each later one continues the previous iteration's.  The chain lives
+  inside one call, so the result is a pure function of the inputs.
   The returned gap ``g(x) = grad f(x).(x - v)`` is the stop rule's; the
   returned ``bound`` on ``min f`` comes from the final LP basis's duals by
   weak duality, so it holds whatever tolerance the simplex stopped at.
@@ -43,8 +43,8 @@ This module provides the geometry every other part of the package sits on:
 
 Everything here is a pure function of its inputs; :class:`Polyhedron` and
 :class:`LpSolution` are immutable after construction (their arrays, the
-phase-1 start and the nominal optimum included, are read-only) and safe to
-share across threads.  A :class:`FwResult`'s point is the caller's own,
+phase-1 and nominal solutions included, are read-only) and safe to share
+across threads.  A :class:`FwResult`'s point is the caller's own,
 writable array.
 """
 
@@ -125,10 +125,10 @@ class Polyhedron:
     is compact.  It must also be nonempty: construction runs simplex phase
     1, and an empty set raises :class:`InfeasibleError`.  A single point is
     legal.  When there is a budget row, construction then solves the
-    budget LP ``min budget_coeffs . x`` from the phase-1 start: its optimal
-    solution is the start of every :func:`frank_wolfe_min` LP chain on this
-    set.  Construction raises :class:`DegeneracyError` if either LP runs
-    out of pivots.
+    budget LP ``min budget_coeffs . x`` from the phase-1 solution: its
+    optimal solution is the start of every :func:`frank_wolfe_min` LP chain
+    on this set.  Construction raises :class:`DegeneracyError` if either LP
+    runs out of pivots.
     """
 
     eq_matrix: np.ndarray
@@ -137,11 +137,12 @@ class Polyhedron:
     upper: np.ndarray
     budget_coeffs: Optional[np.ndarray] = None
     budget_limit: Optional[float] = None
-    # solve_lp's cost-independent phase-1 start, set once by __post_init__.
-    _lp_start: object = field(default=None, init=False, repr=False)
-    # The optimal LpSolution of min budget_coeffs.x from that start, or None
-    # when there is no budget row; set once by __post_init__, read-only.
-    # frank_wolfe_min's LP chain starts from it.
+    # The phase-1 LpSolution, of the zero cost, that a cold solve_lp call
+    # continues; set once by __post_init__.
+    _origin: object = field(default=None, init=False, repr=False)
+    # The LpSolution of min budget_coeffs.x continued from _origin, or
+    # _origin itself when there is no budget row; set once by __post_init__.
+    # frank_wolfe_min's LP chain continues it.
     _nominal: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -182,9 +183,8 @@ class Polyhedron:
                 val.flags.writeable = False
             object.__setattr__(self, name, val)
         object.__setattr__(self, "budget_limit", limit)
-        object.__setattr__(self, "_lp_start", _phase1(*_standard_form(self)))
-        if bc is not None:
-            object.__setattr__(self, "_nominal", solve_lp(bc, self))
+        object.__setattr__(self, "_origin", _phase1(self))
+        object.__setattr__(self, "_nominal", self._origin if bc is None else solve_lp(bc, self))
 
     @property
     def dim(self) -> int:
@@ -212,18 +212,29 @@ class LpSolution:
     """Outcome of :func:`solve_lp`: an optimal vertex ``point`` and the
     ``objective`` there.
 
-    The point satisfies every constraint within :data:`TOL_FEAS`, and the
-    solution can warm-start the next :func:`solve_lp` on the same
-    polyhedron.  ``point`` is a read-only view of the simplex's final
-    extended vertex.
+    The point satisfies every constraint within :data:`TOL_FEAS`.  The
+    solution is also the record of the simplex run: the standard form it
+    ran on and the state it ended in, which the next :func:`solve_lp` on
+    the same polyhedron can continue and :func:`_dual_bound` prices.
+    ``point`` is a read-only view of that state's extended vertex.
     """
 
     point: np.ndarray
     objective: float
-    # (phase-1 start, _SimplexState): the start phase 2 ran from and the
-    # read-only state it ended with, which a warm call continues from a copy
-    # of and _dual_bound prices.
-    _final_basis: object = field(default=None, repr=False)
+    # (A, A^T contiguous, b, lo, hi, [lo; hi]) of the standard form, shared
+    # by every solution on one polyhedron: the bounds as tuples of Python
+    # floats for the simplex, which reads them one entry at a time, and
+    # stacked for _dual_bound, which reads them whole.
+    _form: object = field(default=None, repr=False)
+    # The read-only state the run ended in, which a later run continues from
+    # a copy of: the extended vertex, the basis, its inverse, the pricing
+    # mask (see _simplex_phase_np) and the pivots since the inverse was last
+    # refactorized.
+    _x: Optional[np.ndarray] = field(default=None, repr=False)
+    _basis: Optional[np.ndarray] = field(default=None, repr=False)
+    _binv: Optional[np.ndarray] = field(default=None, repr=False)
+    _dirmask: Optional[np.ndarray] = field(default=None, repr=False)
+    _since_refresh: int = field(default=0, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -238,38 +249,22 @@ _REFACTOR_EVERY = 100  # pivots between refactorizations of the basis inverse
 _FW_MAX_ITER = 2000  # Frank-Wolfe iterations per call before it stops unconverged
 
 
-class _SimplexState(NamedTuple):
-    """Where a simplex run on one standard-form problem stands: the
-    extended vertex, the basis, its inverse, the pricing mask and the
-    pivots since the inverse was last refactorized.  ``dirmask`` is the one
-    record of where each variable sits: -1 at its lower bound, +1 at its
-    upper bound, and 0 when it is basic or fixed (lower == upper, never
-    enters), so ``dirmask * r > 0`` exactly when
-    moving a variable off its bound improves the objective.  The arrays are
-    read-only; a run continues from copies."""
-
-    x: np.ndarray
-    basis: np.ndarray
-    binv: np.ndarray
-    dirmask: np.ndarray
-    since_refresh: int
-
-
-def _phase1(A, b, lo, hi):
-    """Feasible start for  min c.x  s.t.  A x = b, lo <= x <= hi.
+def _phase1(poly: Polyhedron) -> LpSolution:
+    """The phase-1 solution of ``poly``: a feasible vertex of its standard
+    form, the budget row an equality over a nonnegative slack column.
 
     Phase 1 of the two-phase revised simplex: one artificial variable per
-    row, driven to zero.  It never reads the cost, so one start serves every
-    ``c``.  Raises :class:`InfeasibleError` if the artificials cannot reach
-    zero (the set is empty); returns the read-only start
-    ``(A_ext, AT_ext, b, lo_ext, hi_ext, bounds, initial)`` that
-    :func:`solve_lp` runs phase 2 from: ``AT_ext`` is the contiguous
-    transpose of ``A_ext``, the bounds are tuples of Python floats (the
-    simplex reads them one entry at a time), ``bounds`` stacks the same
-    bounds as one array (:func:`_dual_bound` reads them whole), and the
-    :class:`_SimplexState` ``initial`` has the artificials pinned to zero
-    and its pivot count at zero.
+    row, driven to zero.  It never reads the cost, so it runs once and its
+    end state, with the artificials pinned to zero and the pivot count at
+    zero, is returned as the solution of the zero cost, the one every
+    :func:`solve_lp` call without ``warm`` continues.  Raises
+    :class:`InfeasibleError` if the artificials cannot reach zero (the set
+    is empty).
     """
+    A, b, lo, hi = poly.eq_matrix, poly.eq_rhs, poly.lower, poly.upper
+    if poly.budget_coeffs is not None:
+        A = np.block([[A, np.zeros((A.shape[0], 1))], [poly.budget_coeffs, 1.0]])
+        b, lo, hi = np.append(b, poly.budget_limit), np.append(lo, 0.0), np.append(hi, np.inf)
     m, n = A.shape
 
     # Nonbasic start: the bound of least magnitude, the lower one on a tie
@@ -302,11 +297,11 @@ def _phase1(A, b, lo, hi):
     hi_ext[n:] = 0.0
     dirmask[n:] = 0.0
 
-    initial = _SimplexState(x, basis, binv, dirmask, 0)
     bounds = np.array([lo_ext, hi_ext])
     for arr in (A_ext, AT_ext, b, bounds, x, basis, binv, dirmask):
         arr.flags.writeable = False
-    return A_ext, AT_ext, b, tuple(lo_ext.tolist()), tuple(hi_ext.tolist()), bounds, initial
+    form = (A_ext, AT_ext, b, tuple(lo_ext.tolist()), tuple(hi_ext.tolist()), bounds)
+    return LpSolution(x[:poly.dim], 0.0, form, x, basis, binv, dirmask)
 
 
 def _ratio_test(step, xb, lo_b, hi_b, rng):
@@ -345,11 +340,15 @@ def _ratio_test(step, xb, lo_b, hi_b, rng):
 
 
 def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, dirmask, since_refresh):
-    """Primal iterations in place on ``x``, ``basis``, ``binv`` and the
-    pricing mask ``dirmask`` (see :class:`_SimplexState`); ``AT`` is
-    ``A.T``, contiguous, and the bounds ``lo``, ``hi`` are tuples of Python
-    floats.  Returns the pivots since the last refactorization,
-    ``since_refresh`` counting those made before the call.
+    """Primal iterations in place on the extended vertex ``x``, the
+    ``basis``, its inverse ``binv`` and the pricing mask ``dirmask``; ``AT``
+    is ``A.T``, contiguous, and the bounds ``lo``, ``hi`` are tuples of
+    Python floats.  Returns the pivots since the last refactorization,
+    ``since_refresh`` counting those made before the call.  ``dirmask`` is
+    the one record of where each variable sits: -1 at its lower bound, +1
+    at its upper bound, and 0 when it is basic or fixed (lower == upper,
+    never enters), so ``dirmask * r > 0`` exactly when moving a variable
+    off its bound improves the objective.
 
     The run is optimal once no pricing violation exceeds the dual
     tolerance; otherwise Dantzig pricing enters the largest (lowest index
@@ -459,49 +458,35 @@ def _simplex_phase_np(A, AT, b, c, lo, hi, x, basis, binv, dirmask, since_refres
     return since_refresh
 
 
-def _standard_form(poly: Polyhedron):
-    """(A, b, lo, hi) of ``poly`` with the budget row as an equality over a
-    nonnegative slack column."""
-    if poly.budget_coeffs is None:
-        return poly.eq_matrix, poly.eq_rhs, poly.lower, poly.upper
-    n = poly.dim
-    A = np.zeros((poly.eq_matrix.shape[0] + 1, n + 1))
-    A[:-1, :n] = poly.eq_matrix
-    A[-1, :n] = poly.budget_coeffs
-    A[-1, n] = 1.0  # slack for the budget row
-    b = np.concatenate([poly.eq_rhs, [poly.budget_limit]])
-    lo = np.concatenate([poly.lower, [0.0]])
-    hi = np.concatenate([poly.upper, [np.inf]])
-    return A, b, lo, hi
-
-
 def solve_lp(c, poly: Polyhedron, warm: Optional[LpSolution] = None) -> LpSolution:
     """Minimize ``c . x`` over a :class:`Polyhedron`.
 
     Returns an optimal vertex (nonbasic coordinates sit exactly on their
     bounds): ``poly`` is nonempty and bounded, so an optimum exists.  Every
-    polyhedron, a box included, takes the same path: phase 2 from a copy of
-    the feasible start that :func:`_phase1` computed when ``poly`` was
-    constructed.  ``poly`` is only read, so a call without ``warm`` is the
-    same whatever was solved before and from whichever thread.  The pivot
-    rule is fixed, and a stall's tie-break generator is seeded anew in each
-    call, so identical inputs produce bitwise-identical solutions.  Such a
-    call does not start from the nominal optimum that :func:`frank_wolfe_min`'s
-    chains continue: among tied optima the start decides which vertex
-    comes back, and the random and CCP bases are built from these vertices
-    (starting there cut the learn basis's least pairwise distance by 8%).
+    polyhedron, a box included, takes the same path: phase 2 continues a
+    copy of an earlier solution's simplex state (extended vertex, basis,
+    basis inverse, pricing mask, and the pivots since the inverse was last
+    refactorized), so a chain of calls refactorizes every
+    ``_REFACTOR_EVERY`` pivots in all, not on every entry.  The pivot rule
+    is fixed, and a stall's tie-break generator is seeded anew in each
+    call, so identical inputs produce bitwise-identical solutions.
 
-    ``warm``, an earlier solution on this polyhedron, makes phase 2
-    continue from a copy of the simplex state that solution ended with
-    instead: its extended vertex, basis, basis inverse and pricing mask,
-    and the pivots since the inverse was last refactorized, so a chain of
-    warm calls refactorizes every ``_REFACTOR_EVERY`` pivots in all, not on
-    every entry.  When consecutive costs are close (Frank-Wolfe gradients)
-    few pivots remain.  ``warm`` is only read, so one solution can start
-    any number of calls, each giving the same result.  The optimum is the
-    same up to the pricing tolerance, but among tied optima a warm call may
-    return another vertex than a cold one, and its basic coordinates carry
-    the rounding of the pivots before it.
+    Without ``warm`` the call continues ``poly``'s phase-1 solution, the
+    one :func:`_phase1` computed when ``poly`` was constructed.  ``poly`` is
+    only read, so such a call is the same whatever was solved before and
+    from whichever thread.  It does not continue the nominal solution that
+    :func:`frank_wolfe_min`'s chains start from: among tied optima the
+    start decides which vertex comes back, and the random and CCP bases
+    are built from these vertices (starting there cut the learn basis's
+    least pairwise distance by 8%).
+
+    ``warm``, an earlier solution on this polyhedron, is continued instead.
+    When consecutive costs are close (Frank-Wolfe gradients) few pivots
+    remain.  ``warm`` is only read, so one solution can start any number of
+    calls, each giving the same result.  The optimum is the same up to the
+    pricing tolerance, but among tied optima a warm call may return another
+    vertex than a cold one, and its basic coordinates carry the rounding of
+    the pivots before it.
 
     Raises
     ------
@@ -512,7 +497,7 @@ def solve_lp(c, poly: Polyhedron, warm: Optional[LpSolution] = None) -> LpSoluti
         rounding leaves an entering column with no bound on its step.
     ValueError
         if ``c`` has a NaN or infinite entry, or if ``warm`` was solved on
-        another polyhedron (its phase-1 start is not the one ``poly``
+        another polyhedron (its standard form is not the one ``poly``
         holds).
     """
     c = _as_float_vector(c, "c")
@@ -520,21 +505,21 @@ def solve_lp(c, poly: Polyhedron, warm: Optional[LpSolution] = None) -> LpSoluti
         raise DimensionMismatch(f"cost has {c.size} entries, polyhedron has dim {poly.dim}")
     if not np.isfinite(c).all():
         raise ValueError("cost c must be finite")
-    start = poly._lp_start
-    if warm is not None and warm._final_basis[0] is not start:
+    start = poly._origin if warm is None else warm
+    form = poly._origin._form
+    if start._form is not form:
         raise ValueError("warm start comes from another polyhedron")
-    A_ext, AT_ext, b, lo_ext, hi_ext, _, initial = start
-    entry = initial if warm is None else warm._final_basis[1]
-    x, basis, binv, dirmask = (arr.copy() for arr in entry[:4])
+    A_ext, AT_ext, b, lo_ext, hi_ext, _ = form
+    x, basis, binv, dirmask = (arr.copy() for arr in
+                               (start._x, start._basis, start._binv, start._dirmask))
     c_ext = np.zeros(x.size)
     c_ext[:c.size] = c
     since_refresh = _simplex_phase_np(A_ext, AT_ext, b, c_ext, lo_ext, hi_ext,
-                                      x, basis, binv, dirmask, entry.since_refresh)
+                                      x, basis, binv, dirmask, start._since_refresh)
     for arr in (x, basis, binv, dirmask):
         arr.flags.writeable = False
     point = x[:c.size]
-    return LpSolution(point, float(c @ point),
-                      (start, _SimplexState(x, basis, binv, dirmask, since_refresh)))
+    return LpSolution(point, float(c @ point), form, x, basis, binv, dirmask, since_refresh)
 
 
 def _dual_bound(c, sol: LpSolution) -> float:
@@ -554,12 +539,12 @@ def _dual_bound(c, sol: LpSolution) -> float:
     after the clip its reduced cost is never negative, so the bound is
     finite.
     """
-    (_, AT_ext, b, _, _, (lo, hi), _), state = sol._final_basis
+    _, AT_ext, b, _, _, (lo, hi) = sol._form
     c_ext = np.zeros(AT_ext.shape[0])
     c_ext[:c.size] = c
-    y = state.binv.T @ c_ext[state.basis]
+    y = sol._binv.T @ c_ext[sol._basis]
     r = c_ext - AT_ext @ y
-    r[state.basis] = 0.0
+    r[sol._basis] = 0.0
     if AT_ext.shape[0] - b.size > c.size and y[-1] > 0.0:  # a budget row, the last
         r += y[-1] * AT_ext[:, -1]
         y[-1] = 0.0
@@ -611,15 +596,15 @@ def _poly_slope(coeffs):
 
 
 def _line_step(slope, s_max, f_lo):
-    """Exact minimizer on [0, s_max] of a convex ``phi`` whose slope
-    ``phi'(s)`` is ``slope(s)``; ``f_lo`` is ``phi'(0)``.  The step is 0
-    when ``f_lo >= 0`` and ``s_max`` when ``phi'(s_max) <= 0``.  Otherwise
-    an Illinois secant on the sign of ``phi'`` keeps a bracket with
-    ``phi'(lo) < 0 < phi'(hi)`` and refines it down to adjacent floats,
-    then returns ``lo``; a point where ``phi'`` is zero is returned at
-    once.  ``phi'`` is never positive at the returned step, so for a
+    """Exact minimizer on [0, s_max], ``s_max > 0``, of a convex ``phi``
+    whose slope ``phi'(s)`` is ``slope(s)``; ``f_lo`` is ``phi'(0)``.  The
+    step is 0 when ``f_lo >= 0`` and ``s_max`` when ``phi'(s_max) <= 0``.
+    Otherwise an Illinois secant on the sign of ``phi'`` keeps a bracket
+    with ``phi'(lo) < 0 < phi'(hi)`` and refines it down to adjacent
+    floats, then returns ``lo``; a point where ``phi'`` is zero is returned
+    at once.  ``phi'`` is never positive at the returned step, so for a
     convex ``phi`` the step never raises f."""
-    if s_max <= 0.0 or f_lo >= 0.0:
+    if f_lo >= 0.0:
         return 0.0
     f_hi = slope(s_max)
     if f_hi <= 0.0:
@@ -670,19 +655,18 @@ def frank_wolfe_min(
     bounded, as every :class:`Polyhedron` is).
 
     ``fun(x)`` must return ``(value, gradient)``.  The run starts at the
-    vertex of the polyhedron's phase-1 start.  The linear subproblems go
-    through :func:`solve_lp` as one warm chain: the first continues the
-    simplex state of the polyhedron's nominal optimum, the minimum of its
-    budget row that construction solved (the phase-1 basis when there is
-    none), and each later one continues the state the previous
-    iteration's ended with.  A gradient of a congestion cost is close to
-    the budget row's cost, so the first LP needs few pivots from there
-    instead of many from the arbitrary phase-1 basis.  The start point
-    stays the phase-1 vertex: starting at the nominal vertex cut the
-    median call but made the slow calls slower and raised the iteration
-    count.  Both starts are constants of the polyhedron, and the chain
-    lives only inside this call, so the result is a pure function of the
-    arguments.
+    point of the polyhedron's phase-1 solution.  The linear subproblems go
+    through :func:`solve_lp` as one warm chain, each continuing a solution:
+    the first the polyhedron's nominal solution, the minimum of its budget
+    row that construction solved (the phase-1 solution itself when there
+    is no budget row), and each later one the previous iteration's.  A
+    gradient of a congestion cost is close to the budget row's cost, so the
+    first LP needs few pivots from there instead of many from the arbitrary
+    phase-1 basis.  The start point stays the phase-1 vertex: starting at
+    the nominal vertex cut the median call but made the slow calls slower
+    and raised the iteration count.  Both solutions are constants of the
+    polyhedron, and the chain lives only inside this call, so the result is
+    a pure function of the arguments.
     Away steps over the running vertex set remove the zigzagging that keeps
     plain conditional gradient from certifying small gaps.  Both steps move
     ``x`` to ``x + t (target - x)``, ``t = s`` toward the LP vertex and
@@ -717,7 +701,7 @@ def frank_wolfe_min(
     """
     if not tol_gap >= 0:
         raise ValueError(f"tol_gap must be >= 0, got {tol_gap}")
-    x = poly._lp_start[-1].x[:poly.dim].copy()
+    x = poly._origin.point.copy()
     verts = [x.copy()]
     alphas = [1.0]
 
@@ -737,7 +721,11 @@ def frank_wolfe_min(
         if away:
             alpha_a = alphas[a_idx]
             d = x - verts[a_idx]
-            s_max = alpha_a / (1.0 - alpha_a) if alpha_a < 1.0 else 0.0
+            # alpha_a < 1: with two or more active vertices every weight lies
+            # in (0, 1), since weights at most 1e-13 were dropped before the
+            # renormalization, and with one the away test compares 0 with a
+            # gap above tol_gap >= 0
+            s_max = alpha_a / (1.0 - alpha_a)
         else:
             d, s_max = v - x, 1.0
         if line_poly is None:

@@ -142,11 +142,13 @@ class CeVerdict(NamedTuple):
 
 
 def validate_weights(w, n: int) -> np.ndarray:
-    """``w`` as a flat float array, checked to be a distribution: of length
-    ``n``, finite, no entry below ``-1e-9`` and a sum within ``1e-9`` of 1.
-    Entries inside those tolerances come back as they are, not clipped or
-    renormalized.  Raises ValueError otherwise."""
-    w = np.asarray(w, dtype=float).ravel()
+    """``w`` as a float vector, checked to be a distribution: 1-D, of
+    length ``n``, finite, no entry below ``-1e-9`` and a sum within ``1e-9``
+    of 1.  Entries inside those tolerances come back as they are, not
+    clipped or renormalized.  Raises ValueError otherwise."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 1:
+        raise ValueError(f"weights must be a vector, got shape {w.shape}")
     if w.size != n:
         raise ValueError(f"weight vector has length {w.size}, expected {n}")
     if not np.all(np.isfinite(w)):

@@ -201,6 +201,13 @@ class TestCcpSelect:
         with pytest.raises(ValueError):
             ccp_select(game, 1)
 
+    def test_no_players_rejected(self):
+        # the master LP over no action sets used to fail inside numpy
+        net = parse_net((DATA / "toy4_net.tntp").read_text())
+        for game in (build_traffic_game(net, []), ConvexGame([], None, None)):
+            with pytest.raises(ValueError, match="a joint action needs at least one player"):
+                ccp_select(game, 2)
+
     def test_negative_max_iter_rejected(self):
         # it used to return the random start with zero iterations
         game = null_game([Polyhedron.interval(0.0, 1.0)])

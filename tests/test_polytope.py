@@ -330,8 +330,9 @@ class TestNominalStart:
             ref = highs_objective(P.budget_coeffs, P)
             assert abs(nominal.objective - ref) <= 1e-9 * abs(ref)
             assert nominal.objective == float(P.budget_coeffs @ nominal.point)
-            assert nominal._final_basis[0] is P._lp_start
-            for arr in (nominal.point, *nominal._final_basis[1][:4]):
+            assert nominal._form is P._origin._form
+            for arr in (nominal.point, nominal._x, nominal._basis, nominal._binv,
+                        nominal._dirmask):
                 assert not arr.flags.writeable
 
     def test_is_the_budgeted_game_nominal_cost(self, siouxfalls_game):
@@ -344,7 +345,7 @@ class TestNominalStart:
         # every polyhedron has a budget optimum if it has a budget row: an
         # empty one raises at construction
         for name, P in polyhedra_without_nominal(siouxfalls_sets):
-            assert P.budget_coeffs is None and P._nominal is None, name
+            assert P.budget_coeffs is None and P._nominal is P._origin, name
 
     def test_first_lp_continues_the_nominal_start(self, siouxfalls_game, monkeypatch):
         warms = []
@@ -359,8 +360,9 @@ class TestNominalStart:
         frank_wolfe_min(bpr_objective(siouxfalls_game), P, tol_gap=1e-9)
         assert warms[0] is P._nominal
         warms.clear()
-        frank_wolfe_min(lambda y: (0.5 * float(y @ y), y), Polyhedron.simplex(3), tol_gap=1e-9)
-        assert warms[0] is None
+        P = Polyhedron.simplex(3)
+        frank_wolfe_min(lambda y: (0.5 * float(y @ y), y), P, tol_gap=1e-9)
+        assert warms[0] is P._origin
 
     def test_frank_wolfe_unchanged_without_nominal(self, siouxfalls_game, siouxfalls_sets):
         digest = hashlib.sha256()
@@ -426,6 +428,21 @@ class TestWarmStart:
             assert solve_lp(c, P).point.tobytes() == solve_lp(c, fresh(P)).point.tobytes()
             with pytest.raises(ValueError, match="another polyhedron"):
                 solve_lp(c, fresh(P), warm=prev)
+
+    def test_cold_call_continues_the_origin(self, siouxfalls_sets):
+        # a call without warm continues the phase-1 solution: bitwise the
+        # same solution and end state as a call that passes it as warm
+        rng = np.random.default_rng(11)
+        for P in (*siouxfalls_sets, Polyhedron.box([0.0, -1.0, 0.5], [1.0, 2.0, 0.5])):
+            for c in rng.normal(size=(5, P.dim)):
+                cold, warm = solve_lp(c, P), solve_lp(c, P, warm=P._origin)
+                assert cold.objective == warm.objective
+                assert cold._since_refresh == warm._since_refresh
+                assert cold._form is warm._form is P._origin._form
+                for a, b in ((cold.point, warm.point), (cold._x, warm._x),
+                             (cold._basis, warm._basis), (cold._binv, warm._binv),
+                             (cold._dirmask, warm._dirmask)):
+                    assert a.tobytes() == b.tobytes()
 
     def test_close_costs_need_few_pivots(self, siouxfalls_sets, monkeypatch):
         # from the optimum of a nearby cost a warm start skips most pivots;
@@ -503,19 +520,19 @@ class TestWarmStart:
                 solve_lp(c, poly, warm=warm)
 
 
-def assert_mask_matches_vertex(start, state):
-    """``state.dirmask`` is -1 on the nonbasic columns at a lower bound
+def assert_mask_matches_vertex(sol):
+    """``sol._dirmask`` is -1 on the nonbasic columns at a lower bound
     below their upper bound, +1 on those at their upper bound and 0 on the
     basic and fixed columns; every other nonbasic column sits on a
     bound."""
-    lo, hi = np.array(start[3]), np.array(start[4])
-    x = state.x
+    lo, hi = np.array(sol._form[3]), np.array(sol._form[4])
+    x = sol._x
     nonbasic = np.ones(x.size, dtype=bool)
-    nonbasic[state.basis] = False
+    nonbasic[sol._basis] = False
     fixed = lo == hi
     at_lo = nonbasic & ~fixed & (x == lo)
     at_hi = nonbasic & ~fixed & (x == hi)
-    assert state.dirmask.tolist() == np.where(at_lo, -1.0, np.where(at_hi, 1.0, 0.0)).tolist()
+    assert sol._dirmask.tolist() == np.where(at_lo, -1.0, np.where(at_hi, 1.0, 0.0)).tolist()
     assert np.all(at_lo | at_hi | ~nonbasic | fixed)
 
 
@@ -529,8 +546,7 @@ class TestCarriedChain:
         rng = np.random.default_rng(7)
         warm = solve_lp(rng.uniform(1.0, 2.0, P.dim), P)
         warm = solve_lp(rng.uniform(1.0, 2.0, P.dim), P, warm=warm)
-        state = warm._final_basis[1]
-        held = [state.x, state.basis, state.binv, state.dirmask]
+        held = [warm._x, warm._basis, warm._binv, warm._dirmask]
         before = [a.copy() for a in held]
         assert not any(a.flags.writeable for a in held)
         for c in rng.uniform(1.0, 2.0, size=(5, P.dim)):
@@ -548,19 +564,19 @@ class TestCarriedChain:
         rng = np.random.default_rng(10)
         for P in siouxfalls_sets:
             P = fresh(P)
-            assert_mask_matches_vertex(P._lp_start, P._lp_start[-1])
+            assert_mask_matches_vertex(P._origin)
             c = rng.uniform(1.0, 2.0, P.dim)
             prev = None
             for _ in range(100):
                 c = c * (1.0 + 0.2 * rng.normal(size=P.dim))
                 prev = solve_lp(c, P, warm=prev)
-                assert_mask_matches_vertex(*prev._final_basis[:2])
+                assert_mask_matches_vertex(prev)
         for P, costs in random_chains():
-            assert_mask_matches_vertex(P._lp_start, P._lp_start[-1])
+            assert_mask_matches_vertex(P._origin)
             prev = None
             for c in costs:
                 for sol in (solve_lp(c, P), solve_lp(c, P, warm=prev)):
-                    assert_mask_matches_vertex(*sol._final_basis[:2])
+                    assert_mask_matches_vertex(sol)
                     prev = sol
 
     def test_refactorization_period_spans_the_chain(self, siouxfalls_sets, monkeypatch):
@@ -585,7 +601,7 @@ class TestCarriedChain:
             monkeypatch.setattr(np.linalg, "inv", inv)
             cold = solve_lp(c, P)
             assert contains(P, sol.point)
-            assert sol._final_basis[1].since_refresh < 2
+            assert sol._since_refresh < 2
             scale = 1.0 + np.abs(c).sum() * np.abs(sol.point).max()
             assert abs(sol.objective - cold.objective) <= 1e-9 * scale
             prev = sol

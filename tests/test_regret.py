@@ -75,6 +75,9 @@ class TestWeights:
         for bad in ([np.nan, 1.0], [np.inf, 1.0], [0.5, np.nan]):
             with pytest.raises(ValueError, match="finite"):
                 validate_weights(bad, 2)
+        for bad, n in ((np.full((2, 2), 0.25), 4), ([[0.5, 0.5]], 2), (1.0, 1)):
+            with pytest.raises(ValueError, match=r"must be a vector, got shape \("):
+                validate_weights(bad, n)
 
 
 class TestBasisSet:
@@ -531,6 +534,23 @@ class TestOracleBranches:
                 a, b = fast.report(w), slow.report(w)
                 slack = np.maximum(a.fw_gaps, 0.0) + np.maximum(b.fw_gaps, 0.0) + 1e-12
                 assert np.all(np.abs(a.per_player - b.per_player) <= slack)
+
+    def test_branches_count_a_weight_below_zero(self):
+        # validate_weights passes an entry down to -1e-9 and the expected
+        # cost counts it, so both objectives must count it too; the generic
+        # one dropped it, 8e-10 off here, below the reports' FW-gap slack
+        specs, N = self.NETWORKS["siouxfalls"]
+        net = parse_net((DATA / "siouxfalls_net.tntp").read_text())
+        traffic = build_traffic_game(net, [PlayerSpec(*spec) for spec in specs])
+        generic = ConvexGame(traffic.action_sets, traffic.cost,
+                             lambda i, x, o: player_cost_gradient(i, x, o, traffic))
+        basis = random_basis(traffic, N, seed=0)
+        fast, slow = RegretOracle(traffic, basis), RegretOracle(generic, basis)
+        w = np.array([0.5, 0.5 + 8e-10, -8e-10, 0.0, 0.0])
+        for i, y in enumerate(basis.actions[3]):
+            a = traffic.mixture_best_response(i, w, fast.opp_totals[i])[0](y)[0]
+            b = generic.mixture_best_response(i, w, slow.opp_totals[i])[0](y)[0]
+            assert abs(a - b) <= 1e-12
 
 
 def siouxfalls_oracle():
