@@ -11,7 +11,7 @@ with K the kernel matrix of past queries, c(w) the cross-covariances and
 eta the observed values.  With L the Cholesky factor of K + sigma^2 I and
 v = L^-1 c(w), the variance is 1 - |v|^2, so a batch of candidates costs
 one triangular solve.  Expected Improvement (minimization form) scores
-candidates, and its analytic gradient drives a polish that keeps iterates
+candidates, and its analytic gradient drives a search that keeps iterates
 exactly on the simplex: a search along the projection arc
 ``a -> proj(w + a grad EI(w))`` (Bertsekas, IEEE TAC 1976) over a fixed
 grid of step lengths, every start and length scored in one EI batch.  With
@@ -23,17 +23,13 @@ the gradient is a weighted sum of the offsets from the observations,
     G_n = (5 / (3 l^2)) (1 + q_n) e^{-q_n} (Phi(z) alpha_n + (phi(z) / rho) beta_n),
 
 so a batch of B candidates never needs the B x n x N kernel derivatives.
-Scoring the candidates and the trial points computes EI alone; one gradient
-batch at the starts, the only batch that solves for beta, serves each
-polish step.  A start moves only to a trial
-point of strictly higher EI, so its EI never falls, and the polish ends at
-the first step where no start moves.
-
-Where EI is 0 at every candidate the best candidate is returned unpolished:
-at an unobserved point EI is 0 only when the normal cdf and pdf at z have
-both underflowed, and G is built from the same two factors, so every trial
-point would be a start itself, and no polished value could exceed
-max(EI) = 0.
+Every point is scored once: the gradient at a start reuses the terms of the
+EI batch that scored it and adds only the solve for beta.  A start moves
+only to a trial point of strictly higher EI, so its EI never falls, and a
+start that does not move leaves the search, since it would try the same
+trial points again.  Where EI is 0 at every candidate, the normal cdf and
+pdf at z have both underflowed, G is 0, and no start moves at the first
+step.
 
 The GP functions take the history as plain arrays: the n x N matrix ``W``
 of queried weights, one per row, the n standardized outputs ``eta``, and
@@ -119,7 +115,10 @@ def _factorize(W, eta, lengthscale: float):
     Cholesky factor ``L`` of ``K + sigma^2 I`` (LAPACK ``dpotrf``; the
     strict upper triangle is zero) and ``alpha = (K + sigma^2 I)^-1 eta``.
     Raises ``ValueError`` unless ``W`` is an n x N matrix and ``eta`` n
-    values with n, N >= 1, all finite, and ``lengthscale > 0``.
+    values with n, N >= 1, all finite, and the lengthscale is finite and
+    positive.  Raises :class:`GpError` when the kernel matrix is not finite
+    (a lengthscale so small that ``q^2`` overflows; LAPACK would factor the
+    NaNs) or not positive definite.
     """
     W = np.asarray(W, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -128,9 +127,12 @@ def _factorize(W, eta, lengthscale: float):
                          f"got shapes {W.shape} and {eta.shape}")
     if not (np.isfinite(W).all() and np.isfinite(eta).all()):
         raise ValueError("GP inputs and outputs must be finite")
-    if not lengthscale > 0:
-        raise ValueError(f"lengthscale must be positive, got {lengthscale}")
-    K = _kernel_matrix(W, W, lengthscale)
+    if not 0 < lengthscale < np.inf:
+        raise ValueError(f"lengthscale must be positive and finite, got {lengthscale}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = _kernel_matrix(W, W, lengthscale)
+    if not np.isfinite(K).all():
+        raise GpError(f"kernel matrix is not finite at lengthscale {lengthscale}")
     K[np.diag_indices_from(K)] += NOISE_SIGMA ** 2
     L, info = dpotrf(K, lower=True)
     if info != 0:
@@ -158,14 +160,14 @@ def _posterior_ei(W_cand, W, L, alpha, lengthscale, best):
     """EI at each row of the B x N batch W_cand, and the terms its gradient
     reuses.
 
-    Returns ``(ei[B], (q, e, v, cdf, pdf, rho, seen))``: the B x n scaled
-    distances ``q``, ``e = exp(-q)``, the n x B solve ``v = L^-1 C'`` of
-    the cross-covariances ``C``, and per row the normal cdf and pdf at z,
-    the posterior deviation and whether it is at most 1e-15 (an observed
-    point, where EI is zero and ``rho`` reads 1).  The variance is ``1 -
-    |v|^2`` (Rasmussen & Williams 2006, Algorithm 2.1), so the batch costs
-    one LAPACK ``dtrtrs`` solve; a non-finite row of ``W_cand`` raises
-    ``ValueError``.
+    Returns ``(ei[B], (q, e, v, cdf, pdf, rho, seen))``, every term indexed
+    by row: the B x n scaled distances ``q``, ``e = exp(-q)``, the B x n
+    transpose of the solve ``L^-1 C'`` of the cross-covariances ``C``, and
+    per row the normal cdf and pdf at z, the posterior deviation and
+    whether it is at most 1e-15 (an observed point, where EI is zero and
+    ``rho`` reads 1).  The variance is ``1 - |v|^2`` (Rasmussen & Williams
+    2006, Algorithm 2.1), so the batch costs one LAPACK ``dtrtrs`` solve; a
+    non-finite row of ``W_cand`` raises ``ValueError``.
     """
     if not np.isfinite(W_cand).all():
         raise ValueError("acquisition candidates must be finite")
@@ -181,26 +183,25 @@ def _posterior_ei(W_cand, W, L, alpha, lengthscale, best):
     cdf = ndtr(z)
     pdf = np.exp(-0.5 * z * z) * _INV_SQRT_2PI
     ei = np.where(seen, 0.0, (best - mean) * cdf + rho * pdf)
-    return ei, (q, e, v, cdf, pdf, rho, seen)
+    return ei, (q, e, v.T, cdf, pdf, rho, seen)
 
 
-def _ei_and_grad(W_cand, W, L, alpha, lengthscale, best):
-    """EI and its ambient-space gradient at each row of the B x N batch W_cand.
+def _ei_gradient(W_cand, terms, W, L, alpha, lengthscale):
+    """The ambient-space gradient of EI at each row of the B x N batch
+    W_cand, zero at an observed point, from the ``terms`` that
+    :func:`_posterior_ei` returned for those rows.
 
-    Returns ``(ei[B], grad[B, N])``, both zero at an observed point.  On
-    top of :func:`_posterior_ei` the gradient takes ``beta = L^-T v``, a
-    second ``dtrtrs`` solve, and is ``grad[b] = sum_n G[b, n] (W_cand[b] -
-    W[n])`` with the B x n weights ``G = (5 / (3 l^2)) (1 + q) e^{-q}
-    (Phi(z) alpha_n + (phi(z) / rho) beta_n)``, so no B x n x N array is
-    formed.
+    It takes ``beta = L^-T v``, one ``dtrtrs`` solve, and is ``grad[b] =
+    sum_n G[b, n] (W_cand[b] - W[n])`` with the B x n weights ``G = (5 /
+    (3 l^2)) (1 + q) e^{-q} (Phi(z) alpha_n + (phi(z) / rho) beta_n)``, so
+    no B x n x N array is formed.
     """
-    ei, (q, e, v, cdf, pdf, rho, seen) = _posterior_ei(
-        W_cand, W, L, alpha, lengthscale, best)
-    beta = dtrtrs(L, v, lower=True, trans=1)[0].T  # B x n
+    q, e, v, cdf, pdf, rho, seen = terms
+    beta = dtrtrs(L, v.T, lower=True, trans=1)[0].T  # B x n
     G = ((5.0 / (3.0 * lengthscale ** 2)) * (1.0 + q) * e
          * (cdf[:, None] * alpha + (pdf / rho)[:, None] * beta))
     grad = G.sum(axis=1)[:, None] * W_cand - G @ W
-    return ei, np.where(seen[:, None], 0.0, grad)
+    return np.where(seen[:, None], 0.0, grad)
 
 
 def maximize_acquisition(W, eta, lengthscale: float, seed: int = 0) -> np.ndarray:
@@ -208,24 +209,19 @@ def maximize_acquisition(W, eta, lengthscale: float, seed: int = 0) -> np.ndarra
     (n x N), the standardized outputs ``eta`` and the lengthscale.
 
     Seeded flat-Dirichlet sampling scores :data:`NUM_CANDIDATES` points by
-    EI alone, and the :data:`NUM_POLISH` best, by stable argsort, start a
-    batched search along the projection arc.  Each step takes the gradient
-    at the starts, projects ``w + a grad`` for every step length ``a`` of
-    the fixed grid ``0.1 * 2**j``, ``j = 6, 5, ..., -9`` (one projection of
-    the whole start-by-length batch), scores those trial points by EI, and
+    EI, and the :data:`NUM_POLISH` best, by stable argsort, start a batched
+    search along the projection arc.  Each step takes the gradient at the
+    live starts, projects ``w + a grad`` for every step length ``a`` of the
+    fixed grid ``0.1 * 2**j``, ``j = 6, 5, ..., -9`` (one projection of the
+    whole start-by-length batch), scores those trial points by EI, and
     moves each start to its best trial point only where that EI is
-    strictly higher, so a start's EI never falls.  The search ends after
-    :data:`NUM_POLISH_STEPS` steps or at the first step where no start
-    moves; a start that did not move would see the same trial points
-    again.  The result is the highest-EI start, ties going to the lowest
+    strictly higher, so a start's EI never falls.  A start that does not
+    move would see the same trial points again, so it leaves the search,
+    which ends after :data:`NUM_POLISH_STEPS` steps or when no start is
+    left.  The result is the highest-EI start, ties going to the lowest
     index; start 0 is the best candidate, so the result is that candidate
     unless a search step strictly beat it.  The returned point satisfies
     the simplex invariants exactly.
-
-    Where EI is 0 at every candidate the search is skipped: EI is 0 at an
-    unobserved point only when the normal cdf and pdf at z have both
-    underflowed, the gradient weights are built from those two factors, so
-    every trial point would be a start itself, and no start could move.
     """
     W, L, alpha = _factorize(W, eta, lengthscale)
     best = float(np.min(eta))
@@ -233,24 +229,25 @@ def maximize_acquisition(W, eta, lengthscale: float, seed: int = 0) -> np.ndarra
     rng = np.random.default_rng(seed)
 
     cands = rng.dirichlet(np.ones(N), size=NUM_CANDIDATES)
-    ei, _ = _posterior_ei(cands, W, L, alpha, lengthscale, best)
-    if not ei.any():
-        return project_simplex(cands[int(np.argmax(ei))])
+    ei, terms = _posterior_ei(cands, W, L, alpha, lengthscale, best)
     starts = np.argsort(-ei, kind="stable")[:NUM_POLISH]
     w, ei_w = cands[starts], ei[starts]
-    rows = np.arange(len(w))
+    terms = tuple(t[starts] for t in terms)
+    live = np.arange(len(w))
     for _ in range(NUM_POLISH_STEPS):
-        _, grad = _ei_and_grad(w, W, L, alpha, lengthscale, best)
-        # trial[s, k] is start s moved by the k-th step length
-        trial = project_simplex(w[:, None] + _STEP_LENGTHS[:, None] * grad[:, None])
-        ei_t, _ = _posterior_ei(trial.reshape(-1, N), W, L, alpha, lengthscale, best)
-        ei_t = ei_t.reshape(trial.shape[:2])
-        k = np.argmax(ei_t, axis=1)
-        moved = ei_t[rows, k] > ei_w
-        if not moved.any():
+        grad = _ei_gradient(w[live], terms, W, L, alpha, lengthscale)
+        # row s * len(_STEP_LENGTHS) + k is live start s moved by the k-th length
+        trial = project_simplex(w[live][:, None] + _STEP_LENGTHS[:, None] * grad[:, None])
+        trial = trial.reshape(-1, N)
+        ei_t, terms = _posterior_ei(trial, W, L, alpha, lengthscale, best)
+        pick = (np.arange(len(live)) * len(_STEP_LENGTHS)
+                + np.argmax(ei_t.reshape(len(live), -1), axis=1))
+        moved = ei_t[pick] > ei_w[live]
+        live, pick = live[moved], pick[moved]
+        if not live.size:
             break
-        w = np.where(moved[:, None], trial[rows, k], w)
-        ei_w = np.where(moved, ei_t[rows, k], ei_w)
+        w[live], ei_w[live] = trial[pick], ei_t[pick]
+        terms = tuple(t[pick] for t in terms)
     return project_simplex(w[int(np.argmax(ei_w))])
 
 

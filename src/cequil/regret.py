@@ -134,11 +134,14 @@ class RegretReport:
 
 class CeVerdict(NamedTuple):
     """Outcome of :func:`verify_ce`; ``worst_regret`` is the worst
-    player's certified upper bound (:class:`RegretReport`)."""
+    player's certified upper bound and ``worst_lower`` its reported regret,
+    a lower bound (:class:`RegretReport`), so that player's true regret
+    lies between the two."""
 
     is_equilibrium: bool
     worst_player: int
     worst_regret: float
+    worst_lower: float
 
 
 def validate_weights(w, n: int) -> np.ndarray:
@@ -234,4 +237,5 @@ def verify_ce(report: RegretReport, tol: float = 1e-6) -> CeVerdict:
     if np.isnan(tol):
         raise ValueError(f"tol must not be NaN, got {tol}")
     worst = int(np.argmax(report.upper))
-    return CeVerdict(bool(report.upper[worst] <= tol), worst, float(report.upper[worst]))
+    return CeVerdict(bool(report.upper[worst] <= tol), worst, float(report.upper[worst]),
+                     float(report.per_player[worst]))

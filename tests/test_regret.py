@@ -431,6 +431,17 @@ class TestVerifyCe:
             improvable = (x[0] - x[1]) ** 2 > 1e-6
             assert verdict.is_equilibrium == (not improvable)
 
+    def test_lower_bound_is_at_most_the_certificate(self):
+        game = quadratic_game()
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            x = rng.uniform(size=(2, 2))
+            basis = BasisSet([[np.array([a]), np.array([b])] for a, b in x])
+            rep = RegretOracle(game, basis).report(rng.dirichlet(np.ones(2)))
+            verdict = verify_ce(rep)
+            assert verdict.worst_lower == rep.per_player[verdict.worst_player]
+            assert verdict.worst_lower <= verdict.worst_regret
+
     def test_nan_tol_rejected_before_the_report(self):
         report = RegretOracle(quadratic_game(), diag_basis()).report([0.5, 0.5])
         with pytest.raises(ValueError, match="tol must not be NaN"):
@@ -466,14 +477,15 @@ class TestVerifyCe:
         assert not verdict.is_equilibrium
         assert verdict.worst_player == 0
         assert verdict.worst_regret == pytest.approx(0.255, abs=1e-12)
+        assert verdict.worst_lower == rep.per_player[0]
 
     def test_reads_the_reports_upper_bound(self):
         # the verdict is the report's certificate alone, whatever the
         # regrets and gaps beside it say
         rep = RegretReport(np.array([-1.0, -1.0]), [np.zeros(1)] * 2, np.zeros(2),
                            np.array([-0.5, 2e-6]))
-        assert verify_ce(rep) == (False, 1, 2e-6)
-        assert verify_ce(rep, tol=3e-6) == (True, 1, 2e-6)
+        assert verify_ce(rep) == (False, 1, 2e-6, -1.0)
+        assert verify_ce(rep, tol=3e-6) == (True, 1, 2e-6, -1.0)
 
 
 class TestSolverNoise:
