@@ -118,7 +118,8 @@ def _factorize(W, eta, lengthscale: float):
     values with n, N >= 1, all finite, and the lengthscale is finite and
     positive.  Raises :class:`GpError` when the kernel matrix is not finite
     (a lengthscale so small that ``q^2`` overflows; LAPACK would factor the
-    NaNs) or not positive definite.
+    NaNs), when the EI gradient's factor ``5 / (3 l^2)`` is not, or when
+    the matrix is not positive definite.
     """
     W = np.asarray(W, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -133,6 +134,9 @@ def _factorize(W, eta, lengthscale: float):
         K = _kernel_matrix(W, W, lengthscale)
     if not np.isfinite(K).all():
         raise GpError(f"kernel matrix is not finite at lengthscale {lengthscale}")
+    # on one input K is [[1]] at any lengthscale
+    if not 3.0 * lengthscale ** 2 > 5.0 / np.finfo(float).max:
+        raise GpError(f"kernel gradient is not finite at lengthscale {lengthscale}")
     K[np.diag_indices_from(K)] += NOISE_SIGMA ** 2
     L, info = dpotrf(K, lower=True)
     if info != 0:

@@ -221,10 +221,9 @@ class LpSolution:
 
     point: np.ndarray
     objective: float
-    # (A, A^T contiguous, b, lo, hi, [lo; hi]) of the standard form, shared
-    # by every solution on one polyhedron: the bounds as tuples of Python
-    # floats for the simplex, which reads them one entry at a time, and
-    # stacked for _dual_bound, which reads them whole.
+    # (A, A^T contiguous, b, lo, hi) of the standard form, shared by every
+    # solution on one polyhedron: the bounds as tuples of Python floats,
+    # which the simplex reads one entry at a time.
     _form: object = field(default=None, repr=False)
     # The read-only state the run ended in, which a later run continues from
     # a copy of: the extended vertex, the basis, its inverse, the pricing
@@ -297,10 +296,9 @@ def _phase1(poly: Polyhedron) -> LpSolution:
     hi_ext[n:] = 0.0
     dirmask[n:] = 0.0
 
-    bounds = np.array([lo_ext, hi_ext])
-    for arr in (A_ext, AT_ext, b, bounds, x, basis, binv, dirmask):
+    for arr in (A_ext, AT_ext, b, x, basis, binv, dirmask):
         arr.flags.writeable = False
-    form = (A_ext, AT_ext, b, tuple(lo_ext.tolist()), tuple(hi_ext.tolist()), bounds)
+    form = (A_ext, AT_ext, b, tuple(lo_ext.tolist()), tuple(hi_ext.tolist()))
     return LpSolution(x[:poly.dim], 0.0, form, x, basis, binv, dirmask)
 
 
@@ -509,7 +507,7 @@ def solve_lp(c, poly: Polyhedron, warm: Optional[LpSolution] = None) -> LpSoluti
     form = poly._origin._form
     if start._form is not form:
         raise ValueError("warm start comes from another polyhedron")
-    A_ext, AT_ext, b, lo_ext, hi_ext, _ = form
+    A_ext, AT_ext, b, lo_ext, hi_ext = form
     x, basis, binv, dirmask = (arr.copy() for arr in
                                (start._x, start._basis, start._binv, start._dirmask))
     c_ext = np.zeros(x.size)
@@ -539,7 +537,7 @@ def _dual_bound(c, sol: LpSolution) -> float:
     after the clip its reduced cost is never negative, so the bound is
     finite.
     """
-    _, AT_ext, b, _, _, (lo, hi) = sol._form
+    _, AT_ext, b, lo, hi = sol._form
     c_ext = np.zeros(AT_ext.shape[0])
     c_ext[:c.size] = c
     y = sol._binv.T @ c_ext[sol._basis]

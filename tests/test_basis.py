@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +7,12 @@ from scipy.optimize import linprog
 
 import cequil.basis
 from cequil.basis import ccp_select, min_pairwise_distance, random_basis
-from cequil.game import ConvexGame, PlayerSpec, build_traffic_game
+from cequil.game import ConvexGame, build_traffic_game
 from cequil.polytope import TOL_FEAS, InfeasibleError, Polyhedron, contains
 from cequil.regret import BasisSet
 from cequil.tntp import parse_net
 
-DATA = Path(__file__).parent / "data"
+from harness import DATA, SETUPS, siouxfalls_game, spy_on, stored_basis
 
 
 def null_game(action_sets):
@@ -223,21 +222,12 @@ class TestCcpSelect:
 
 
 @pytest.fixture(scope="module")
-def siouxfalls_ccp():
-    """ccp_select on Sioux Falls (3 players, N=3, seed 0) and every master LP it solved."""
-    net = parse_net((DATA / "siouxfalls_net.tntp").read_text())
-    game = build_traffic_game(net, [PlayerSpec(1, 20, 3000.0), PlayerSpec(13, 8, 3000.0),
-                                    PlayerSpec(7, 24, 3000.0)])
-    calls = []
-
-    def recording_linprog(c, **kwargs):
-        calls.append(dict(kwargs, c=np.array(c)))
-        return linprog(c, **kwargs)
-
+def siouxfalls_ccp(learn_game):
+    """ccp_select on the learn game (N=3, seed 0) and every master LP it solved."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cequil.basis, "linprog", recording_linprog)
-        _, trace = ccp_select(game, 3, seed=0)
-    return game, trace, calls
+        calls = spy_on(mp, cequil.basis, "linprog")
+        _, trace = ccp_select(learn_game, 3, seed=0)
+    return learn_game, trace, [dict(call.kwargs, c=call.args[0]) for call in calls]
 
 
 class TestCcpMasterLp:
@@ -287,20 +277,15 @@ class TestProductionBases:
     # distance, which the benchmark reports as basis_min_dist.  The dual
     # simplex reached other vertices of the same optimal faces; the oracle
     # and learner pins run on those bases (TestStoredBases).
-    PLAYERS = {
-        "learn": ((1, 20), (13, 8), (7, 24)),
-        "audit": ((1, 20), (13, 8), (7, 24), (2, 19), (16, 3)),
-    }
     SHA256 = {
         "learn": "837a16d52a1fb540a25c9cc3648e2c1d3b5ff64a50a7ab454fa7eb9139ce4b6e",
         "audit": "faae7befee25e4211eabe15ad27b407313ce10bb6d62502f0cba65ba243234e7",
     }
     MIN_DIST = {"learn": 53732.83678756477, "audit": 109326.38940007357}
 
-    @pytest.mark.parametrize("setup", sorted(PLAYERS))
+    @pytest.mark.parametrize("setup", sorted(SETUPS))
     def test_basis_pinned(self, setup):
-        net = parse_net((DATA / "siouxfalls_net.tntp").read_text())
-        game = build_traffic_game(net, [PlayerSpec(o, d, 3000.0) for o, d in self.PLAYERS[setup]])
+        game = siouxfalls_game(SETUPS[setup])
         basis, trace = ccp_select(game, 5, seed=0)
         X = np.stack([basis.joint(k) for k in range(basis.size)])
         assert hashlib.sha256(X.tobytes()).hexdigest() == self.SHA256[setup]
@@ -312,10 +297,10 @@ class TestStoredBases:
     # The bases the oracle and learner pins of test_regret.py and
     # test_bayesopt.py run on: the learn and audit setups' CCP bases (N=5,
     # seed 0) that ccp_select returned while HiGHS's dual simplex solved its
-    # master LP, saved with np.save as the stacked joint actions.  Those
-    # pins' reference kernels are gone, so the bases are test data rather
-    # than ccp_select's output: a SHA-256 over the stacked joints, and their
-    # min distance.
+    # master LP, saved with np.save as the stacked joint actions and read by
+    # the harness.  Those pins' reference kernels are gone, so the bases are
+    # test data rather than ccp_select's output: a SHA-256 over the stacked
+    # joints, and their min distance.
     SHA256 = {
         "learn": "802c890da47a1ad17c484570015826f0d155bfcb11073e4671717c0556f0cdbc",
         "audit": "575ccf7d0c73024e174234a631eb49c54366f2cb24d9125c61193a8d12865d7b",
@@ -324,13 +309,11 @@ class TestStoredBases:
 
     @pytest.mark.parametrize("setup", sorted(SHA256))
     def test_basis_pinned(self, setup):
-        net = parse_net((DATA / "siouxfalls_net.tntp").read_text())
-        players = TestProductionBases.PLAYERS[setup]
-        game = build_traffic_game(net, [PlayerSpec(o, d, 3000.0) for o, d in players])
+        game = siouxfalls_game(SETUPS[setup])
         dims = [P.dim for P in game.action_sets]
-        X = np.load(DATA / f"siouxfalls_{setup}_basis.npy")
+        basis = stored_basis(setup, game)
+        X = np.stack([basis.joint(k) for k in range(basis.size)])
         assert X.shape == (5, sum(dims))
         assert hashlib.sha256(X.tobytes()).hexdigest() == self.SHA256[setup]
-        basis = BasisSet([np.split(x, np.cumsum(dims)[:-1]) for x in X])
         basis.validate_feasible(game)
         assert min_pairwise_distance(basis) == self.MIN_DIST[setup]

@@ -1,5 +1,4 @@
 import hashlib
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -23,12 +22,11 @@ from cequil.bayesopt import (
     log_marginal_likelihood,
     maximize_acquisition,
 )
-from cequil.game import PlayerSpec, build_traffic_game
 from cequil.polytope import project_simplex
-from cequil.regret import BasisSet, RegretOracle
-from cequil.tntp import parse_net
+from cequil.regret import RegretOracle
 
-DATA = Path(__file__).parent / "data"
+from harness import spy_on
+
 TARGET = np.array([0.6, 0.3, 0.1])
 LENGTHSCALE = 0.5
 
@@ -129,30 +127,23 @@ class TestAcquisitionKernels:
         assert np.abs(ei - ref_ei).max() <= 1e-10 * np.abs(ref_ei).max()
         assert np.abs(grad - ref_grad).max() <= 1e-10 * np.abs(ref_grad).max()
 
-    def test_one_triangular_solve_per_ei_batch_and_two_per_gradient(self, monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("trans", 0))
-            return dtrtrs(*args, **kwargs)
-
+    def test_one_triangular_solve_per_ei_batch_and_two_per_gradient(self, monkeypatch, spy):
         def forbidden(*args, **kwargs):
             raise AssertionError("the kernel must solve with dtrtrs alone")
 
-        dtrtrs = bayesopt.dtrtrs
         W, eta = history()
         W, L, alpha = _factorize(W, eta, LENGTHSCALE)
-        monkeypatch.setattr(bayesopt, "dtrtrs", counting)
+        calls = spy(bayesopt, "dtrtrs")
         for name in ("dpotrs", "cho_solve"):
             monkeypatch.setattr(bayesopt, name, forbidden, raising=False)
         cands = np.random.default_rng(5).dirichlet(np.ones(3), size=8)
         _, terms = _posterior_ei(cands, W, L, alpha, LENGTHSCALE, min(eta))
-        assert calls == [0]  # v = L^-1 C'
+        assert [call.kwargs.get("trans", 0) for call in calls] == [0]  # v = L^-1 C'
         calls.clear()
         # the gradient reuses the scoring batch's v and solves only for
         # beta = L^-T v
         _ei_gradient(cands, terms, W, L, alpha, LENGTHSCALE)
-        assert calls == [1]
+        assert [call.kwargs.get("trans", 0) for call in calls] == [1]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_candidate_rejected(self, bad):
@@ -325,19 +316,16 @@ def linear_rounds():
     ``dead`` is true where EI underflows to 0 at every candidate.  The
     cost's minimum sits at a vertex, so once the lengthscale is refit to 2
     the GP is sure that no interior candidate improves on it."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_on(mp, bayesopt, "maximize_acquisition")
+        bo_learn(linear, 5, budget=30, seed=0)
     rounds = []
-    acquire = bayesopt.maximize_acquisition
-
-    def recording(W, eta, lengthscale, seed=0):
+    for call in calls:
+        (W, eta, lengthscale), seed = call.args, call.kwargs["seed"]
         W_, L, alpha = _factorize(W, eta, lengthscale)
         cands = np.random.default_rng(seed).dirichlet(np.ones(W.shape[1]), size=NUM_CANDIDATES)
         ei, _ = _posterior_ei(cands, W_, L, alpha, lengthscale, float(np.min(eta)))
-        rounds.append((W.copy(), eta.copy(), lengthscale, seed, not ei.any()))
-        return acquire(W, eta, lengthscale, seed=seed)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bayesopt, "maximize_acquisition", recording)
-        bo_learn(linear, 5, budget=30, seed=0)
+        rounds.append((W, eta, lengthscale, seed, not ei.any()))
     return rounds
 
 
@@ -361,42 +349,31 @@ class TestStallExit:
     at all their trial points; a start that does not move leaves, and where
     EI is 0 at every candidate none moves at the first step."""
 
-    def batches(self, monkeypatch, name):
-        rows = []
-        fn = getattr(bayesopt, name)
-
-        def recording(W_cand, *args):
-            rows.append(W_cand.copy())
-            return fn(W_cand, *args)
-
-        monkeypatch.setattr(bayesopt, name, recording)
-        return rows
-
-    def test_exact_and_early_where_ei_underflows(self, linear_rounds, monkeypatch):
+    def test_exact_and_early_where_ei_underflows(self, linear_rounds, spy):
         dead = [r for r in linear_rounds if r[-1]]
         assert len(dead) >= 3
-        gradients = self.batches(monkeypatch, "_ei_gradient")
+        gradients = spy(bayesopt, "_ei_gradient")
         for W, eta, lengthscale, seed, _ in dead:
             gradients.clear()
             out = maximize_acquisition(W, eta, lengthscale, seed=seed)
             assert out.tobytes() == fixed_step_polish(W, eta, lengthscale, seed).tobytes()
             # the gradient is 0, so one step at the starts moves none
-            assert [len(g) for g in gradients] == [NUM_POLISH]
+            assert [len(g.args[0]) for g in gradients] == [NUM_POLISH]
 
-    def test_one_batch_of_each_kind_per_step(self, linear_rounds, monkeypatch):
+    def test_one_batch_of_each_kind_per_step(self, linear_rounds, spy):
         lengths = len(bayesopt._STEP_LENGTHS)
         assert lengths == 16
-        gradients = self.batches(monkeypatch, "_ei_gradient")
-        scores = self.batches(monkeypatch, "_posterior_ei")
+        gradients = spy(bayesopt, "_ei_gradient")
+        scores = spy(bayesopt, "_posterior_ei")
         for W, eta, lengthscale, seed in live_rounds(linear_rounds):
             gradients.clear()
             scores.clear()
             maximize_acquisition(W, eta, lengthscale, seed=seed)
-            sizes = [len(g) for g in gradients]
+            sizes = [len(g.args[0]) for g in gradients]
             assert 1 <= len(sizes) <= bayesopt.NUM_POLISH_STEPS
             assert sizes[0] == NUM_POLISH
             # the candidates, then the trial points of each live start
-            assert [len(b) for b in scores] == [NUM_CANDIDATES] + [lengths * k for k in sizes]
+            assert [len(b.args[0]) for b in scores] == [NUM_CANDIDATES] + [lengths * k for k in sizes]
             # a gradient batch holds the previous step's movers, so the
             # batches never grow
             assert sizes == sorted(sizes, reverse=True)
@@ -409,36 +386,25 @@ class TestArcSearchAgainstFixedSteps:
             ref = ei_at(W, eta, lengthscale, fixed_step_polish(W, eta, lengthscale, seed))
             assert new >= ref - 1e-9 * abs(ref)
 
-    def test_each_starts_ei_never_falls(self, linear_rounds, monkeypatch):
+    def test_each_starts_ei_never_falls(self, linear_rounds, spy):
         # a start's EI is the score of the batch that scored its point; trial
         # row s * len(_STEP_LENGTHS) + k is live start s moved by the k-th
         # length, and each gradient batch holds the live starts' points
-        scored, gradients = [], []
-        posterior_ei, ei_gradient = bayesopt._posterior_ei, bayesopt._ei_gradient
-
-        def scoring(W_cand, *args):
-            ei, terms = posterior_ei(W_cand, *args)
-            scored.append((W_cand.copy(), ei))
-            return ei, terms
-
-        def gradient(W_cand, *args):
-            gradients.append(W_cand.copy())
-            return ei_gradient(W_cand, *args)
-
-        monkeypatch.setattr(bayesopt, "_posterior_ei", scoring)
-        monkeypatch.setattr(bayesopt, "_ei_gradient", gradient)
+        scores = spy(bayesopt, "_posterior_ei")
+        gradients = spy(bayesopt, "_ei_gradient")
         lengths = len(bayesopt._STEP_LENGTHS)
         moved = 0
         for W, eta, lengthscale, seed in live_rounds(linear_rounds):
-            scored.clear()
+            scores.clear()
             gradients.clear()
             out = maximize_acquisition(W, eta, lengthscale, seed=seed)
+            scored = [(call.args[0], call.result[0]) for call in scores]
             cands, ei = scored[0]
             starts = np.argsort(-ei, kind="stable")[:NUM_POLISH]
             points, values = cands[starts], ei[starts]
             live = np.arange(NUM_POLISH)
             assert len(gradients) == len(scored) - 1
-            for batch, (trial, ei_t) in zip(gradients, scored[1:]):
+            for batch, (trial, ei_t) in zip((g.args[0] for g in gradients), scored[1:]):
                 assert batch.tobytes() == points[live].tobytes()
                 block = ei_t.reshape(len(live), lengths)
                 k = np.argmax(block, axis=1)
@@ -533,17 +499,29 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="lengthscale must be positive"):
             maximize_acquisition(*history(), lengthscale)
 
-    @pytest.mark.parametrize("entry", [log_marginal_likelihood, maximize_acquisition])
-    @pytest.mark.parametrize("lengthscale, error, message", [
-        (np.inf, ValueError, "lengthscale must be positive and finite"),
+    # id: (points of history() kept, lengthscale, error, message)
+    DEGENERATE = {
+        "inf-ValueError-lengthscale must be positive and finite":
+            (6, np.inf, ValueError, "lengthscale must be positive and finite"),
         # q^2 overflows: the log likelihood read NaN, and the acquisition
         # raised a bare ZeroDivisionError at 1e-300 from 5 / (3 l^2)
-        (1e-200, GpError, "kernel matrix is not finite"),
-        (1e-300, GpError, "kernel matrix is not finite"),
-    ])
-    def test_degenerate_lengthscale_rejected(self, entry, lengthscale, error, message):
+        "1e-200-GpError-kernel matrix is not finite":
+            (6, 1e-200, GpError, "kernel matrix is not finite"),
+        "1e-300-GpError-kernel matrix is not finite":
+            (6, 1e-300, GpError, "kernel matrix is not finite"),
+        # one point: K is [[1]] and finite, and the log likelihood read a
+        # value; the acquisition warned of an overflow and then raised the
+        # bare ZeroDivisionError
+        "one point at 1e-300": (1, 1e-300, GpError, "kernel gradient is not finite"),
+    }
+
+    @pytest.mark.parametrize("entry", [log_marginal_likelihood, maximize_acquisition])
+    @pytest.mark.parametrize("points, lengthscale, error, message", list(DEGENERATE.values()),
+                             ids=list(DEGENERATE))
+    def test_degenerate_lengthscale_rejected(self, entry, points, lengthscale, error, message):
+        W, eta = history()
         with pytest.raises(error, match=message):
-            entry(*history(), lengthscale)
+            entry(W[:points], eta[:points], lengthscale)
 
     def test_duplicate_inputs_without_noise_are_a_gp_error(self, monkeypatch):
         W, eta = history()
@@ -596,32 +574,21 @@ class TestBoLearn:
         assert trace.incumbent_values.tobytes() == rows[:, 4].tobytes()
         assert w_best.tobytes() == rows[int(np.argmin(rows[:, 3])), :3].tobytes()
 
-    def test_gp_calls_go_through_the_module_globals(self, monkeypatch):
+    def test_gp_calls_go_through_the_module_globals(self, spy):
         # bo_learn looks both functions up at call time, so a wrapper bound
         # in their place (as a tracer binds one) sees every call
-        calls = []
-
-        def counted(name):
-            fn = getattr(bayesopt, name)
-
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in ("maximize_acquisition", "log_marginal_likelihood", "project_simplex",
-                     "_ei_gradient"):
-            monkeypatch.setattr(bayesopt, name, counted(name))
+        calls = {name: spy(bayesopt, name) for name in (
+            "maximize_acquisition", "log_marginal_likelihood", "project_simplex", "_ei_gradient")}
         bo_learn(bowl, 3, budget=40, seed=0)
         # one acquisition a query after the 5 initial ones; the 5 grid
         # lengthscales at each refit, n = 10, 20, 30
-        assert calls.count("maximize_acquisition") == 35
-        assert calls.count("log_marginal_likelihood") == 15
+        assert len(calls["maximize_acquisition"]) == 35
+        assert len(calls["log_marginal_likelihood"]) == 15
         # a projection per initial query, per search step (one gradient
         # batch each) and per result; every search takes at least one step
-        steps = calls.count("_ei_gradient")
+        steps = len(calls["_ei_gradient"])
         assert 35 <= steps <= 35 * bayesopt.NUM_POLISH_STEPS
-        assert calls.count("project_simplex") == N_INIT + 35 + steps
+        assert len(calls["project_simplex"]) == N_INIT + 35 + steps
 
     def test_oracle_failure_carries_partial_trace(self):
         calls = []
@@ -685,19 +652,8 @@ class TestBoLearn:
         assert np.array_equal(trace.incumbent_values, np.minimum.accumulate(trace.values))
 
 
-@pytest.fixture(scope="module")
-def siouxfalls_learn_setup():
-    """The learn setup: Sioux Falls, 3 players at demand 3000, and the CCP
-    basis of N=5 from seed 0 that the dual-simplex master LP reached, read
-    from tests/data (test_basis.py pins it)."""
-    net = parse_net((DATA / "siouxfalls_net.tntp").read_text())
-    game = build_traffic_game(net, [PlayerSpec(o, d, 3000.0) for o, d in ((1, 20), (13, 8), (7, 24))])
-    splits = np.cumsum([P.dim for P in game.action_sets])[:-1]
-    X = np.load(DATA / "siouxfalls_learn_basis.npy")
-    return game, BasisSet([np.split(x, splits) for x in X])
-
-
 class TestPinnedSiouxFallsLearn:
+    # The learn setup on its stored basis (harness.py).
     # SHA-256 over bo_learn's inputs, values and incumbents (budget 40),
     # captured from the EI search along the projection arc, its posterior
     # from cdist distances and one triangular solve.  The 50-step
@@ -726,16 +682,9 @@ class TestPinnedSiouxFallsLearn:
     PROJECTIONS = {0: 212, 1: 210, 2: 198, 3: 194, 4: 213, 5: 204}
 
     @pytest.mark.parametrize("seed", sorted(SHA256))
-    def test_trace_pinned(self, siouxfalls_learn_setup, monkeypatch, seed):
-        projections = []
-        project = bayesopt.project_simplex
-
-        def counting(v):
-            projections.append(1)
-            return project(v)
-
-        monkeypatch.setattr(bayesopt, "project_simplex", counting)
-        oracle = RegretOracle(*siouxfalls_learn_setup)
+    def test_trace_pinned(self, learn_game, learn_basis, spy, seed):
+        projections = spy(bayesopt, "project_simplex")
+        oracle = RegretOracle(learn_game, learn_basis)
         w_best, trace = bo_learn(oracle.average, 5, 40, seed=seed)
         digest = hashlib.sha256()
         digest.update(np.stack(trace.inputs).tobytes())

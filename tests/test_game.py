@@ -1,5 +1,4 @@
 from math import comb
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from cequil.game import (
 from cequil.polytope import contains, solve_lp
 from cequil.tntp import parse_net
 
-DATA = Path(__file__).parent / "data"
+import harness
 
 
 def loop_line_poly(game, i, w, T, x, d):
@@ -66,14 +65,9 @@ def label_correcting_shortest_path(net, origin, destination):
 
 
 @pytest.fixture(scope="module")
-def siouxfalls_net():
-    return parse_net((DATA / "siouxfalls_net.tntp").read_text())
-
-
-@pytest.fixture(scope="module")
-def siouxfalls_game(siouxfalls_net):
-    players = [PlayerSpec(1, 20, 3000.0), PlayerSpec(13, 8, 3000.0)]
-    return build_traffic_game(siouxfalls_net, players)
+def siouxfalls_game():
+    """The first two learn players on Sioux Falls."""
+    return harness.siouxfalls_game(harness.LEARN_PLAYERS[:2])
 
 
 class TestPlayerSpec:
@@ -329,9 +323,8 @@ class TestBuildTrafficGame:
     def test_tightest_budget(self, siouxfalls_net):
         # budget_factor 1 puts each budget limit at the budget row's minimum
         # delta_i, so the budgeted set is the face of free-flow routings
-        pairs = ((1, 20), (13, 8), (7, 24), (2, 19), (16, 3))
-        game = build_traffic_game(siouxfalls_net,
-                                  [PlayerSpec(o, d, 3000.0, budget_factor=1.0) for o, d in pairs])
+        game = build_traffic_game(siouxfalls_net, [PlayerSpec(o, d, 3000.0, budget_factor=1.0)
+                                                   for o, d in harness.AUDIT_PLAYERS])
         for P, delta in zip(game.action_sets, game.deltas):
             assert P.budget_limit == delta
             assert P._nominal.objective <= P.budget_limit
@@ -363,7 +356,7 @@ class TestBuildTrafficGame:
         # <FIRST THRU NODE> 3 makes nodes 1 and 2 zones; player 1->4 leaves
         # its own origin but may not pass through zone 2, so route 1->2->4 is
         # closed although it is the cheaper one, for delta as for the action set
-        text = (DATA / "toy4_net.tntp").read_text().replace(
+        text = (harness.DATA / "toy4_net.tntp").read_text().replace(
             "3 4 2.0 1 1 ", "3 4 2.0 1 2 ")  # route 1->3->4 now costs 3, not 2
         spec = PlayerSpec(1, 4, 1.0)
         through = build_traffic_game(parse_net(text), [spec])

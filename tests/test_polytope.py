@@ -3,11 +3,9 @@ import itertools
 import sys
 import threading
 from math import comb
-from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from cequil import polytope
 from cequil.basis import random_basis
@@ -25,7 +23,7 @@ from cequil.polytope import (
 from cequil.regret import RegretOracle
 from cequil.tntp import build_incidence, parse_net
 
-DATA = Path(__file__).parent / "data"
+from harness import highs
 
 
 def enumerate_vertices(poly, tol=1e-9):
@@ -175,15 +173,8 @@ def fresh(P):
 
 
 @pytest.fixture(scope="module")
-def siouxfalls_game():
-    net = parse_net((DATA / "siouxfalls_net.tntp").read_text())
-    players = [PlayerSpec(o, d, 3000.0) for o, d in ((1, 20), (13, 8), (7, 24))]
-    return build_traffic_game(net, players)
-
-
-@pytest.fixture(scope="module")
-def siouxfalls_sets(siouxfalls_game):
-    return siouxfalls_game.action_sets
+def siouxfalls_sets(learn_game):
+    return learn_game.action_sets
 
 
 def random_chains(seed=5, count=40, length=10):
@@ -216,12 +207,8 @@ class TestStoredStart:
                 cold = solve_lp(c, fresh(P))
                 assert warm.point.tobytes() == cold.point.tobytes()
                 assert warm.objective == cold.objective
-                ref = linprog(c, A_ub=P.budget_coeffs[None, :], b_ub=[P.budget_limit],
-                              A_eq=P.eq_matrix, b_eq=P.eq_rhs,
-                              bounds=np.column_stack([P.lower, P.upper]), method="highs")
-                assert ref.status == 0
                 scale = 1.0 + np.abs(c).sum() * np.abs(warm.point).max()
-                assert abs(warm.objective - ref.fun) <= 1e-9 * scale
+                assert abs(warm.objective - highs_objective(c, P)) <= 1e-9 * scale
 
     def test_infeasible_stays_infeasible(self):
         # phase 1 keeps no verdict between constructions: every attempt on the
@@ -234,15 +221,8 @@ class TestStoredStart:
         for c in ([1.0], [-1.0], [0.0], [1.0]):
             assert solve_lp(np.array(c), P).point.tolist() == [1.0]
 
-    def test_phase1_runs_once(self, siouxfalls_sets, monkeypatch):
-        calls = []
-        phase1 = polytope._phase1
-
-        def counting(*args):
-            calls.append(1)
-            return phase1(*args)
-
-        monkeypatch.setattr(polytope, "_phase1", counting)
+    def test_phase1_runs_once(self, siouxfalls_sets, monkeypatch, spy):
+        calls = spy(polytope, "_phase1")
         monkeypatch.setattr(polytope, "_FW_MAX_ITER", 5)
         P = fresh(siouxfalls_sets[0])
         rng = np.random.default_rng(1)
@@ -335,10 +315,10 @@ class TestNominalStart:
                         nominal._dirmask):
                 assert not arr.flags.writeable
 
-    def test_is_the_budgeted_game_nominal_cost(self, siouxfalls_game):
+    def test_is_the_budgeted_game_nominal_cost(self, learn_game):
         # a player's budget row is its free-flow cost, so its minimum is
         # delta_i, the min-cost routing without the budget row
-        for P, delta in zip(siouxfalls_game.action_sets, siouxfalls_game.deltas):
+        for P, delta in zip(learn_game.action_sets, learn_game.deltas):
             assert P._nominal.objective == pytest.approx(delta, rel=1e-12)
 
     def test_none_without_a_budget_optimum(self, siouxfalls_sets):
@@ -347,28 +327,22 @@ class TestNominalStart:
         for name, P in polyhedra_without_nominal(siouxfalls_sets):
             assert P.budget_coeffs is None and P._nominal is P._origin, name
 
-    def test_first_lp_continues_the_nominal_start(self, siouxfalls_game, monkeypatch):
-        warms = []
-
-        def recording(c, poly, warm=None):
-            warms.append(warm)
-            return solve_lp(c, poly, warm)
-
-        monkeypatch.setattr(polytope, "solve_lp", recording)
+    def test_first_lp_continues_the_nominal_start(self, learn_game, monkeypatch, spy):
+        warms = spy(polytope, "solve_lp")
         monkeypatch.setattr(polytope, "_FW_MAX_ITER", 3)
-        P = siouxfalls_game.action_sets[0]
-        frank_wolfe_min(bpr_objective(siouxfalls_game), P, tol_gap=1e-9)
-        assert warms[0] is P._nominal
+        P = learn_game.action_sets[0]
+        frank_wolfe_min(bpr_objective(learn_game), P, tol_gap=1e-9)
+        assert warms[0].kwargs["warm"] is P._nominal
         warms.clear()
         P = Polyhedron.simplex(3)
         frank_wolfe_min(lambda y: (0.5 * float(y @ y), y), P, tol_gap=1e-9)
-        assert warms[0] is P._origin
+        assert warms[0].kwargs["warm"] is P._origin
 
-    def test_frank_wolfe_unchanged_without_nominal(self, siouxfalls_game, siouxfalls_sets):
+    def test_frank_wolfe_unchanged_without_nominal(self, learn_game, siouxfalls_sets):
         digest = hashlib.sha256()
         for name, P in polyhedra_without_nominal(siouxfalls_sets):
             if name == "no budget row":
-                fun = bpr_objective(siouxfalls_game)
+                fun = bpr_objective(learn_game)
             else:
                 target = {"box": [0.3, 0.4, 0.9], "simplex": [0.1, 0.25, 0.3, 0.45]}[name]
 
@@ -380,8 +354,8 @@ class TestNominalStart:
             digest.update(np.array([res.value, res.gap, res.iterations]).tobytes())
         assert digest.hexdigest() == self.NO_NOMINAL_SHA256
 
-    def test_pure_function_of_the_inputs(self, siouxfalls_game, siouxfalls_sets):
-        fun = bpr_objective(siouxfalls_game)
+    def test_pure_function_of_the_inputs(self, learn_game, siouxfalls_sets):
+        fun = bpr_objective(learn_game)
         P = fresh(siouxfalls_sets[2])
 
         def run(poly):
@@ -399,11 +373,7 @@ class TestNominalStart:
 
 
 def highs_objective(c, P):
-    budget = {}
-    if P.budget_coeffs is not None:
-        budget = {"A_ub": P.budget_coeffs[None, :], "b_ub": [P.budget_limit]}
-    ref = linprog(c, A_eq=P.eq_matrix, b_eq=P.eq_rhs,
-                  bounds=np.column_stack([P.lower, P.upper]), method="highs", **budget)
+    ref = highs(c, P)
     assert ref.status == 0
     return ref.fun
 
@@ -579,26 +549,20 @@ class TestCarriedChain:
                     assert_mask_matches_vertex(sol)
                     prev = sol
 
-    def test_refactorization_period_spans_the_chain(self, siouxfalls_sets, monkeypatch):
+    def test_refactorization_period_spans_the_chain(self, siouxfalls_sets, monkeypatch, spy):
         # the pivot count carries over from call to call, so a chain of
         # warm calls with a pivot or two each is still refactorized
-        inverses = []
-        inv = np.linalg.inv
-
-        def counting(M):
-            inverses.append(1)
-            return inv(M)
-
         monkeypatch.setattr(polytope, "_REFACTOR_EVERY", 2)
         P = fresh(siouxfalls_sets[1])
         rng = np.random.default_rng(8)
         c = rng.uniform(1.0, 2.0, P.dim)
         prev = solve_lp(c, P)
+        inverses, calls = [], spy(np.linalg, "inv")
         for _ in range(30):
             c = c * (1.0 + 0.05 * rng.normal(size=P.dim))
-            monkeypatch.setattr(np.linalg, "inv", counting)
+            calls.clear()
             sol = solve_lp(c, P, warm=prev)
-            monkeypatch.setattr(np.linalg, "inv", inv)
+            inverses += calls
             cold = solve_lp(c, P)
             assert contains(P, sol.point)
             assert sol._since_refresh < 2
@@ -607,11 +571,11 @@ class TestCarriedChain:
             prev = sol
         assert inverses
 
-    def test_oracles_fed_opposite_orders_agree_bitwise(self, siouxfalls_game):
+    def test_oracles_fed_opposite_orders_agree_bitwise(self, learn_game):
         weights = np.random.default_rng(9).dirichlet(np.full(5, 0.3), size=6)
-        basis = random_basis(siouxfalls_game, 5, seed=0)
-        forward = [RegretOracle(siouxfalls_game, basis).report(w) for w in weights]
-        oracle = RegretOracle(siouxfalls_game, basis)
+        basis = random_basis(learn_game, 5, seed=0)
+        forward = [RegretOracle(learn_game, basis).report(w) for w in weights]
+        oracle = RegretOracle(learn_game, basis)
         backward = [oracle.report(w) for w in weights[::-1]][::-1]
         for a, b in zip(forward, backward):
             assert a.per_player.tobytes() == b.per_player.tobytes()
@@ -626,9 +590,7 @@ def assert_matches_highs(c, *args):
     ``min c.x`` over that set infeasible (status 2); otherwise HiGHS solves
     it (status 0) and solve_lp agrees on the objective within 1e-7 (1 +
     |f|).  Returns the polyhedron, or None when the set is empty."""
-    A, b, lo, hi, *budget = args
-    ub = {"A_ub": [budget[0]], "b_ub": [budget[1]]} if budget else {}
-    ref = linprog(c, A_eq=A, b_eq=b, bounds=np.column_stack([lo, hi]), method="highs", **ub)
+    ref = highs(c, *args)
     try:
         P = Polyhedron(*args)
     except InfeasibleError:
@@ -927,30 +889,21 @@ class TestSimplexPaths:
                    PlayerSpec(50, 1, 1000.0)]
         game = build_traffic_game(net, players)
         assert any(stalled_flags)
-        bounds = np.column_stack([np.zeros(net.num_links), net.capacity])
         for spec, delta in zip(players, game.deltas):
-            ref = linprog(net.free_flow_time, A_eq=build_incidence(net),
-                          b_eq=demand_vector(spec, net.num_nodes), bounds=bounds,
-                          method="highs")
+            ref = highs(net.free_flow_time, build_incidence(net),
+                        demand_vector(spec, net.num_nodes), np.zeros(net.num_links), net.capacity)
             assert ref.status == 0 and delta == ref.fun
 
-    def test_refactorization_on_a_long_solve(self, monkeypatch):
+    def test_refactorization_on_a_long_solve(self, monkeypatch, spy):
         # each phase needs more than 100 pivots on these 60 rows
-        inverses = []
-        inv = np.linalg.inv
-
-        def counting(M):
-            inverses.append(M.shape)
-            return inv(M)
-
         rng = np.random.default_rng(2)
         m, n = 60, 200
         A = rng.normal(size=(m, n))
         P = Polyhedron(A, A @ rng.uniform(0.0, 1.0, n), np.zeros(n), rng.uniform(1.0, 2.0, n))
-        monkeypatch.setattr(np.linalg, "inv", counting)
+        inverses = spy(np.linalg, "inv")
         solve_lp(rng.normal(size=n), P)
         monkeypatch.undo()
-        assert (m, m) in inverses
+        assert (m, m) in [call.args[0].shape for call in inverses]
         assert assert_matches_highs(rng.normal(size=n), P.eq_matrix, P.eq_rhs, P.lower,
                                     P.upper) is not None
 
@@ -1149,32 +1102,26 @@ class TestFrankWolfe:
         assert len(calls) <= 8
 
     @staticmethod
-    def counted_run(monkeypatch):
+    def counted_run(spy):
         """``(LP calls, result)`` of FW on a quadratic over the 3-simplex."""
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return solve_lp(*args, **kwargs)
-
         target = np.array([0.2, 0.3, 0.5])
-        monkeypatch.setattr(polytope, "solve_lp", counting)
+        calls = spy(polytope, "solve_lp")
         res = frank_wolfe_min(lambda y: (0.5 * float((y - target) @ (y - target)), y - target),
                               Polyhedron.simplex(3), tol_gap=1e-9)
         return len(calls), res
 
-    def test_one_lp_per_iteration(self, monkeypatch):
+    def test_one_lp_per_iteration(self, spy):
         # the start is the polyhedron's phase-1 vertex, not a zero-cost LP
-        lps, res = self.counted_run(monkeypatch)
+        lps, res = self.counted_run(spy)
         assert res.converged
         assert lps == res.iterations
 
     @pytest.mark.parametrize("cap", [0, 1, 2, 3])
-    def test_one_lp_per_iteration_up_to_the_cap(self, monkeypatch, cap):
+    def test_one_lp_per_iteration_up_to_the_cap(self, monkeypatch, spy, cap):
         # a run that reaches the cap solves one more LP, which only measures
         # the gap at its last iterate, and counts it
         monkeypatch.setattr(polytope, "_FW_MAX_ITER", cap)
-        lps, res = self.counted_run(monkeypatch)
+        lps, res = self.counted_run(spy)
         assert not res.converged
         assert lps == res.iterations == cap + 1
 
@@ -1284,8 +1231,8 @@ class TestLineStep:
         got = float(np.polynomial.polynomial.polyval(s, coeffs))
         assert got <= best + 1e-12 * (1.0 + abs(best))
 
-    def test_siouxfalls_line_polynomials(self, siouxfalls_game):
-        game = siouxfalls_game
+    def test_siouxfalls_line_polynomials(self, learn_game):
+        game = learn_game
         rng = np.random.default_rng(8)
         T = np.stack([sum(x) for x in (
             [solve_lp(rng.uniform(1.0, 5.0, game.num_links), P).point for P in game.action_sets[1:]]

@@ -1,18 +1,16 @@
 import hashlib
-from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from cequil import polytope, regret
 from cequil.basis import random_basis
 from cequil.game import ConvexGame, PlayerSpec, build_traffic_game, player_cost_gradient
-from cequil.polytope import Polyhedron, project_simplex
+from cequil.polytope import Polyhedron
 from cequil.regret import BasisSet, RegretOracle, RegretReport, validate_weights, verify_ce
 from cequil.tntp import parse_net
 
-DATA = Path(__file__).parent / "data"
+from harness import DATA, LEARN_PLAYERS, audit_stream, highs, siouxfalls_game, spy_on
 
 
 def quadratic_game():
@@ -519,20 +517,15 @@ class TestOracleSettings:
 
 
 class TestOracleBranches:
-    NETWORKS = {
-        "toy4": ([(1, 4, 2.0), (1, 4, 1.0)], 4),
-        "siouxfalls": ([(1, 20, 3000.0), (13, 8, 3000.0), (7, 24, 3000.0)], 5),
-    }
-
     @pytest.mark.parametrize("tol_gap", [None, 1e-3])
-    def test_traffic_branch_matches_generic_branch(self, tol_gap):
+    def test_traffic_branch_matches_generic_branch(self, learn_game, tol_gap):
         # the same traffic costs behind a ConvexGame build the generic
         # objective, an independent check of the per-link polynomials (at
         # capacity scale on Sioux Falls); both reports lower-bound the true
         # regret by at most their FW gap
-        for network, (specs, N) in self.NETWORKS.items():
-            net = parse_net((DATA / f"{network}_net.tntp").read_text())
-            traffic = build_traffic_game(net, [PlayerSpec(*spec) for spec in specs])
+        toy4 = build_traffic_game(parse_net((DATA / "toy4_net.tntp").read_text()),
+                                  [PlayerSpec(1, 4, 2.0), PlayerSpec(1, 4, 1.0)])
+        for traffic, N in ((toy4, 4), (learn_game, 5)):
             generic = ConvexGame(traffic.action_sets, traffic.cost,
                                  lambda i, x, o: player_cost_gradient(i, x, o, traffic))
             basis = random_basis(traffic, N, seed=0)
@@ -547,16 +540,14 @@ class TestOracleBranches:
                 slack = np.maximum(a.fw_gaps, 0.0) + np.maximum(b.fw_gaps, 0.0) + 1e-12
                 assert np.all(np.abs(a.per_player - b.per_player) <= slack)
 
-    def test_branches_count_a_weight_below_zero(self):
+    def test_branches_count_a_weight_below_zero(self, learn_game):
         # validate_weights passes an entry down to -1e-9 and the expected
         # cost counts it, so both objectives must count it too; the generic
         # one dropped it, 8e-10 off here, below the reports' FW-gap slack
-        specs, N = self.NETWORKS["siouxfalls"]
-        net = parse_net((DATA / "siouxfalls_net.tntp").read_text())
-        traffic = build_traffic_game(net, [PlayerSpec(*spec) for spec in specs])
+        traffic = learn_game
         generic = ConvexGame(traffic.action_sets, traffic.cost,
                              lambda i, x, o: player_cost_gradient(i, x, o, traffic))
-        basis = random_basis(traffic, N, seed=0)
+        basis = random_basis(traffic, 5, seed=0)
         fast, slow = RegretOracle(traffic, basis), RegretOracle(generic, basis)
         w = np.array([0.5, 0.5 + 8e-10, -8e-10, 0.0, 0.0])
         for i, y in enumerate(basis.actions[3]):
@@ -566,9 +557,8 @@ class TestOracleBranches:
 
 
 def siouxfalls_oracle():
-    net = parse_net((DATA / "siouxfalls_net.tntp").read_text())
-    players = [PlayerSpec(o, d, 3000.0) for o, d in ((1, 20), (13, 8), (7, 24))]
-    game = build_traffic_game(net, players)
+    """A new learn game's oracle on random_basis N=5, seed 0."""
+    game = siouxfalls_game(LEARN_PLAYERS)
     return RegretOracle(game, random_basis(game, 5, seed=0))
 
 
@@ -657,12 +647,12 @@ class TestPinnedSiouxFalls:
         (["0x1.17fb944d0ed72p-1", "0x1.120a97497f668p-1", "0x0.0p+0"],
          ["-0x1.fc66862ccec93p-56", "-0x1.b6067c233783ep-54", "0x0.0p+0"]),
     ]
-    # FW iterations and solve_lp calls over WORK_STREAM's reports, captured
-    # from the REFACTORED kernel: carrying the simplex state must not change
-    # how much work a report does.  The oracle is built inside the count,
-    # so lp_calls also holds the nominal LP each player's polyhedron solves
-    # once when it is constructed (3; the reports make 120).
-    WORK_STREAM = {"seed": 13, "alpha": 0.1, "size": 20}
+    # FW iterations and solve_lp calls over the reports of the audit
+    # stream's first 20 weights, captured from the REFACTORED kernel:
+    # carrying the simplex state must not change how much work a report
+    # does.  The oracle is built inside the count, so lp_calls also holds
+    # the nominal LP each player's polyhedron solves once when it is
+    # constructed (3; the reports make 120).
     WORK = {"fw_iterations": 120, "lp_calls": 123}
     # Simplex pivots over the same reports (phase 2 only, counted with
     # _REFACTOR_EVERY raised so that a call's pivots are the rise of its
@@ -673,12 +663,6 @@ class TestPinnedSiouxFalls:
     # whose ratio test ran on numpy arrays made the same).
     WORK_PIVOTS = 102
     WORK_SHA256 = "bfda69c2ebf49f7c87cfae0fb22b85caec569c20ef1e7703204c8bf70ea9798b"
-
-    def work_stream(self):
-        stream = self.WORK_STREAM
-        rng = np.random.default_rng(stream["seed"])
-        return [project_simplex(w)
-                for w in rng.dirichlet(np.full(5, stream["alpha"]), size=stream["size"])]
 
     def test_reports_bitwise(self):
         oracle = siouxfalls_oracle()
@@ -708,24 +692,12 @@ class TestPinnedSiouxFalls:
     def test_refactoring_kernel_values_within_gaps(self):
         self.assert_within_gaps(self.REFACTORED)
 
-    def test_work_pinned(self, monkeypatch):
-        work = {"fw_iterations": 0, "lp_calls": 0}
-        solve_lp, frank_wolfe_min = polytope.solve_lp, regret.frank_wolfe_min
-
-        def counting_lp(*args, **kwargs):
-            work["lp_calls"] += 1
-            return solve_lp(*args, **kwargs)
-
-        def counting_fw(*args, **kwargs):
-            res = frank_wolfe_min(*args, **kwargs)
-            work["fw_iterations"] += res.iterations
-            return res
-
-        monkeypatch.setattr(polytope, "solve_lp", counting_lp)
-        monkeypatch.setattr(regret, "frank_wolfe_min", counting_fw)
+    def test_work_pinned(self, spy):
+        lps, fws = spy(polytope, "solve_lp"), spy(regret, "frank_wolfe_min")
         oracle = siouxfalls_oracle()
-        for w in self.work_stream():
+        for w in audit_stream(20):
             oracle.report(w)
+        work = {"fw_iterations": sum(fw.result.iterations for fw in fws), "lp_calls": len(lps)}
         assert work == self.WORK
 
     def test_pivots_pinned(self, monkeypatch):
@@ -740,14 +712,14 @@ class TestPinnedSiouxFalls:
 
         monkeypatch.setattr(polytope, "_REFACTOR_EVERY", 10 ** 9)
         monkeypatch.setattr(polytope, "_simplex_phase_np", counting)
-        for w in self.work_stream():
+        for w in audit_stream(20):
             oracle.report(w)
         assert sum(pivots) == self.WORK_PIVOTS
 
     def test_outputs_hash_pinned(self):
         oracle = siouxfalls_oracle()
         digest = hashlib.sha256()
-        for w in self.work_stream():
+        for w in audit_stream(20):
             rep = oracle.report(w)
             digest.update(rep.per_player.tobytes())
             digest.update(rep.fw_gaps.tobytes())
@@ -756,50 +728,16 @@ class TestPinnedSiouxFalls:
         assert digest.hexdigest() == self.WORK_SHA256
 
 
-AUDIT_PLAYERS = ((1, 20), (13, 8), (7, 24), (2, 19), (16, 3))
-
-
-@pytest.fixture(scope="module")
-def audit_oracle():
-    """The audit setup: Sioux Falls, 5 players at demand 3000, and the CCP
-    basis of N=5 from seed 0 that the dual-simplex master LP reached, read
-    from tests/data (test_basis.py pins it)."""
-    net = parse_net((DATA / "siouxfalls_net.tntp").read_text())
-    game = build_traffic_game(net, [PlayerSpec(o, d, 3000.0) for o, d in AUDIT_PLAYERS])
-    splits = np.cumsum([P.dim for P in game.action_sets])[:-1]
-    X = np.load(DATA / "siouxfalls_audit_basis.npy")
-    return RegretOracle(game, BasisSet([np.split(x, splits) for x in X]))
-
-
-def audit_stream(size):
-    """The first ``size`` weights of the seed-13 Dirichlet(0.1) stream, each
-    drawn on its own and passed through project_simplex."""
-    rng = np.random.default_rng(13)
-    return [project_simplex(rng.dirichlet(np.full(5, 0.1))) for _ in range(size)]
-
-
 @pytest.fixture(scope="module")
 def audit_run(audit_oracle):
     """The reports of the first 20 audit weights, with the FW iterations of
     every deviation call and the ``(step, cap)`` of every line step."""
-    iterations, steps = [], []
-    frank_wolfe_min, line_step = regret.frank_wolfe_min, polytope._line_step
-
-    def counting_fw(*args, **kwargs):
-        res = frank_wolfe_min(*args, **kwargs)
-        iterations.append(res.iterations)
-        return res
-
-    def recording_step(slope, s_max, slope0):
-        s = line_step(slope, s_max, slope0)
-        steps.append((s, s_max))
-        return s
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(regret, "frank_wolfe_min", counting_fw)
-        mp.setattr(polytope, "_line_step", recording_step)
+        fws = spy_on(mp, regret, "frank_wolfe_min")
+        line_steps = spy_on(mp, polytope, "_line_step")
         reports = [audit_oracle.report(w) for w in audit_stream(20)]
-    return reports, iterations, steps
+    steps = [(step.result, step.args[1]) for step in line_steps]
+    return reports, [fw.result.iterations for fw in fws], steps
 
 
 @pytest.fixture(scope="module")
@@ -964,13 +902,9 @@ class TestAuditConvexity:
 
 
 def highs_lp(c, poly, warm=None):
-    """solve_lp's contract from HiGHS at tolerance 1e-10, cost scaled to
+    """solve_lp's contract from the tight HiGHS reference, cost scaled to
     unit size; ``warm`` is ignored."""
-    res = scipy.optimize.linprog(
-        c / np.abs(c).max(), A_eq=poly.eq_matrix, b_eq=poly.eq_rhs,
-        A_ub=poly.budget_coeffs[None, :], b_ub=[poly.budget_limit],
-        bounds=np.column_stack([poly.lower, poly.upper]), method="highs-ds",
-        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
+    res = highs(c / np.abs(c).max(), poly, tight=True)
     assert res.status == 0
     return polytope.LpSolution(res.x, float(c @ res.x))
 
