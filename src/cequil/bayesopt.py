@@ -27,9 +27,10 @@ Every point is scored once: the gradient at a start reuses the terms of the
 EI batch that scored it and adds only the solve for beta.  A start moves
 only to a trial point of strictly higher EI, so its EI never falls, and a
 start that does not move leaves the search, since it would try the same
-trial points again.  Where EI is 0 at every candidate, the normal cdf and
-pdf at z have both underflowed, G is 0, and no start moves at the first
-step.
+trial points again.  Only the starts with EI above 0 enter it: a start at
+EI 0 is an observed point or one where the normal cdf and pdf at z have
+both underflowed, so its gradient is 0 and it could not move.  Where EI is
+0 at every candidate the round takes no search step.
 
 The GP functions take the history as plain arrays: the n x N matrix ``W``
 of queried weights, one per row, the n standardized outputs ``eta``, and
@@ -170,14 +171,15 @@ def _posterior_ei(W_cand, W, L, alpha, lengthscale, best):
     per row the normal cdf and pdf at z, the posterior deviation and
     whether it is at most 1e-15 (an observed point, where EI is zero and
     ``rho`` reads 1).  The variance is ``1 - |v|^2`` (Rasmussen & Williams
-    2006, Algorithm 2.1), so the batch costs one LAPACK ``dtrtrs`` solve; a
-    non-finite row of ``W_cand`` raises ``ValueError``.
+    2006, Algorithm 2.1), so the batch costs one LAPACK ``dtrtrs`` solve.  A
+    non-finite row of ``W_cand`` raises ``ValueError``, and a non-finite EI
+    at finite rows (``q^2`` overflows at a lengthscale that ``_factorize``
+    let through) raises :class:`GpError`.
     """
-    if not np.isfinite(W_cand).all():
-        raise ValueError("acquisition candidates must be finite")
     q = _scaled_distances(W_cand, W, lengthscale)  # B x n
     e = np.exp(-q)
-    C = (q * q / 3.0 + q + 1.0) * e
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = (q * q / 3.0 + q + 1.0) * e
     mean = C @ alpha
     v = dtrtrs(L, C.T, lower=True, overwrite_b=True)[0]  # n x B, in C's memory
     rho = np.sqrt(np.maximum(1.0 - np.einsum("nb,nb->b", v, v), 0.0))
@@ -187,6 +189,10 @@ def _posterior_ei(W_cand, W, L, alpha, lengthscale, best):
     cdf = ndtr(z)
     pdf = np.exp(-0.5 * z * z) * _INV_SQRT_2PI
     ei = np.where(seen, 0.0, (best - mean) * cdf + rho * pdf)
+    if not np.isfinite(ei).all():
+        if not np.isfinite(W_cand).all():
+            raise ValueError("acquisition candidates must be finite")
+        raise GpError(f"EI is not finite at lengthscale {lengthscale}")
     return ei, (q, e, v.T, cdf, pdf, rho, seen)
 
 
@@ -198,14 +204,19 @@ def _ei_gradient(W_cand, terms, W, L, alpha, lengthscale):
     It takes ``beta = L^-T v``, one ``dtrtrs`` solve, and is ``grad[b] =
     sum_n G[b, n] (W_cand[b] - W[n])`` with the B x n weights ``G = (5 /
     (3 l^2)) (1 + q) e^{-q} (Phi(z) alpha_n + (phi(z) / rho) beta_n)``, so
-    no B x n x N array is formed.
+    no B x n x N array is formed.  A non-finite gradient raises
+    :class:`GpError`: below a lengthscale of about 1e-103 the factor
+    ``(5 / (3 l^2)) (1 + q)`` overflows where ``e^{-q}`` is 0.
     """
     q, e, v, cdf, pdf, rho, seen = terms
     beta = dtrtrs(L, v.T, lower=True, trans=1)[0].T  # B x n
-    G = ((5.0 / (3.0 * lengthscale ** 2)) * (1.0 + q) * e
-         * (cdf[:, None] * alpha + (pdf / rho)[:, None] * beta))
-    grad = G.sum(axis=1)[:, None] * W_cand - G @ W
-    return np.where(seen[:, None], 0.0, grad)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = ((5.0 / (3.0 * lengthscale ** 2)) * (1.0 + q) * e
+             * (cdf[:, None] * alpha + (pdf / rho)[:, None] * beta))
+        grad = np.where(seen[:, None], 0.0, G.sum(axis=1)[:, None] * W_cand - G @ W)
+    if not np.isfinite(grad).all():
+        raise GpError(f"EI gradient is not finite at lengthscale {lengthscale}")
+    return grad
 
 
 def maximize_acquisition(W, eta, lengthscale: float, seed: int = 0) -> np.ndarray:
@@ -213,19 +224,22 @@ def maximize_acquisition(W, eta, lengthscale: float, seed: int = 0) -> np.ndarra
     (n x N), the standardized outputs ``eta`` and the lengthscale.
 
     Seeded flat-Dirichlet sampling scores :data:`NUM_CANDIDATES` points by
-    EI, and the :data:`NUM_POLISH` best, by stable argsort, start a batched
-    search along the projection arc.  Each step takes the gradient at the
-    live starts, projects ``w + a grad`` for every step length ``a`` of the
-    fixed grid ``0.1 * 2**j``, ``j = 6, 5, ..., -9`` (one projection of the
-    whole start-by-length batch), scores those trial points by EI, and
-    moves each start to its best trial point only where that EI is
-    strictly higher, so a start's EI never falls.  A start that does not
-    move would see the same trial points again, so it leaves the search,
-    which ends after :data:`NUM_POLISH_STEPS` steps or when no start is
-    left.  The result is the highest-EI start, ties going to the lowest
+    EI, and the :data:`NUM_POLISH` best, by stable argsort, are the starts.
+    Those with EI above 0 are live and enter a batched search along the
+    projection arc; at EI 0 the gradient is 0, so a start could not move,
+    and a round with no live start takes no step.  Each step takes the
+    gradient at the live starts, projects ``w + a grad`` for every step
+    length ``a`` of the fixed grid ``0.1 * 2**j``, ``j = 6, 5, ..., -9``
+    (one projection of the whole start-by-length batch), scores those trial
+    points by EI, and moves each start to its best trial point only where
+    that EI is strictly higher, so a start's EI never falls.  A start that
+    does not move would see the same trial points again, so it leaves the
+    search, which ends after :data:`NUM_POLISH_STEPS` steps or when no start
+    is left.  The result is the highest-EI start, ties going to the lowest
     index; start 0 is the best candidate, so the result is that candidate
     unless a search step strictly beat it.  The returned point satisfies
-    the simplex invariants exactly.
+    the simplex invariants exactly.  A lengthscale so small that EI or its
+    gradient is not finite raises :class:`GpError`.
     """
     W, L, alpha = _factorize(W, eta, lengthscale)
     best = float(np.min(eta))
@@ -236,9 +250,11 @@ def maximize_acquisition(W, eta, lengthscale: float, seed: int = 0) -> np.ndarra
     ei, terms = _posterior_ei(cands, W, L, alpha, lengthscale, best)
     starts = np.argsort(-ei, kind="stable")[:NUM_POLISH]
     w, ei_w = cands[starts], ei[starts]
-    terms = tuple(t[starts] for t in terms)
-    live = np.arange(len(w))
+    live = np.flatnonzero(ei_w > 0.0)
+    terms = tuple(t[starts[live]] for t in terms)
     for _ in range(NUM_POLISH_STEPS):
+        if not live.size:
+            break
         grad = _ei_gradient(w[live], terms, W, L, alpha, lengthscale)
         # row s * len(_STEP_LENGTHS) + k is live start s moved by the k-th length
         trial = project_simplex(w[live][:, None] + _STEP_LENGTHS[:, None] * grad[:, None])
@@ -248,8 +264,6 @@ def maximize_acquisition(W, eta, lengthscale: float, seed: int = 0) -> np.ndarra
                 + np.argmax(ei_t.reshape(len(live), -1), axis=1))
         moved = ei_t[pick] > ei_w[live]
         live, pick = live[moved], pick[moved]
-        if not live.size:
-            break
         w[live], ei_w[live] = trial[pick], ei_t[pick]
         terms = tuple(t[pick] for t in terms)
     return project_simplex(w[int(np.argmax(ei_w))])

@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -557,7 +557,8 @@ def _dual_bound(c, sol: LpSolution) -> float:
 # ---------------------------------------------------------------------------
 
 
-class FwResult(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class FwResult:
     """Outcome of :func:`frank_wolfe_min`: the returned point, the objective
     there, the FW gap there, the linear subproblems solved (one per
     iteration; a run that reaches the cap solves ``_FW_MAX_ITER + 1``, the

@@ -319,14 +319,56 @@ def linear_rounds():
     with pytest.MonkeyPatch.context() as mp:
         calls = spy_on(mp, bayesopt, "maximize_acquisition")
         bo_learn(linear, 5, budget=30, seed=0)
-    rounds = []
-    for call in calls:
-        (W, eta, lengthscale), seed = call.args, call.kwargs["seed"]
-        W_, L, alpha = _factorize(W, eta, lengthscale)
-        cands = np.random.default_rng(seed).dirichlet(np.ones(W.shape[1]), size=NUM_CANDIDATES)
-        ei, _ = _posterior_ei(cands, W_, L, alpha, lengthscale, float(np.min(eta)))
-        rounds.append((W, eta, lengthscale, seed, not ei.any()))
-    return rounds
+    rounds = [(*call.args, call.kwargs["seed"]) for call in calls]
+    return [(*r, not start_ei(*r).any()) for r in rounds]
+
+
+@pytest.fixture(scope="module")
+def pinned_rounds(learn_game, learn_basis):
+    """Every acquisition call of the TestPinnedSiouxFallsLearn runs (seeds
+    0-5), as ``(W, eta, lengthscale, seed)``."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_on(mp, bayesopt, "maximize_acquisition")
+        for seed in sorted(TestPinnedSiouxFallsLearn.SHA256):
+            bo_learn(RegretOracle(learn_game, learn_basis).average, 5, 40, seed=seed)
+    return [(*call.args, call.kwargs["seed"]) for call in calls]
+
+
+def start_ei(W, eta, lengthscale, seed):
+    """EI at the NUM_POLISH starts of maximize_acquisition's round, best
+    first."""
+    W, L, alpha = _factorize(W, eta, lengthscale)
+    cands = np.random.default_rng(seed).dirichlet(np.ones(W.shape[1]), size=NUM_CANDIDATES)
+    ei, _ = _posterior_ei(cands, W, L, alpha, lengthscale, float(np.min(eta)))
+    return ei[np.argsort(-ei, kind="stable")[:NUM_POLISH]]
+
+
+def every_start_search(W, eta, lengthscale, seed=0):
+    """The search as it stood while every start entered it, EI 0 or not, as
+    the reference the live starts must match bitwise: a round where EI is 0
+    at every candidate takes one step in which no start moves."""
+    W, L, alpha = _factorize(W, eta, lengthscale)
+    best = float(np.min(eta))
+    N = W.shape[1]
+    lengths = bayesopt._STEP_LENGTHS
+    cands = np.random.default_rng(seed).dirichlet(np.ones(N), size=NUM_CANDIDATES)
+    ei, terms = _posterior_ei(cands, W, L, alpha, lengthscale, best)
+    starts = np.argsort(-ei, kind="stable")[:NUM_POLISH]
+    w, ei_w = cands[starts], ei[starts]
+    terms = tuple(t[starts] for t in terms)
+    live = np.arange(len(w))
+    for _ in range(bayesopt.NUM_POLISH_STEPS):
+        grad = _ei_gradient(w[live], terms, W, L, alpha, lengthscale)
+        trial = project_simplex(w[live][:, None] + lengths[:, None] * grad[:, None]).reshape(-1, N)
+        ei_t, terms = _posterior_ei(trial, W, L, alpha, lengthscale, best)
+        pick = np.arange(len(live)) * len(lengths) + np.argmax(ei_t.reshape(len(live), -1), axis=1)
+        moved = ei_t[pick] > ei_w[live]
+        live, pick = live[moved], pick[moved]
+        if not live.size:
+            break
+        w[live], ei_w[live] = trial[pick], ei_t[pick]
+        terms = tuple(t[pick] for t in terms)
+    return project_simplex(w[int(np.argmax(ei_w))])
 
 
 def live_rounds(linear_rounds):
@@ -345,20 +387,37 @@ def ei_at(W, eta, lengthscale, w):
 
 
 class TestStallExit:
-    """Every step is one gradient batch at the live starts and one EI batch
-    at all their trial points; a start that does not move leaves, and where
-    EI is 0 at every candidate none moves at the first step."""
+    """Only the starts with EI above 0 enter the search; every step is one
+    gradient batch at the live starts and one EI batch at all their trial
+    points, a start that does not move leaves, and where EI is 0 at every
+    candidate the round takes no step."""
 
     def test_exact_and_early_where_ei_underflows(self, linear_rounds, spy):
         dead = [r for r in linear_rounds if r[-1]]
         assert len(dead) >= 3
         gradients = spy(bayesopt, "_ei_gradient")
+        scores = spy(bayesopt, "_posterior_ei")
         for W, eta, lengthscale, seed, _ in dead:
             gradients.clear()
+            scores.clear()
             out = maximize_acquisition(W, eta, lengthscale, seed=seed)
             assert out.tobytes() == fixed_step_polish(W, eta, lengthscale, seed).tobytes()
-            # the gradient is 0, so one step at the starts moves none
-            assert [len(g.args[0]) for g in gradients] == [NUM_POLISH]
+            # no start has EI above 0, so the candidates are the only batch
+            assert gradients == []
+            assert [len(b.args[0]) for b in scores] == [NUM_CANDIDATES]
+
+    def test_matches_the_search_from_every_start(self, linear_rounds, pinned_rounds):
+        # a start at EI 0 has gradient 0 and could not move, so leaving it
+        # out changes no query: dead, partly live and fully live rounds
+        # alike return the bytes of the search that every start entered
+        assert len(pinned_rounds) == 210
+        live = []
+        for W, eta, lengthscale, seed in [r[:4] for r in linear_rounds] + pinned_rounds:
+            out = maximize_acquisition(W, eta, lengthscale, seed=seed)
+            assert out.tobytes() == every_start_search(W, eta, lengthscale, seed).tobytes()
+            live.append(np.count_nonzero(start_ei(W, eta, lengthscale, seed)))
+        assert 0 in live and NUM_POLISH in live
+        assert any(0 < k < NUM_POLISH for k in live)
 
     def test_one_batch_of_each_kind_per_step(self, linear_rounds, spy):
         lengths = len(bayesopt._STEP_LENGTHS)
@@ -371,7 +430,8 @@ class TestStallExit:
             maximize_acquisition(W, eta, lengthscale, seed=seed)
             sizes = [len(g.args[0]) for g in gradients]
             assert 1 <= len(sizes) <= bayesopt.NUM_POLISH_STEPS
-            assert sizes[0] == NUM_POLISH
+            # the first batch holds the starts with EI above 0
+            assert sizes[0] == np.count_nonzero(start_ei(W, eta, lengthscale, seed))
             # the candidates, then the trial points of each live start
             assert [len(b.args[0]) for b in scores] == [NUM_CANDIDATES] + [lengths * k for k in sizes]
             # a gradient batch holds the previous step's movers, so the
@@ -387,9 +447,10 @@ class TestArcSearchAgainstFixedSteps:
             assert new >= ref - 1e-9 * abs(ref)
 
     def test_each_starts_ei_never_falls(self, linear_rounds, spy):
-        # a start's EI is the score of the batch that scored its point; trial
-        # row s * len(_STEP_LENGTHS) + k is live start s moved by the k-th
-        # length, and each gradient batch holds the live starts' points
+        # a start's EI is the score of the batch that scored its point; the
+        # starts with EI above 0 are live, trial row s * len(_STEP_LENGTHS)
+        # + k is live start s moved by the k-th length, and each gradient
+        # batch holds the live starts' points
         scores = spy(bayesopt, "_posterior_ei")
         gradients = spy(bayesopt, "_ei_gradient")
         lengths = len(bayesopt._STEP_LENGTHS)
@@ -402,7 +463,7 @@ class TestArcSearchAgainstFixedSteps:
             cands, ei = scored[0]
             starts = np.argsort(-ei, kind="stable")[:NUM_POLISH]
             points, values = cands[starts], ei[starts]
-            live = np.arange(NUM_POLISH)
+            live = np.flatnonzero(values > 0.0)
             assert len(gradients) == len(scored) - 1
             for batch, (trial, ei_t) in zip((g.args[0] for g in gradients), scored[1:]):
                 assert batch.tobytes() == points[live].tobytes()
@@ -523,6 +584,25 @@ class TestInputChecks:
         with pytest.raises(error, match=message):
             entry(W[:points], eta[:points], lengthscale)
 
+    @pytest.mark.parametrize("points, lengthscale, message", [
+        # (5 / (3 l^2)) (1 + q) overflows where e^{-q} is 0, so the gradient
+        # read NaN: a RuntimeWarning with warnings as errors, else a
+        # ValueError from project_simplex
+        (6, 1e-103, "EI gradient"),
+        (6, 1e-110, "EI gradient"),
+        (6, 1e-120, "EI gradient"),
+        (6, 1e-150, "EI gradient"),
+        # one point: K is [[1]], but q^2 overflows at the candidates
+        (1, 1e-154, "EI"),
+    ])
+    def test_tiny_lengthscale_is_a_gp_error_in_the_acquisition(self, points, lengthscale,
+                                                              message):
+        W, eta = history()
+        W, eta = W[:points], eta[:points]
+        assert np.isfinite(log_marginal_likelihood(W, eta, lengthscale))
+        with pytest.raises(GpError, match=f"^{message} is not finite at lengthscale {lengthscale}$"):
+            maximize_acquisition(W, eta, lengthscale)
+
     def test_duplicate_inputs_without_noise_are_a_gp_error(self, monkeypatch):
         W, eta = history()
         monkeypatch.setattr(bayesopt, "NOISE_SIGMA", 0.0)
@@ -585,7 +665,8 @@ class TestBoLearn:
         assert len(calls["maximize_acquisition"]) == 35
         assert len(calls["log_marginal_likelihood"]) == 15
         # a projection per initial query, per search step (one gradient
-        # batch each) and per result; every search takes at least one step
+        # batch each) and per result; on the bowl every round has a start
+        # with EI above 0, so every search takes at least one step
         steps = len(calls["_ei_gradient"])
         assert 35 <= steps <= 35 * bayesopt.NUM_POLISH_STEPS
         assert len(calls["project_simplex"]) == N_INIT + 35 + steps
@@ -667,10 +748,11 @@ class TestPinnedSiouxFallsLearn:
     # after it.  About half of the rounds are such dead rounds, so the pins
     # cover them at scale.  PROJECTIONS counts bayesopt.project_simplex
     # calls: one per initial query and per result, N_INIT + 35 = 40, plus
-    # one per search step.  A dead round now takes one search step, in
-    # which no start moves, so each dead round adds one projection: seeds
-    # 0-5 read 196, 193, 183, 180, 197 and 186 with the return, for 16, 17,
-    # 15, 14, 16 and 18 dead rounds of 35.
+    # one per search step.  Only the starts with EI above 0 enter the
+    # search, so a dead round takes no step, as it did with the return.
+    # Between the two every start entered and a dead round took one step
+    # in which no start moved: seeds 0-5 read 212, 210, 198, 194, 213 and
+    # 204, one more per dead round (16, 17, 15, 14, 16 and 18 of 35).
     SHA256 = {
         0: "157223dff1d5391bbb71f7aeced80147f7fdd43e61752cc16042be1a3d7db782",
         1: "e34f237656812fe2551cb118362fe87b03dacbd3e3c751155b03396c5f5c3f4b",
@@ -679,7 +761,7 @@ class TestPinnedSiouxFallsLearn:
         4: "519a02ccf5a8072992dc60ac6b52f4d76a0bf425e17e5d7ec2cb4786ab02ec16",
         5: "e19a35ab338c5844e74e8cd60eb20c1998cddf0458cf15dbd052fc46be54f14c",
     }
-    PROJECTIONS = {0: 212, 1: 210, 2: 198, 3: 194, 4: 213, 5: 204}
+    PROJECTIONS = {0: 196, 1: 193, 2: 183, 3: 180, 4: 197, 5: 186}
 
     @pytest.mark.parametrize("seed", sorted(SHA256))
     def test_trace_pinned(self, learn_game, learn_basis, spy, seed):

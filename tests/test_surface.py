@@ -14,7 +14,7 @@ import cequil
 from cequil.basis import CcpTrace
 from cequil.bayesopt import LearnTrace
 from cequil.game import ConvexGame
-from cequil.polytope import Polyhedron, solve_lp
+from cequil.polytope import FwResult, Polyhedron, solve_lp
 from cequil.regret import BasisSet, RegretReport
 from cequil.tntp import NetworkData
 
@@ -69,6 +69,7 @@ def test_tracer_bindings_resolve(monkeypatch):
 ARRAY_HOLDERS = {
     "Polyhedron": lambda: Polyhedron.box([0.0], [1.0]),
     "LpSolution": lambda: solve_lp([1.0, 1.0], Polyhedron.box([0.0, 0.0], [1.0, 1.0])),
+    "FwResult": lambda: FwResult(np.zeros(2), 0.0, 0.0, 1, True, 0.0),
     "BasisSet": lambda: BasisSet([[np.zeros(2)]]),
     "RegretReport": lambda: RegretReport(np.zeros(2), [np.zeros(2)], np.zeros(2), np.zeros(2)),
     "CcpTrace": lambda: CcpTrace([], True),
